@@ -16,12 +16,10 @@
 //! numbers (one extra hop, one extra frame encode/decode per request);
 //! growing N shows how the price moves as the slice spreads over more
 //! processes on the same box, and the R = 2 column prices fault tolerance:
-//! every ingest frame fans out to two owners. The R = 2 cells run twice —
-//! pipelined fan-out (all owner frames written, then all acks collected)
-//! and sequential (send+ack per owner) — so the pipelining win is a
-//! committed before/after. On a 1-core dev machine the workers' shard
-//! pools cannot add real parallelism, so the interesting columns are the
-//! latency ones.
+//! every ingest frame fans out to two owners, pipelined (all owner frames
+//! written, then all acks collected). On a 1-core dev machine the workers'
+//! shard pools cannot add real parallelism, so the interesting columns are
+//! the latency ones.
 
 use super::{percentile, ExpCtx};
 use crate::table::Table;
@@ -120,7 +118,6 @@ fn run_cluster_load(
     w: &Workload,
     nodes: usize,
     replicas: usize,
-    pipeline: bool,
     query_every: usize,
 ) -> LoadMetrics {
     let cfg = w
@@ -138,7 +135,6 @@ fn run_cluster_load(
         heartbeat: None,
         forward_shutdown: false,
         replicas,
-        pipeline,
         ..RouterOptions::default()
     };
     let router = Router::start(cfg, "127.0.0.1:0", &addrs, opts).expect("bind router");
@@ -237,9 +233,8 @@ fn run_cluster_load(
 }
 
 /// Mixed ingest+query load through the cluster router over the
-/// R ∈ {1, 2} × N ∈ {1, 2, 3, 4} replication grid (R = 2 needs N ≥ 2;
-/// R = 2 cells run pipelined *and* sequential fan-out), plus
-/// `BENCH_cluster.json`.
+/// R ∈ {1, 2} × N ∈ {1, 2, 3, 4} replication grid (R = 2 needs N ≥ 2),
+/// plus `BENCH_cluster.json`.
 pub fn cluster_exp(ctx: &ExpCtx) -> Vec<Table> {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let ws = workloads(ctx);
@@ -253,7 +248,6 @@ pub fn cluster_exp(ctx: &ExpCtx) -> Vec<Table> {
         "query_every",
         "nodes",
         "replicas",
-        "fanout",
         "queries_sound",
         "secs",
         "ops_per_sec",
@@ -275,68 +269,56 @@ pub fn cluster_exp(ctx: &ExpCtx) -> Vec<Table> {
         let total_updates = w.updates.len() * w.repeat;
         // Untimed warm-up pass (page cache, allocator growth, thread
         // spawn) so the R = 1, N = 1 cell that runs first is not penalized.
-        let _ = run_cluster_load(w, 1, 1, true, query_every);
+        let _ = run_cluster_load(w, 1, 1, query_every);
         let mut cells = Vec::new();
         for &replicas in &REPLICA_COUNTS {
             for &nodes in &NODE_COUNTS {
                 if replicas > nodes {
                     continue; // R clamps to N: the cell would duplicate R = N.
                 }
-                // Pipelined fan-out always; at R = 2 also the sequential
-                // before/after (the fan-out width is where pipelining pays).
-                let fanouts: &[bool] = if replicas >= 2 {
-                    &[true, false]
-                } else {
-                    &[true]
-                };
-                for &pipeline in fanouts {
-                    let fanout = if pipeline { "pipelined" } else { "sequential" };
-                    let m = run_cluster_load(w, nodes, replicas, pipeline, query_every);
-                    let sound = m.queries >= floor;
-                    if !sound {
-                        eprintln!(
-                            "cluster: {} N={nodes} R={replicas} {fanout} reports only {} timed \
-                             queries (< {floor}) — latency percentiles flagged as unsound",
-                            w.name, m.queries
-                        );
-                    }
-                    load.push_row(vec![
-                        w.name.into(),
-                        model.into(),
-                        total_updates.to_string(),
-                        w.batch.to_string(),
-                        query_every.to_string(),
-                        nodes.to_string(),
-                        replicas.to_string(),
-                        fanout.into(),
-                        if sound { "yes".into() } else { "NO".into() },
-                        format!("{:.3}", m.secs),
-                        format!("{:.0}", m.ops_per_sec),
-                        format!("{:.0}", m.requests_per_sec),
-                        m.p50_ingest_us.to_string(),
-                        m.p99_ingest_us.to_string(),
-                        m.p50_query_us.to_string(),
-                        m.p99_query_us.to_string(),
-                        format!("{:.0}", m.bytes_per_request),
-                    ]);
-                    cells.push(format!(
-                        "{{\"nodes\": {nodes}, \"replicas\": {replicas}, \
-                         \"fanout\": \"{fanout}\", \"ops_per_sec\": {:.0}, \
-                         \"requests_per_sec\": {:.0}, \"queries\": {}, \
-                         \"low_queries\": {}, \"p50_ingest_us\": {}, \
-                         \"p99_ingest_us\": {}, \"p50_query_us\": {}, \
-                         \"p99_query_us\": {}, \"bytes_per_request\": {:.0}}}",
-                        m.ops_per_sec,
-                        m.requests_per_sec,
-                        m.queries,
-                        !sound,
-                        m.p50_ingest_us,
-                        m.p99_ingest_us,
-                        m.p50_query_us,
-                        m.p99_query_us,
-                        m.bytes_per_request
-                    ));
+                let m = run_cluster_load(w, nodes, replicas, query_every);
+                let sound = m.queries >= floor;
+                if !sound {
+                    eprintln!(
+                        "cluster: {} N={nodes} R={replicas} reports only {} timed queries \
+                         (< {floor}) — latency percentiles flagged as unsound",
+                        w.name, m.queries
+                    );
                 }
+                load.push_row(vec![
+                    w.name.into(),
+                    model.into(),
+                    total_updates.to_string(),
+                    w.batch.to_string(),
+                    query_every.to_string(),
+                    nodes.to_string(),
+                    replicas.to_string(),
+                    if sound { "yes".into() } else { "NO".into() },
+                    format!("{:.3}", m.secs),
+                    format!("{:.0}", m.ops_per_sec),
+                    format!("{:.0}", m.requests_per_sec),
+                    m.p50_ingest_us.to_string(),
+                    m.p99_ingest_us.to_string(),
+                    m.p50_query_us.to_string(),
+                    m.p99_query_us.to_string(),
+                    format!("{:.0}", m.bytes_per_request),
+                ]);
+                cells.push(format!(
+                    "{{\"nodes\": {nodes}, \"replicas\": {replicas}, \
+                     \"ops_per_sec\": {:.0}, \"requests_per_sec\": {:.0}, \
+                     \"queries\": {}, \"low_queries\": {}, \"p50_ingest_us\": {}, \
+                     \"p99_ingest_us\": {}, \"p50_query_us\": {}, \
+                     \"p99_query_us\": {}, \"bytes_per_request\": {:.0}}}",
+                    m.ops_per_sec,
+                    m.requests_per_sec,
+                    m.queries,
+                    !sound,
+                    m.p50_ingest_us,
+                    m.p99_ingest_us,
+                    m.p50_query_us,
+                    m.p99_query_us,
+                    m.bytes_per_request
+                ));
             }
         }
         json_rows.push(format!(

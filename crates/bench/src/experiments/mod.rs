@@ -172,7 +172,7 @@ pub fn registry() -> Vec<Experiment> {
         },
         Experiment {
             id: "cluster",
-            claim: "fews-cluster: router + N workers — mixed ingest+query at R ∈ {1,2} × N ∈ {1,2,3,4}, pipelined vs sequential fan-out (writes BENCH_cluster.json)",
+            claim: "fews-cluster: router + N workers — mixed ingest+query at R ∈ {1,2} × N ∈ {1,2,3,4}, pipelined fan-out (writes BENCH_cluster.json)",
             run: cluster::cluster_exp,
         },
         Experiment {

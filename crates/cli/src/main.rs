@@ -119,9 +119,8 @@ fn usage(msg: &str) -> ! {
          fews router --addr HOST:PORT --workers H1:P1,H2:P2,… --n N --d D [--alpha A] \
          [--model io|id] [--seed S]\n  \
          {:13}[--scale X] [--m M] [--partitions P] [--replicas R] [--data-dir DIR]\n  \
-         {:13}[--timeout-ms T] [--retries R] [--heartbeat-ms H] [--refresh-updates U]\n  \
-         {:13}[--forward-shutdown true|false] [--sequential-fanout true|false] \
-         [--retained-budget N]\n  \
+         {:13}[--timeout-ms T] [--retries R] [--heartbeat-ms H] [--retained-budget N >= 1]\n  \
+         {:13}[--forward-shutdown true|false]\n  \
          fews client ADDR [--space S] [--timeout-ms T] [--retries R] [--overload-retries O] \
          [--resend] [--stale] <certified | certify V | top K | stats | ping |\n  \
          {:13}ingest FILE [--batch B] | checkpoint OUT | restore CKPT | shutdown |\n  \
@@ -669,17 +668,21 @@ fn router(rest: &[String]) {
     client.jitter_seed = Some(cfg.seed);
     let data_dir = o.get_str("data-dir").map(std::path::PathBuf::from);
     let durable = data_dir.clone();
+    // The only bound on the router's retained logs, so 0 is refused rather
+    // than read as "unbounded": nothing else bounds router memory or the WAL.
+    let retained_budget = o.get("retained-budget", 1u64 << 20);
+    if retained_budget == 0 {
+        usage("--retained-budget must be at least 1 update");
+    }
     let opts = fews_cluster::RouterOptions {
         client,
         heartbeat: Some(std::time::Duration::from_millis(
             o.get("heartbeat-ms", 1_000u64).max(1),
         )),
-        refresh_updates: o.get("refresh-updates", 1u64 << 16),
         forward_shutdown: o.get("forward-shutdown", true),
         replicas: o.get("replicas", 2usize).max(1),
-        pipeline: !o.get("sequential-fanout", false),
         data_dir,
-        retained_budget: o.get("retained-budget", 1u64 << 20),
+        retained_budget,
     };
     let replicas = opts.replicas;
     let router = fews_cluster::Router::start(cfg, &addr, &workers, opts)

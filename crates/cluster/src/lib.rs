@@ -21,8 +21,9 @@
 //!   matter which node hosts it. Ingest batches fan out by owner, with
 //!   order preserved per partition.
 //! * **Cross-node view merge.** Queries are answered from a *merged*
-//!   [`fews_engine::GlobalView`] assembled from per-node view pulls. Each
-//!   pull carries an epoch watermark (the worker's publish counter): a
+//!   [`fews_engine::GlobalView`] assembled from per-node view pulls,
+//!   pipelined like ingest (every pull written, then every reply read).
+//!   Each pull carries an epoch watermark (the worker's publish counter): a
 //!   quiesced worker answers "unchanged" in O(1) and the router reuses its
 //!   cached, already-decoded contribution — the PR 5 epoch trick, across
 //!   the wire. A fully quiesced cluster answers `certified`/`certify`/
@@ -44,21 +45,29 @@
 //!   worker). A dead worker — heartbeat miss or send failure — is marked
 //!   down; rejoin streams its slice back as exact engine container bytes
 //!   (`FEWWSLC1`) and replays the retained log, so the revived node is
-//!   bit-exact with a node that never died. At R ≥ 2 this runs as
-//!   *background* repair from the heartbeat thread; only a partition with
-//!   no live owner at all (the R=1 corner) forces a bounded rejoin on the
-//!   query path, and only its failure surfaces as a typed
-//!   `node-unavailable` error. `join-worker` rebalances a healthy cluster
-//!   through the same slice pushes.
+//!   bit-exact with a node that never died; the rejoin first refreshes
+//!   the logs from live co-owners, so it replays only what no live owner
+//!   holds. At R ≥ 2 this runs as *background* repair from the heartbeat
+//!   thread; only a partition with no live owner at all (the R=1 corner)
+//!   forces a bounded rejoin on the query path, and only its failure
+//!   surfaces as a typed `node-unavailable` error. `join-worker`
+//!   rebalances a healthy cluster through the same slice pushes.
+//! * **One bound on the retained logs.**
+//!   [`RouterOptions::retained_budget`] (at least 1 update) is the only
+//!   refresh trigger on the ingest path: a batch that would carry the logs
+//!   past it first pulls fresh slice checkpoints and truncates the logs,
+//!   and is shed only if updates owed to down workers still fill it.
 //! * **Durable coordination.** With [`RouterOptions::data_dir`] set, the
 //!   retained logs ride the same `fews_engine::wal` machinery as a single
 //!   durable server: every acked batch is fsynced to a CRC-framed WAL
 //!   before the ack, and whenever the retained logs drain the router
 //!   atomically checkpoints its payload store (watermarked with the WAL
-//!   sequence it covers) and resets the log. `kill -9` of the router
-//!   replays checkpoint + WAL tail to bit-exact retained state and
-//!   re-seeds every reachable worker wholesale — acknowledged means
-//!   durable end-to-end.
+//!   sequence it covers), fsyncs its metadata (the ack watermark, paired
+//!   with the WAL sequence it counts to) and resets the log. `kill -9` of
+//!   the router replays checkpoint + WAL tail to bit-exact retained state,
+//!   recounts the WAL records past the metadata's sequence, and re-seeds
+//!   every reachable worker wholesale — acknowledged means durable
+//!   end-to-end.
 //!
 //! The differential gate (`tests/tests/cluster_equivalence.rs`) holds a
 //! 2/3/4-node cluster — including one that lost and revived a worker, and

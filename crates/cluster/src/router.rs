@@ -26,7 +26,9 @@
 //! `k < R`, primary first). Ingest fans out to every live owner — sends are
 //! pipelined (all frames written, then all acks collected) so R-way
 //! replication costs one round-trip, not R. Queries pull an epoch-gated
-//! view from every live node and merge by **designated reader**: each
+//! view from every live node, pipelined the same way (every pull written,
+//! then every reply read), so a fresh read waits for the slowest node
+//! rather than for each in turn, and merge by **designated reader**: each
 //! partition's contribution is taken from its first live owner, so replicas
 //! shipping overlapping partitions dedup by partition id and the merge is
 //! byte-identical to a single engine's regardless of which replicas are up.
@@ -48,20 +50,32 @@
 //! ([`fews_engine::wal`]): every acked batch is appended to a space-tagged,
 //! CRC-framed WAL and fsynced *before* the ack, and compaction (whenever
 //! every retained log is empty) atomically writes a checkpoint envelope
-//! whose watermark is the WAL sequence it covers, then resets the log.
-//! `kill -9` of the router replays checkpoint + WAL tail back to bit-exact
-//! retained state; restart then pushes every worker its slice wholesale, so
-//! the cluster's answers are byte-identical to an uninterrupted run.
+//! whose watermark is the WAL sequence it covers, then the metadata (the
+//! ack watermark `ingested`, paired with the WAL sequence it counts up
+//! to), then resets the log. `kill -9` of the router replays checkpoint +
+//! WAL tail back to bit-exact retained state and recounts every WAL record
+//! past the metadata's sequence, so the ack watermark never comes back
+//! lower than one already acked; restart then pushes every worker its
+//! slice wholesale, so the cluster's answers are byte-identical to an
+//! uninterrupted run.
 //!
-//! Logs are bounded by periodic *refresh*: every `refresh_updates` routed
-//! updates the router pulls fresh slice checkpoints from live owners,
-//! replacing `payloads` and truncating the covered `logs`.
+//! The logs have one bound, [`RouterOptions::retained_budget`]. When a
+//! batch would carry them past it, the router first *refreshes*: it pulls
+//! fresh slice checkpoints from live owners, replacing `payloads` and
+//! truncating the covered `logs` (and compacting the WAL once every log is
+//! empty). Only if what is left — updates whose owners are all down —
+//! still leaves no room is the batch shed. `checkpoint`, `restore` and
+//! `join` force a refresh, and a rejoin refreshes from live co-owners
+//! before it marks the returning node live, so it replays only what no
+//! live owner holds. A healthy router therefore holds up to a budget of
+//! already-delivered updates between refreshes and pays one O(state)
+//! refresh per budget.
 
 use fews_common::rng::derive_seed;
 use fews_common::SpaceId;
 use fews_core::wire::MemoryState;
 use fews_engine::checkpoint::{self, unwrap_envelope, Header};
-use fews_engine::wal::{wal_path, SpaceDir, Wal};
+use fews_engine::wal::{atomic_write, wal_path, SpaceDir, Wal};
 use fews_engine::{partition_of, Engine, EngineConfig, GlobalView, ModelSpec};
 use fews_net::proto::{body_fits, check_frame_len, FrameError};
 use fews_net::{
@@ -112,10 +126,6 @@ pub struct RouterOptions {
     /// on demand, when a query finds a partition with no live owner. Tests
     /// use `None` for determinism.
     pub heartbeat: Option<Duration>,
-    /// Pull fresh slice checkpoints (and truncate the retained logs) every
-    /// this many routed updates. 0 disables periodic refresh — logs then
-    /// grow until a checkpoint or join forces a refresh.
-    pub refresh_updates: u64,
     /// Forward a client `shutdown` request to every worker before answering
     /// `Bye`. Routers owning their fleet (the CLI) want this; tests that
     /// manage worker lifetimes themselves do not.
@@ -124,22 +134,20 @@ pub struct RouterOptions {
     /// At 1, a worker loss makes its partitions unavailable until rejoin;
     /// at 2+, queries fail over to a surviving replica with no pause.
     pub replicas: usize,
-    /// Pipeline the ingest fan-out: write the batch frame to every live
-    /// owner, then collect the acks — one round-trip for R replicas
-    /// instead of R. Off means send-then-ack per owner, sequentially.
-    pub pipeline: bool,
     /// Durability root. `Some(dir)` write-ahead-logs every acked batch
     /// (fsync before ack) and checkpoints retained payloads there, so a
     /// killed router restarts bit-exact from disk. `None` keeps retained
     /// state in memory only, as a cache-tier deployment would.
     pub data_dir: Option<PathBuf>,
-    /// Cap on updates the retained logs may hold before ingest is shed
-    /// with [`ErrorCode::Overloaded`] + retry-after (0 = unbounded). The
-    /// retained logs are what down or shedding workers still owe; without
-    /// a bound, one overloaded worker turns into unbounded router memory
-    /// growth. Shedding here is how worker overload *composes* up the
-    /// tiers instead of amplifying: the router stops accepting what it
-    /// cannot place and tells clients when to come back.
+    /// Cap on updates the retained logs may hold — the only bound on them,
+    /// and so on router memory (about 24 bytes per update) and on the WAL.
+    /// A batch that would carry the logs past it first triggers a refresh
+    /// (slice pulls from live owners, log truncation, WAL compaction); only
+    /// if the updates no live owner holds still leave no room is the batch
+    /// shed with [`ErrorCode::Overloaded`] + retry-after. Shedding here is
+    /// how worker loss *composes* up the tiers instead of amplifying: the
+    /// router stops accepting what it cannot place and tells clients when
+    /// to come back. Must be at least 1; [`Router::start`] refuses 0.
     pub retained_budget: u64,
 }
 
@@ -148,10 +156,8 @@ impl Default for RouterOptions {
         RouterOptions {
             client: ClientOptions::bounded(Duration::from_secs(2), 2),
             heartbeat: Some(Duration::from_secs(1)),
-            refresh_updates: 1 << 16,
             forward_shutdown: true,
             replicas: 2,
-            pipeline: true,
             data_dir: None,
             retained_budget: 1 << 20,
         }
@@ -230,9 +236,6 @@ struct Inner {
     /// arrival order. `payloads[p] + logs[p]` rebuilds the partition
     /// exactly.
     logs: Vec<Vec<Update>>,
-    /// Updates routed since the last refresh (compares against
-    /// `opts.refresh_updates`).
-    since_refresh: u64,
     /// Updates accepted over the router's lifetime (recovered across
     /// restarts when durable).
     ingested: u64,
@@ -287,34 +290,39 @@ fn client_opts_for(opts: &RouterOptions, i: usize) -> ClientOptions {
     o
 }
 
-/// Atomically (write-then-rename) persist the router's metadata line.
-fn write_meta(path: &Path, assign_epoch: u64, ingested: u64) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    std::fs::write(
-        &tmp,
-        format!("fews-router-meta v1\nassign_epoch {assign_epoch}\ningested {ingested}\n"),
-    )?;
-    std::fs::rename(&tmp, path)
+/// Durably persist the router's metadata: the assignment epoch and the
+/// ack watermark `ingested`, which counts every update in WAL records up
+/// to `wal_seq`. Written through the checkpoint's fsync'd tmp + rename +
+/// directory-fsync path, so it is on disk before the WAL reset that
+/// follows it can drop the records it counts.
+fn write_meta(path: &Path, assign_epoch: u64, ingested: u64, wal_seq: u64) -> std::io::Result<()> {
+    let text = format!(
+        "fews-router-meta v1\nassign_epoch {assign_epoch}\ningested {ingested}\nwal_seq {wal_seq}\n"
+    );
+    atomic_write(path, text.as_bytes(), None)
 }
 
-/// Read the metadata file back; `None` if absent or unparseable (both
-/// recoverable — the counters restart from zero).
-fn read_meta(path: &Path) -> Option<(u64, u64)> {
+/// Read the metadata file back as `(assign_epoch, ingested, wal_seq)`;
+/// `None` if absent or unparseable (both recoverable — the counters
+/// restart from zero). `wal_seq` is `None` in a file written before the
+/// pairing existed.
+fn read_meta(path: &Path) -> Option<(u64, u64, Option<u64>)> {
     let text = std::fs::read_to_string(path).ok()?;
     let mut lines = text.lines();
     if lines.next()? != "fews-router-meta v1" {
         return None;
     }
-    let (mut epoch, mut ingested) = (None, None);
+    let (mut epoch, mut ingested, mut wal_seq) = (None, None, None);
     for line in lines {
         let mut it = line.split_whitespace();
         match (it.next(), it.next()) {
             (Some("assign_epoch"), Some(v)) => epoch = v.parse().ok(),
             (Some("ingested"), Some(v)) => ingested = v.parse().ok(),
+            (Some("wal_seq"), Some(v)) => wal_seq = v.parse().ok(),
             _ => {}
         }
     }
-    Some((epoch?, ingested?))
+    Some((epoch?, ingested?, wal_seq))
 }
 
 /// Connect to a worker and verify it serves the exact model, seed, and
@@ -467,10 +475,15 @@ impl Inner {
     /// retained log, re-assign the slice. The revived node is bit-exact
     /// with one that never died (restore is wholesale per partition, so it
     /// also erases any half-applied batch a send failure left behind).
+    ///
+    /// Before the node is marked live, the retained logs are refreshed from
+    /// its live co-owners (it cannot be picked as a source while down), so
+    /// the replay carries only updates no live owner holds.
     fn rejoin(&mut self, i: usize) -> Result<(), Fail> {
         let addr = self.nodes[i].addr.clone();
         let (client, _) = admit(&addr, &self.cfg, &client_opts_for(&self.opts, i))
             .map_err(|m| (ErrorCode::NodeUnavailable, m))?;
+        self.refresh_retained();
         self.nodes[i].client = Some(client);
         self.push_slice(i)
     }
@@ -500,17 +513,31 @@ impl Inner {
         )))
     }
 
-    /// Route one validated ingest batch: WAL it (durable routers fsync
-    /// before the ack), log every update under its partition, fan the batch
-    /// out to every live owner, ack. A send failure marks the owner down
-    /// and the ack stands — the updates are retained and replay at rejoin,
-    /// which the heartbeat drives in the background.
-    /// Updates currently held in the retained logs — what down or shedding
-    /// workers still owe.
+    /// Updates currently held in the retained logs: already delivered to a
+    /// live owner (awaiting the next refresh) or owed to down ones.
     fn retained(&self) -> u64 {
         self.logs.iter().map(|l| l.len() as u64).sum()
     }
 
+    /// Retained updates in partitions with no live owner — the only ones
+    /// that exist nowhere but the router, and so what it reports as its
+    /// in-flight backlog.
+    fn owed(&self) -> u64 {
+        self.logs
+            .iter()
+            .zip(&self.owners)
+            .filter(|(_, owners)| owners.iter().all(|&i| self.nodes[i].client.is_none()))
+            .map(|(log, _)| log.len() as u64)
+            .sum()
+    }
+
+    /// Route one validated ingest batch: WAL it (durable routers fsync
+    /// before the ack), log every update under its partition, fan the batch
+    /// out to every live owner, ack. A send failure marks the owner down
+    /// and the ack stands — the updates are retained and replay at rejoin,
+    /// which the heartbeat drives in the background. A batch that would
+    /// carry the retained logs past the budget first refreshes them, and is
+    /// shed only if the refresh leaves no room.
     fn ingest(&mut self, updates: Vec<Update>) -> Response {
         if let Err((code, message)) = validate_batch(&self.cfg, &updates) {
             return Response::error(code, message);
@@ -523,7 +550,7 @@ impl Inner {
         // the batch admits; if they are down or shedding, the drain is a
         // cheap no-op and the overload propagates to the client with a
         // retry hint instead of growing the router without bound.
-        if self.opts.retained_budget > 0 && self.retained() + count > self.opts.retained_budget {
+        if self.retained() + count > self.opts.retained_budget {
             self.refresh_retained();
             let retained = self.retained();
             if retained + count > self.opts.retained_budget && retained > 0 {
@@ -558,71 +585,45 @@ impl Inner {
             }
         }
         self.dirty = true;
-        if self.opts.pipeline {
-            // Phase 1: write every live owner's frame; phase 2: collect the
-            // acks in the same order. The owners apply concurrently, so the
-            // fan-out costs one round-trip instead of R.
-            let mut awaiting: Vec<usize> = Vec::new();
-            for i in 0..self.nodes.len() {
-                if per_node[i].is_empty() || self.nodes[i].client.is_none() {
-                    continue;
-                }
-                let sent = self.nodes[i]
-                    .client
-                    .as_mut()
-                    .expect("live node")
-                    .ingest_send(&per_node[i]);
-                match sent {
-                    Ok(()) => awaiting.push(i),
-                    Err(_) => self.nodes[i].client = None,
-                }
+        // Phase 1: write every live owner's frame; phase 2: collect the
+        // acks in the same order. The owners apply concurrently, so the
+        // fan-out costs one round-trip instead of R.
+        let mut awaiting: Vec<usize> = Vec::new();
+        for i in 0..self.nodes.len() {
+            if per_node[i].is_empty() || self.nodes[i].client.is_none() {
+                continue;
             }
-            for i in awaiting {
-                let acked = self.nodes[i]
-                    .client
-                    .as_mut()
-                    .expect("live node")
-                    .ingest_ack();
-                match acked {
-                    Ok(_) => {
-                        let node = &mut self.nodes[i];
-                        node.routed += per_node[i].len() as u64;
-                        node.batches += 1;
-                        node.acked = node.client.as_ref().map_or(0, Client::watermark);
-                    }
-                    Err(_) => {
-                        // Whatever the worker did with the batch, the
-                        // wholesale restore at rejoin makes it exact again.
-                        self.nodes[i].client = None;
-                    }
-                }
+            let sent = self.nodes[i]
+                .client
+                .as_mut()
+                .expect("live node")
+                .ingest_send(&per_node[i]);
+            match sent {
+                Ok(()) => awaiting.push(i),
+                Err(_) => self.nodes[i].client = None,
             }
-        } else {
-            for i in 0..self.nodes.len() {
-                if per_node[i].is_empty() || self.nodes[i].client.is_none() {
-                    continue;
+        }
+        for i in awaiting {
+            let acked = self.nodes[i]
+                .client
+                .as_mut()
+                .expect("live node")
+                .ingest_ack();
+            match acked {
+                Ok(_) => {
+                    let node = &mut self.nodes[i];
+                    node.routed += per_node[i].len() as u64;
+                    node.batches += 1;
+                    node.acked = node.client.as_ref().map_or(0, Client::watermark);
                 }
-                let sent = self.nodes[i]
-                    .client
-                    .as_mut()
-                    .expect("live node")
-                    .ingest_batch(&per_node[i]);
-                match sent {
-                    Ok(_) => {
-                        let node = &mut self.nodes[i];
-                        node.routed += per_node[i].len() as u64;
-                        node.batches += 1;
-                        node.acked = node.client.as_ref().map_or(0, Client::watermark);
-                    }
-                    Err(_) => self.nodes[i].client = None,
+                Err(_) => {
+                    // Whatever the worker did with the batch, the wholesale
+                    // restore at rejoin makes it exact again.
+                    self.nodes[i].client = None;
                 }
             }
         }
         self.ingested += count;
-        self.since_refresh += count;
-        if self.opts.refresh_updates > 0 && self.since_refresh >= self.opts.refresh_updates {
-            self.refresh_retained();
-        }
         // The router's ack watermark is its lifetime ingest count: queries
         // carrying it back are satisfiable because every routed update is
         // either on a live owner (whose pull waits for its own acked
@@ -660,8 +661,12 @@ impl Inner {
     /// Partitions whose owners are all down keep their logs (those updates
     /// are not yet anywhere else); a node that fails mid-refresh is marked
     /// down with its logs intact. If every log drains, a durable router
-    /// compacts its WAL.
+    /// compacts its WAL. With every log already empty there is nothing to
+    /// pull or compact.
     fn refresh_retained(&mut self) {
+        if self.logs.iter().all(|l| l.is_empty()) {
+            return;
+        }
         let mut per_node: Vec<Vec<u32>> = vec![Vec::new(); self.nodes.len()];
         for p in 0..self.cfg.partitions {
             if self.logs[p].is_empty() {
@@ -695,7 +700,6 @@ impl Inner {
                 Err(_) => self.nodes[i].client = None,
             }
         }
-        self.since_refresh = 0;
         if self.logs.iter().all(|l| l.is_empty()) {
             // Disk state stays consistent even if this fails (the old
             // checkpoint still pairs with the un-reset WAL), so a refresh
@@ -723,12 +727,15 @@ impl Inner {
                 continue;
             }
             let addr = self.nodes[i].addr.clone();
-            let bytes = match self.nodes[i]
-                .client
-                .as_mut()
-                .expect("live node")
-                .slice_checkpoint(&parts)
-            {
+            // A rejoin above refreshes first, and a failed pull there can
+            // mark down a node this loop already picked.
+            let Some(client) = self.nodes[i].client.as_mut() else {
+                return Err((
+                    ErrorCode::NodeUnavailable,
+                    format!("worker {addr} went down during a refresh"),
+                ));
+            };
+            let bytes = match client.slice_checkpoint(&parts) {
                 Ok(b) => b,
                 Err(e) => {
                     self.nodes[i].client = None;
@@ -754,20 +761,23 @@ impl Inner {
                 format!("partition {p}'s owner omitted it from a slice checkpoint"),
             ));
         }
-        self.since_refresh = 0;
         let _ = self.compact_durable();
         Ok(())
     }
 
     /// Durably anchor the retained state: write the checkpoint envelope
-    /// (watermarked with the last WAL sequence it covers) and the metadata,
-    /// then reset the WAL. Sound only when every retained log is empty —
-    /// the payload store then *is* the full retained state.
+    /// (watermarked with the last WAL sequence it covers), then the
+    /// metadata paired with that same sequence, then reset the WAL. Sound
+    /// only when every retained log is empty — the payload store then *is*
+    /// the full retained state. A crash between any two steps recovers
+    /// exactly: records the checkpoint covers are not replayed, and
+    /// records past the metadata's sequence are still in the log to count.
     fn compact_durable(&mut self) -> std::io::Result<()> {
         let Some(d) = &self.durable else {
             return Ok(());
         };
         debug_assert!(self.logs.iter().all(|l| l.is_empty()));
+        let seq = d.wal.last_seq();
         let listed: Vec<(u32, Vec<u8>)> = self
             .payloads
             .iter()
@@ -775,26 +785,43 @@ impl Inner {
             .map(|(p, b)| (p as u32, b.clone()))
             .collect();
         let inner = checkpoint::encode(&self.cfg, &listed);
-        let env =
-            checkpoint::wrap_envelope(SpaceId::default_space().as_str(), d.wal.last_seq(), &inner);
+        let env = checkpoint::wrap_envelope(SpaceId::default_space().as_str(), seq, &inner);
         d.store.write_checkpoint(&env)?;
-        write_meta(&d.meta, self.assign_epoch, self.ingested)?;
+        write_meta(&d.meta, self.assign_epoch, self.ingested, seq)?;
         d.wal.reset()
     }
 
-    /// Refresh node `i`'s cached view contribution with one epoch-gated
-    /// pull. Requires the node live; any failure (transport, protocol, or a
-    /// malformed contribution) marks it down and returns typed.
-    fn pull_view(&mut self, i: usize) -> Result<(), Fail> {
-        let io_model = matches!(self.cfg.model, ModelSpec::InsertOnly(_));
-        let addr = self.nodes[i].addr.clone();
-        let watermark = self.nodes[i].watermark;
-        let acked = self.nodes[i].acked;
-        let pulled = self.nodes[i]
-            .client
+    /// Write live node `i`'s epoch-gated view pull: `since` its last
+    /// epoch, waiting for its acked ingest watermark.
+    fn send_view_pull(&mut self, i: usize) -> Result<(), ClientError> {
+        let node = &mut self.nodes[i];
+        node.client
             .as_mut()
             .expect("live node")
-            .view_pull(watermark, acked);
+            .view_pull_send(node.watermark, node.acked)
+    }
+
+    /// Refresh node `i`'s cached view contribution with one epoch-gated
+    /// pull. Requires the node live; any failure marks it down and returns
+    /// typed.
+    fn pull_view(&mut self, i: usize) -> Result<(), Fail> {
+        let pulled = self.send_view_pull(i).and_then(|()| {
+            let client = self.nodes[i].client.as_mut().expect("live node");
+            client.view_pull_recv()
+        });
+        self.install_view(i, pulled)
+    }
+
+    /// Install node `i`'s reply to a view pull as its cached contribution.
+    /// Any failure (transport, protocol, or a malformed contribution) marks
+    /// the node down and returns typed.
+    fn install_view(
+        &mut self,
+        i: usize,
+        pulled: Result<WireView, ClientError>,
+    ) -> Result<(), Fail> {
+        let io_model = matches!(self.cfg.model, ModelSpec::InsertOnly(_));
+        let addr = self.nodes[i].addr.clone();
         let view = match pulled {
             Ok(v) => v,
             Err(e) => {
@@ -878,10 +905,28 @@ impl Inner {
                 return Ok(Arc::clone(v));
             }
         }
+        // Phase 1: write every live node's pull; phase 2: read the replies
+        // in the same order. The nodes wait for their refreshers
+        // concurrently, so a fresh read costs the slowest node's wait, not
+        // the sum. Every successful write gets its read, even after an
+        // earlier read failed, which keeps each connection in step.
+        let mut awaiting: Vec<usize> = Vec::new();
         for i in 0..self.nodes.len() {
-            if self.nodes[i].client.is_some() {
-                let _ = self.pull_view(i);
+            if self.nodes[i].client.is_none() {
+                continue;
             }
+            match self.send_view_pull(i) {
+                Ok(()) => awaiting.push(i),
+                Err(_) => self.nodes[i].client = None,
+            }
+        }
+        for i in awaiting {
+            let pulled = self.nodes[i]
+                .client
+                .as_mut()
+                .expect("live node")
+                .view_pull_recv();
+            let _ = self.install_view(i, pulled);
         }
         let mut reader: Vec<usize> = Vec::with_capacity(self.cfg.partitions);
         for p in 0..self.cfg.partitions {
@@ -1064,7 +1109,7 @@ impl Inner {
         self.owners = owner_map(self.cfg.partitions, n, self.opts.replicas);
         self.assign_epoch += 1;
         if let Some(d) = &self.durable {
-            let _ = write_meta(&d.meta, self.assign_epoch, self.ingested);
+            let _ = write_meta(&d.meta, self.assign_epoch, self.ingested, d.wal.last_seq());
         }
         // Ownership changed under every node: no cached contribution may
         // outlive the map that scoped it.
@@ -1144,10 +1189,10 @@ impl Inner {
             });
             space_bytes += measured.unwrap_or(0);
         }
-        // The router's overload picture: its own sheds, and the retained
-        // backlog standing in for in-flight work (what shedding or down
-        // workers still owe it).
-        let retained = self.retained();
+        // The router's overload picture: its own sheds, and what down
+        // workers still owe standing in for in-flight work. Retained
+        // updates a live owner already holds are not a backlog.
+        let owed = self.owed();
         Ok(WireStats {
             ingested: self.ingested,
             uptime_micros: self.started.elapsed().as_micros() as u64,
@@ -1159,9 +1204,9 @@ impl Inner {
                 shed_ingest: self.shed_ingest,
                 shed_reads: 0,
                 shed_conns: 0,
-                inflight_updates: retained,
-                inflight_bytes: retained * std::mem::size_of::<Update>() as u64,
-                lag_updates: retained,
+                inflight_updates: owed,
+                inflight_bytes: owed * std::mem::size_of::<Update>() as u64,
+                lag_updates: owed,
                 lag_ms: 0,
             },
             shards,
@@ -1226,6 +1271,13 @@ impl Router {
                 "a partition needs at least one replica",
             ));
         }
+        if opts.retained_budget == 0 {
+            return Err(std::io::Error::new(
+                ErrorKind::InvalidInput,
+                "the retained-log budget must be at least 1 update: it is the only bound on \
+                 router memory and the WAL",
+            ));
+        }
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let invalid = |m: String| std::io::Error::new(ErrorKind::InvalidInput, m);
@@ -1275,13 +1327,25 @@ impl Router {
             };
             let (wal, recovery) = Wal::open(&wal_path(dir), floor)?;
             let meta = dir.join(META_FILE);
-            if let Some((epoch, count)) = read_meta(&meta) {
+            // `ingested` counts the records up to meta's WAL sequence. A
+            // crash between the checkpoint and meta writes leaves records
+            // the checkpoint covers (not replayed) that meta never counted
+            // (counted here), so the ack watermark comes back whole.
+            let mut counted = floor;
+            if let Some((epoch, count, wal_seq)) = read_meta(&meta) {
                 assign_epoch = epoch;
                 ingested = count;
+                counted = wal_seq.unwrap_or(floor);
             }
             let mut replayed = 0u64;
             for (seq, space, updates) in &recovery.replay {
-                if *seq <= floor || space != SpaceId::default_space().as_str() {
+                if space != SpaceId::default_space().as_str() {
+                    continue;
+                }
+                if *seq > counted {
+                    ingested += updates.len() as u64;
+                }
+                if *seq <= floor {
                     continue;
                 }
                 for u in updates {
@@ -1289,7 +1353,6 @@ impl Router {
                 }
                 replayed += updates.len() as u64;
             }
-            ingested += replayed;
             recovered = prior.is_some() || replayed > 0;
             durable = Some(Durable { wal, store, meta });
         }
@@ -1342,7 +1405,6 @@ impl Router {
             owners,
             payloads,
             logs,
-            since_refresh: 0,
             ingested,
             assign_epoch,
             merged: None,
@@ -1752,6 +1814,12 @@ mod tests {
             .collect()
     }
 
+    /// Retained-log budget of the healthy-path tests, derived from their
+    /// 97-update chunks: two chunks (194) fit and a third (291) does not,
+    /// so a refresh runs before the 3rd, 5th, 7th, … chunk, and every
+    /// healthy stream here (at least 7 chunks) crosses it at least twice.
+    const HEALTHY_BUDGET: u64 = 250;
+
     fn quick_opts() -> RouterOptions {
         RouterOptions {
             // Generous timeout: the full test suite shares one core, and
@@ -1759,12 +1827,10 @@ mod tests {
             // is immediate), so nothing here waits it out.
             client: ClientOptions::bounded(Duration::from_secs(5), 0),
             heartbeat: None,
-            refresh_updates: 200,
             forward_shutdown: false,
             replicas: 1,
-            pipeline: true,
             data_dir: None,
-            retained_budget: 1 << 20,
+            retained_budget: HEALTHY_BUDGET,
         }
     }
 
@@ -1772,6 +1838,18 @@ mod tests {
         RouterOptions {
             replicas,
             ..quick_opts()
+        }
+    }
+
+    /// Options for the outage and fault tests, which keep the budget they
+    /// always had: one no stream here (≤ 3,000 updates) can reach, so
+    /// nothing owed to a dead worker sheds (a dead sole owner is owed about
+    /// half of a 2-node stream, past HEALTHY_BUDGET). Their refreshes come
+    /// from rejoins and checkpoints.
+    fn outage_opts(replicas: usize) -> RouterOptions {
+        RouterOptions {
+            retained_budget: 1 << 20,
+            ..replicated_opts(replicas)
         }
     }
 
@@ -1893,7 +1971,7 @@ mod tests {
         let w2_addr = w2.local_addr();
         let workers = vec![w1.local_addr().to_string(), w2_addr.to_string()];
         // R=1: the dead worker's partitions have no surviving replica.
-        let router = Router::start(cfg, "127.0.0.1:0", &workers, quick_opts()).expect("router");
+        let router = Router::start(cfg, "127.0.0.1:0", &workers, outage_opts(1)).expect("router");
         let mut client = Client::connect(router.local_addr()).expect("connect");
 
         let updates = stream(2_000);
@@ -1950,8 +2028,7 @@ mod tests {
             w2.local_addr().to_string(),
             w3.local_addr().to_string(),
         ];
-        let router =
-            Router::start(cfg, "127.0.0.1:0", &workers, replicated_opts(2)).expect("router");
+        let router = Router::start(cfg, "127.0.0.1:0", &workers, outage_opts(2)).expect("router");
         let mut client = Client::connect(router.local_addr()).expect("connect");
 
         let updates = stream(3_000);
@@ -2005,31 +2082,77 @@ mod tests {
         w3.join();
     }
 
+    /// A durable two-worker cluster: the workers, their addresses, and
+    /// R = 2 options over `dir`.
+    fn durable_pair(dir: &Path, budget: u64) -> ([Server; 2], Vec<String>, RouterOptions) {
+        let cfg = test_cfg();
+        let w1 = Server::start(cfg, "127.0.0.1:0").expect("worker 1");
+        let w2 = Server::start(cfg, "127.0.0.1:0").expect("worker 2");
+        let workers = vec![w1.local_addr().to_string(), w2.local_addr().to_string()];
+        let opts = RouterOptions {
+            data_dir: Some(dir.to_path_buf()),
+            retained_budget: budget,
+            ..replicated_opts(2)
+        };
+        ([w1, w2], workers, opts)
+    }
+
+    /// Crash both workers and bring them back empty, restart the router
+    /// from its data dir alone, and hold its answers, checkpoint bytes and
+    /// ack watermark to a single engine that saw `updates`.
+    fn assert_restart_exact(
+        workers: [Server; 2],
+        addrs: &[String],
+        opts: RouterOptions,
+        updates: &[Update],
+    ) {
+        let cfg = test_cfg();
+        let workers = workers.map(|w| {
+            let addr = w.local_addr();
+            w.crash();
+            w.join();
+            start_worker_at(cfg, addr)
+        });
+        let router = Router::start(cfg, "127.0.0.1:0", addrs, opts).expect("restarted router");
+        let mut client = Client::connect(router.local_addr()).expect("reconnect");
+        let view = reference_view(cfg, updates);
+        assert_eq!(client.certified().expect("replayed"), view.certified());
+        let mut reference = Engine::start(cfg);
+        reference.ingest(updates.to_vec());
+        let envelope = client.checkpoint().expect("checkpoint");
+        let env = unwrap_envelope(&envelope).expect("envelope");
+        assert_eq!(env.inner, reference.checkpoint());
+        let stats = client.stats().expect("stats");
+        assert_eq!(stats.ingested, updates.len() as u64);
+
+        router.shutdown();
+        router.join();
+        for w in workers {
+            w.shutdown();
+            w.join();
+        }
+    }
+
     #[test]
     fn killed_router_restarts_from_data_dir_byte_identical() {
         let cfg = test_cfg();
         let dir = scratch_dir("restart");
-        let w1 = Server::start(cfg, "127.0.0.1:0").expect("worker 1");
-        let w2 = Server::start(cfg, "127.0.0.1:0").expect("worker 2");
-        let (w1_addr, w2_addr) = (w1.local_addr(), w2.local_addr());
-        let workers = vec![w1_addr.to_string(), w2_addr.to_string()];
-        let opts = RouterOptions {
-            data_dir: Some(dir.clone()),
-            ..replicated_opts(2)
-        };
+        let (workers, addrs, opts) = durable_pair(&dir, HEALTHY_BUDGET);
 
-        // 22 chunks of 97: the periodic refresh (threshold 200) compacts
-        // after chunk 21, so the final chunk is retained only in the WAL
-        // tail — the restart exercises checkpoint restore AND WAL replay.
+        // 22 chunks of 97 against HEALTHY_BUDGET: the last refresh runs
+        // before chunk 21 and compacts chunks 1–20 into the checkpoint, so
+        // chunks 21–22 are retained only in the WAL tail — the restart
+        // exercises checkpoint restore AND WAL replay.
         let updates = stream(2_134);
         {
-            let router = Router::start(cfg, "127.0.0.1:0", &workers, opts.clone()).expect("router");
+            let router = Router::start(cfg, "127.0.0.1:0", &addrs, opts.clone()).expect("router");
             let mut client = Client::connect(router.local_addr()).expect("connect");
             for chunk in updates.chunks(97) {
                 client.ingest_batch(chunk).expect("ingest");
             }
             let stats = client.stats().expect("stats");
             assert_eq!(stats.ingested, updates.len() as u64);
+            assert!(stats.wal_bytes > 0, "chunks 21–22 must be a WAL tail");
             // No clean shutdown handshake: dropping the router here is a
             // crash as far as durability is concerned (nothing is flushed
             // on drop — every ack was already fsynced).
@@ -2039,24 +2162,158 @@ mod tests {
 
         // The workers die too; they come back empty. Everything the new
         // router pushes them comes from disk alone.
-        w1.crash();
-        w1.join();
+        assert_restart_exact(workers, &addrs, opts, &updates);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn durable_cluster_compacts_at_each_budget_crossing_and_restarts_exact() {
+        let cfg = test_cfg();
+        let dir = scratch_dir("budget");
+        let (workers, addrs, opts) = durable_pair(&dir, HEALTHY_BUDGET);
+        let router = Router::start(cfg, "127.0.0.1:0", &addrs, opts.clone()).expect("router");
+        let mut client = Client::connect(router.local_addr()).expect("connect");
+
+        // 3,000 updates are twelve budgets' worth. A batch that would carry
+        // the logs past the budget refreshes them first, and the drained
+        // logs compact the WAL: it then holds that batch alone.
+        let updates = stream(3_000);
+        let (mut retained, mut crossings, mut wal) = (0u64, 0u32, 0u64);
+        for chunk in updates.chunks(97) {
+            let len = chunk.len() as u64;
+            let crossing = retained + len > HEALTHY_BUDGET;
+            client
+                .ingest_batch(chunk)
+                .expect("a healthy cluster sheds nothing");
+            let now = client.stats().expect("stats").wal_bytes;
+            if crossing {
+                assert!(now < wal, "crossing {crossings}: WAL not compacted");
+                crossings += 1;
+                retained = len;
+            } else {
+                assert!(now > wal, "the WAL grows between crossings");
+                retained += len;
+            }
+            wal = now;
+        }
+        assert_eq!(crossings, 15);
+        let stats = client.stats().expect("stats");
+        assert_eq!(stats.overload.shed_ingest, 0);
+        assert_eq!(stats.ingested, updates.len() as u64);
+        router.shutdown();
+        router.join();
+
+        assert_restart_exact(workers, &addrs, opts, &updates);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A crash between the checkpoint write and the meta write leaves a
+    /// checkpoint newer than meta and a WAL that was never reset. The
+    /// restarted router must still count every acked update: its ingest
+    /// count is the ack watermark read-your-writes queries carry back.
+    #[test]
+    fn crash_between_checkpoint_and_meta_keeps_the_ack_watermark() {
+        let cfg = test_cfg();
+        let dir = scratch_dir("meta-crash");
+        // Nothing crosses this budget: the two compactions below are the
+        // checkpoint requests.
+        let (workers, addrs, opts) = durable_pair(&dir, 1 << 20);
+        let updates = stream(1_000);
+        let (first, rest) = updates.split_at(400);
+        let router = Router::start(cfg, "127.0.0.1:0", &addrs, opts.clone()).expect("router");
+        let mut client = Client::connect(router.local_addr()).expect("connect");
+        for chunk in first.chunks(97) {
+            client.ingest_batch(chunk).expect("ingest");
+        }
+        client.checkpoint().expect("compaction A");
+        let meta_a = std::fs::read(dir.join(META_FILE)).expect("meta A");
+        for chunk in rest.chunks(97) {
+            client.ingest_batch(chunk).expect("ingest");
+        }
+        let wal_before_b = std::fs::read(wal_path(&dir)).expect("WAL before B");
+        client.checkpoint().expect("compaction B");
+        let acked = client.watermark();
+        assert_eq!(acked, updates.len() as u64);
+        router.shutdown();
+        router.join();
+
+        // Compaction B as a crash right after its checkpoint write leaves
+        // it: B's checkpoint, A's meta, and the WAL B never reset.
+        std::fs::write(dir.join(META_FILE), meta_a).expect("restore meta A");
+        std::fs::write(wal_path(&dir), wal_before_b).expect("restore the WAL");
+
+        let router = Router::start(cfg, "127.0.0.1:0", &addrs, opts).expect("restarted router");
+        let mut client = Client::connect(router.local_addr()).expect("reconnect");
+        client.set_watermark(acked);
+        let stats = client.stats().expect("stats at the last acked watermark");
+        assert_eq!(stats.ingested, acked, "the restart lost acked updates");
+        let view = reference_view(cfg, &updates);
+        assert_eq!(
+            client
+                .certified()
+                .expect("read-your-writes at the last acked watermark"),
+            view.certified()
+        );
+
+        router.shutdown();
+        router.join();
+        for w in workers {
+            w.shutdown();
+            w.join();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rejoin_at_r2_replays_nothing_a_live_owner_holds() {
+        let cfg = test_cfg();
+        let w1 = Server::start(cfg, "127.0.0.1:0").expect("worker 1");
+        let w2 = Server::start(cfg, "127.0.0.1:0").expect("worker 2");
+        let w2_addr = w2.local_addr();
+        let workers = vec![w1.local_addr().to_string(), w2_addr.to_string()];
+        // The large budget never refreshes, so every update below is still
+        // retained when worker 2 comes back; the heartbeat drives the
+        // rejoin.
+        let opts = RouterOptions {
+            heartbeat: Some(Duration::from_millis(50)),
+            ..outage_opts(2)
+        };
+        let router = Router::start(cfg, "127.0.0.1:0", &workers, opts).expect("router");
+        let mut client = Client::connect(router.local_addr()).expect("connect");
+
+        let updates = stream(2_000);
+        let (first, rest) = updates.split_at(1_000);
+        for chunk in first.chunks(97) {
+            client.ingest_batch(chunk).expect("ingest");
+        }
         w2.crash();
         w2.join();
-        let w1 = start_worker_at(cfg, w1_addr);
+        for chunk in rest.chunks(97) {
+            client.ingest_batch(chunk).expect("degraded ingest acks");
+        }
         let w2 = start_worker_at(cfg, w2_addr);
+        // A down node's stats row measures no state; a rejoined one does.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while client.stats().expect("stats").shards[1].space_bytes == 0 {
+            assert!(Instant::now() < deadline, "worker 2 never rejoined");
+            std::thread::sleep(Duration::from_millis(20));
+        }
 
-        let router = Router::start(cfg, "127.0.0.1:0", &workers, opts).expect("restarted router");
-        let mut client = Client::connect(router.local_addr()).expect("reconnect");
+        // A read-your-writes query waits on every live node's acked
+        // watermark, so worker 2 has published anything it was sent.
         let view = reference_view(cfg, &updates);
-        assert_eq!(client.certified().expect("replayed"), view.certified());
+        assert_eq!(client.certified().expect("certified"), view.certified());
+        let mut direct = Client::connect(w2_addr).expect("connect worker 2");
+        assert_eq!(
+            direct.stats().expect("worker stats").ingested,
+            0,
+            "the rejoin replayed updates worker 1 already held"
+        );
         let mut reference = Engine::start(cfg);
         reference.ingest(updates.clone());
         let envelope = client.checkpoint().expect("checkpoint");
         let env = unwrap_envelope(&envelope).expect("envelope");
         assert_eq!(env.inner, reference.checkpoint());
-        let stats = client.stats().expect("stats");
-        assert_eq!(stats.ingested, updates.len() as u64);
 
         router.shutdown();
         router.join();
@@ -2064,7 +2321,20 @@ mod tests {
         w1.join();
         w2.shutdown();
         w2.join();
-        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn zero_retained_budget_is_refused() {
+        let opts = RouterOptions {
+            retained_budget: 0,
+            ..quick_opts()
+        };
+        // Refused before any worker is contacted.
+        let workers = vec!["127.0.0.1:9".to_string()];
+        match Router::start(test_cfg(), "127.0.0.1:0", &workers, opts) {
+            Err(e) => assert_eq!(e.kind(), ErrorKind::InvalidInput),
+            Ok(_) => panic!("a zero retained-log budget must be refused"),
+        }
     }
 
     /// What the fake worker answers when the router pulls state from it.
@@ -2161,7 +2431,7 @@ mod tests {
             let (addr, stop) = fake_worker(cfg, mode);
             let workers = vec![addr.to_string()];
             let router =
-                Router::start(cfg, "127.0.0.1:0", &workers, quick_opts()).expect("router admits");
+                Router::start(cfg, "127.0.0.1:0", &workers, outage_opts(1)).expect("router admits");
             let mut client = Client::connect(router.local_addr()).expect("connect");
 
             // Ingest acks (retained at the router regardless of the worker).

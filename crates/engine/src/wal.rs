@@ -487,7 +487,11 @@ impl Wal {
 /// fsync draw from the plan's probabilistic stream — short writes,
 /// `ENOSPC`, fsync failures — so a flaky disk under the checkpoint writer
 /// is replayable from a seed.
-fn atomic_write(path: &Path, bytes: &[u8], faults: Option<&DiskFaultPlan>) -> std::io::Result<()> {
+pub fn atomic_write(
+    path: &Path,
+    bytes: &[u8],
+    faults: Option<&DiskFaultPlan>,
+) -> std::io::Result<()> {
     let crash = |point| faults.and_then(|plan| plan.crash(point));
     if let Some(e) = crash(CrashPoint::Buffer) {
         return Err(e);

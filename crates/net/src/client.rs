@@ -468,7 +468,14 @@ impl Client {
     }
 
     fn expect_staged(&mut self) -> Result<Response, ClientError> {
-        match self.transact_staged()? {
+        self.write_staged()?;
+        self.read_expected()
+    }
+
+    /// Read one response frame, turning an error frame into
+    /// [`ClientError::Server`].
+    fn read_expected(&mut self) -> Result<Response, ClientError> {
+        match self.read_staged()? {
             Response::Error {
                 code,
                 message,
@@ -572,16 +579,7 @@ impl Client {
     /// [`Client::ingest_send`]; returns the server's applied count. The
     /// ack's watermark is remembered — subsequent queries wait for it.
     pub fn ingest_ack(&mut self) -> Result<u64, ClientError> {
-        match self.read_staged()? {
-            Response::Error {
-                code,
-                message,
-                retry_after_ms,
-            } => Err(ClientError::Server {
-                code,
-                message,
-                retry_after_ms,
-            }),
+        match self.read_expected()? {
             Response::Ingested { count, watermark } => {
                 let entry = self.watermarks.entry(self.space.clone()).or_insert(0);
                 *entry = (*entry).max(watermark);
@@ -723,6 +721,31 @@ impl Client {
             since,
             min_watermark,
         })? {
+            Response::View(view) => Ok(view),
+            other => Err(unexpected("View", &other)),
+        }
+    }
+
+    /// Split-phase view pull, send half: write the `view-pull` frame
+    /// without waiting for the reply. A fan-out caller writes every node's
+    /// pull, then reads each reply with [`Client::view_pull_recv`] — the
+    /// nodes wait on their refreshers concurrently instead of one at a
+    /// time. Exactly one `view_pull_recv` must follow each successful
+    /// `view_pull_send` before any other request on this client.
+    pub fn view_pull_send(&mut self, since: u64, min_watermark: u64) -> Result<(), ClientError> {
+        self.send_buf.clear();
+        Request::ViewPull {
+            since,
+            min_watermark,
+        }
+        .encode_into(&self.space, &mut self.send_buf);
+        self.write_staged()
+    }
+
+    /// Split-phase view pull, receive half: read the reply to a previous
+    /// [`Client::view_pull_send`].
+    pub fn view_pull_recv(&mut self) -> Result<WireView, ClientError> {
+        match self.read_expected()? {
             Response::View(view) => Ok(view),
             other => Err(unexpected("View", &other)),
         }

@@ -88,25 +88,48 @@ fn reference_id(
     (payloads, certified)
 }
 
-/// Router options tuned for tests: no background heartbeat (the kill test
-/// drives recovery through the query path deterministically), and a refresh
-/// period small enough that every run exercises slice-checkpoint pull + log
-/// truncation. The timeout is generous because the whole workspace test
-/// suite shares one core — dead-worker detection goes through
-/// connection-refused, which is immediate, so it stays fast regardless.
+/// Retained-log budget of the healthy equivalence runs, derived from
+/// CHUNK = 211: one chunk fits and two (422) do not, so every chunk after
+/// the first refreshes before it lands. The zipf (95 chunks), dos (~16)
+/// and planted (540 updates: 211 + 211 + 118, crossing before the 2nd and
+/// the 3rd) streams all cross it at least twice. The dblog log (~100
+/// updates) is a single chunk, which crosses no budget twice; the final
+/// checkpoint's forced refresh covers it.
+const HEALTHY_BUDGET: u64 = 300;
+
+/// Router options tuned for tests: no background heartbeat (the kill tests
+/// drive recovery through the query path deterministically), and a
+/// retained-log budget small enough that every multi-chunk run exercises
+/// slice-checkpoint pull + log truncation. The timeout is generous because
+/// the whole workspace test suite shares one core — dead-worker detection
+/// goes through connection-refused, which is immediate, so it stays fast
+/// regardless.
 fn quick_opts() -> RouterOptions {
     RouterOptions {
         client: ClientOptions::bounded(Duration::from_secs(5), 0),
         heartbeat: None,
-        refresh_updates: 1_024,
         forward_shutdown: false,
         // R=1 keeps the base equivalence runs on the sharpest path (every
         // partition has exactly one owner, no replica masks a routing bug);
         // the interleaving proptest below sweeps R ∈ {1, 2, 3}.
         replicas: 1,
-        pipeline: true,
         data_dir: None,
+        retained_budget: HEALTHY_BUDGET,
+    }
+}
+
+/// Options for the kill/rejoin tests: a budget no stream here can reach,
+/// so nothing owed to a dead worker sheds, with their refreshes coming from
+/// rejoins and checkpoints. No one budget serves them both ways: the kill
+/// test's victim solely owns 3 of 8 partitions and is owed ~3,750 of the
+/// 10,000 updates ingested while it is down, past HEALTHY_BUDGET; and a
+/// budget the proptest's shortest (60-update) stream crosses twice is
+/// under 30, which the half of a stream owed to a dead node at N = 2
+/// passes.
+fn outage_opts() -> RouterOptions {
+    RouterOptions {
         retained_budget: 1 << 20,
+        ..quick_opts()
     }
 }
 
@@ -356,7 +379,7 @@ fn killed_worker_rejoins_byte_identical() {
         .with_partitions(PARTITIONS)
         .with_shards(2);
 
-    let mut cluster = Cluster::start(cfg, 3);
+    let mut cluster = Cluster::start_with(cfg, 3, outage_opts());
     let mut client = cluster.client();
     let (first, rest) = updates.split_at(updates.len() / 2);
     for chunk in first.chunks(CHUNK) {
@@ -457,10 +480,8 @@ proptest! {
             let cfg = EngineConfig::insert_only(FewwConfig::new(64, 8, 2), seed)
                 .with_partitions(PARTITIONS)
                 .with_shards(2);
-            let mut opts = quick_opts();
+            let mut opts = outage_opts();
             opts.replicas = r;
-            // Small refresh period: interleavings cross refresh boundaries.
-            opts.refresh_updates = 64;
 
             let mut workers: Vec<Option<Server>> = (0..n)
                 .map(|i| {

@@ -63,11 +63,12 @@ fn faulty_opts(plan: &Arc<FaultPlan>) -> RouterOptions {
     RouterOptions {
         client,
         heartbeat: None,
-        refresh_updates: 256,
         forward_shutdown: false,
         replicas: REPLICAS,
-        pipeline: true,
         data_dir: None,
+        // Fault schedules are outages: a budget the whole 3,000-update
+        // stream cannot reach keeps any owed backlog from shedding, and
+        // refreshes come from rejoins and the final checkpoint.
         retained_budget: 1 << 20,
     }
 }

@@ -121,12 +121,13 @@ fn watermarked_reads_match_reference_through_router() {
     let opts = fews_cluster::RouterOptions {
         client: fews_net::ClientOptions::bounded(Duration::from_secs(5), 0),
         heartbeat: None,
-        refresh_updates: 1_024,
         forward_shutdown: false,
         replicas: 2,
-        pipeline: true,
         data_dir: None,
-        retained_budget: 1 << 20,
+        // Ten 97-update chunks (970) fit and an eleventh does not, so the
+        // 6,000-update stream (62 chunks) crosses the budget six times and
+        // every prefix read after a refresh reads refreshed state.
+        retained_budget: 1_024,
     };
     let router = fews_cluster::Router::start(cfg, "127.0.0.1:0", &addrs, opts).expect("router");
     let mut client = Client::connect(router.local_addr()).expect("connect");

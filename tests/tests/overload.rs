@@ -368,6 +368,19 @@ fn deliver_then_cut_surfaces_by_default_and_resend_double_applies() {
     server.join();
 }
 
+/// Options of the one-worker router tests: no heartbeat, so the requests
+/// themselves find a dead worker.
+fn router_opts(retained_budget: u64) -> fews_cluster::RouterOptions {
+    fews_cluster::RouterOptions {
+        client: ClientOptions::bounded(Duration::from_secs(2), 0),
+        heartbeat: None,
+        forward_shutdown: false,
+        replicas: 1,
+        data_dir: None,
+        retained_budget,
+    }
+}
+
 /// The router maps its own retained-log growth into backpressure: with
 /// every owner of a partition down, retained updates pile up until the
 /// budget trips, and further ingest sheds with a typed Overloaded + hint
@@ -377,17 +390,8 @@ fn router_sheds_ingest_once_retained_logs_exceed_budget() {
     let cfg = base_cfg();
     let worker = Server::start(cfg, "127.0.0.1:0").expect("worker");
     let addrs = vec![worker.local_addr().to_string()];
-    let opts = fews_cluster::RouterOptions {
-        client: ClientOptions::bounded(Duration::from_secs(2), 0),
-        heartbeat: None,
-        refresh_updates: 1_024,
-        forward_shutdown: false,
-        replicas: 1,
-        pipeline: true,
-        data_dir: None,
-        retained_budget: 150,
-    };
-    let router = fews_cluster::Router::start(cfg, "127.0.0.1:0", &addrs, opts).expect("router");
+    let router =
+        fews_cluster::Router::start(cfg, "127.0.0.1:0", &addrs, router_opts(150)).expect("router");
     let mut client = Client::connect(router.local_addr()).expect("connect");
 
     // Kill the only owner: acked ingest is retained for replay.
@@ -410,6 +414,46 @@ fn router_sheds_ingest_once_retained_logs_exceed_budget() {
         stats.overload.inflight_updates, 97,
         "retained updates are the router's in-flight gauge"
     );
+    client.shutdown().expect("shutdown");
+    router.shutdown();
+    router.join();
+}
+
+/// The router's in-flight gauges report only what is owed: retained
+/// updates a live owner already holds wait for the next refresh, not for
+/// a worker, so a healthy router reports 0 while it retains them. Once the
+/// only owner dies, the same retained updates are owed.
+#[test]
+fn router_gauges_count_only_updates_no_live_owner_holds() {
+    let cfg = base_cfg();
+    let worker = Server::start(cfg, "127.0.0.1:0").expect("worker");
+    let addrs = vec![worker.local_addr().to_string()];
+    let router = fews_cluster::Router::start(cfg, "127.0.0.1:0", &addrs, router_opts(1 << 20))
+        .expect("router");
+    let mut client = Client::connect(router.local_addr()).expect("connect");
+
+    // Far below the budget: nothing refreshes, all 194 updates stay
+    // retained, and the live owner holds every one of them.
+    let updates = workload(9);
+    client.ingest_batch(&updates[..97]).expect("ingest");
+    client.ingest_batch(&updates[97..194]).expect("ingest");
+    let healthy = client.stats().expect("stats").overload;
+    assert_eq!(
+        (
+            healthy.inflight_updates,
+            healthy.inflight_bytes,
+            healthy.lag_updates
+        ),
+        (0, 0, 0),
+        "a healthy router owes nothing"
+    );
+
+    // The stats call finds the owner dead before it reports the gauges.
+    worker.crash();
+    worker.join();
+    let degraded = client.stats().expect("stats").overload;
+    assert_eq!(degraded.inflight_updates, 194);
+    assert_eq!(degraded.lag_updates, 194);
     client.shutdown().expect("shutdown");
     router.shutdown();
     router.join();
