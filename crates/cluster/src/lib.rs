@@ -23,18 +23,21 @@
 //! * **Cross-node view merge.** Queries are answered from a *merged*
 //!   [`fews_engine::GlobalView`] assembled from per-node view pulls,
 //!   pipelined like ingest (every pull written, then every reply read).
-//!   Each pull carries an epoch watermark (the worker's publish counter): a
-//!   quiesced worker answers "unchanged" in O(1) and the router reuses its
-//!   cached, already-decoded contribution — the PR 5 epoch trick, across
-//!   the wire. A fully quiesced cluster answers `certified`/`certify`/
-//!   `top` without touching any worker at all.
+//!   Each pull names exactly the partitions the router reads from that
+//!   node, so every partition crosses the wire once per read. It carries
+//!   an epoch watermark (the worker's publish counter) whenever it names
+//!   the same partitions as the node's cached contribution: a quiesced
+//!   worker then answers "unchanged" in O(1) and the router reuses that
+//!   already-decoded contribution — the PR 5 epoch trick, across the wire.
+//!   A fully quiesced cluster answers `certified`/`certify`/`top` without
+//!   touching any worker at all.
 //! * **Replicated ownership.** Each partition has R owners
 //!   ([`RouterOptions::replicas`], default 2): the ring neighbours
 //!   `(p + k) % N`, primary first. Ingest fans out to every live owner
 //!   with pipelined sends (all frames written, then all acks collected —
-//!   one round-trip for R replicas), and the view merge picks each
-//!   partition's contribution from its first live owner (a *designated
-//!   reader*), deduping whatever the other replicas shipped. Because
+//!   one round-trip for R replicas), and each read is planned so every
+//!   partition is pulled from its first live owner only (a *designated
+//!   reader*); a failed pull re-plans onto the next live owner. Because
 //!   partition state is a pure function of `(seed, p, stream)`, replicas
 //!   agree byte-for-byte by construction — no consensus round needed —
 //!   and at R ≥ 2 a single node loss degrades to "read from the replica"
@@ -51,12 +54,14 @@
 //!   thread; only a partition with no live owner at all (the R=1 corner)
 //!   forces a bounded rejoin on the query path, and only its failure
 //!   surfaces as a typed `node-unavailable` error. `join-worker`
-//!   rebalances a healthy cluster through the same slice pushes.
+//!   rebalances a healthy cluster through the same slice pushes. Workers
+//!   keep no ownership state of their own.
 //! * **One bound on the retained logs.**
 //!   [`RouterOptions::retained_budget`] (at least 1 update) is the only
 //!   refresh trigger on the ingest path: a batch that would carry the logs
-//!   past it first pulls fresh slice checkpoints and truncates the logs,
-//!   and is shed only if updates owed to down workers still fill it.
+//!   past it first pulls fresh slice checkpoints (planned like a read,
+//!   pipelined like ingest) and truncates the logs, and is shed only if
+//!   updates owed to down workers still fill it.
 //! * **Durable coordination.** With [`RouterOptions::data_dir`] set, the
 //!   retained logs ride the same `fews_engine::wal` machinery as a single
 //!   durable server: every acked batch is fsynced to a CRC-framed WAL

@@ -25,19 +25,23 @@
 //! Each partition has [`RouterOptions::replicas`] owners (`(p + k) % N` for
 //! `k < R`, primary first). Ingest fans out to every live owner — sends are
 //! pipelined (all frames written, then all acks collected) so R-way
-//! replication costs one round-trip, not R. Queries pull an epoch-gated
-//! view from every live node, pipelined the same way (every pull written,
-//! then every reply read), so a fresh read waits for the slowest node
-//! rather than for each in turn, and merge by **designated reader**: each
-//! partition's contribution is taken from its first live owner, so replicas
-//! shipping overlapping partitions dedup by partition id and the merge is
+//! replication costs one round-trip, not R. A fresh read is *planned*
+//! before anything is pulled: every partition gets a **designated reader**,
+//! its first live owner, and each node receives one epoch-gated `view-pull`
+//! naming exactly the partitions it reads for, pipelined the same way
+//! (every pull written, then every reply read). Each partition therefore
+//! crosses the wire and is decoded once per read, a fresh read waits for
+//! the slowest node rather than for each in turn, and the merge is
 //! byte-identical to a single engine's regardless of which replicas are up.
-//! At R ≥ 2 a node loss therefore degrades to "read from the replica" with
-//! no recovery pause; only a partition with *no* live owner forces a
+//! A failed pull marks its node down and the read re-plans (bounded by the
+//! node count), so at R ≥ 2 a node loss degrades to "read from the replica"
+//! with no recovery pause; only a partition with *no* live owner forces a
 //! bounded rejoin attempt on the query path (the R=1 behaviour), and only
-//! its failure surfaces as [`ErrorCode::NodeUnavailable`]. Down nodes are
-//! repaired in the background by the heartbeat thread instead of stalling
-//! ingest or queries.
+//! its failure surfaces as [`ErrorCode::NodeUnavailable`]. A pull a worker
+//! sheds (`overloaded`) leaves the node live and fails the read with the
+//! same typed code. The refresh pulls its slice checkpoints through the
+//! same plan. Down nodes are repaired in the background by the heartbeat
+//! thread instead of stalling ingest or queries.
 //!
 //! Acknowledged ingest means *retained at the router*: a batch is acked
 //! once it is logged (and, with a data dir, fsynced) and offered to every
@@ -170,11 +174,12 @@ type Fail = (ErrorCode, String);
 /// A node's cached, already-decoded share of the merged view, exact as of
 /// the node's epoch watermark.
 enum Contribution {
-    /// Nothing pulled yet (fresh node, or ownership changed under it).
+    /// Nothing pulled yet (fresh node, or its slice was pushed since).
     None,
-    /// Insertion-only: the node's owned partitions' decoded states.
+    /// Insertion-only: the named partitions' decoded states, ascending.
     InsertOnly(Vec<(u32, Arc<MemoryState>)>),
-    /// Insertion-deletion: the node's pooled witnesses (owned vertices only).
+    /// Insertion-deletion: the pooled witnesses of the named partitions'
+    /// vertices.
     InsertDelete(Vec<(u32, Vec<u64>)>),
 }
 
@@ -183,10 +188,13 @@ struct Node {
     addr: String,
     /// `None` = down. Every recovery goes through [`Inner::rejoin`].
     client: Option<Client>,
-    /// The node's publish epoch at the last view pull; passed back as
-    /// `since` so a quiesced node answers `unchanged` without shipping
-    /// state.
+    /// The node's publish epoch at the last view pull (0 = nothing
+    /// cached); passed back as `since` so a quiesced node answers
+    /// `unchanged` without shipping state.
     watermark: u64,
+    /// The partitions the last view pull named — what `contribution`
+    /// covers.
+    named: Vec<u32>,
     /// The node's highest acked *ingest* watermark — what a view pull
     /// passes as `min_watermark`, so the worker's refresher must cover
     /// everything the router routed to it before the pull answers.
@@ -204,10 +212,22 @@ impl Node {
             addr,
             client,
             watermark: 0,
+            named: Vec::new(),
             acked: 0,
             contribution: Contribution::None,
             routed: 0,
             batches: 0,
+        }
+    }
+
+    /// The `since` epoch of a view pull naming `parts`: the cached
+    /// contribution's epoch, but only when it covers exactly these
+    /// partitions — otherwise 0, so the node ships them all.
+    fn since(&self, parts: &[u32]) -> u64 {
+        if self.named == parts {
+            self.watermark
+        } else {
+            0
         }
     }
 }
@@ -280,6 +300,26 @@ fn owner_map(partitions: usize, nodes: usize, replicas: usize) -> Vec<Vec<usize>
     (0..partitions)
         .map(|p| (0..r).map(|k| (p + k) % nodes).collect())
         .collect()
+}
+
+/// The one rule deciding which node serves a partition: its *designated
+/// reader*, the first live owner. Returns, per node, the ascending
+/// `wanted` partitions it reads for, and the `wanted` partitions with no
+/// live owner. The lists are disjoint and together cover `wanted`.
+fn plan_reads(
+    owners: &[Vec<usize>],
+    live: &[bool],
+    wanted: impl Iterator<Item = usize>,
+) -> (Vec<Vec<u32>>, Vec<usize>) {
+    let mut plan = vec![Vec::new(); live.len()];
+    let mut orphans = Vec::new();
+    for p in wanted {
+        match owners[p].iter().find(|&&i| live[i]) {
+            Some(&i) => plan[i].push(p as u32),
+            None => orphans.push(p),
+        }
+    }
+    (plan, orphans)
 }
 
 /// The client options for node `i`: the shared options with a per-node
@@ -412,6 +452,67 @@ fn validate_batch(cfg: &EngineConfig, updates: &[Update]) -> Result<(), Fail> {
     Ok(())
 }
 
+/// Check and decode a node's reply to a view pull that named `parts` with
+/// `since`. `Ok(None)` is `unchanged`, valid only when `since` named a
+/// cached copy; otherwise the reply's epoch and decoded contribution. An
+/// insertion-only reply must carry exactly the named partitions, in order,
+/// and an insertion-deletion one only their vertices: anything else is an
+/// error and nothing is installed.
+fn decode_view(
+    cfg: &EngineConfig,
+    parts: &[u32],
+    since: u64,
+    view: WireView,
+) -> Result<Option<(u64, Contribution)>, String> {
+    let io_model = matches!(cfg.model, ModelSpec::InsertOnly(_));
+    match view {
+        // A cold pull (since = 0) cannot be "unchanged": publish epochs
+        // start at 1.
+        WireView::Unchanged { .. } if since != 0 => Ok(None),
+        WireView::Unchanged { .. } => Err("answered 'unchanged' to a cold view pull".into()),
+        WireView::InsertOnly { .. } if !io_model => {
+            Err("shipped an insertion-only view for an insertion-deletion cluster".into())
+        }
+        WireView::InsertDelete { .. } if io_model => {
+            Err("shipped an insertion-deletion view for an insertion-only cluster".into())
+        }
+        WireView::InsertOnly {
+            epoch,
+            parts: shipped,
+        } => {
+            let mut decoded = Vec::with_capacity(shipped.len());
+            for (k, (p, bytes)) in shipped.into_iter().enumerate() {
+                if parts.get(k) != Some(&p) {
+                    return Err(if parts.binary_search(&p).is_err() {
+                        format!("shipped partition {p}, which the pull did not name")
+                    } else {
+                        format!("shipped partition {p} out of order")
+                    });
+                }
+                let state = MemoryState::decode(&bytes)
+                    .ok_or_else(|| format!("partition {p} state failed to decode"))?;
+                decoded.push((p, Arc::new(state)));
+            }
+            if let Some(p) = parts.get(decoded.len()) {
+                return Err(format!("omitted partition {p}, which the pull named"));
+            }
+            Ok(Some((epoch, Contribution::InsertOnly(decoded))))
+        }
+        WireView::InsertDelete { epoch, pooled } => {
+            let unnamed = pooled.iter().find(|(v, _)| {
+                let p = partition_of(*v, cfg.partitions) as u32;
+                parts.binary_search(&p).is_err()
+            });
+            if let Some((v, _)) = unnamed {
+                return Err(format!(
+                    "shipped vertex {v}, whose partition the pull did not name"
+                ));
+            }
+            Ok(Some((epoch, Contribution::InsertDelete(pooled))))
+        }
+    }
+}
+
 impl Inner {
     /// The sorted partition ids node `i` currently owns (as any replica).
     fn owned(&self, i: usize) -> Vec<u32> {
@@ -421,10 +522,9 @@ impl Inner {
     }
 
     /// Push node `i` its full slice over its (live) connection: wholesale
-    /// restore from the payload store, retained-log replay, assignment.
-    /// Failure marks the node down with the error typed.
+    /// restore from the payload store, then retained-log replay. Failure
+    /// marks the node down with the error typed.
     fn push_slice(&mut self, i: usize) -> Result<(), Fail> {
-        let addr = self.nodes[i].addr.clone();
         let owned = self.owned(i);
         let slice: Vec<(u32, Vec<u8>)> = owned
             .iter()
@@ -438,6 +538,7 @@ impl Inner {
             replay.extend_from_slice(&self.logs[p as usize]);
         }
         let Some(client) = self.nodes[i].client.as_mut() else {
+            let addr = &self.nodes[i].addr;
             return Err((ErrorCode::NodeUnavailable, format!("worker {addr} is down")));
         };
         let mut res = client.slice_restore(&container);
@@ -448,9 +549,6 @@ impl Inner {
                     break;
                 }
             }
-        }
-        if res.is_ok() {
-            res = client.slice_assign(&owned);
         }
         match res {
             Ok(()) => {
@@ -463,18 +561,21 @@ impl Inner {
                 self.dirty = true;
                 Ok(())
             }
-            Err(e) => {
-                self.nodes[i].client = None;
-                Err(node_fail(&addr, &e))
-            }
+            Err(e) => Err(self.fail_node(i, &e)),
         }
+    }
+
+    /// Mark node `i` down over `e` and type the failure.
+    fn fail_node(&mut self, i: usize, e: &ClientError) -> Fail {
+        self.nodes[i].client = None;
+        node_fail(&self.nodes[i].addr, e)
     }
 
     /// Checkpoint-handoff recovery: reconnect, verify identity, stream the
     /// node's slice back as exact engine container bytes, replay the
-    /// retained log, re-assign the slice. The revived node is bit-exact
-    /// with one that never died (restore is wholesale per partition, so it
-    /// also erases any half-applied batch a send failure left behind).
+    /// retained log. The revived node is bit-exact with one that never died
+    /// (restore is wholesale per partition, so it also erases any
+    /// half-applied batch a send failure left behind).
     ///
     /// Before the node is marked live, the retained logs are refreshed from
     /// its live co-owners (it cannot be picked as a source while down), so
@@ -488,29 +589,44 @@ impl Inner {
         self.push_slice(i)
     }
 
-    /// A live owner for partition `p`: the first live node in `owners[p]`,
-    /// or — only if none is live — a bounded rejoin attempt over the owners
-    /// in order. The query path's last resort; at R ≥ 2 a single loss never
-    /// reaches the rejoin branch.
-    fn ensure_owner_up(&mut self, p: usize) -> Result<usize, Fail> {
-        if let Some(&i) = self.owners[p]
-            .iter()
-            .find(|&&i| self.nodes[i].client.is_some())
-        {
-            return Ok(i);
-        }
-        let owners = self.owners[p].clone();
-        let mut last: Option<Fail> = None;
-        for i in owners {
-            match self.rejoin(i) {
-                Ok(()) => return Ok(i),
-                Err(fail) => last = Some(fail),
+    /// Which nodes are live, by index.
+    fn live(&self) -> Vec<bool> {
+        self.nodes.iter().map(|n| n.client.is_some()).collect()
+    }
+
+    /// Plan a pull of the partitions `wanted` selects: each goes to its
+    /// designated reader ([`plan_reads`]). A partition with no live owner
+    /// first gets a bounded rejoin chain over its owners, in order, and
+    /// only that chain's failure is the typed error — the query path's
+    /// last resort, which at R ≥ 2 a single loss never reaches. A rejoin
+    /// refreshes from live co-owners, which can mark one down, so the plan
+    /// is recomputed after each rejoin, at most once per node.
+    fn plan(&mut self, wanted: fn(&Inner, usize) -> bool) -> Result<Vec<Vec<u32>>, Fail> {
+        for _ in 0..=self.nodes.len() {
+            let (plan, orphans) = plan_reads(
+                &self.owners,
+                &self.live(),
+                (0..self.cfg.partitions).filter(|&p| wanted(self, p)),
+            );
+            let Some(&p) = orphans.first() else {
+                return Ok(plan);
+            };
+            let mut rejoined = Err((
+                ErrorCode::NodeUnavailable,
+                format!("partition {p} has no live owner"),
+            ));
+            for i in self.owners[p].clone() {
+                rejoined = self.rejoin(i);
+                if rejoined.is_ok() {
+                    break;
+                }
             }
+            rejoined?;
         }
-        Err(last.unwrap_or((
+        Err((
             ErrorCode::NodeUnavailable,
-            format!("partition {p} has no live owner"),
-        )))
+            "workers kept failing while a pull was planned".into(),
+        ))
     }
 
     /// Updates currently held in the retained logs: already delivered to a
@@ -655,51 +771,72 @@ impl Inner {
         Ok(())
     }
 
-    /// Best-effort log compaction: for every partition with a non-empty
-    /// log, pull a fresh slice checkpoint from its first live owner
-    /// (grouped per node), replace the payload, truncate the log.
-    /// Partitions whose owners are all down keep their logs (those updates
-    /// are not yet anywhere else); a node that fails mid-refresh is marked
-    /// down with its logs intact. If every log drains, a durable router
-    /// compacts its WAL. With every log already empty there is nothing to
-    /// pull or compact.
+    /// Pull fresh slice checkpoints of `plan`'s partitions and install
+    /// them, truncating the covered logs. Pipelined like ingest: every
+    /// node's request is written, then each reply read, one read per
+    /// successful write, so every connection stays in step. A node whose
+    /// pull fails is marked down with its logs intact; the first failure
+    /// comes back typed.
+    fn pull_slices(&mut self, plan: &[Vec<u32>]) -> Result<(), Fail> {
+        let mut first: Option<Fail> = None;
+        let mut awaiting: Vec<usize> = Vec::new();
+        for (i, parts) in plan.iter().enumerate() {
+            if parts.is_empty() {
+                continue;
+            }
+            let client = self.nodes[i]
+                .client
+                .as_mut()
+                .expect("a planned node is live");
+            match client.slice_checkpoint_send(parts) {
+                Ok(()) => awaiting.push(i),
+                Err(e) => {
+                    first.get_or_insert(self.fail_node(i, &e));
+                }
+            }
+        }
+        for i in awaiting {
+            let addr = self.nodes[i].addr.clone();
+            let malformed = |m: String| (ErrorCode::Malformed, format!("worker {addr}: {m}"));
+            let client = self.nodes[i]
+                .client
+                .as_mut()
+                .expect("a planned node is live");
+            let installed = client
+                .slice_checkpoint_recv()
+                .map_err(|e| node_fail(&addr, &e))
+                .and_then(|bytes| {
+                    checkpoint::decode_slice(&bytes)
+                        .map_err(|e| malformed(format!("slice checkpoint: {e}")))
+                })
+                .and_then(|(_, payloads)| {
+                    self.install_payloads(&plan[i], payloads).map_err(malformed)
+                });
+            if let Err(fail) = installed {
+                self.nodes[i].client = None;
+                first.get_or_insert(fail);
+            }
+        }
+        first.map_or(Ok(()), Err)
+    }
+
+    /// Best-effort log compaction: every partition with a non-empty log
+    /// gets a fresh slice checkpoint from its designated reader, replacing
+    /// the payload and truncating the log. Partitions whose owners are all
+    /// down keep their logs (those updates are not yet anywhere else); a
+    /// node that fails mid-refresh is marked down with its logs intact. If
+    /// every log drains, a durable router compacts its WAL. With every log
+    /// already empty there is nothing to pull or compact.
     fn refresh_retained(&mut self) {
         if self.logs.iter().all(|l| l.is_empty()) {
             return;
         }
-        let mut per_node: Vec<Vec<u32>> = vec![Vec::new(); self.nodes.len()];
-        for p in 0..self.cfg.partitions {
-            if self.logs[p].is_empty() {
-                continue;
-            }
-            if let Some(&i) = self.owners[p]
-                .iter()
-                .find(|&&i| self.nodes[i].client.is_some())
-            {
-                per_node[i].push(p as u32);
-            }
-        }
-        for i in 0..self.nodes.len() {
-            let parts = std::mem::take(&mut per_node[i]);
-            if parts.is_empty() || self.nodes[i].client.is_none() {
-                continue;
-            }
-            let pulled = self.nodes[i]
-                .client
-                .as_mut()
-                .expect("live node")
-                .slice_checkpoint(&parts)
-                .map_err(|e| e.to_string())
-                .and_then(|bytes| checkpoint::decode_slice(&bytes).map_err(|e| e.to_string()));
-            match pulled {
-                Ok((_, payloads)) => {
-                    if self.install_payloads(&parts, payloads).is_err() {
-                        self.nodes[i].client = None;
-                    }
-                }
-                Err(_) => self.nodes[i].client = None,
-            }
-        }
+        let (plan, _) = plan_reads(
+            &self.owners,
+            &self.live(),
+            (0..self.cfg.partitions).filter(|&p| !self.logs[p].is_empty()),
+        );
+        let _ = self.pull_slices(&plan);
         if self.logs.iter().all(|l| l.is_empty()) {
             // Disk state stays consistent even if this fails (the old
             // checkpoint still pairs with the un-reset WAL), so a refresh
@@ -713,46 +850,8 @@ impl Inner {
     /// (checkpoint, join, restore round-trips). After success, every log is
     /// empty and a durable router has compacted.
     fn refresh_all_strict(&mut self) -> Result<(), Fail> {
-        let mut per_node: Vec<Vec<u32>> = vec![Vec::new(); self.nodes.len()];
-        for p in 0..self.cfg.partitions {
-            if self.logs[p].is_empty() {
-                continue;
-            }
-            let i = self.ensure_owner_up(p)?;
-            per_node[i].push(p as u32);
-        }
-        for i in 0..self.nodes.len() {
-            let parts = std::mem::take(&mut per_node[i]);
-            if parts.is_empty() {
-                continue;
-            }
-            let addr = self.nodes[i].addr.clone();
-            // A rejoin above refreshes first, and a failed pull there can
-            // mark down a node this loop already picked.
-            let Some(client) = self.nodes[i].client.as_mut() else {
-                return Err((
-                    ErrorCode::NodeUnavailable,
-                    format!("worker {addr} went down during a refresh"),
-                ));
-            };
-            let bytes = match client.slice_checkpoint(&parts) {
-                Ok(b) => b,
-                Err(e) => {
-                    self.nodes[i].client = None;
-                    return Err(node_fail(&addr, &e));
-                }
-            };
-            let (_, payloads) = checkpoint::decode_slice(&bytes).map_err(|e| {
-                (
-                    ErrorCode::Malformed,
-                    format!("worker {addr}: slice checkpoint: {e}"),
-                )
-            })?;
-            self.install_payloads(&parts, payloads).map_err(|m| {
-                self.nodes[i].client = None;
-                (ErrorCode::Malformed, format!("worker {addr}: {m}"))
-            })?;
-        }
+        let plan = self.plan(|inner, p| !inner.logs[p].is_empty())?;
+        self.pull_slices(&plan)?;
         if let Some(p) = self.logs.iter().position(|l| !l.is_empty()) {
             // A worker answered the request but omitted a partition it was
             // asked for — refuse to pretend the store is complete.
@@ -791,204 +890,141 @@ impl Inner {
         d.wal.reset()
     }
 
-    /// Write live node `i`'s epoch-gated view pull: `since` its last
-    /// epoch, waiting for its acked ingest watermark.
-    fn send_view_pull(&mut self, i: usize) -> Result<(), ClientError> {
-        let node = &mut self.nodes[i];
-        node.client
-            .as_mut()
-            .expect("live node")
-            .view_pull_send(node.watermark, node.acked)
-    }
-
-    /// Refresh node `i`'s cached view contribution with one epoch-gated
-    /// pull. Requires the node live; any failure marks it down and returns
-    /// typed.
-    fn pull_view(&mut self, i: usize) -> Result<(), Fail> {
-        let pulled = self.send_view_pull(i).and_then(|()| {
-            let client = self.nodes[i].client.as_mut().expect("live node");
-            client.view_pull_recv()
-        });
-        self.install_view(i, pulled)
-    }
-
-    /// Install node `i`'s reply to a view pull as its cached contribution.
-    /// Any failure (transport, protocol, or a malformed contribution) marks
-    /// the node down and returns typed.
-    fn install_view(
-        &mut self,
-        i: usize,
-        pulled: Result<WireView, ClientError>,
-    ) -> Result<(), Fail> {
-        let io_model = matches!(self.cfg.model, ModelSpec::InsertOnly(_));
-        let addr = self.nodes[i].addr.clone();
-        let view = match pulled {
-            Ok(v) => v,
-            Err(e) => {
-                self.nodes[i].client = None;
-                return Err(node_fail(&addr, &e));
-            }
-        };
-        match view {
-            WireView::Unchanged { .. } => {
-                if matches!(self.nodes[i].contribution, Contribution::None) {
-                    // A fresh or re-assigned node cannot be "unchanged":
-                    // its watermark was 0 and publish epochs start at 1.
-                    self.nodes[i].client = None;
-                    return Err((
-                        ErrorCode::Malformed,
-                        format!("worker {addr} answered 'unchanged' to a cold view pull"),
-                    ));
-                }
-            }
-            WireView::InsertOnly { epoch, parts } => {
-                if !io_model {
-                    self.nodes[i].client = None;
-                    return Err((
-                        ErrorCode::Malformed,
-                        format!(
-                            "worker {addr} shipped an insertion-only view for an \
-                                 insertion-deletion cluster"
-                        ),
-                    ));
-                }
-                let mut decoded = Vec::with_capacity(parts.len());
-                for (p, bytes) in parts {
-                    if p as usize >= self.cfg.partitions {
-                        self.nodes[i].client = None;
-                        return Err((
-                            ErrorCode::Malformed,
-                            format!(
-                                "worker {addr} shipped out-of-range partition {p} (of {})",
-                                self.cfg.partitions
-                            ),
-                        ));
-                    }
-                    let Some(state) = MemoryState::decode(&bytes) else {
-                        self.nodes[i].client = None;
-                        return Err((
-                            ErrorCode::Malformed,
-                            format!("worker {addr}: partition {p} state failed to decode"),
-                        ));
-                    };
-                    decoded.push((p, Arc::new(state)));
-                }
-                self.nodes[i].contribution = Contribution::InsertOnly(decoded);
-                self.nodes[i].watermark = epoch;
-            }
-            WireView::InsertDelete { epoch, pooled } => {
-                if io_model {
-                    self.nodes[i].client = None;
-                    return Err((
-                        ErrorCode::Malformed,
-                        format!(
-                            "worker {addr} shipped an insertion-deletion view for an \
-                                 insertion-only cluster"
-                        ),
-                    ));
-                }
-                self.nodes[i].contribution = Contribution::InsertDelete(pooled);
-                self.nodes[i].watermark = epoch;
-            }
-        }
-        Ok(())
-    }
-
-    /// The merged global view. Quiesced fast path first; otherwise one
-    /// epoch-gated pull per *live* node (a pull failure only marks the node
-    /// down — its partitions fail over to surviving replicas), then a
-    /// designated-reader merge: each partition's contribution comes from
-    /// its first live owner, deduping whatever the other replicas shipped.
-    fn view(&mut self) -> Result<Arc<GlobalView>, Fail> {
-        if !self.dirty {
-            if let Some(v) = &self.merged {
-                return Ok(Arc::clone(v));
-            }
-        }
-        // Phase 1: write every live node's pull; phase 2: read the replies
-        // in the same order. The nodes wait for their refreshers
-        // concurrently, so a fresh read costs the slowest node's wait, not
-        // the sum. Every successful write gets its read, even after an
-        // earlier read failed, which keeps each connection in step.
+    /// Pull `plan`'s partitions, one epoch-gated `view-pull` per node
+    /// naming exactly the partitions it reads for, and install each reply
+    /// as the node's cached contribution. Pipelined like ingest: every pull
+    /// is written, then each reply read, one read per successful write, so
+    /// the nodes wait for their refreshers concurrently and every
+    /// connection stays in step. The first failure comes back typed.
+    fn pull_views(&mut self, plan: &[Vec<u32>]) -> Result<(), Fail> {
+        let mut first: Option<Fail> = None;
         let mut awaiting: Vec<usize> = Vec::new();
-        for i in 0..self.nodes.len() {
-            if self.nodes[i].client.is_none() {
+        for (i, parts) in plan.iter().enumerate() {
+            if parts.is_empty() {
                 continue;
             }
-            match self.send_view_pull(i) {
+            let node = &mut self.nodes[i];
+            let since = node.since(parts);
+            let client = node.client.as_mut().expect("a planned node is live");
+            match client.view_pull_send(since, node.acked, parts) {
                 Ok(()) => awaiting.push(i),
-                Err(_) => self.nodes[i].client = None,
+                Err(e) => {
+                    first.get_or_insert(self.fail_node(i, &e));
+                }
             }
         }
         for i in awaiting {
             let pulled = self.nodes[i]
                 .client
                 .as_mut()
-                .expect("live node")
+                .expect("a planned node is live")
                 .view_pull_recv();
-            let _ = self.install_view(i, pulled);
+            if let Err(fail) = self.install_view(i, &plan[i], pulled) {
+                first.get_or_insert(fail);
+            }
         }
-        let mut reader: Vec<usize> = Vec::with_capacity(self.cfg.partitions);
-        for p in 0..self.cfg.partitions {
-            let live = self.owners[p]
-                .iter()
-                .copied()
-                .find(|&i| self.nodes[i].client.is_some());
-            let i = match live {
-                Some(i) => i,
-                None => {
-                    // Every owner is down: the R=1 corner. One bounded
-                    // rejoin chain, then a fresh pull — or a typed error.
-                    let i = self.ensure_owner_up(p)?;
-                    self.pull_view(i)?;
-                    i
-                }
-            };
-            reader.push(i);
+        first.map_or(Ok(()), Err)
+    }
+
+    /// Install node `i`'s reply to a pull of `parts` as its cached
+    /// contribution. A shed pull (`overloaded`) read its error frame, so
+    /// the connection is still in step: the node stays live. Any other
+    /// failure (transport, protocol, or a reply [`decode_view`] refuses)
+    /// marks the node down. Both come back typed.
+    fn install_view(
+        &mut self,
+        i: usize,
+        parts: &[u32],
+        pulled: Result<WireView, ClientError>,
+    ) -> Result<(), Fail> {
+        let view = match pulled {
+            Ok(view) => view,
+            Err(e) if e.retry_after().is_some() => return Err(node_fail(&self.nodes[i].addr, &e)),
+            Err(e) => return Err(self.fail_node(i, &e)),
+        };
+        let node = &mut self.nodes[i];
+        match decode_view(&self.cfg, parts, node.since(parts), view) {
+            Ok(None) => Ok(()),
+            Ok(Some((epoch, contribution))) => {
+                node.watermark = epoch;
+                node.named = parts.to_vec();
+                node.contribution = contribution;
+                Ok(())
+            }
+            Err(m) => {
+                node.client = None;
+                Err((ErrorCode::Malformed, format!("worker {}: {m}", node.addr)))
+            }
         }
+    }
+
+    /// The merged global view. Quiesced fast path first; otherwise plan the
+    /// read ([`Inner::plan`]), pull, and merge each partition from the node
+    /// the plan named it to. A failed pull marks its node down and the read
+    /// re-plans, moving that node's partitions to their next live owner (or
+    /// to a rejoin), at most once per node; a shed pull fails the read as
+    /// it is, since a re-plan would only ask the same node again.
+    fn view(&mut self) -> Result<Arc<GlobalView>, Fail> {
+        if !self.dirty {
+            if let Some(v) = &self.merged {
+                return Ok(Arc::clone(v));
+            }
+        }
+        let mut last: Option<Fail> = None;
+        for _ in 0..=self.nodes.len() {
+            let plan = self.plan(|_, _| true)?;
+            match self.pull_views(&plan) {
+                Ok(()) => return self.merge(&plan),
+                Err(fail) if fail.0 == ErrorCode::Overloaded => return Err(fail),
+                Err(fail) => last = Some(fail),
+            }
+        }
+        Err(last.expect("the loop ran at least once"))
+    }
+
+    /// Assemble the merged view from the contributions `plan` just pulled
+    /// or reused: every partition exactly once, from the node the plan
+    /// named it to.
+    fn merge(&mut self, plan: &[Vec<u32>]) -> Result<Arc<GlobalView>, Fail> {
+        let planned = plan
+            .iter()
+            .enumerate()
+            .filter(|(_, parts)| !parts.is_empty())
+            .map(|(i, _)| &self.nodes[i].contribution);
         let d2 = self.cfg.witness_target();
         let merged = if matches!(self.cfg.model, ModelSpec::InsertOnly(_)) {
             // Dense reassembly: every partition exactly once, ascending —
             // the same shape `Engine::refresh` builds, so certified output
             // is bit-exact against a single node no matter which replica
             // served each partition.
-            let mut dense: Vec<Arc<MemoryState>> = Vec::with_capacity(self.cfg.partitions);
-            for p in 0..self.cfg.partitions {
-                let i = reader[p];
-                let Contribution::InsertOnly(list) = &self.nodes[i].contribution else {
-                    return Err((
-                        ErrorCode::Malformed,
-                        format!(
-                            "worker {} has no view contribution for partition {p}",
-                            self.nodes[i].addr
-                        ),
-                    ));
-                };
-                let Some((_, state)) = list.iter().find(|(q, _)| *q as usize == p) else {
-                    return Err((
-                        ErrorCode::Malformed,
-                        format!(
-                            "worker {} did not ship partition {p} in its view",
-                            self.nodes[i].addr
-                        ),
-                    ));
-                };
-                dense.push(Arc::clone(state));
-            }
-            GlobalView::InsertOnly { parts: dense, d2 }
-        } else {
-            // Replicas pool overlapping vertex sets; keep each vertex only
-            // from its partition's designated reader, then one sort
-            // restores the canonical vertex order.
-            let mut pooled: Vec<(u32, Vec<u64>)> = Vec::new();
-            for (i, node) in self.nodes.iter().enumerate() {
-                if let Contribution::InsertDelete(list) = &node.contribution {
-                    for (v, ws) in list {
-                        let p = partition_of(*v, self.cfg.partitions);
-                        if reader[p] == i {
-                            pooled.push((*v, ws.clone()));
-                        }
+            let mut dense: Vec<Option<Arc<MemoryState>>> = vec![None; self.cfg.partitions];
+            for contribution in planned {
+                if let Contribution::InsertOnly(list) = contribution {
+                    for (p, state) in list {
+                        dense[*p as usize] = Some(Arc::clone(state));
                     }
+                }
+            }
+            let parts = dense
+                .into_iter()
+                .enumerate()
+                .map(|(p, state)| {
+                    state.ok_or_else(|| {
+                        (
+                            ErrorCode::Malformed,
+                            format!("partition {p} has no view contribution"),
+                        )
+                    })
+                })
+                .collect::<Result<Vec<_>, Fail>>()?;
+            GlobalView::InsertOnly { parts, d2 }
+        } else {
+            // The plan named disjoint partitions, so the pools are disjoint
+            // vertex sets; one sort restores the canonical vertex order.
+            let mut pooled: Vec<(u32, Vec<u64>)> = Vec::new();
+            for contribution in planned {
+                if let Contribution::InsertDelete(list) = contribution {
+                    pooled.extend(list.iter().cloned());
                 }
             }
             pooled.sort_unstable_by_key(|(v, _)| *v);
@@ -1085,7 +1121,7 @@ impl Inner {
 
     /// Admit a new worker and rebalance: the ownership map recomputes over
     /// `N + 1` nodes, every node receives its (possibly shrunk) slice as
-    /// container bytes plus a fresh assignment. Requires a fully live
+    /// container bytes. Requires a fully live
     /// cluster — rebalancing around a hole would have to guess the hole's
     /// state.
     fn join(&mut self, addr: &str) -> Result<(), Fail> {
@@ -1111,12 +1147,8 @@ impl Inner {
         if let Some(d) = &self.durable {
             let _ = write_meta(&d.meta, self.assign_epoch, self.ingested, d.wal.last_seq());
         }
-        // Ownership changed under every node: no cached contribution may
-        // outlive the map that scoped it.
-        for node in &mut self.nodes {
-            node.watermark = 0;
-            node.contribution = Contribution::None;
-        }
+        // Every node gets its new slice pushed (or rejoins with it), which
+        // drops its cached contribution.
         self.dirty = true;
         self.merged = None;
         for i in 0..n {
@@ -1251,8 +1283,9 @@ impl Router {
     /// [`RouterOptions::data_dir`] holds any (checkpoint restore + WAL tail
     /// replay, then a wholesale slice push to every reachable worker),
     /// otherwise admit every worker fresh (connect, verify identity,
-    /// require an empty engine), seed the per-partition payload store from
-    /// a scratch local engine, and assign each worker its replica slice.
+    /// require an empty engine) and seed the per-partition payload store
+    /// from a scratch local engine. Workers keep no ownership state: every
+    /// view pull names the partitions it wants.
     pub fn start(
         cfg: EngineConfig,
         addr: &str,
@@ -1422,23 +1455,10 @@ impl Router {
                     let _ = inner.push_slice(i);
                 }
             }
-        } else {
-            for i in 0..inner.nodes.len() {
-                let owned = inner.owned(i);
-                inner.nodes[i]
-                    .client
-                    .as_mut()
-                    .expect("admitted node")
-                    .slice_assign(&owned)
-                    .map_err(|e| {
-                        invalid(format!("worker {}: slice assign: {e}", inner.nodes[i].addr))
-                    })?;
-            }
-            if inner.durable.is_some() {
-                // Anchor the empty baseline so a crash before the first
-                // compaction still recovers through the checkpoint path.
-                inner.compact_durable()?;
-            }
+        } else if inner.durable.is_some() {
+            // Anchor the empty baseline so a crash before the first
+            // compaction still recovers through the checkpoint path.
+            inner.compact_durable()?;
         }
         let shared = Arc::new(RouterShared {
             inner: Mutex::new(inner),
@@ -1708,10 +1728,7 @@ fn handle_request(space: SpaceId, request: Request, shared: &RouterShared) -> Re
                 "a cluster router does not manage spaces; address its workers directly".into(),
             );
         }
-        Request::SliceAssign(_)
-        | Request::ViewPull { .. }
-        | Request::SliceCheckpoint(_)
-        | Request::SliceRestore(_) => {
+        Request::ViewPull { .. } | Request::SliceCheckpoint(_) | Request::SliceRestore(_) => {
             return Response::error(
                 ErrorCode::Malformed,
                 "worker-facing request sent to a cluster router".into(),
@@ -1780,7 +1797,6 @@ fn handle_request(space: SpaceId, request: Request, shared: &RouterShared) -> Re
         | Request::ListSpaces
         | Request::Shutdown
         | Request::Ping
-        | Request::SliceAssign(_)
         | Request::ViewPull { .. }
         | Request::SliceCheckpoint(_)
         | Request::SliceRestore(_) => Response::error(
@@ -1794,7 +1810,7 @@ fn handle_request(space: SpaceId, request: Request, shared: &RouterShared) -> Re
 mod tests {
     use super::*;
     use fews_core::insertion_only::FewwConfig;
-    use fews_net::Server;
+    use fews_net::{OverloadLimits, Server, ServerOptions};
     use fews_stream::Edge;
 
     fn test_cfg() -> EngineConfig {
@@ -1886,6 +1902,42 @@ mod tests {
         );
         // R clamps to the node count: every node owns everything.
         assert_eq!(owner_map(2, 2, 5), vec![vec![0, 1], vec![1, 0]]);
+    }
+
+    #[test]
+    fn plan_names_each_partition_to_its_first_live_owner() {
+        const P: usize = 8;
+        for r in 1..=3 {
+            for n in 2..=4 {
+                let owners = owner_map(P, n, r);
+                for down in std::iter::once(None).chain((0..n).map(Some)) {
+                    let live: Vec<bool> = (0..n).map(|i| Some(i) != down).collect();
+                    let (plan, orphans) = plan_reads(&owners, &live, 0..P);
+                    let case = format!("R={r} N={n} down={down:?}");
+                    let mut named = [0u32; P];
+                    for (i, parts) in plan.iter().enumerate() {
+                        assert!(
+                            parts.windows(2).all(|w| w[0] < w[1]),
+                            "{case}: not ascending"
+                        );
+                        for &p in parts {
+                            named[p as usize] += 1;
+                            let first_live = owners[p as usize].iter().copied().find(|&j| live[j]);
+                            assert_eq!(first_live, Some(i), "{case}: partition {p}");
+                        }
+                    }
+                    for (p, &times) in named.iter().enumerate() {
+                        let served = owners[p].iter().any(|&j| live[j]);
+                        // Disjoint and covering: named exactly once when a
+                        // live owner exists, otherwise reported as orphaned.
+                        assert_eq!(times, u32::from(served), "{case}: partition {p}");
+                        assert_eq!(orphans.contains(&p), !served, "{case}: partition {p}");
+                    }
+                    // Only R = 1 leaves a single loss without a reader.
+                    assert_eq!(orphans.is_empty(), r > 1 || down.is_none(), "{case}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -2323,6 +2375,131 @@ mod tests {
         w2.join();
     }
 
+    /// Bytes the router's live worker connections have received so far.
+    fn worker_bytes_received(router: &Router) -> u64 {
+        let inner = router.shared.inner.lock().expect("router state");
+        inner
+            .nodes
+            .iter()
+            .filter_map(|n| n.client.as_ref())
+            .map(Client::bytes_received)
+            .sum()
+    }
+
+    /// At R = 2 over two workers each worker owns every partition, yet a
+    /// fresh read names each partition to one of them: the router receives
+    /// one full view's worth of bytes per read, not one per replica.
+    #[test]
+    fn fresh_read_pulls_each_partition_once() {
+        let cfg = test_cfg();
+        let w1 = Server::start(cfg, "127.0.0.1:0").expect("worker 1");
+        let w2 = Server::start(cfg, "127.0.0.1:0").expect("worker 2");
+        let workers = vec![w1.local_addr().to_string(), w2.local_addr().to_string()];
+        let router =
+            Router::start(cfg, "127.0.0.1:0", &workers, replicated_opts(2)).expect("router");
+        let mut client = Client::connect(router.local_addr()).expect("connect");
+        let updates = stream(3_000);
+        for chunk in updates.chunks(97) {
+            client.ingest_batch(chunk).expect("ingest");
+        }
+
+        let before = worker_bytes_received(&router);
+        let view = reference_view(cfg, &updates);
+        assert_eq!(client.certified().expect("fresh read"), view.certified());
+        let pulled = worker_bytes_received(&router) - before;
+
+        // One full pull of the same state, straight from one worker.
+        let acked = router.shared.inner.lock().expect("router state").nodes[0].acked;
+        let mut direct = Client::connect(w1.local_addr()).expect("connect worker 1");
+        let start = direct.bytes_received();
+        direct.view_pull(0, acked).expect("full view pull");
+        let full = direct.bytes_received() - start;
+        assert!(
+            pulled.abs_diff(full) * 10 <= full,
+            "a fresh read received {pulled} bytes; one full view is {full}"
+        );
+
+        router.shutdown();
+        router.join();
+        for w in [w1, w2] {
+            w.shutdown();
+            w.join();
+        }
+    }
+
+    /// A worker with a lag budget sheds a pull its refresher has not yet
+    /// covered with a typed `overloaded`. That is load, not a dead worker:
+    /// the router fails the read with the same code, keeps the node live,
+    /// and rejoins nothing.
+    #[test]
+    fn shed_view_pull_fails_the_read_and_keeps_the_worker() {
+        let cfg = test_cfg();
+        let worker = Server::start_with(
+            cfg,
+            "127.0.0.1:0",
+            ServerOptions {
+                refresh_debounce: Some(Duration::from_millis(500)),
+                limits: OverloadLimits {
+                    lag_budget: 1,
+                    ..OverloadLimits::default()
+                },
+                ..ServerOptions::default()
+            },
+        )
+        .expect("worker");
+        let workers = vec![worker.local_addr().to_string()];
+        let router = Router::start(cfg, "127.0.0.1:0", &workers, quick_opts()).expect("router");
+        let mut client = Client::connect(router.local_addr()).expect("connect");
+
+        // Two acked batches, nothing published yet: the pull's lag (2)
+        // exceeds the worker's budget (1).
+        let updates = stream(194);
+        for chunk in updates.chunks(97) {
+            client.ingest_batch(chunk).expect("ingest");
+        }
+        match client.certified() {
+            Err(
+                e @ ClientError::Server {
+                    code: ErrorCode::Overloaded,
+                    ..
+                },
+            ) => assert!(e.retry_after().is_some(), "no retry hint on {e:?}"),
+            other => panic!("a shed pull should fail the read overloaded, got {other:?}"),
+        }
+        let inner = router.shared.inner.lock().expect("router state");
+        assert!(
+            inner.nodes[0].client.is_some(),
+            "a shed pull marked the worker down"
+        );
+        drop(inner);
+
+        // Once the refresher publishes, a fresh read answers exactly, and
+        // the worker holds the stream once: no rejoin replayed it.
+        let view = reference_view(cfg, &updates);
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let got = loop {
+            match client.certified() {
+                Ok(got) => break got,
+                Err(e) if e.retry_after().is_some() && Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(50))
+                }
+                Err(e) => panic!("fresh read once the refresher caught up: {e:?}"),
+            }
+        };
+        assert_eq!(got, view.certified());
+        let mut direct = Client::connect(worker.local_addr()).expect("connect worker");
+        assert_eq!(
+            direct.stats().expect("worker stats").ingested,
+            updates.len() as u64,
+            "the worker was rejoined and replayed"
+        );
+
+        router.shutdown();
+        router.join();
+        worker.shutdown();
+        worker.join();
+    }
+
     #[test]
     fn zero_retained_budget_is_refused() {
         let opts = RouterOptions {
@@ -2345,6 +2522,9 @@ mod tests {
         AlienPartition,
         /// Every state-bearing response is a garbage byte blob.
         Garbage,
+        /// Views and slice checkpoints carry every partition, well formed,
+        /// whatever the request named — a worker ignoring the pull's list.
+        UnnamedPartition,
     }
 
     /// A protocol-correct worker for admission that turns byzantine for
@@ -2355,6 +2535,15 @@ mod tests {
         let addr = listener.local_addr().expect("fake worker addr");
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
+        // Every partition's empty state, as a view and as a slice.
+        let mut scratch = Engine::start(cfg);
+        let all: Vec<u32> = (0..cfg.partitions as u32).collect();
+        let slice = scratch.checkpoint_slice(&all);
+        let (view, _) = scratch.refresh();
+        let GlobalView::InsertOnly { parts, .. } = view.as_ref() else {
+            panic!("the fake worker serves insertion-only clusters");
+        };
+        let parts: Vec<(u32, Vec<u8>)> = (0..).zip(parts.iter().map(|s| s.encode())).collect();
         std::thread::Builder::new()
             .name("fake-worker".into())
             .spawn(move || {
@@ -2363,14 +2552,19 @@ mod tests {
                         return;
                     }
                     let Ok(mut stream) = stream else { continue };
-                    serve_fake(&mut stream, &cfg, mode);
+                    serve_fake(&mut stream, &cfg, mode, (&parts, &slice));
                 }
             })
             .expect("spawn fake worker");
         (addr, stop)
     }
 
-    fn serve_fake(stream: &mut TcpStream, cfg: &EngineConfig, mode: FakeMode) {
+    fn serve_fake(
+        stream: &mut TcpStream,
+        cfg: &EngineConfig,
+        mode: FakeMode,
+        (parts, slice): (&[(u32, Vec<u8>)], &[u8]),
+    ) {
         let mut header = [0u8; 4];
         loop {
             if stream.read_exact(&mut header).is_err() {
@@ -2387,7 +2581,6 @@ mod tests {
             let response = match request {
                 Request::Ping => Response::Pong,
                 Request::NodeHello => Response::NodeInfo(expected_info(cfg)),
-                Request::SliceAssign(_) => Response::SpaceOk,
                 Request::SliceRestore(_) => Response::Restored,
                 Request::IngestBatch(u) => Response::Ingested {
                     count: u.len() as u64,
@@ -2405,6 +2598,10 @@ mod tests {
                         let _ = stream.write_all(&junk);
                         continue;
                     }
+                    FakeMode::UnnamedPartition => Response::View(WireView::InsertOnly {
+                        epoch: 1,
+                        parts: parts.to_vec(),
+                    }),
                 },
                 Request::SliceCheckpoint(_) => match mode {
                     FakeMode::AlienPartition => Response::Checkpoint(checkpoint::encode_slice(
@@ -2412,6 +2609,7 @@ mod tests {
                         &[(7_777, vec![4, 5, 6])],
                     )),
                     FakeMode::Garbage => Response::Checkpoint(vec![0xde, 0xad, 0xbe, 0xef]),
+                    FakeMode::UnnamedPartition => Response::Checkpoint(slice.to_vec()),
                 },
                 _ => Response::error(
                     ErrorCode::Malformed,
@@ -2426,10 +2624,20 @@ mod tests {
 
     #[test]
     fn byzantine_worker_yields_typed_errors_never_panics() {
-        for mode in [FakeMode::AlienPartition, FakeMode::Garbage] {
+        // A pull names only part of the partition space when two nodes
+        // split it, so the unnamed-partition fake runs beside a real worker.
+        for (mode, beside_real) in [
+            (FakeMode::AlienPartition, false),
+            (FakeMode::Garbage, false),
+            (FakeMode::UnnamedPartition, true),
+        ] {
             let cfg = test_cfg();
             let (addr, stop) = fake_worker(cfg, mode);
-            let workers = vec![addr.to_string()];
+            let real = beside_real.then(|| Server::start(cfg, "127.0.0.1:0").expect("worker"));
+            let mut workers: Vec<String> =
+                real.iter().map(|w| w.local_addr().to_string()).collect();
+            workers.push(addr.to_string());
+            let fake = workers.len() - 1;
             let router =
                 Router::start(cfg, "127.0.0.1:0", &workers, outage_opts(1)).expect("router admits");
             let mut client = Client::connect(router.local_addr()).expect("connect");
@@ -2441,12 +2649,24 @@ mod tests {
             // typed error frames, never a panic, and the router survives.
             for _ in 0..3 {
                 match client.certified() {
-                    Err(ClientError::Server { code, .. }) => assert!(
-                        matches!(code, ErrorCode::Malformed | ErrorCode::NodeUnavailable),
-                        "unexpected code {code:?}"
-                    ),
+                    Err(ClientError::Server { code, .. }) => match mode {
+                        FakeMode::UnnamedPartition => assert_eq!(code, ErrorCode::Malformed),
+                        _ => assert!(
+                            matches!(code, ErrorCode::Malformed | ErrorCode::NodeUnavailable),
+                            "unexpected code {code:?}"
+                        ),
+                    },
                     other => panic!("byzantine worker should yield typed errors, got {other:?}"),
                 }
+                let inner = router.shared.inner.lock().expect("router state");
+                assert!(
+                    inner.nodes[fake].client.is_none(),
+                    "a byzantine worker stayed live"
+                );
+                assert!(
+                    inner.nodes[..fake].iter().all(|n| n.client.is_some()),
+                    "a healthy worker was marked down"
+                );
             }
             match client.checkpoint() {
                 Err(ClientError::Server { code, .. }) => assert!(
@@ -2461,6 +2681,10 @@ mod tests {
             router.shutdown();
             router.join();
             let _ = TcpStream::connect(addr); // unblock the fake acceptor
+            if let Some(w) = real {
+                w.shutdown();
+                w.join();
+            }
         }
     }
 

@@ -704,39 +704,39 @@ impl Client {
         }
     }
 
-    /// Assign the current space's owned partition slice (sorted, unique).
-    pub fn slice_assign(&mut self, parts: &[u32]) -> Result<(), ClientError> {
-        match self.expect(&Request::SliceAssign(parts.to_vec()))? {
-            Response::SpaceOk => Ok(()),
-            other => Err(unexpected("SpaceOk", &other)),
-        }
-    }
-
-    /// Pull the space's query view if it changed past epoch `since`. The
-    /// server first waits for its published snapshot to cover
-    /// `min_watermark`, so a router pulling after acked ingest always
-    /// merges a view that includes everything it routed.
+    /// Pull the space's whole query view (every partition) if it changed
+    /// past epoch `since`. The server first waits for its published
+    /// snapshot to cover `min_watermark`, so a router pulling after acked
+    /// ingest always merges a view that includes everything it routed.
     pub fn view_pull(&mut self, since: u64, min_watermark: u64) -> Result<WireView, ClientError> {
         match self.expect(&Request::ViewPull {
             since,
             min_watermark,
+            parts: Vec::new(),
         })? {
             Response::View(view) => Ok(view),
             other => Err(unexpected("View", &other)),
         }
     }
 
-    /// Split-phase view pull, send half: write the `view-pull` frame
+    /// Split-phase view pull of the named partitions (sorted, unique;
+    /// empty = every partition), send half: write the `view-pull` frame
     /// without waiting for the reply. A fan-out caller writes every node's
     /// pull, then reads each reply with [`Client::view_pull_recv`] — the
     /// nodes wait on their refreshers concurrently instead of one at a
     /// time. Exactly one `view_pull_recv` must follow each successful
     /// `view_pull_send` before any other request on this client.
-    pub fn view_pull_send(&mut self, since: u64, min_watermark: u64) -> Result<(), ClientError> {
+    pub fn view_pull_send(
+        &mut self,
+        since: u64,
+        min_watermark: u64,
+        parts: &[u32],
+    ) -> Result<(), ClientError> {
         self.send_buf.clear();
         Request::ViewPull {
             since,
             min_watermark,
+            parts: parts.to_vec(),
         }
         .encode_into(&self.space, &mut self.send_buf);
         self.write_staged()
@@ -754,6 +754,26 @@ impl Client {
     /// Fetch a sparse slice checkpoint of the named partitions.
     pub fn slice_checkpoint(&mut self, parts: &[u32]) -> Result<Vec<u8>, ClientError> {
         match self.expect(&Request::SliceCheckpoint(parts.to_vec()))? {
+            Response::Checkpoint(bytes) => Ok(bytes),
+            other => Err(unexpected("Checkpoint", &other)),
+        }
+    }
+
+    /// Split-phase slice checkpoint, send half: write the
+    /// `slice-checkpoint` frame for the named partitions without waiting
+    /// for the reply — the fan-out form of [`Client::slice_checkpoint`],
+    /// with the same contract as [`Client::view_pull_send`]: exactly one
+    /// [`Client::slice_checkpoint_recv`] must follow each successful send.
+    pub fn slice_checkpoint_send(&mut self, parts: &[u32]) -> Result<(), ClientError> {
+        self.send_buf.clear();
+        Request::SliceCheckpoint(parts.to_vec()).encode_into(&self.space, &mut self.send_buf);
+        self.write_staged()
+    }
+
+    /// Split-phase slice checkpoint, receive half: read the container bytes
+    /// answering a previous [`Client::slice_checkpoint_send`].
+    pub fn slice_checkpoint_recv(&mut self) -> Result<Vec<u8>, ClientError> {
+        match self.read_expected()? {
             Response::Checkpoint(bytes) => Ok(bytes),
             other => Err(unexpected("Checkpoint", &other)),
         }

@@ -35,8 +35,9 @@
 //!
 //! The protocol also carries the cluster-facing requests `fews-cluster`
 //! speaks to its workers: `ping` liveness, `node-hello` admission checks,
-//! `slice-assign` / `view-pull` (epoch-watermarked view shipping), and
-//! `slice-checkpoint` / `slice-restore` (partition handoff).
+//! `view-pull` (epoch-watermarked view shipping of the partitions the pull
+//! names), and `slice-checkpoint` / `slice-restore` (partition handoff). A
+//! worker keeps no per-router state: every pull says what to ship.
 //!
 //! ```
 //! use fews_core::insertion_only::FewwConfig;

@@ -100,20 +100,21 @@ pub enum Request {
     /// exact configuration (model, seed, partition count) before routing to
     /// it.
     NodeHello,
-    /// Assign the addressed space's *owned partition slice* (sorted, unique
-    /// partition ids). A worker answers [`Request::ViewPull`] with only the
-    /// owned partitions; an unassigned worker serves all of them.
-    SliceAssign(Vec<u32>),
-    /// Fetch the space's query view if it changed since publish epoch
-    /// `since`; answered with [`Response::View`]. A quiesced worker answers
-    /// `unchanged` in O(1). The view must cover ingest watermark
-    /// `min_watermark` — the puller passes the highest watermark it has seen
-    /// acked, so a router's merged view covers everything it routed.
+    /// Fetch the named partitions of the space's query view if it changed
+    /// since publish epoch `since`; answered with [`Response::View`]. A
+    /// quiesced worker answers `unchanged` in O(1). The view must cover
+    /// ingest watermark `min_watermark` — the puller passes the highest
+    /// watermark it has seen acked, so a router's merged view covers
+    /// everything it routed.
     ViewPull {
         /// Publish epoch of the puller's cached copy (0 = nothing cached).
         since: u64,
         /// Lowest ingest watermark the answering snapshot may cover.
         min_watermark: u64,
+        /// The partitions to ship, sorted and unique; empty = every
+        /// partition. A router names exactly the partitions it reads from
+        /// this worker, so each partition crosses the wire once per read.
+        parts: Vec<u32>,
     },
     /// Serialize the named partitions into a sparse slice-checkpoint
     /// container (answered with [`Response::Checkpoint`] carrying
@@ -142,7 +143,10 @@ impl Request {
     const TAG_LIST_SPACES: u8 = 0x0B;
     const TAG_PING: u8 = 0x0C;
     const TAG_NODE_HELLO: u8 = 0x0D;
-    const TAG_SLICE_ASSIGN: u8 = 0x0E;
+    /// Retired (`slice-assign`): it decodes as unknown and is never
+    /// reused, so a peer still sending it gets `unknown-tag`, not another
+    /// request's meaning.
+    const TAG_RETIRED: u8 = 0x0E;
     const TAG_VIEW_PULL: u8 = 0x0F;
     const TAG_SLICE_CHECKPOINT: u8 = 0x10;
     const TAG_SLICE_RESTORE: u8 = 0x11;
@@ -152,7 +156,7 @@ impl Request {
     /// Checked *before* the space header is parsed so that an unknown tag
     /// reports [`FrameError::UnknownTag`], not a malformed-header error.
     fn known_tag(tag: u8) -> bool {
-        (Self::TAG_INGEST..=Self::TAG_JOIN_WORKER).contains(&tag)
+        (Self::TAG_INGEST..=Self::TAG_JOIN_WORKER).contains(&tag) && tag != Self::TAG_RETIRED
     }
 }
 
@@ -254,7 +258,7 @@ pub enum WireView {
         /// The worker's current publish epoch (equals the request's `since`).
         epoch: u64,
     },
-    /// Insertion-only: each owned partition's
+    /// Insertion-only: each requested partition's
     /// [`fews_core::wire::MemoryState::encode`] bytes, ascending partition
     /// order — the same per-partition encoding checkpoints use, so the
     /// router's merged view is bit-exact against a single-node engine.
@@ -264,9 +268,10 @@ pub enum WireView {
         /// `(partition id, MemoryState bytes)`, sorted by partition.
         parts: Vec<(u32, Vec<u8>)>,
     },
-    /// Insertion-deletion: the node's pooled `(vertex, witnesses)` list,
-    /// sorted by vertex. Vertices are partition-disjoint across nodes, so
-    /// concatenating node pools and re-sorting is a disjoint union.
+    /// Insertion-deletion: the pooled `(vertex, witnesses)` list of the
+    /// requested partitions' vertices, sorted by vertex. A router names
+    /// disjoint partition sets to its nodes, so concatenating their pools
+    /// and re-sorting is a disjoint union.
     InsertDelete {
         /// Publish epoch this snapshot was taken at.
         epoch: u64,
@@ -712,17 +717,15 @@ impl Request {
             Request::Shutdown => frame_into(buf, Self::TAG_SHUTDOWN, |b| put_space(b, space)),
             Request::Ping => frame_into(buf, Self::TAG_PING, |b| put_space(b, space)),
             Request::NodeHello => frame_into(buf, Self::TAG_NODE_HELLO, |b| put_space(b, space)),
-            Request::SliceAssign(parts) => frame_into(buf, Self::TAG_SLICE_ASSIGN, |body| {
-                put_space(body, space);
-                put_partitions(body, parts);
-            }),
             Request::ViewPull {
                 since,
                 min_watermark,
+                parts,
             } => frame_into(buf, Self::TAG_VIEW_PULL, |body| {
                 put_space(body, space);
                 put_uvarint(body, *since);
                 put_uvarint(body, *min_watermark);
+                put_partitions(body, parts);
             }),
             Request::SliceCheckpoint(parts) => {
                 frame_into(buf, Self::TAG_SLICE_CHECKPOINT, |body| {
@@ -805,12 +808,12 @@ impl Request {
             Self::TAG_SHUTDOWN => Request::Shutdown,
             Self::TAG_PING => Request::Ping,
             Self::TAG_NODE_HELLO => Request::NodeHello,
-            Self::TAG_SLICE_ASSIGN => Request::SliceAssign(get_partitions(body, &mut pos)?),
             Self::TAG_VIEW_PULL => Request::ViewPull {
                 since: get_uvarint(body, &mut pos)
                     .ok_or(FrameError::Malformed("view-pull since"))?,
                 min_watermark: get_uvarint(body, &mut pos)
                     .ok_or(FrameError::Malformed("view-pull watermark"))?,
+                parts: get_partitions(body, &mut pos)?,
             },
             Self::TAG_SLICE_CHECKPOINT => Request::SliceCheckpoint(get_partitions(body, &mut pos)?),
             Self::TAG_SLICE_RESTORE => {
@@ -1302,15 +1305,15 @@ mod tests {
         roundtrip_request(Request::Shutdown);
         roundtrip_request(Request::Ping);
         roundtrip_request(Request::NodeHello);
-        roundtrip_request(Request::SliceAssign(vec![0, 3, 9]));
-        roundtrip_request(Request::SliceAssign(Vec::new()));
         roundtrip_request(Request::ViewPull {
             since: u64::MAX,
             min_watermark: 0,
+            parts: Vec::new(),
         });
         roundtrip_request(Request::ViewPull {
             since: 3,
             min_watermark: u64::MAX / 7,
+            parts: vec![0, 3, 9],
         });
         roundtrip_request(Request::SliceCheckpoint(vec![1, 2]));
         roundtrip_request(Request::SliceRestore(b"FEWWSLC1junk".to_vec()));
@@ -1319,9 +1322,11 @@ mod tests {
 
     #[test]
     fn cluster_requests_police_damage() {
-        // Unsorted / duplicate partition ids are rejected.
+        // Unsorted / duplicate partition ids in a view pull's list are
+        // rejected.
         for parts in [[3u64, 1], [2, 2]] {
-            let mut payload = vec![VERSION, 0x0E, 0x00];
+            // Default space, since 0, min_watermark 0, then the list.
+            let mut payload = vec![VERSION, 0x0F, 0x00, 0x00, 0x00];
             put_uvarint(&mut payload, 2);
             for p in parts {
                 put_uvarint(&mut payload, p);
@@ -1338,6 +1343,10 @@ mod tests {
             Request::decode(&payload),
             Err(FrameError::Malformed(_))
         ));
+        // The retired slice-assign tag is unknown, like any unused tag.
+        let mut payload = vec![VERSION, 0x0E, 0x00];
+        put_uvarint(&mut payload, 0);
+        assert_eq!(Request::decode(&payload), Err(FrameError::UnknownTag(0x0E)));
         // Join-worker address running past the body.
         let mut payload = vec![VERSION, 0x12, 0x00];
         put_uvarint(&mut payload, 50);

@@ -524,10 +524,6 @@ struct SpaceHandle {
     /// Bytes this space has appended to the shared WAL since its last
     /// checkpoint — the lock-free stats mirror of its share of the log.
     wal_bytes: AtomicU64,
-    /// The partition slice a cluster router assigned to this space (`None`
-    /// = unassigned, serve every partition). Bounds what
-    /// [`Request::ViewPull`] ships.
-    slice: Mutex<Option<Vec<u32>>>,
     /// In-flight admission gauges and shed counters.
     load: SpaceLoad,
 }
@@ -560,7 +556,6 @@ impl SpaceHandle {
             publish_cv: Condvar::new(),
             started: Instant::now(),
             wal_bytes: AtomicU64::new(0),
-            slice: Mutex::new(None),
             load,
         })
     }
@@ -1840,23 +1835,20 @@ fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared)
                 ingested: handle.snapshot().stats.ingested,
             })
         }
-        Request::SliceAssign(parts) => {
-            if let Some(&p) = parts.iter().find(|&&p| p as usize >= handle.cfg.partitions) {
+        Request::ViewPull {
+            since,
+            min_watermark,
+            parts: named,
+        } => {
+            if let Some(&p) = named.iter().find(|&&p| p as usize >= handle.cfg.partitions) {
                 return Response::error(
                     ErrorCode::Malformed,
                     format!(
-                        "slice names partition {p}, space has {}",
+                        "view pull names partition {p}, space has {}",
                         handle.cfg.partitions
                     ),
                 );
             }
-            *handle.slice.lock().expect("slice slot") = Some(parts);
-            Response::SpaceOk
-        }
-        Request::ViewPull {
-            since,
-            min_watermark,
-        } => {
             // A router pulls to answer a query that must cover everything
             // it has routed: wait for the refresher to publish past the
             // node's acked watermark before deciding anything.
@@ -1870,34 +1862,27 @@ fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared)
                 // quiesced-cluster fast path).
                 return Response::View(WireView::Unchanged { epoch: since });
             }
-            let slice = handle.slice.lock().expect("slice slot").clone();
+            // The list is sorted and unique (the decoder enforces it), so
+            // membership is a binary search; empty ships everything.
+            let wanted = |p: u32| named.is_empty() || named.binary_search(&p).is_ok();
             let view = match snap.view.as_ref() {
-                GlobalView::InsertOnly { parts, .. } => {
-                    let owned: Vec<(u32, Vec<u8>)> = parts
+                GlobalView::InsertOnly { parts, .. } => WireView::InsertOnly {
+                    epoch: snap.version,
+                    parts: parts
                         .iter()
                         .enumerate()
-                        .filter(|(p, _)| slice.as_ref().is_none_or(|s| s.contains(&(*p as u32))))
+                        .filter(|&(p, _)| wanted(p as u32))
                         .map(|(p, state)| (p as u32, state.encode()))
-                        .collect();
-                    WireView::InsertOnly {
-                        epoch: snap.version,
-                        parts: owned,
-                    }
-                }
-                GlobalView::InsertDelete { pooled, .. } => {
-                    let owned: Vec<(u32, Vec<u64>)> = pooled
+                        .collect(),
+                },
+                GlobalView::InsertDelete { pooled, .. } => WireView::InsertDelete {
+                    epoch: snap.version,
+                    pooled: pooled
                         .iter()
-                        .filter(|(a, _)| {
-                            let p = partition_of(*a, handle.cfg.partitions) as u32;
-                            slice.as_ref().is_none_or(|s| s.contains(&p))
-                        })
+                        .filter(|(a, _)| wanted(partition_of(*a, handle.cfg.partitions) as u32))
                         .cloned()
-                        .collect();
-                    WireView::InsertDelete {
-                        epoch: snap.version,
-                        pooled: owned,
-                    }
-                }
+                        .collect(),
+                },
             };
             // Worst-case wire size (varints at max width) — checked before
             // encoding because an oversized frame is a panic, not an error,
