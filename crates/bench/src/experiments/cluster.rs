@@ -6,7 +6,8 @@
 //! `net` experiment: batched ingest frames interleaved with live queries
 //! (`certify`, `top`). Every op therefore pays the full cluster path —
 //! router framing, partition fan-out to every owning replica, and (for
-//! queries) the epoch-gated cross-node view merge. Reports sustained
+//! queries) scoped reads at each partition's designated reader plus the
+//! exact merge of their answers. Reports sustained
 //! throughput, request rate, p50/p99 per-request latency split by request
 //! kind, and wire bytes per request, over the replication grid
 //! R ∈ {1, 2} × N ∈ {1, 2, 3, 4} (R = 2 needs N ≥ 2); alongside the CSV it

@@ -39,8 +39,9 @@
 //!
 //! `fews router` starts a cluster coordinator over running `fews listen`
 //! workers: ingest fans out to every partition's `--replicas R` owners
-//! (default 2 — queries survive a worker loss with no pause), queries
-//! answer from a merged cross-node view, and a worker that dies is revived
+//! (default 2 — queries survive a worker loss with no pause), each query
+//! is pushed down to the workers reading its partitions and their answers
+//! merged, and a worker that dies is revived
 //! by checkpoint handoff in the background — the cluster's answers stay
 //! byte-identical to a single node's. `--data-dir DIR` makes the router
 //! itself durable: acked ingest is fsynced to a WAL before the ack, and a

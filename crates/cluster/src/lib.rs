@@ -20,24 +20,21 @@
 //!   `(master seed, p)` alone, a partition computes bit-identical state no
 //!   matter which node hosts it. Ingest batches fan out by owner, with
 //!   order preserved per partition.
-//! * **Cross-node view merge.** Queries are answered from a *merged*
-//!   [`fews_engine::GlobalView`] assembled from per-node view pulls,
-//!   pipelined like ingest (every pull written, then every reply read).
-//!   Each pull names exactly the partitions the router reads from that
-//!   node, so every partition crosses the wire once per read. It carries
-//!   an epoch watermark (the worker's publish counter) whenever it names
-//!   the same partitions as the node's cached contribution: a quiesced
-//!   worker then answers "unchanged" in O(1) and the router reuses that
-//!   already-decoded contribution — the PR 5 epoch trick, across the wire.
-//!   A fully quiesced cluster answers `certified`/`certify`/`top` without
-//!   touching any worker at all.
+//! * **Scoped reads.** A query is pushed down, not pulled up: each node
+//!   the read plans gets one `scoped-read` naming exactly the partitions
+//!   the router reads from it, pipelined like ingest (every read written,
+//!   then every answer read), and answers `certified` / `certify` / `top`
+//!   over those partitions from its published snapshot. Partitions are
+//!   vertex-disjoint, so the router merges the answers exactly into a
+//!   single engine's [`fews_engine::GlobalView`] answer: a read moves the
+//!   answer, not the state, and the router keeps no copy of the view.
 //! * **Replicated ownership.** Each partition has R owners
 //!   ([`RouterOptions::replicas`], default 2): the ring neighbours
 //!   `(p + k) % N`, primary first. Ingest fans out to every live owner
 //!   with pipelined sends (all frames written, then all acks collected —
 //!   one round-trip for R replicas), and each read is planned so every
-//!   partition is pulled from its first live owner only (a *designated
-//!   reader*); a failed pull re-plans onto the next live owner. Because
+//!   partition is read from its first live owner only (a *designated
+//!   reader*); a failed read re-plans onto the next live owner. Because
 //!   partition state is a pure function of `(seed, p, stream)`, replicas
 //!   agree byte-for-byte by construction — no consensus round needed —
 //!   and at R ≥ 2 a single node loss degrades to "read from the replica"

@@ -25,27 +25,35 @@
 //! Each partition has [`RouterOptions::replicas`] owners (`(p + k) % N` for
 //! `k < R`, primary first). Ingest fans out to every live owner — sends are
 //! pipelined (all frames written, then all acks collected) so R-way
-//! replication costs one round-trip, not R. A fresh read is *planned*
-//! before anything is pulled: every partition gets a **designated reader**,
-//! its first live owner, and each node receives one epoch-gated `view-pull`
-//! naming exactly the partitions it reads for, pipelined the same way
-//! (every pull written, then every reply read). Each partition therefore
-//! crosses the wire and is decoded once per read, a fresh read waits for
-//! the slowest node rather than for each in turn, and the merge is
-//! byte-identical to a single engine's regardless of which replicas are up.
-//! A failed pull marks its node down and the read re-plans (bounded by the
-//! node count), so at R ≥ 2 a node loss degrades to "read from the replica"
-//! with no recovery pause; only a partition with *no* live owner forces a
-//! bounded rejoin attempt on the query path (the R=1 behaviour), and only
-//! its failure surfaces as [`ErrorCode::NodeUnavailable`]. A pull a worker
-//! sheds (`overloaded`) leaves the node live and fails the read with the
-//! same typed code. The refresh pulls its slice checkpoints through the
-//! same plan. Down nodes are repaired in the background by the heartbeat
-//! thread instead of stalling ingest or queries.
+//! replication costs one round-trip, not R.
 //!
 //! Acknowledged ingest means *retained at the router*: a batch is acked
 //! once it is logged (and, with a data dir, fsynced) and offered to every
 //! live owner, even if some owner is down.
+//!
+//! ## Scoped reads
+//!
+//! A read is *planned* before anything is sent: every partition it needs
+//! gets a **designated reader**, its first live owner, and each planned
+//! node receives one pipelined `scoped-read` naming exactly its partitions
+//! and carrying the read mode (the node's own acked watermark for a fresh
+//! read, `?stale` as is). The worker answers over those partitions, and as
+//! partitions are vertex-disjoint the router merges the answers exactly:
+//! `top k` by (stored witness count desc, vertex asc), `certified` by
+//! (run, partition) for insertion-only and by (witness count desc, vertex
+//! asc) for insertion-deletion; `certify v` names only `v`'s partition, so
+//! it touches one worker. A read moves answers, not state, and they are
+//! byte-identical to a single engine's whichever replicas are up. A failed
+//! read marks its node down and re-plans (bounded by the node count), so
+//! at R ≥ 2 a node loss degrades to "read from the replica" with no
+//! recovery pause; only a partition with *no* live owner forces a bounded
+//! rejoin attempt on the query path (the R=1 behaviour), and only its
+//! failure surfaces as [`ErrorCode::NodeUnavailable`]. A read a worker
+//! sheds (`overloaded`) or cannot fit in one frame (`oversized`) leaves
+//! the node live and fails with the same typed code. The refresh pulls its
+//! slice checkpoints through the same plan. Down nodes are repaired in the
+//! background by the heartbeat thread instead of stalling ingest or
+//! queries.
 //!
 //! ## Durability
 //!
@@ -77,16 +85,17 @@
 
 use fews_common::rng::derive_seed;
 use fews_common::SpaceId;
-use fews_core::wire::MemoryState;
+use fews_core::neighbourhood::Neighbourhood;
 use fews_engine::checkpoint::{self, unwrap_envelope, Header};
 use fews_engine::wal::{atomic_write, wal_path, SpaceDir, Wal};
-use fews_engine::{partition_of, Engine, EngineConfig, GlobalView, ModelSpec};
+use fews_engine::{partition_of, Engine, EngineConfig, ModelSpec};
 use fews_net::proto::{body_fits, check_frame_len, FrameError};
 use fews_net::{
-    Client, ClientError, ClientOptions, ErrorCode, ReadMode, Request, Response, WireNodeInfo,
-    WireOverload, WireShardStats, WireStats, WireView,
+    Client, ClientError, ClientOptions, ErrorCode, ReadMode, Request, Response, ScopedQuery,
+    WireNodeInfo, WireOverload, WireShardStats, WireStats,
 };
 use fews_stream::Update;
+use std::cmp::{Ordering as Rank, Reverse};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -171,35 +180,15 @@ impl Default for RouterOptions {
 /// `(code, message)` of an error frame the router is about to send.
 type Fail = (ErrorCode, String);
 
-/// A node's cached, already-decoded share of the merged view, exact as of
-/// the node's epoch watermark.
-enum Contribution {
-    /// Nothing pulled yet (fresh node, or its slice was pushed since).
-    None,
-    /// Insertion-only: the named partitions' decoded states, ascending.
-    InsertOnly(Vec<(u32, Arc<MemoryState>)>),
-    /// Insertion-deletion: the pooled witnesses of the named partitions'
-    /// vertices.
-    InsertDelete(Vec<(u32, Vec<u64>)>),
-}
-
 /// One cluster member as the router sees it.
 struct Node {
     addr: String,
     /// `None` = down. Every recovery goes through [`Inner::rejoin`].
     client: Option<Client>,
-    /// The node's publish epoch at the last view pull (0 = nothing
-    /// cached); passed back as `since` so a quiesced node answers
-    /// `unchanged` without shipping state.
-    watermark: u64,
-    /// The partitions the last view pull named — what `contribution`
-    /// covers.
-    named: Vec<u32>,
-    /// The node's highest acked *ingest* watermark — what a view pull
-    /// passes as `min_watermark`, so the worker's refresher must cover
-    /// everything the router routed to it before the pull answers.
+    /// The node's highest acked *ingest* watermark — what a fresh scoped
+    /// read asks the node's snapshot to cover, so the answer includes
+    /// everything the router routed to it.
     acked: u64,
-    contribution: Contribution,
     /// Updates routed to this node (the router-side `processed` counter).
     routed: u64,
     /// Batches routed to this node.
@@ -211,23 +200,9 @@ impl Node {
         Node {
             addr,
             client,
-            watermark: 0,
-            named: Vec::new(),
             acked: 0,
-            contribution: Contribution::None,
             routed: 0,
             batches: 0,
-        }
-    }
-
-    /// The `since` epoch of a view pull naming `parts`: the cached
-    /// contribution's epoch, but only when it covers exactly these
-    /// partitions — otherwise 0, so the node ships them all.
-    fn since(&self, parts: &[u32]) -> u64 {
-        if self.named == parts {
-            self.watermark
-        } else {
-            0
         }
     }
 }
@@ -264,10 +239,6 @@ struct Inner {
     /// checkpoint so a restarted router knows how many assignments its
     /// lifetime has seen.
     assign_epoch: u64,
-    /// The merged global view; exact iff `!dirty`.
-    merged: Option<Arc<GlobalView>>,
-    /// Set by ingest/restore/join; cleared when `merged` is rebuilt.
-    dirty: bool,
     durable: Option<Durable>,
     started: Instant,
     /// Ingest batches the router itself shed with [`ErrorCode::Overloaded`]
@@ -452,65 +423,137 @@ fn validate_batch(cfg: &EngineConfig, updates: &[Update]) -> Result<(), Fail> {
     Ok(())
 }
 
-/// Check and decode a node's reply to a view pull that named `parts` with
-/// `since`. `Ok(None)` is `unchanged`, valid only when `since` named a
-/// cached copy; otherwise the reply's epoch and decoded contribution. An
-/// insertion-only reply must carry exactly the named partitions, in order,
-/// and an insertion-deletion one only their vertices: anything else is an
-/// error and nothing is installed.
-fn decode_view(
+/// Whether a worker's typed refusal of a read is load, not a fault: the
+/// node answered in step, so it stays live and the read fails as it is —
+/// a re-plan would only ask the same node again.
+fn keeps_node_live(code: ErrorCode) -> bool {
+    matches!(code, ErrorCode::Overloaded | ErrorCode::Oversized)
+}
+
+/// Check that an answered vertex is one the read could produce: a vertex
+/// of the model (`< n`) in one of the `named` partitions.
+fn check_vertex(cfg: &EngineConfig, named: &[u32], a: u32) -> Result<(), String> {
+    let n = expected_info(cfg).n;
+    if u64::from(a) >= n {
+        return Err(format!("answered vertex {a}, past n = {n}"));
+    }
+    let p = partition_of(a, cfg.partitions) as u32;
+    if named.binary_search(&p).is_err() {
+        return Err(format!(
+            "answered vertex {a}, whose partition {p} the read did not name"
+        ));
+    }
+    Ok(())
+}
+
+/// Check a reader's answer to a scoped `certified` over `named`: a vertex
+/// it could hold, in one of the model's runs.
+fn check_certified(
     cfg: &EngineConfig,
-    parts: &[u32],
-    since: u64,
-    view: WireView,
-) -> Result<Option<(u64, Contribution)>, String> {
-    let io_model = matches!(cfg.model, ModelSpec::InsertOnly(_));
-    match view {
-        // A cold pull (since = 0) cannot be "unchanged": publish epochs
-        // start at 1.
-        WireView::Unchanged { .. } if since != 0 => Ok(None),
-        WireView::Unchanged { .. } => Err("answered 'unchanged' to a cold view pull".into()),
-        WireView::InsertOnly { .. } if !io_model => {
-            Err("shipped an insertion-only view for an insertion-deletion cluster".into())
-        }
-        WireView::InsertDelete { .. } if io_model => {
-            Err("shipped an insertion-deletion view for an insertion-only cluster".into())
-        }
-        WireView::InsertOnly {
-            epoch,
-            parts: shipped,
-        } => {
-            let mut decoded = Vec::with_capacity(shipped.len());
-            for (k, (p, bytes)) in shipped.into_iter().enumerate() {
-                if parts.get(k) != Some(&p) {
-                    return Err(if parts.binary_search(&p).is_err() {
-                        format!("shipped partition {p}, which the pull did not name")
-                    } else {
-                        format!("shipped partition {p} out of order")
-                    });
-                }
-                let state = MemoryState::decode(&bytes)
-                    .ok_or_else(|| format!("partition {p} state failed to decode"))?;
-                decoded.push((p, Arc::new(state)));
-            }
-            if let Some(p) = parts.get(decoded.len()) {
-                return Err(format!("omitted partition {p}, which the pull named"));
-            }
-            Ok(Some((epoch, Contribution::InsertOnly(decoded))))
-        }
-        WireView::InsertDelete { epoch, pooled } => {
-            let unnamed = pooled.iter().find(|(v, _)| {
-                let p = partition_of(*v, cfg.partitions) as u32;
-                parts.binary_search(&p).is_err()
-            });
-            if let Some((v, _)) = unnamed {
-                return Err(format!(
-                    "shipped vertex {v}, whose partition the pull did not name"
-                ));
-            }
-            Ok(Some((epoch, Contribution::InsertDelete(pooled))))
+    named: &[u32],
+    answer: Response,
+) -> Result<Option<(u32, Neighbourhood)>, String> {
+    let Response::CertifiedIn(answer) = answer else {
+        return Err("answered a scoped certified with the wrong frame kind".into());
+    };
+    if let Some((run, nb)) = &answer {
+        check_vertex(cfg, named, nb.vertex)?;
+        let runs = match cfg.model {
+            ModelSpec::InsertOnly(c) => c.alpha,
+            ModelSpec::InsertDelete(_) => 1,
+        };
+        if *run >= runs {
+            return Err(format!("certified an entry of run {run}, model has {runs}"));
         }
     }
+    Ok(answer)
+}
+
+/// Check a reader's answer to a scoped `certify(v)`: nothing, or `v`.
+fn check_certify(
+    cfg: &EngineConfig,
+    named: &[u32],
+    v: u32,
+    answer: Response,
+) -> Result<Option<Neighbourhood>, String> {
+    let Response::Answer(answer) = answer else {
+        return Err("answered a scoped certify with the wrong frame kind".into());
+    };
+    if let Some(nb) = &answer {
+        if nb.vertex != v {
+            return Err(format!("answered certify({v}) with vertex {}", nb.vertex));
+        }
+        check_vertex(cfg, named, v)?;
+    }
+    Ok(answer)
+}
+
+/// A scoped `top` answer: a vertex with the stored witness count it ranks
+/// by.
+type Ranked = (u64, Neighbourhood);
+
+/// The order `top` ranks by: stored witness count descending, then vertex
+/// ascending.
+fn rank((c1, a): &Ranked, (c2, b): &Ranked) -> Rank {
+    c2.cmp(c1).then(a.vertex.cmp(&b.vertex))
+}
+
+/// Check a reader's answer to a scoped `top(k)`: at most `k` vertices it
+/// could hold, strictly in rank order (so each appears once), none with
+/// more distinct witnesses than the stored count it ranks by.
+fn check_top(
+    cfg: &EngineConfig,
+    named: &[u32],
+    k: usize,
+    answer: Response,
+) -> Result<Vec<Ranked>, String> {
+    let Response::TopIn(list) = answer else {
+        return Err("answered a scoped top with the wrong frame kind".into());
+    };
+    if list.len() > k {
+        return Err(format!("answered top({k}) with {} vertices", list.len()));
+    }
+    for (count, nb) in &list {
+        check_vertex(cfg, named, nb.vertex)?;
+        if nb.witnesses.len() as u64 > *count {
+            return Err(format!("ranked vertex {} below its witnesses", nb.vertex));
+        }
+    }
+    if list.windows(2).any(|w| rank(&w[0], &w[1]) != Rank::Less) {
+        return Err("answered a top list out of rank order".into());
+    }
+    Ok(list)
+}
+
+/// Merge checked scoped `certified` answers over disjoint scopes into the
+/// whole view's. Insertion-only certifies the first entry of the merged
+/// (run, partition, slot) scan, so the least (run, partition) wins — each
+/// partition has one reader, so no two answers tie; insertion-deletion
+/// certifies the most witnesses, ties to the smaller vertex (its pools are
+/// stored distinct, so an answer's count is the one the view compares).
+fn merge_certified(
+    cfg: &EngineConfig,
+    answers: Vec<Option<(u32, Neighbourhood)>>,
+) -> Option<Neighbourhood> {
+    let answers = answers.into_iter().flatten();
+    let best = match cfg.model {
+        ModelSpec::InsertOnly(_) => {
+            answers.min_by_key(|(run, nb)| (*run, partition_of(nb.vertex, cfg.partitions)))
+        }
+        ModelSpec::InsertDelete(_) => {
+            answers.max_by_key(|(_, nb)| (nb.witnesses.len(), Reverse(nb.vertex)))
+        }
+    };
+    best.map(|(_, nb)| nb)
+}
+
+/// Merge checked scoped `top(k)` answers over disjoint scopes: each holds
+/// its scope's k best, and every vertex lives in one scope, so the k best
+/// of their union are the whole view's.
+fn merge_top(answers: Vec<Vec<Ranked>>, k: usize) -> Vec<Neighbourhood> {
+    let mut merged: Vec<Ranked> = answers.into_iter().flatten().collect();
+    merged.sort_unstable_by(rank);
+    merged.into_iter().take(k).map(|(_, nb)| nb).collect()
 }
 
 impl Inner {
@@ -552,13 +595,10 @@ impl Inner {
         }
         match res {
             Ok(()) => {
-                let node = &mut self.nodes[i];
-                node.watermark = 0;
                 // The replay acks carried the worker's current watermarks;
-                // future view pulls must cover everything just replayed.
+                // future fresh reads must cover everything just replayed.
+                let node = &mut self.nodes[i];
                 node.acked = node.client.as_ref().map_or(0, Client::watermark);
-                node.contribution = Contribution::None;
-                self.dirty = true;
                 Ok(())
             }
             Err(e) => Err(self.fail_node(i, &e)),
@@ -594,14 +634,14 @@ impl Inner {
         self.nodes.iter().map(|n| n.client.is_some()).collect()
     }
 
-    /// Plan a pull of the partitions `wanted` selects: each goes to its
+    /// Plan a read of the partitions `wanted` selects: each goes to its
     /// designated reader ([`plan_reads`]). A partition with no live owner
     /// first gets a bounded rejoin chain over its owners, in order, and
     /// only that chain's failure is the typed error — the query path's
     /// last resort, which at R ≥ 2 a single loss never reaches. A rejoin
     /// refreshes from live co-owners, which can mark one down, so the plan
     /// is recomputed after each rejoin, at most once per node.
-    fn plan(&mut self, wanted: fn(&Inner, usize) -> bool) -> Result<Vec<Vec<u32>>, Fail> {
+    fn plan(&mut self, wanted: impl Fn(&Inner, usize) -> bool) -> Result<Vec<Vec<u32>>, Fail> {
         for _ in 0..=self.nodes.len() {
             let (plan, orphans) = plan_reads(
                 &self.owners,
@@ -625,7 +665,7 @@ impl Inner {
         }
         Err((
             ErrorCode::NodeUnavailable,
-            "workers kept failing while a pull was planned".into(),
+            "workers kept failing while a read was planned".into(),
         ))
     }
 
@@ -700,7 +740,6 @@ impl Inner {
                 per_node[i].push(*u);
             }
         }
-        self.dirty = true;
         // Phase 1: write every live owner's frame; phase 2: collect the
         // acks in the same order. The owners apply concurrently, so the
         // fan-out costs one round-trip instead of R.
@@ -890,13 +929,53 @@ impl Inner {
         d.wal.reset()
     }
 
-    /// Pull `plan`'s partitions, one epoch-gated `view-pull` per node
-    /// naming exactly the partitions it reads for, and install each reply
-    /// as the node's cached contribution. Pipelined like ingest: every pull
-    /// is written, then each reply read, one read per successful write, so
+    /// Answer `query` from the designated readers: plan the read
+    /// ([`Inner::plan`]), push the query down ([`Inner::scoped_reads`]) and
+    /// return the checked answers for the caller to merge. A read that
+    /// fails on a node marks it down and re-plans, moving that node's
+    /// partitions to their next live owner (or to a rejoin), at most once
+    /// per node; one a live node refused ([`keeps_node_live`]) fails as it
+    /// is.
+    fn read<T>(
+        &mut self,
+        query: ScopedQuery,
+        mode: &ReadMode,
+        check: impl Fn(&EngineConfig, &[u32], Response) -> Result<T, String>,
+    ) -> Result<Vec<T>, Fail> {
+        self.check_watermark(mode)?;
+        let mut last: Option<Fail> = None;
+        for _ in 0..=self.nodes.len() {
+            let plan = match query {
+                // Only v's partition can hold v.
+                ScopedQuery::Certify(v) => {
+                    self.plan(move |inner, p| p == partition_of(v, inner.cfg.partitions))?
+                }
+                ScopedQuery::Certified | ScopedQuery::Top(_) => self.plan(|_, _| true)?,
+            };
+            match self.scoped_reads(query, mode, &plan, &check) {
+                Ok(answers) => return Ok(answers),
+                Err(fail) if keeps_node_live(fail.0) => return Err(fail),
+                Err(fail) => last = Some(fail),
+            }
+        }
+        Err(last.expect("the loop ran at least once"))
+    }
+
+    /// Send every node `plan` names one scoped read of its partitions and
+    /// check each answer with `check`. Pipelined like ingest: every read is
+    /// written, then each answer read, one read per successful write, so
     /// the nodes wait for their refreshers concurrently and every
-    /// connection stays in step. The first failure comes back typed.
-    fn pull_views(&mut self, plan: &[Vec<u32>]) -> Result<(), Fail> {
+    /// connection stays in step. A node whose read fails — transport,
+    /// protocol, or an answer `check` refuses — is marked down, unless it
+    /// refused the read in step ([`keeps_node_live`]). The first failure
+    /// comes back typed.
+    fn scoped_reads<T>(
+        &mut self,
+        query: ScopedQuery,
+        mode: &ReadMode,
+        plan: &[Vec<u32>],
+        check: &impl Fn(&EngineConfig, &[u32], Response) -> Result<T, String>,
+    ) -> Result<Vec<T>, Fail> {
         let mut first: Option<Fail> = None;
         let mut awaiting: Vec<usize> = Vec::new();
         for (i, parts) in plan.iter().enumerate() {
@@ -904,136 +983,38 @@ impl Inner {
                 continue;
             }
             let node = &mut self.nodes[i];
-            let since = node.since(parts);
+            let mode = match mode {
+                ReadMode::Stale => ReadMode::Stale,
+                ReadMode::AtLeast(_) => ReadMode::AtLeast(node.acked),
+            };
             let client = node.client.as_mut().expect("a planned node is live");
-            match client.view_pull_send(since, node.acked, parts) {
+            match client.scoped_read_send(query, mode, parts) {
                 Ok(()) => awaiting.push(i),
                 Err(e) => {
                     first.get_or_insert(self.fail_node(i, &e));
                 }
             }
         }
+        let mut answers = Vec::with_capacity(awaiting.len());
         for i in awaiting {
-            let pulled = self.nodes[i]
-                .client
-                .as_mut()
-                .expect("a planned node is live")
-                .view_pull_recv();
-            if let Err(fail) = self.install_view(i, &plan[i], pulled) {
-                first.get_or_insert(fail);
-            }
-        }
-        first.map_or(Ok(()), Err)
-    }
-
-    /// Install node `i`'s reply to a pull of `parts` as its cached
-    /// contribution. A shed pull (`overloaded`) read its error frame, so
-    /// the connection is still in step: the node stays live. Any other
-    /// failure (transport, protocol, or a reply [`decode_view`] refuses)
-    /// marks the node down. Both come back typed.
-    fn install_view(
-        &mut self,
-        i: usize,
-        parts: &[u32],
-        pulled: Result<WireView, ClientError>,
-    ) -> Result<(), Fail> {
-        let view = match pulled {
-            Ok(view) => view,
-            Err(e) if e.retry_after().is_some() => return Err(node_fail(&self.nodes[i].addr, &e)),
-            Err(e) => return Err(self.fail_node(i, &e)),
-        };
-        let node = &mut self.nodes[i];
-        match decode_view(&self.cfg, parts, node.since(parts), view) {
-            Ok(None) => Ok(()),
-            Ok(Some((epoch, contribution))) => {
-                node.watermark = epoch;
-                node.named = parts.to_vec();
-                node.contribution = contribution;
-                Ok(())
-            }
-            Err(m) => {
-                node.client = None;
-                Err((ErrorCode::Malformed, format!("worker {}: {m}", node.addr)))
-            }
-        }
-    }
-
-    /// The merged global view. Quiesced fast path first; otherwise plan the
-    /// read ([`Inner::plan`]), pull, and merge each partition from the node
-    /// the plan named it to. A failed pull marks its node down and the read
-    /// re-plans, moving that node's partitions to their next live owner (or
-    /// to a rejoin), at most once per node; a shed pull fails the read as
-    /// it is, since a re-plan would only ask the same node again.
-    fn view(&mut self) -> Result<Arc<GlobalView>, Fail> {
-        if !self.dirty {
-            if let Some(v) = &self.merged {
-                return Ok(Arc::clone(v));
-            }
-        }
-        let mut last: Option<Fail> = None;
-        for _ in 0..=self.nodes.len() {
-            let plan = self.plan(|_, _| true)?;
-            match self.pull_views(&plan) {
-                Ok(()) => return self.merge(&plan),
-                Err(fail) if fail.0 == ErrorCode::Overloaded => return Err(fail),
-                Err(fail) => last = Some(fail),
-            }
-        }
-        Err(last.expect("the loop ran at least once"))
-    }
-
-    /// Assemble the merged view from the contributions `plan` just pulled
-    /// or reused: every partition exactly once, from the node the plan
-    /// named it to.
-    fn merge(&mut self, plan: &[Vec<u32>]) -> Result<Arc<GlobalView>, Fail> {
-        let planned = plan
-            .iter()
-            .enumerate()
-            .filter(|(_, parts)| !parts.is_empty())
-            .map(|(i, _)| &self.nodes[i].contribution);
-        let d2 = self.cfg.witness_target();
-        let merged = if matches!(self.cfg.model, ModelSpec::InsertOnly(_)) {
-            // Dense reassembly: every partition exactly once, ascending —
-            // the same shape `Engine::refresh` builds, so certified output
-            // is bit-exact against a single node no matter which replica
-            // served each partition.
-            let mut dense: Vec<Option<Arc<MemoryState>>> = vec![None; self.cfg.partitions];
-            for contribution in planned {
-                if let Contribution::InsertOnly(list) = contribution {
-                    for (p, state) in list {
-                        dense[*p as usize] = Some(Arc::clone(state));
+            let node = &mut self.nodes[i];
+            let client = node.client.as_mut().expect("a planned node is live");
+            let checked = match client.scoped_read_recv() {
+                Ok(answer) => check(&self.cfg, &plan[i], answer)
+                    .map_err(|m| (ErrorCode::Malformed, format!("worker {}: {m}", node.addr))),
+                Err(e) => Err(node_fail(&node.addr, &e)),
+            };
+            match checked {
+                Ok(answer) => answers.push(answer),
+                Err(fail) => {
+                    if !keeps_node_live(fail.0) {
+                        node.client = None;
                     }
+                    first.get_or_insert(fail);
                 }
             }
-            let parts = dense
-                .into_iter()
-                .enumerate()
-                .map(|(p, state)| {
-                    state.ok_or_else(|| {
-                        (
-                            ErrorCode::Malformed,
-                            format!("partition {p} has no view contribution"),
-                        )
-                    })
-                })
-                .collect::<Result<Vec<_>, Fail>>()?;
-            GlobalView::InsertOnly { parts, d2 }
-        } else {
-            // The plan named disjoint partitions, so the pools are disjoint
-            // vertex sets; one sort restores the canonical vertex order.
-            let mut pooled: Vec<(u32, Vec<u64>)> = Vec::new();
-            for contribution in planned {
-                if let Contribution::InsertDelete(list) = contribution {
-                    pooled.extend(list.iter().cloned());
-                }
-            }
-            pooled.sort_unstable_by_key(|(v, _)| *v);
-            GlobalView::InsertDelete { pooled, d2 }
-        };
-        let merged = Arc::new(merged);
-        self.merged = Some(Arc::clone(&merged));
-        self.dirty = false;
-        Ok(merged)
+        }
+        first.map_or(Ok(answers), Err)
     }
 
     /// A full cluster checkpoint: drain every log into fresh payloads, then
@@ -1099,8 +1080,6 @@ impl Inner {
         for log in &mut self.logs {
             log.clear();
         }
-        self.dirty = true;
-        self.merged = None;
         // An acked restore must survive a router crash, same as acked
         // ingest: persist before pushing to any worker.
         if let Err(e) = self.compact_durable() {
@@ -1147,10 +1126,7 @@ impl Inner {
         if let Some(d) = &self.durable {
             let _ = write_meta(&d.meta, self.assign_epoch, self.ingested, d.wal.last_seq());
         }
-        // Every node gets its new slice pushed (or rejoins with it), which
-        // drops its cached contribution.
-        self.dirty = true;
-        self.merged = None;
+        // Every node gets its new slice pushed (or rejoins with it).
         for i in 0..n {
             if self.nodes[i].client.is_none() {
                 let _ = self.rejoin(i);
@@ -1162,7 +1138,7 @@ impl Inner {
     }
 
     /// Gate a front-end query's [`ReadMode`] against the router's acked
-    /// watermark. The router's merge is always fully fresh (every pull
+    /// watermark. A fresh read is always fully fresh (every scoped read
     /// waits for the node's own acked watermark, and partitions with no
     /// live owner rejoin-and-replay), so any watermark the router has
     /// acked is covered by construction — only a watermark it never issued
@@ -1179,20 +1155,6 @@ impl Inner {
                 ),
             )),
         }
-    }
-
-    /// The view a front-end query answers from. `Stale` serves the cached
-    /// merge without touching any worker when one exists (bounded
-    /// staleness: it may trail routed ingest); otherwise — and always for
-    /// `AtLeast` — the fully-fresh merged view.
-    fn read_view(&mut self, mode: &ReadMode) -> Result<Arc<GlobalView>, Fail> {
-        self.check_watermark(mode)?;
-        if matches!(mode, ReadMode::Stale) {
-            if let Some(v) = &self.merged {
-                return Ok(Arc::clone(v));
-            }
-        }
-        self.view()
     }
 
     /// Cluster statistics: the router's own ingest counter, one shard row
@@ -1247,8 +1209,7 @@ impl Inner {
 
     /// One heartbeat tick: ping live nodes (a miss marks them down), try to
     /// rejoin down nodes — the background repair that restores full
-    /// replication after a loss. A node going down does not invalidate the
-    /// merged view — losing a replica changes availability, not data.
+    /// replication after a loss.
     fn heartbeat(&mut self) {
         for i in 0..self.nodes.len() {
             if let Some(client) = self.nodes[i].client.as_mut() {
@@ -1285,7 +1246,7 @@ impl Router {
     /// otherwise admit every worker fresh (connect, verify identity,
     /// require an empty engine) and seed the per-partition payload store
     /// from a scratch local engine. Workers keep no ownership state: every
-    /// view pull names the partitions it wants.
+    /// scoped read names the partitions it wants.
     pub fn start(
         cfg: EngineConfig,
         addr: &str,
@@ -1440,8 +1401,6 @@ impl Router {
             logs,
             ingested,
             assign_epoch,
-            merged: None,
-            dirty: true,
             durable,
             started: Instant::now(),
             shed_ingest: 0,
@@ -1705,6 +1664,15 @@ fn fail_response((code, message): Fail) -> Response {
     Response::error(code, message)
 }
 
+/// A merged answer, bounded to one frame ([`Response::bounded`]), or the
+/// read's typed failure.
+fn answer(merged: Result<Response, Fail>) -> Response {
+    match merged {
+        Ok(response) => response.bounded(),
+        Err(fail) => fail_response(fail),
+    }
+}
+
 fn handle_request(space: SpaceId, request: Request, shared: &RouterShared) -> Response {
     // Requests that need no space routing, or that a router categorically
     // does not serve, are answered before the space check.
@@ -1728,7 +1696,10 @@ fn handle_request(space: SpaceId, request: Request, shared: &RouterShared) -> Re
                 "a cluster router does not manage spaces; address its workers directly".into(),
             );
         }
-        Request::ViewPull { .. } | Request::SliceCheckpoint(_) | Request::SliceRestore(_) => {
+        Request::ViewPull { .. }
+        | Request::ScopedRead { .. }
+        | Request::SliceCheckpoint(_)
+        | Request::SliceRestore(_) => {
             return Response::error(
                 ErrorCode::Malformed,
                 "worker-facing request sent to a cluster router".into(),
@@ -1745,18 +1716,28 @@ fn handle_request(space: SpaceId, request: Request, shared: &RouterShared) -> Re
     let mut inner = shared.inner.lock().expect("router state");
     match request {
         Request::IngestBatch(updates) => inner.ingest(updates),
-        Request::Certified(mode) => match inner.read_view(&mode) {
-            Ok(view) => Response::Answer(view.certified()),
-            Err(fail) => fail_response(fail),
-        },
-        Request::Certify(v, mode) => match inner.read_view(&mode) {
-            Ok(view) => Response::Answer(view.certify(v)),
-            Err(fail) => fail_response(fail),
-        },
-        Request::Top(k, mode) => match inner.read_view(&mode) {
-            Ok(view) => Response::Top(view.top(k.min(u32::MAX as u64) as usize)),
-            Err(fail) => fail_response(fail),
-        },
+        Request::Certified(mode) => answer(
+            inner
+                .read(ScopedQuery::Certified, &mode, check_certified)
+                .map(|answers| Response::Answer(merge_certified(&inner.cfg, answers))),
+        ),
+        Request::Certify(v, mode) => answer(
+            inner
+                .read(ScopedQuery::Certify(v), &mode, |cfg, named, answer| {
+                    check_certify(cfg, named, v, answer)
+                })
+                .map(|answers| Response::Answer(answers.into_iter().flatten().next())),
+        ),
+        Request::Top(k, mode) => {
+            let k = k.min(u32::MAX as u64) as usize;
+            answer(
+                inner
+                    .read(ScopedQuery::Top(k as u64), &mode, |cfg, named, answer| {
+                        check_top(cfg, named, k, answer)
+                    })
+                    .map(|answers| Response::Top(merge_top(answers, k))),
+            )
+        }
         Request::Stats(mode) => match inner.check_watermark(&mode).and_then(|()| inner.stats()) {
             Ok(stats) => Response::Stats(stats),
             Err(fail) => fail_response(fail),
@@ -1798,6 +1779,7 @@ fn handle_request(space: SpaceId, request: Request, shared: &RouterShared) -> Re
         | Request::Shutdown
         | Request::Ping
         | Request::ViewPull { .. }
+        | Request::ScopedRead { .. }
         | Request::SliceCheckpoint(_)
         | Request::SliceRestore(_) => Response::error(
             ErrorCode::Malformed,
@@ -1809,7 +1791,11 @@ fn handle_request(space: SpaceId, request: Request, shared: &RouterShared) -> Re
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fews_common::rng::rng_for;
+    use fews_core::insertion_deletion::IdConfig;
     use fews_core::insertion_only::FewwConfig;
+    use fews_core::wire::{MemoryState, RunState};
+    use fews_engine::{GlobalView, Scope};
     use fews_net::{OverloadLimits, Server, ServerOptions};
     use fews_stream::Edge;
 
@@ -1969,8 +1955,8 @@ mod tests {
         let env = unwrap_envelope(&envelope).expect("envelope");
         assert_eq!(env.inner, reference.checkpoint());
 
-        // Quiesced cluster: repeated queries answer from the cached merge.
-        assert_eq!(client.certified().expect("cached"), view.certified());
+        // Quiesced cluster: repeated queries answer the same.
+        assert_eq!(client.certified().expect("quiesced"), view.certified());
 
         let stats = client.stats().expect("stats");
         assert_eq!(stats.ingested, updates.len() as u64);
@@ -2386,11 +2372,13 @@ mod tests {
             .sum()
     }
 
-    /// At R = 2 over two workers each worker owns every partition, yet a
-    /// fresh read names each partition to one of them: the router receives
-    /// one full view's worth of bytes per read, not one per replica.
+    /// At R = 2 over two workers each worker owns every partition. A fresh
+    /// read pushes the query down to the designated readers, so the router
+    /// receives answers, not state: a fresh `certify v` and a fresh
+    /// `certified` each bring in under a tenth of one full view of the
+    /// same state.
     #[test]
-    fn fresh_read_pulls_each_partition_once() {
+    fn fresh_read_moves_answers_not_state() {
         let cfg = test_cfg();
         let w1 = Server::start(cfg, "127.0.0.1:0").expect("worker 1");
         let w2 = Server::start(cfg, "127.0.0.1:0").expect("worker 2");
@@ -2399,25 +2387,37 @@ mod tests {
             Router::start(cfg, "127.0.0.1:0", &workers, replicated_opts(2)).expect("router");
         let mut client = Client::connect(router.local_addr()).expect("connect");
         let updates = stream(3_000);
-        for chunk in updates.chunks(97) {
+        let (first, rest) = updates.split_at(2_910);
+        for chunk in first.chunks(97) {
             client.ingest_batch(chunk).expect("ingest");
         }
-
+        let view = reference_view(cfg, first);
+        let v = view.top(1)[0].vertex;
         let before = worker_bytes_received(&router);
-        let view = reference_view(cfg, &updates);
-        assert_eq!(client.certified().expect("fresh read"), view.certified());
-        let pulled = worker_bytes_received(&router) - before;
+        assert_eq!(client.certify(v).expect("fresh certify"), view.certify(v));
+        let certify = worker_bytes_received(&router) - before;
 
-        // One full pull of the same state, straight from one worker.
+        client.ingest_batch(rest).expect("ingest");
+        let view = reference_view(cfg, &updates);
+        let before = worker_bytes_received(&router);
+        assert_eq!(
+            client.certified().expect("fresh certified"),
+            view.certified()
+        );
+        let certified = worker_bytes_received(&router) - before;
+
+        // One full view pull of the same state, straight from one worker.
         let acked = router.shared.inner.lock().expect("router state").nodes[0].acked;
         let mut direct = Client::connect(w1.local_addr()).expect("connect worker 1");
         let start = direct.bytes_received();
         direct.view_pull(0, acked).expect("full view pull");
         let full = direct.bytes_received() - start;
-        assert!(
-            pulled.abs_diff(full) * 10 <= full,
-            "a fresh read received {pulled} bytes; one full view is {full}"
-        );
+        for (read, got) in [("certify", certify), ("certified", certified)] {
+            assert!(
+                got * 10 < full,
+                "a fresh {read} received {got} bytes; one full view is {full}"
+            );
+        }
 
         router.shutdown();
         router.join();
@@ -2425,6 +2425,163 @@ mod tests {
             w.shutdown();
             w.join();
         }
+    }
+
+    /// A `?stale` read is pushed down stale: each reader answers from its
+    /// latest published snapshot at once, so a worker whose refresher is
+    /// held back does not hold the read. A fresh read still waits for it.
+    #[test]
+    fn stale_read_never_waits_on_a_held_refresher() {
+        let cfg = test_cfg();
+        let hold = Duration::from_secs(2);
+        let worker = Server::start_with(
+            cfg,
+            "127.0.0.1:0",
+            ServerOptions {
+                refresh_debounce: Some(hold),
+                ..ServerOptions::default()
+            },
+        )
+        .expect("worker");
+        let workers = vec![worker.local_addr().to_string()];
+        let router = Router::start(cfg, "127.0.0.1:0", &workers, quick_opts()).expect("router");
+        let mut client = Client::connect(router.local_addr()).expect("connect");
+        let updates = stream(194);
+        for chunk in updates.chunks(97) {
+            client.ingest_batch(chunk).expect("ingest");
+        }
+
+        client.set_stale(true);
+        let start = Instant::now();
+        client.certified().expect("stale certified");
+        client.top(3).expect("stale top");
+        let took = start.elapsed();
+        assert!(
+            took < hold / 2,
+            "stale reads took {took:?} behind a refresher held for {hold:?}"
+        );
+
+        client.set_stale(false);
+        let view = reference_view(cfg, &updates);
+        assert_eq!(client.certified().expect("fresh read"), view.certified());
+
+        router.shutdown();
+        router.join();
+        worker.shutdown();
+        worker.join();
+    }
+
+    /// Split a reference engine's view into random disjoint partition sets,
+    /// for both models, answer each set as a designated reader would, check
+    /// the answers, and merge them: the merge is the whole view's answer.
+    #[test]
+    fn scoped_answers_merge_into_the_whole_view() {
+        let io = test_cfg();
+        let id_model = IdConfig::with_scale(32, 1 << 10, 12, 2, 0.03);
+        let id = EngineConfig::insert_delete(id_model, 7)
+            .with_shards(2)
+            .with_partitions(8);
+        let log = fews_stream::gen::dblog::db_log(32, 1 << 10, 12, 2, 0.4, &mut rng_for(7, 4));
+        // Repeated edges: stored lists repeat witnesses, so a vertex ranks
+        // by more witnesses than its answer lists distinct.
+        let repeats: Vec<Update> = (0..3_000u32)
+            .map(|i| {
+                let a = i * 7 % 64;
+                Update::insert(Edge::new(a, u64::from(i % (1 + a % 5))))
+            })
+            .collect();
+        for (cfg, updates) in [(io, stream(3_000)), (io, repeats), (id, log.updates)] {
+            let view = reference_view(cfg, &updates);
+            let n = expected_info(&cfg).n as u32;
+            let partitions = cfg.partitions;
+            assert!(view.certified().is_some(), "the stream certifies a vertex");
+            for seed in 0..40u64 {
+                // Partition p goes to set derive_seed(seed, p) mod r.
+                let r = 1 + seed % 4;
+                let mut sets = vec![Vec::new(); r as usize];
+                for p in 0..partitions as u32 {
+                    sets[(derive_seed(seed, u64::from(p)) % r) as usize].push(p);
+                }
+                sets.retain(|set| !set.is_empty());
+                let certified = sets
+                    .iter()
+                    .map(|named| {
+                        let answer = Response::CertifiedIn(
+                            view.certified_in(Scope::Parts { named, partitions }),
+                        );
+                        check_certified(&cfg, named, answer).expect("an honest answer")
+                    })
+                    .collect();
+                assert_eq!(merge_certified(&cfg, certified), view.certified());
+                for k in [0, 1, 3, 5, n as usize + 2] {
+                    let tops = sets
+                        .iter()
+                        .map(|named| {
+                            let answer =
+                                Response::TopIn(view.top_in(k, Scope::Parts { named, partitions }));
+                            check_top(&cfg, named, k, answer).expect("an honest answer")
+                        })
+                        .collect();
+                    assert_eq!(merge_top(tops, k), view.top(k), "seed {seed}: top({k})");
+                }
+            }
+            for v in 0..n + 2 {
+                let named = [partition_of(v, partitions) as u32];
+                let scope = Scope::Parts {
+                    named: &named,
+                    partitions,
+                };
+                let answer = Response::Answer(view.certify_in(v, scope));
+                let got = check_certify(&cfg, &named, v, answer).expect("an honest answer");
+                assert_eq!(got, view.certify(v), "certify({v})");
+            }
+        }
+
+        // One scope's first certified entry is in run 1, the other's in
+        // run 0: the merge takes run 0's, though its partition is later.
+        let cfg = EngineConfig::insert_only(FewwConfig::new(64, 4, 2), 1).with_partitions(2);
+        let vertex_in = |p| {
+            (0..64)
+                .find(|&a| partition_of(a, 2) == p)
+                .expect("a vertex")
+        };
+        let (a0, a1) = (vertex_in(0), vertex_in(1));
+        let run = |entries| RunState {
+            d1: 4,
+            d2: 2,
+            s: 4,
+            crossings: 0,
+            entries,
+        };
+        let part = |runs| {
+            Arc::new(MemoryState {
+                degrees: vec![0; 64],
+                runs,
+            })
+        };
+        let view = GlobalView::InsertOnly {
+            parts: vec![
+                part(vec![run(vec![(a0, vec![1])]), run(vec![(a0, vec![1, 2])])]),
+                part(vec![run(vec![(a1, vec![3, 4])]), run(Vec::new())]),
+            ],
+            d2: 2,
+        };
+        let answers: Vec<_> = [[0u32], [1]]
+            .iter()
+            .map(|named| {
+                let scope = Scope::Parts {
+                    named,
+                    partitions: 2,
+                };
+                let answer = Response::CertifiedIn(view.certified_in(scope));
+                check_certified(&cfg, named, answer).expect("an honest answer")
+            })
+            .collect();
+        assert_eq!(answers[0].as_ref().map(|(run, _)| *run), Some(1));
+        assert_eq!(answers[1].as_ref().map(|(run, _)| *run), Some(0));
+        let merged = merge_certified(&cfg, answers);
+        assert_eq!(merged.as_ref().map(|nb| nb.vertex), Some(a1));
+        assert_eq!(merged, view.certified());
     }
 
     /// A worker with a lag budget sheds a pull its refresher has not yet
@@ -2514,17 +2671,22 @@ mod tests {
         }
     }
 
-    /// What the fake worker answers when the router pulls state from it.
+    /// What the fake worker answers when the router reads from it.
     #[derive(Clone, Copy)]
     enum FakeMode {
-        /// Views name partition 7777 (out of range for an 8-partition
-        /// cluster) and slice checkpoints do the same.
+        /// Scoped reads answer vertex 7777 (past n = 64), and slice
+        /// checkpoints name partition 7777 (out of range for an
+        /// 8-partition cluster).
         AlienPartition,
         /// Every state-bearing response is a garbage byte blob.
         Garbage,
-        /// Views and slice checkpoints carry every partition, well formed,
-        /// whatever the request named — a worker ignoring the pull's list.
+        /// Scoped reads answer a vertex of a partition the read did not
+        /// name, and slice checkpoints carry every partition, well formed,
+        /// whatever the request named — a worker ignoring the list.
         UnnamedPartition,
+        /// Scoped reads are refused typed `oversized`: answers past one
+        /// frame.
+        Oversized,
     }
 
     /// A protocol-correct worker for admission that turns byzantine for
@@ -2535,15 +2697,9 @@ mod tests {
         let addr = listener.local_addr().expect("fake worker addr");
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
-        // Every partition's empty state, as a view and as a slice.
-        let mut scratch = Engine::start(cfg);
+        // Every partition's empty state, as a slice.
         let all: Vec<u32> = (0..cfg.partitions as u32).collect();
-        let slice = scratch.checkpoint_slice(&all);
-        let (view, _) = scratch.refresh();
-        let GlobalView::InsertOnly { parts, .. } = view.as_ref() else {
-            panic!("the fake worker serves insertion-only clusters");
-        };
-        let parts: Vec<(u32, Vec<u8>)> = (0..).zip(parts.iter().map(|s| s.encode())).collect();
+        let slice = Engine::start(cfg).checkpoint_slice(&all);
         std::thread::Builder::new()
             .name("fake-worker".into())
             .spawn(move || {
@@ -2552,19 +2708,14 @@ mod tests {
                         return;
                     }
                     let Ok(mut stream) = stream else { continue };
-                    serve_fake(&mut stream, &cfg, mode, (&parts, &slice));
+                    serve_fake(&mut stream, &cfg, mode, &slice);
                 }
             })
             .expect("spawn fake worker");
         (addr, stop)
     }
 
-    fn serve_fake(
-        stream: &mut TcpStream,
-        cfg: &EngineConfig,
-        mode: FakeMode,
-        (parts, slice): (&[(u32, Vec<u8>)], &[u8]),
-    ) {
+    fn serve_fake(stream: &mut TcpStream, cfg: &EngineConfig, mode: FakeMode, slice: &[u8]) {
         let mut header = [0u8; 4];
         loop {
             if stream.read_exact(&mut header).is_err() {
@@ -2586,30 +2737,52 @@ mod tests {
                     count: u.len() as u64,
                     watermark: 1,
                 },
-                Request::ViewPull { .. } => match mode {
-                    FakeMode::AlienPartition => Response::View(WireView::InsertOnly {
-                        epoch: 1,
-                        parts: vec![(7_777, vec![1, 2, 3])],
-                    }),
-                    FakeMode::Garbage => {
-                        // A frame that is not a decodable Response at all.
-                        let junk = [9u8, 99, 99, 99, 99];
-                        let _ = stream.write_all(&(junk.len() as u32).to_le_bytes());
-                        let _ = stream.write_all(&junk);
-                        continue;
+                Request::ScopedRead {
+                    query,
+                    parts: named,
+                    ..
+                } => {
+                    // A well-formed answer about vertex `a`, certified in
+                    // run 0 — wrong only in which vertex it names.
+                    let answer = |a: u32| {
+                        let nb = Neighbourhood::new(a, (0..cfg.witness_target() as u64).collect());
+                        match query {
+                            ScopedQuery::Certified => Response::CertifiedIn(Some((0, nb))),
+                            ScopedQuery::Certify(_) => Response::Answer(Some(nb)),
+                            ScopedQuery::Top(_) => Response::TopIn(vec![(nb.size() as u64, nb)]),
+                        }
+                    };
+                    match mode {
+                        FakeMode::AlienPartition => answer(7_777),
+                        FakeMode::Garbage => {
+                            // A frame that is not a decodable Response at all.
+                            let junk = [9u8, 99, 99, 99, 99];
+                            let _ = stream.write_all(&(junk.len() as u32).to_le_bytes());
+                            let _ = stream.write_all(&junk);
+                            continue;
+                        }
+                        FakeMode::UnnamedPartition => {
+                            let unnamed = (0..expected_info(cfg).n as u32).find(|&a| {
+                                let p = partition_of(a, cfg.partitions) as u32;
+                                named.binary_search(&p).is_err()
+                            });
+                            answer(unnamed.expect("the read names only some partitions"))
+                        }
+                        FakeMode::Oversized => Response::error(
+                            ErrorCode::Oversized,
+                            "the answer may need more than one frame".into(),
+                        ),
                     }
-                    FakeMode::UnnamedPartition => Response::View(WireView::InsertOnly {
-                        epoch: 1,
-                        parts: parts.to_vec(),
-                    }),
-                },
+                }
                 Request::SliceCheckpoint(_) => match mode {
                     FakeMode::AlienPartition => Response::Checkpoint(checkpoint::encode_slice(
                         cfg,
                         &[(7_777, vec![4, 5, 6])],
                     )),
                     FakeMode::Garbage => Response::Checkpoint(vec![0xde, 0xad, 0xbe, 0xef]),
-                    FakeMode::UnnamedPartition => Response::Checkpoint(slice.to_vec()),
+                    FakeMode::UnnamedPartition | FakeMode::Oversized => {
+                        Response::Checkpoint(slice.to_vec())
+                    }
                 },
                 _ => Response::error(
                     ErrorCode::Malformed,
@@ -2686,6 +2859,37 @@ mod tests {
                 w.join();
             }
         }
+    }
+
+    /// A worker that refuses a read typed `oversized` answered in step:
+    /// the read fails with the same code and the worker stays live, as for
+    /// a shed read — nothing is marked down, nothing rejoins.
+    #[test]
+    fn oversized_answer_fails_the_read_and_keeps_the_worker() {
+        let cfg = test_cfg();
+        let (addr, stop) = fake_worker(cfg, FakeMode::Oversized);
+        let workers = vec![addr.to_string()];
+        let router = Router::start(cfg, "127.0.0.1:0", &workers, outage_opts(1)).expect("router");
+        let mut client = Client::connect(router.local_addr()).expect("connect");
+        client.ingest_batch(&stream(300)).expect("ingest acks");
+        for _ in 0..2 {
+            match client.top(3) {
+                Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::Oversized),
+                other => panic!("an oversized answer should fail the read typed, got {other:?}"),
+            }
+            assert!(
+                router.shared.inner.lock().expect("router state").nodes[0]
+                    .client
+                    .is_some(),
+                "an oversized answer marked the worker down"
+            );
+        }
+        client.ping().expect("router still alive");
+
+        stop.store(true, Ordering::SeqCst);
+        router.shutdown();
+        router.join();
+        let _ = TcpStream::connect(addr); // unblock the fake acceptor
     }
 
     #[test]

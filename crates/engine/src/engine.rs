@@ -560,6 +560,7 @@ mod tests {
     use fews_common::rng::rng_for;
     use fews_core::insertion_deletion::IdConfig;
     use fews_core::insertion_only::FewwConfig;
+    use fews_core::wire::MemoryState;
     use fews_stream::gen::dblog::db_log;
     use fews_stream::gen::planted::planted_star;
     use fews_stream::update::{as_insertions, net_graph};
@@ -665,6 +666,70 @@ mod tests {
         // A subsequent good restore still works.
         engine.restore_checkpoint(&good).expect("good restore");
         assert_eq!(engine.checkpoint(), good);
+    }
+
+    /// An engine that saw a planted stream, and the full and partition-0
+    /// slice checkpoints of a fresh engine whose partition 0, run 0, also
+    /// holds `extra` — entries no run of the algorithm can produce. The
+    /// fresh reservoirs leave room for them, so only the entries can fail
+    /// the restore.
+    fn tampered_restore(extra: Vec<(u32, Vec<u64>)>) -> (Engine, Vec<u8>, Vec<u8>) {
+        let mut fresh = Engine::start(io_cfg(2));
+        let (_, mut payloads) = checkpoint::decode(&fresh.checkpoint()).unwrap();
+        let mut state = MemoryState::decode(&payloads[0].1).expect("partition 0 decodes");
+        state.runs[0].entries.extend(extra);
+        payloads[0].1 = state.encode();
+        let full = checkpoint::encode(fresh.config(), &payloads);
+        let slice = checkpoint::encode_slice(fresh.config(), &payloads[..1]);
+        let mut engine = Engine::start(io_cfg(3));
+        engine.ingest(planted_updates(15).0);
+        (engine, full, slice)
+    }
+
+    /// Both restore paths refuse `extra`, typed, naming `why`, and leave
+    /// the engine as it was.
+    fn assert_entries_refused(extra: Vec<(u32, Vec<u64>)>, why: &str) {
+        let (mut engine, full, slice) = tampered_restore(extra);
+        let before = engine.checkpoint();
+        for refused in [
+            engine.restore_checkpoint(&full),
+            engine.restore_slice(&slice),
+        ] {
+            match refused {
+                Err(CheckpointError::Corrupt(m)) => assert!(m.contains(why), "{m}"),
+                other => panic!("restore should refuse the entries ({why}), got {other:?}"),
+            }
+        }
+        assert_eq!(engine.checkpoint(), before, "refused restore mutated state");
+    }
+
+    /// A vertex of partition `p` of the 8-partition, n = 64 test config.
+    fn vertex_in(p: usize) -> u32 {
+        (0..64)
+            .find(|&a| partition_of(a, 8) == p)
+            .expect("every partition holds a vertex")
+    }
+
+    #[test]
+    fn restore_refuses_a_vertex_past_n() {
+        assert_entries_refused(vec![(9999, vec![1])], "past n");
+    }
+
+    #[test]
+    fn restore_refuses_a_vertex_of_another_partition() {
+        assert_entries_refused(vec![(vertex_in(1), vec![1])], "another partition");
+    }
+
+    #[test]
+    fn restore_refuses_a_vertex_twice_in_a_run() {
+        let a = vertex_in(0);
+        assert_entries_refused(vec![(a, vec![1, 2]), (a, vec![3])], "twice");
+    }
+
+    #[test]
+    fn restore_refuses_more_than_d2_witnesses() {
+        let d2 = io_cfg(1).witness_target() as u64;
+        assert_entries_refused(vec![(vertex_in(0), (0..=d2).collect())], "past d2");
     }
 
     #[test]

@@ -65,7 +65,7 @@ mod view;
 pub mod wal;
 
 pub use engine::{Engine, EngineStats, RefreshBarrier, RefreshDone, ShardStats};
-pub use view::GlobalView;
+pub use view::{GlobalView, Scope};
 
 use fews_common::rng::{derive_seed, splitmix64};
 use fews_common::{SpaceConfig, SpaceModel};

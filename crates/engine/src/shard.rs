@@ -123,10 +123,15 @@ impl PartitionAlg {
         }
     }
 
-    /// Decode and validate `bytes` against this partition's geometry,
-    /// without touching any state, so a bad checkpoint surfaces as an `Err`
-    /// before anything is installed.
-    fn validate_bytes(&self, bytes: &[u8]) -> Result<DecodedState, String> {
+    /// Decode and validate `bytes` as partition `p` of a `partitions`-way
+    /// engine, without touching any state, so a bad checkpoint surfaces as
+    /// an `Err` before anything is installed.
+    fn validate_bytes(
+        &self,
+        p: u32,
+        partitions: usize,
+        bytes: &[u8],
+    ) -> Result<DecodedState, String> {
         match self {
             PartitionAlg::Io(alg) => {
                 let state = MemoryState::decode(bytes)
@@ -146,12 +151,35 @@ impl PartitionAlg {
                         cfg.alpha
                     ));
                 }
-                for run in &state.runs {
+                for (r, run) in state.runs.iter().enumerate() {
                     if run.d2 != cfg.witness_target() || run.s != cfg.reservoir() as u64 {
                         return Err("snapshot run geometry disagrees with engine config".into());
                     }
                     if run.entries.len() > run.s as usize {
                         return Err("snapshot reservoir overflows its slot count".into());
+                    }
+                    // Entries the algorithm cannot produce: restoring one
+                    // would serve it, and a duplicate would silently drop
+                    // the first list.
+                    for (a, ws) in &run.entries {
+                        if *a >= cfg.n {
+                            return Err(format!("run {r} holds vertex {a}, past n = {}", cfg.n));
+                        }
+                        if crate::partition_of(*a, partitions) != p as usize {
+                            return Err(format!("run {r} holds vertex {a} of another partition"));
+                        }
+                        if ws.len() > run.d2 as usize {
+                            return Err(format!(
+                                "run {r} holds {} witnesses of vertex {a}, past d2 = {}",
+                                ws.len(),
+                                run.d2
+                            ));
+                        }
+                    }
+                    let mut vertices: Vec<u32> = run.entries.iter().map(|(a, _)| *a).collect();
+                    vertices.sort_unstable();
+                    if let Some(w) = vertices.windows(2).find(|w| w[0] == w[1]) {
+                        return Err(format!("run {r} holds vertex {} twice", w[0]));
                     }
                 }
                 Ok(DecodedState::Io(state))
@@ -261,7 +289,10 @@ pub(crate) fn run_shard(shard: usize, cfg: EngineConfig, rx: Receiver<ShardMsg>)
                 let mut outcome = Ok(());
                 for (p, bytes) in &payloads {
                     debug_assert_eq!(*p as usize % cfg.shards, shard, "misrouted payload");
-                    match parts[local(*p as usize)].1.validate_bytes(bytes) {
+                    match parts[local(*p as usize)]
+                        .1
+                        .validate_bytes(*p, cfg.partitions, bytes)
+                    {
                         Ok(state) => decoded.push((*p, state)),
                         Err(e) => {
                             outcome = Err(format!("partition {p}: {e}"));

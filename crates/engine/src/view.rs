@@ -1,8 +1,9 @@
 //! The merged, engine-wide query view.
 
 use fews_core::neighbourhood::Neighbourhood;
-use fews_core::wire::MemoryState;
+use fews_core::wire::{MemoryState, RunState};
 use std::cmp::Reverse;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A point-in-time global view of the engine, assembled from every
@@ -45,6 +46,40 @@ pub enum GlobalView {
     },
 }
 
+/// The partitions a query reads: the whole view, or the subset one
+/// designated reader answers for when a router pushes a query down to it.
+/// Partitions are vertex-disjoint, so answers over disjoint scopes that
+/// together cover the view merge exactly into the whole view's answer.
+#[derive(Debug, Clone, Copy)]
+pub enum Scope<'a> {
+    /// Every partition.
+    All,
+    /// The named partitions of a `partitions`-way view.
+    Parts {
+        /// Partition ids, ascending and unique.
+        named: &'a [u32],
+        /// The view's partition count `P`: vertex `a` lives in partition
+        /// [`crate::partition_of`]`(a, P)`.
+        partitions: usize,
+    },
+}
+
+impl Scope<'_> {
+    fn holds(&self, p: usize) -> bool {
+        match self {
+            Scope::All => true,
+            Scope::Parts { named, .. } => named.binary_search(&(p as u32)).is_ok(),
+        }
+    }
+
+    fn holds_vertex(&self, a: u32) -> bool {
+        match self {
+            Scope::All => true,
+            Scope::Parts { partitions, .. } => self.holds(crate::partition_of(a, *partitions)),
+        }
+    }
+}
+
 impl GlobalView {
     /// The witness target `d₂` a neighbourhood must reach to be certified.
     pub fn witness_target(&self) -> u32 {
@@ -53,22 +88,31 @@ impl GlobalView {
         }
     }
 
-    /// Visit every insertion-only reservoir entry (with its enclosing run,
-    /// for the run-level witness target) in the canonical merged scan order
-    /// — run index major, then partition, then slot — exactly the entry
-    /// order of the materialized [`MemoryState::merge`] of `parts`. Stops
-    /// early when `visit` returns `Some`. Every segmented query goes
-    /// through this one scan, so the order invariant lives in one place.
+    /// The insertion-only partition states `scope` reads, ascending.
+    fn io_scope<'a>(parts: &'a [Arc<MemoryState>], scope: Scope) -> Vec<&'a MemoryState> {
+        (0..parts.len())
+            .filter(|&p| scope.holds(p))
+            .map(|p| &*parts[p])
+            .collect()
+    }
+
+    /// Visit every insertion-only reservoir entry (with its enclosing run
+    /// and that run's index, for the run-level witness target) in the
+    /// canonical merged scan order — run index major, then partition, then
+    /// slot — exactly the entry order of the materialized
+    /// [`MemoryState::merge`] of `parts`. Stops early when `visit` returns
+    /// `Some`. Every segmented query goes through this one scan, so the
+    /// order invariant lives in one place.
     fn scan_io_entries<'a, T>(
-        parts: &'a [Arc<MemoryState>],
-        mut visit: impl FnMut(&'a fews_core::wire::RunState, &'a (u32, Vec<u64>)) -> Option<T>,
+        parts: &[&'a MemoryState],
+        mut visit: impl FnMut(usize, &'a RunState, &'a (u32, Vec<u64>)) -> Option<T>,
     ) -> Option<T> {
         let runs = parts.first().map_or(0, |p| p.runs.len());
         for r in 0..runs {
             for part in parts {
                 let run = &part.runs[r];
                 for entry in &run.entries {
-                    if let Some(out) = visit(run, entry) {
+                    if let Some(out) = visit(r, run, entry) {
                         return Some(out);
                     }
                 }
@@ -85,75 +129,116 @@ impl GlobalView {
     /// * insertion-deletion — the pooled vertex with the most recovered
     ///   witnesses among those reaching `d₂` (ties to the smaller vertex).
     pub fn certified(&self) -> Option<Neighbourhood> {
+        self.certified_in(Scope::All).map(|(_, nb)| nb)
+    }
+
+    /// [`GlobalView::certified`] over the partitions `scope` reads, with the
+    /// index of the run whose entry it is (always 0 for insertion-deletion).
+    /// Answers over disjoint scopes merge into the whole view's: the
+    /// insertion-only winner is the least (run, partition), the
+    /// insertion-deletion one the most witnesses, ties to the smaller
+    /// vertex.
+    pub fn certified_in(&self, scope: Scope) -> Option<(u32, Neighbourhood)> {
         match self {
-            GlobalView::InsertOnly { parts, .. } => Self::scan_io_entries(parts, |run, (a, ws)| {
-                (ws.len() >= run.d2 as usize).then(|| Neighbourhood::new(*a, ws.clone()))
-            }),
+            GlobalView::InsertOnly { parts, .. } => {
+                Self::scan_io_entries(&Self::io_scope(parts, scope), |r, run, (a, ws)| {
+                    (ws.len() >= run.d2 as usize)
+                        .then(|| (r as u32, Neighbourhood::new(*a, ws.clone())))
+                })
+            }
             GlobalView::InsertDelete { pooled, d2 } => pooled
                 .iter()
-                .filter(|(_, ws)| ws.len() >= *d2 as usize)
+                .filter(|(a, ws)| ws.len() >= *d2 as usize && scope.holds_vertex(*a))
                 .max_by_key(|(a, ws)| (ws.len(), Reverse(*a)))
-                .map(|(a, ws)| Neighbourhood::new(*a, ws.clone())),
+                .map(|(a, ws)| (0, Neighbourhood::new(*a, ws.clone()))),
         }
     }
 
     /// Everything the engine can prove about vertex `v`: the witnesses
     /// collected for it, or `None` when no partition holds any.
     pub fn certify(&self, v: u32) -> Option<Neighbourhood> {
+        self.certify_in(v, Scope::All)
+    }
+
+    /// [`GlobalView::certify`] over the partitions `scope` reads.
+    pub fn certify_in(&self, v: u32, scope: Scope) -> Option<Neighbourhood> {
         match self {
             GlobalView::InsertOnly { parts, .. } => {
                 // First-longest in merged (run, partition, slot) order —
                 // [`MemoryState::certify`] on the materialized merge.
                 let mut best: Option<&Vec<u64>> = None;
-                Self::scan_io_entries::<()>(parts, |_, (a, ws)| {
-                    if *a == v && best.is_none_or(|b| ws.len() > b.len()) {
-                        best = Some(ws);
+                Self::scan_io_entries::<()>(&Self::io_scope(parts, scope), |_, _, (a, ws)| {
+                    if *a == v {
+                        keep_first_longest(&mut best, ws);
                     }
                     None
                 });
                 best.map(|ws| Neighbourhood::new(v, ws.clone()))
             }
-            GlobalView::InsertDelete { pooled, .. } => pooled
+            GlobalView::InsertDelete { pooled, .. } if scope.holds_vertex(v) => pooled
                 .binary_search_by_key(&v, |&(a, _)| a)
                 .ok()
                 .map(|i| Neighbourhood::new(v, pooled[i].1.clone())),
+            GlobalView::InsertDelete { .. } => None,
         }
     }
 
     /// The `k` vertices with the most collected witnesses, best first (ties
     /// to the smaller vertex).
     pub fn top(&self, k: usize) -> Vec<Neighbourhood> {
+        self.top_in(k, Scope::All)
+            .into_iter()
+            .map(|(_, nb)| nb)
+            .collect()
+    }
+
+    /// [`GlobalView::top`] over the partitions `scope` reads, each vertex
+    /// with the stored witness count it ranks by. A stored list may repeat
+    /// a witness (a repeated edge in the stream), so the count can exceed
+    /// the answer's distinct witnesses; answers over disjoint scopes merge
+    /// into the whole view's by this count descending, then vertex
+    /// ascending.
+    pub fn top_in(&self, k: usize, scope: Scope) -> Vec<(u64, Neighbourhood)> {
         match self {
             GlobalView::InsertOnly { parts, .. } => {
                 // Longest list per vertex, first-longest kept on ties, in
                 // merged scan order — [`MemoryState::top`] on the
-                // materialized merge.
-                let mut best: std::collections::BTreeMap<u32, &Vec<u64>> =
-                    std::collections::BTreeMap::new();
-                Self::scan_io_entries::<()>(parts, |_, (a, ws)| {
-                    let entry = best.entry(*a).or_insert(ws);
-                    if ws.len() > entry.len() {
-                        *entry = ws;
-                    }
+                // materialized merge. Slots are dense over the degree
+                // table; a vertex past it (no valid state holds one) is
+                // kept aside so the answer still equals the reference.
+                let table = parts.first().map_or(0, |p| p.degrees.len());
+                let mut longest: Vec<Option<&Vec<u64>>> = vec![None; table];
+                let mut seen: Vec<u32> = Vec::new();
+                let mut outside: BTreeMap<u32, Option<&Vec<u64>>> = BTreeMap::new();
+                Self::scan_io_entries::<()>(&Self::io_scope(parts, scope), |_, _, (a, ws)| {
+                    let slot = match longest.get_mut(*a as usize) {
+                        Some(slot) => {
+                            if slot.is_none() {
+                                seen.push(*a);
+                            }
+                            slot
+                        }
+                        None => outside.entry(*a).or_default(),
+                    };
+                    keep_first_longest(slot, ws);
                     None
                 });
-                let mut ranked: Vec<(u32, &Vec<u64>)> = best.into_iter().collect();
-                ranked.sort_by(|(a1, w1), (a2, w2)| w2.len().cmp(&w1.len()).then(a1.cmp(a2)));
-                ranked
+                let ranked = seen
                     .into_iter()
-                    .take(k)
-                    .map(|(a, ws)| Neighbourhood::new(a, ws.clone()))
-                    .collect()
+                    .map(|a| (a, longest[a as usize]))
+                    .chain(outside)
+                    .filter_map(|(a, ws)| Some((a, ws?)))
+                    .collect();
+                best_k(ranked, k)
             }
-            GlobalView::InsertDelete { pooled, .. } => {
-                let mut ranked: Vec<&(u32, Vec<u64>)> = pooled.iter().collect();
-                ranked.sort_by(|(a1, w1), (a2, w2)| w2.len().cmp(&w1.len()).then(a1.cmp(a2)));
-                ranked
-                    .into_iter()
-                    .take(k)
-                    .map(|(a, ws)| Neighbourhood::new(*a, ws.clone()))
-                    .collect()
-            }
+            GlobalView::InsertDelete { pooled, .. } => best_k(
+                pooled
+                    .iter()
+                    .filter(|(a, _)| scope.holds_vertex(*a))
+                    .map(|(a, ws)| (*a, ws))
+                    .collect(),
+                k,
+            ),
         }
     }
 
@@ -172,10 +257,39 @@ impl GlobalView {
     }
 }
 
+/// Keep `ws` in `slot` if it is the first list seen or strictly longer than
+/// the one kept: the first-longest rule every per-vertex query shares.
+fn keep_first_longest<'a>(slot: &mut Option<&'a Vec<u64>>, ws: &'a Vec<u64>) {
+    if slot.is_none_or(|kept| ws.len() > kept.len()) {
+        *slot = Some(ws);
+    }
+}
+
+/// The `k` best of `ranked` (one entry per vertex) by stored witness count
+/// descending, then vertex ascending, with the count each ranked by: a
+/// partial select of the `k` best, then a sort of only those.
+fn best_k(mut ranked: Vec<(u32, &Vec<u64>)>, k: usize) -> Vec<(u64, Neighbourhood)> {
+    let order = |(a1, w1): &(u32, &Vec<u64>), (a2, w2): &(u32, &Vec<u64>)| {
+        w2.len().cmp(&w1.len()).then(a1.cmp(a2))
+    };
+    if k == 0 {
+        return Vec::new();
+    }
+    if k < ranked.len() {
+        ranked.select_nth_unstable_by(k - 1, order);
+        ranked.truncate(k);
+    }
+    ranked.sort_unstable_by(order);
+    ranked
+        .into_iter()
+        .map(|(a, ws)| (ws.len() as u64, Neighbourhood::new(a, ws.clone())))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fews_core::wire::RunState;
+    use fews_common::rng::splitmix64;
 
     /// Hand-built partition states with duplicate vertices across runs,
     /// ties, and empty runs — the cases where the segmented scan could
@@ -213,21 +327,74 @@ mod tests {
         m
     }
 
+    /// Seeded random partition states sharing one run geometry: vertices
+    /// repeat within and across runs and partitions, witness counts tie,
+    /// witnesses repeat within a list, runs come out empty, and some
+    /// vertices lie past the degree table.
+    fn random_io_parts(seed: u64) -> Vec<Arc<MemoryState>> {
+        let mut state = seed;
+        let mut draw = |bound: u64| {
+            state = splitmix64(state);
+            state % bound
+        };
+        let table = 1 + draw(10);
+        let d2s: Vec<u32> = (0..1 + draw(3)).map(|_| 1 + draw(4) as u32).collect();
+        let partitions = 1 + draw(4);
+        (0..partitions)
+            .map(|_| {
+                let runs = d2s
+                    .iter()
+                    .map(|&d2| RunState {
+                        d1: 4,
+                        d2,
+                        s: 8,
+                        crossings: 0,
+                        entries: (0..draw(7))
+                            .map(|_| {
+                                let a = draw(table + 3) as u32;
+                                let base = draw(1 << 20);
+                                // Witnesses may repeat, as repeated edges
+                                // leave them in a reservoir.
+                                (a, (0..draw(5)).map(|_| base + draw(3)).collect())
+                            })
+                            .collect(),
+                    })
+                    .collect();
+                Arc::new(MemoryState {
+                    degrees: vec![0; table as usize],
+                    runs,
+                })
+            })
+            .collect()
+    }
+
     #[test]
     fn segmented_io_queries_equal_materialized_merge() {
-        let parts = io_parts();
-        let reference = merged(&parts);
-        let view = GlobalView::InsertOnly {
-            parts: parts.clone(),
-            d2: 2,
-        };
-        assert_eq!(view.certified(), reference.certified());
-        for v in 0..6u32 {
-            assert_eq!(view.certify(v), reference.certify(v), "certify({v})");
-            assert_eq!(view.degree(v), reference.degree(v), "degree({v})");
-        }
-        for k in 0..6 {
-            assert_eq!(view.top(k), reference.top(k), "top({k})");
+        let cases = std::iter::once(io_parts()).chain((0..300).map(random_io_parts));
+        for (case, parts) in cases.enumerate() {
+            let reference = merged(&parts);
+            let view = GlobalView::InsertOnly {
+                parts: parts.clone(),
+                d2: 2,
+            };
+            let vertices = parts[0].degrees.len() as u32 + 3;
+            assert_eq!(view.certified(), reference.certified(), "case {case}");
+            for v in 0..=vertices {
+                assert_eq!(
+                    view.certify(v),
+                    reference.certify(v),
+                    "case {case}: certify({v})"
+                );
+                assert_eq!(
+                    view.degree(v),
+                    reference.degree(v),
+                    "case {case}: degree({v})"
+                );
+            }
+            // k = 0 through past the vertex count.
+            for k in 0..=vertices as usize + 2 {
+                assert_eq!(view.top(k), reference.top(k), "case {case}: top({k})");
+            }
         }
     }
 

@@ -2,8 +2,8 @@
 
 use crate::fault::{FaultPlan, SendFault};
 use crate::proto::{
-    check_frame_len, ErrorCode, ReadMode, Request, Response, WireNodeInfo, WireSpaceInfo,
-    WireStats, WireView,
+    check_frame_len, ErrorCode, ReadMode, Request, Response, ScopedQuery, WireNodeInfo,
+    WireSpaceInfo, WireStats, WireView,
 };
 use fews_common::rng::splitmix64;
 use fews_common::{SpaceConfig, SpaceId};
@@ -347,7 +347,7 @@ impl Client {
 
     /// The highest ingest-ack watermark this client has observed for its
     /// current space — what its queries wait for by default, and what a
-    /// fan-out caller passes to [`Client::view_pull`] as `min_watermark`.
+    /// fan-out caller passes back as a [`ReadMode::AtLeast`] watermark.
     pub fn watermark(&self) -> u64 {
         self.watermarks.get(&self.space).copied().unwrap_or(0)
     }
@@ -706,49 +706,48 @@ impl Client {
 
     /// Pull the space's whole query view (every partition) if it changed
     /// past epoch `since`. The server first waits for its published
-    /// snapshot to cover `min_watermark`, so a router pulling after acked
-    /// ingest always merges a view that includes everything it routed.
+    /// snapshot to cover `min_watermark`.
     pub fn view_pull(&mut self, since: u64, min_watermark: u64) -> Result<WireView, ClientError> {
         match self.expect(&Request::ViewPull {
             since,
             min_watermark,
-            parts: Vec::new(),
         })? {
             Response::View(view) => Ok(view),
             other => Err(unexpected("View", &other)),
         }
     }
 
-    /// Split-phase view pull of the named partitions (sorted, unique;
-    /// empty = every partition), send half: write the `view-pull` frame
-    /// without waiting for the reply. A fan-out caller writes every node's
-    /// pull, then reads each reply with [`Client::view_pull_recv`] — the
-    /// nodes wait on their refreshers concurrently instead of one at a
-    /// time. Exactly one `view_pull_recv` must follow each successful
-    /// `view_pull_send` before any other request on this client.
-    pub fn view_pull_send(
+    /// Split-phase scoped read, send half: write a `scoped-read` frame
+    /// asking the worker to answer `query` over the named partitions
+    /// (sorted, unique, non-empty) from a snapshot resolved under `mode`,
+    /// without waiting for the reply. A fan-out caller writes every
+    /// designated reader's read, then collects each answer with
+    /// [`Client::scoped_read_recv`] — the workers answer concurrently
+    /// instead of one at a time. Exactly one `scoped_read_recv` must follow
+    /// each successful `scoped_read_send` before any other request on this
+    /// client.
+    pub fn scoped_read_send(
         &mut self,
-        since: u64,
-        min_watermark: u64,
+        query: ScopedQuery,
+        mode: ReadMode,
         parts: &[u32],
     ) -> Result<(), ClientError> {
         self.send_buf.clear();
-        Request::ViewPull {
-            since,
-            min_watermark,
+        Request::ScopedRead {
+            query,
+            mode,
             parts: parts.to_vec(),
         }
         .encode_into(&self.space, &mut self.send_buf);
         self.write_staged()
     }
 
-    /// Split-phase view pull, receive half: read the reply to a previous
-    /// [`Client::view_pull_send`].
-    pub fn view_pull_recv(&mut self) -> Result<WireView, ClientError> {
-        match self.read_expected()? {
-            Response::View(view) => Ok(view),
-            other => Err(unexpected("View", &other)),
-        }
+    /// Split-phase scoped read, receive half: the answer frame to a
+    /// previous [`Client::scoped_read_send`] — [`Response::CertifiedIn`],
+    /// [`Response::Answer`] or [`Response::TopIn`] by query kind, which the
+    /// caller checks; an error frame comes back as [`ClientError::Server`].
+    pub fn scoped_read_recv(&mut self) -> Result<Response, ClientError> {
+        self.read_expected()
     }
 
     /// Fetch a sparse slice checkpoint of the named partitions.
@@ -762,7 +761,7 @@ impl Client {
     /// Split-phase slice checkpoint, send half: write the
     /// `slice-checkpoint` frame for the named partitions without waiting
     /// for the reply — the fan-out form of [`Client::slice_checkpoint`],
-    /// with the same contract as [`Client::view_pull_send`]: exactly one
+    /// with the same contract as [`Client::scoped_read_send`]: exactly one
     /// [`Client::slice_checkpoint_recv`] must follow each successful send.
     pub fn slice_checkpoint_send(&mut self, parts: &[u32]) -> Result<(), ClientError> {
         self.send_buf.clear();
@@ -818,6 +817,8 @@ fn unexpected(wanted: &str, got: &Response) -> ClientError {
         Response::Pong => "Pong",
         Response::NodeInfo(_) => "NodeInfo",
         Response::View(_) => "View",
+        Response::CertifiedIn(_) => "CertifiedIn",
+        Response::TopIn(_) => "TopIn",
         Response::Error { .. } => "Error",
     };
     ClientError::Protocol(format!("expected {wanted} response, got {kind}"))

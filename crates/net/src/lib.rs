@@ -35,9 +35,11 @@
 //!
 //! The protocol also carries the cluster-facing requests `fews-cluster`
 //! speaks to its workers: `ping` liveness, `node-hello` admission checks,
-//! `view-pull` (epoch-watermarked view shipping of the partitions the pull
-//! names), and `slice-checkpoint` / `slice-restore` (partition handoff). A
-//! worker keeps no per-router state: every pull says what to ship.
+//! `scoped-read` (a `certified` / `certify` / `top` answered over the
+//! partitions the read names, under the read's freshness mode),
+//! `view-pull` (epoch-watermarked shipping of the whole view), and
+//! `slice-checkpoint` / `slice-restore` (partition handoff). A worker keeps
+//! no per-router state: every request says what it covers.
 //!
 //! ```
 //! use fews_core::insertion_only::FewwConfig;
@@ -67,7 +69,7 @@ pub mod server;
 pub use client::{Client, ClientError, ClientOptions};
 pub use fault::{FaultCounts, FaultPlan, FaultProfile, SendFault};
 pub use proto::{
-    ErrorCode, ReadMode, Request, Response, WireNodeInfo, WireOverload, WireShardStats,
-    WireSpaceInfo, WireStats, WireView,
+    ErrorCode, ReadMode, Request, Response, ScopedQuery, WireNodeInfo, WireOverload,
+    WireShardStats, WireSpaceInfo, WireStats, WireView,
 };
 pub use server::{OverloadLimits, Server, ServerOptions};

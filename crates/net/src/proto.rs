@@ -100,21 +100,15 @@ pub enum Request {
     /// exact configuration (model, seed, partition count) before routing to
     /// it.
     NodeHello,
-    /// Fetch the named partitions of the space's query view if it changed
+    /// Fetch the space's whole query view (every partition) if it changed
     /// since publish epoch `since`; answered with [`Response::View`]. A
     /// quiesced worker answers `unchanged` in O(1). The view must cover
-    /// ingest watermark `min_watermark` — the puller passes the highest
-    /// watermark it has seen acked, so a router's merged view covers
-    /// everything it routed.
+    /// ingest watermark `min_watermark`.
     ViewPull {
         /// Publish epoch of the puller's cached copy (0 = nothing cached).
         since: u64,
         /// Lowest ingest watermark the answering snapshot may cover.
         min_watermark: u64,
-        /// The partitions to ship, sorted and unique; empty = every
-        /// partition. A router names exactly the partitions it reads from
-        /// this worker, so each partition crosses the wire once per read.
-        parts: Vec<u32>,
     },
     /// Serialize the named partitions into a sparse slice-checkpoint
     /// container (answered with [`Response::Checkpoint`] carrying
@@ -127,6 +121,32 @@ pub enum Request {
     /// Plain servers reject it — the tag exists so `fews client` can speak
     /// to routers and workers with one codec.
     JoinWorker(String),
+    /// Answer `query` over the named partitions only, from a snapshot
+    /// resolved under `mode` exactly as a client read's is — what a router
+    /// pushes down to each designated reader, so a read moves answers, not
+    /// state. Answered with [`Response::CertifiedIn`], [`Response::Answer`]
+    /// or [`Response::TopIn`] for the three query kinds.
+    ScopedRead {
+        /// The query to answer.
+        query: ScopedQuery,
+        /// How fresh the answering snapshot must be.
+        mode: ReadMode,
+        /// The partitions to answer over: non-empty, sorted and unique (the
+        /// decoder enforces it); the worker range-checks them.
+        parts: Vec<u32>,
+    },
+}
+
+/// The query a [`Request::ScopedRead`] carries: one of the three read
+/// kinds, answered over the named partitions only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScopedQuery {
+    /// `certified`, answered with the winning entry's run index.
+    Certified,
+    /// `certify(v)`.
+    Certify(u32),
+    /// `top(k)`.
+    Top(u64),
 }
 
 impl Request {
@@ -151,12 +171,13 @@ impl Request {
     const TAG_SLICE_CHECKPOINT: u8 = 0x10;
     const TAG_SLICE_RESTORE: u8 = 0x11;
     const TAG_JOIN_WORKER: u8 = 0x12;
+    const TAG_SCOPED_READ: u8 = 0x13;
 
     /// Whether `tag` names a request this protocol version understands.
     /// Checked *before* the space header is parsed so that an unknown tag
     /// reports [`FrameError::UnknownTag`], not a malformed-header error.
     fn known_tag(tag: u8) -> bool {
-        (Self::TAG_INGEST..=Self::TAG_JOIN_WORKER).contains(&tag) && tag != Self::TAG_RETIRED
+        (Self::TAG_INGEST..=Self::TAG_SCOPED_READ).contains(&tag) && tag != Self::TAG_RETIRED
     }
 }
 
@@ -308,7 +329,8 @@ pub struct WireSpaceInfo {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ErrorCode {
-    /// Frame header declared a length of 0, 1, or more than [`MAX_FRAME`].
+    /// Frame header declared a length of 0, 1, or more than [`MAX_FRAME`],
+    /// or an answer would need a frame larger than [`MAX_FRAME`].
     Oversized = 1,
     /// Frame version byte is not [`VERSION`].
     UnsupportedVersion = 2,
@@ -408,6 +430,16 @@ pub enum Response {
     NodeInfo(WireNodeInfo),
     /// Answer to [`Request::ViewPull`].
     View(WireView),
+    /// Answer to a scoped `certified` ([`Request::ScopedRead`]): the
+    /// scope's certified neighbourhood with the index of the run whose
+    /// reservoir entry it is (0 for insertion-deletion), so answers over
+    /// disjoint scopes merge exactly.
+    CertifiedIn(Option<(u32, Neighbourhood)>),
+    /// Answer to a scoped `top` ([`Request::ScopedRead`]): the scope's best
+    /// vertices, each with the stored witness count it ranks by (a stored
+    /// list may repeat a witness, so the count can exceed the distinct
+    /// witnesses), so answers over disjoint scopes merge exactly.
+    TopIn(Vec<(u64, Neighbourhood)>),
     /// The request was rejected; the connection may still be usable (see
     /// module docs for which errors keep the stream in sync).
     Error {
@@ -457,6 +489,8 @@ impl Response {
     const TAG_PONG: u8 = 0x8A;
     const TAG_NODE_INFO: u8 = 0x8B;
     const TAG_VIEW: u8 = 0x8C;
+    const TAG_CERTIFIED_IN: u8 = 0x8D;
+    const TAG_TOP_IN: u8 = 0x8E;
     const TAG_ERROR: u8 = 0xFF;
 }
 
@@ -720,12 +754,10 @@ impl Request {
             Request::ViewPull {
                 since,
                 min_watermark,
-                parts,
             } => frame_into(buf, Self::TAG_VIEW_PULL, |body| {
                 put_space(body, space);
                 put_uvarint(body, *since);
                 put_uvarint(body, *min_watermark);
-                put_partitions(body, parts);
             }),
             Request::SliceCheckpoint(parts) => {
                 frame_into(buf, Self::TAG_SLICE_CHECKPOINT, |body| {
@@ -739,6 +771,24 @@ impl Request {
                 put_uvarint(body, addr.len() as u64);
                 body.extend_from_slice(addr.as_bytes());
             }),
+            Request::ScopedRead { query, mode, parts } => {
+                frame_into(buf, Self::TAG_SCOPED_READ, |body| {
+                    put_space(body, space);
+                    match query {
+                        ScopedQuery::Certified => body.push(SCOPED_CERTIFIED),
+                        ScopedQuery::Certify(v) => {
+                            body.push(SCOPED_CERTIFY);
+                            put_uvarint(body, *v as u64);
+                        }
+                        ScopedQuery::Top(k) => {
+                            body.push(SCOPED_TOP);
+                            put_uvarint(body, *k);
+                        }
+                    }
+                    put_read_mode(body, mode);
+                    put_partitions(body, parts);
+                })
+            }
         }
     }
 
@@ -813,7 +863,6 @@ impl Request {
                     .ok_or(FrameError::Malformed("view-pull since"))?,
                 min_watermark: get_uvarint(body, &mut pos)
                     .ok_or(FrameError::Malformed("view-pull watermark"))?,
-                parts: get_partitions(body, &mut pos)?,
             },
             Self::TAG_SLICE_CHECKPOINT => Request::SliceCheckpoint(get_partitions(body, &mut pos)?),
             Self::TAG_SLICE_RESTORE => {
@@ -835,6 +884,28 @@ impl Request {
                     .to_string();
                 pos = end;
                 Request::JoinWorker(addr)
+            }
+            Self::TAG_SCOPED_READ => {
+                let kind = *body
+                    .get(pos)
+                    .ok_or(FrameError::Malformed("scoped-read kind"))?;
+                pos += 1;
+                let mut arg = |what| get_uvarint(body, &mut pos).ok_or(FrameError::Malformed(what));
+                let query = match kind {
+                    SCOPED_CERTIFIED => ScopedQuery::Certified,
+                    SCOPED_CERTIFY => ScopedQuery::Certify(
+                        u32::try_from(arg("scoped-read vertex")?)
+                            .map_err(|_| FrameError::Malformed("scoped-read vertex"))?,
+                    ),
+                    SCOPED_TOP => ScopedQuery::Top(arg("scoped-read k")?),
+                    _ => return Err(FrameError::Malformed("scoped-read kind")),
+                };
+                let mode = get_read_mode(body, &mut pos)?;
+                let parts = get_partitions(body, &mut pos)?;
+                if parts.is_empty() {
+                    return Err(FrameError::Malformed("scoped read names no partition"));
+                }
+                Request::ScopedRead { query, mode, parts }
             }
             _ => unreachable!("known_tag checked above"),
         };
@@ -873,6 +944,10 @@ fn get_node_info(body: &[u8], pos: &mut usize) -> Option<WireNodeInfo> {
         ingested: next()?,
     })
 }
+
+const SCOPED_CERTIFIED: u8 = 0;
+const SCOPED_CERTIFY: u8 = 1;
+const SCOPED_TOP: u8 = 2;
 
 const VIEW_KIND_UNCHANGED: u8 = 0;
 const VIEW_KIND_IO: u8 = 1;
@@ -1060,6 +1135,23 @@ impl Response {
             Response::View(view) => frame_into(buf, Self::TAG_VIEW, |body| {
                 put_view(body, view);
             }),
+            Response::CertifiedIn(answer) => {
+                frame_into(buf, Self::TAG_CERTIFIED_IN, |body| match answer {
+                    None => body.push(0),
+                    Some((run, nb)) => {
+                        body.push(1);
+                        put_uvarint(body, *run as u64);
+                        put_neighbourhood(body, nb);
+                    }
+                })
+            }
+            Response::TopIn(list) => frame_into(buf, Self::TAG_TOP_IN, |body| {
+                put_uvarint(body, list.len() as u64);
+                for (count, nb) in list {
+                    put_uvarint(body, *count);
+                    put_neighbourhood(body, nb);
+                }
+            }),
             Response::Error {
                 code,
                 message,
@@ -1179,6 +1271,41 @@ impl Response {
             Self::TAG_VIEW => {
                 Response::View(get_view(body, &mut pos).ok_or(FrameError::Malformed("view"))?)
             }
+            Self::TAG_CERTIFIED_IN => {
+                let present = *body
+                    .get(pos)
+                    .ok_or(FrameError::Malformed("certified-in presence"))?;
+                pos += 1;
+                Response::CertifiedIn(match present {
+                    0 => None,
+                    1 => {
+                        let run = get_uvarint(body, &mut pos)
+                            .and_then(|r| u32::try_from(r).ok())
+                            .ok_or(FrameError::Malformed("certified-in run"))?;
+                        let nb = get_neighbourhood(body, &mut pos)
+                            .ok_or(FrameError::Malformed("certified-in neighbourhood"))?;
+                        Some((run, nb))
+                    }
+                    _ => return Err(FrameError::Malformed("certified-in presence")),
+                })
+            }
+            Self::TAG_TOP_IN => {
+                let count = get_uvarint(body, &mut pos)
+                    .ok_or(FrameError::Malformed("top-in count"))?
+                    as usize;
+                if count > body.len() {
+                    return Err(FrameError::Malformed("top-in count exceeds body"));
+                }
+                let mut list = Vec::with_capacity(bounded_capacity(count));
+                for _ in 0..count {
+                    let rank = get_uvarint(body, &mut pos)
+                        .ok_or(FrameError::Malformed("top-in witness count"))?;
+                    let nb = get_neighbourhood(body, &mut pos)
+                        .ok_or(FrameError::Malformed("top-in neighbourhood"))?;
+                    list.push((rank, nb));
+                }
+                Response::TopIn(list)
+            }
             Self::TAG_ERROR => {
                 let code = *body.get(pos).ok_or(FrameError::Malformed("error code"))?;
                 pos += 1;
@@ -1216,11 +1343,51 @@ impl Response {
 }
 
 /// Whether a body of `body_len` bytes fits in one frame. Senders of
-/// unbounded payloads (checkpoints, large ingest batches) must check this
-/// before encoding — [`Request::encode`]/[`Response::encode`] treat an
-/// oversized body as a programming error.
+/// unbounded payloads (checkpoints, large ingest batches, answers) must
+/// check this before encoding — [`Request::encode`]/[`Response::encode`]
+/// treat an oversized body as a programming error.
 pub fn body_fits(body_len: usize) -> bool {
-    body_len + 2 <= MAX_FRAME
+    body_len.saturating_add(2) <= MAX_FRAME
+}
+
+/// Worst-case body bytes of an answer frame carrying neighbourhoods with
+/// these witness counts, every varint at full width: the size
+/// [`Response::bounded`] checks with [`body_fits`] before an answer is
+/// encoded.
+pub fn answer_bound(witness_counts: impl IntoIterator<Item = usize>) -> usize {
+    // A list count; per neighbourhood a presence byte, a run index or rank
+    // count, a vertex and a witness count, then ten bytes per witness.
+    witness_counts.into_iter().fold(10, |bound, w| {
+        bound
+            .saturating_add(21)
+            .saturating_add(w.saturating_mul(10))
+    })
+}
+
+impl Response {
+    /// This response, or a typed [`ErrorCode::Oversized`] error when it is
+    /// an answer ([`Response::Answer`], [`Response::Top`],
+    /// [`Response::CertifiedIn`], [`Response::TopIn`]) whose body could
+    /// need more than one frame. Every answer passes through here before it is encoded, so a
+    /// large `top k` is refused, never a panic in the codec.
+    pub fn bounded(self) -> Response {
+        let bound = match &self {
+            Response::Answer(nb) => answer_bound(nb.iter().map(|nb| nb.witnesses.len())),
+            Response::CertifiedIn(answer) => {
+                answer_bound(answer.iter().map(|(_, nb)| nb.witnesses.len()))
+            }
+            Response::Top(list) => answer_bound(list.iter().map(|nb| nb.witnesses.len())),
+            Response::TopIn(list) => answer_bound(list.iter().map(|(_, nb)| nb.witnesses.len())),
+            _ => return self,
+        };
+        if body_fits(bound) {
+            return self;
+        }
+        Response::error(
+            ErrorCode::Oversized,
+            format!("the answer may need {bound} bytes, more than one frame carries; ask for less"),
+        )
+    }
 }
 
 /// Append a complete frame — `[len u32 LE][version][tag][body]` — to `buf`:
@@ -1308,12 +1475,26 @@ mod tests {
         roundtrip_request(Request::ViewPull {
             since: u64::MAX,
             min_watermark: 0,
-            parts: Vec::new(),
         });
         roundtrip_request(Request::ViewPull {
             since: 3,
             min_watermark: u64::MAX / 7,
-            parts: vec![0, 3, 9],
+        });
+        for (query, mode) in [
+            (ScopedQuery::Certified, ReadMode::Stale),
+            (ScopedQuery::Certify(u32::MAX), ReadMode::AtLeast(0)),
+            (ScopedQuery::Top(u64::MAX), ReadMode::AtLeast(u64::MAX)),
+        ] {
+            roundtrip_request(Request::ScopedRead {
+                query,
+                mode,
+                parts: vec![0, 3, 9],
+            });
+        }
+        roundtrip_request(Request::ScopedRead {
+            query: ScopedQuery::Top(3),
+            mode: ReadMode::AtLeast(41),
+            parts: vec![u32::MAX],
         });
         roundtrip_request(Request::SliceCheckpoint(vec![1, 2]));
         roundtrip_request(Request::SliceRestore(b"FEWWSLC1junk".to_vec()));
@@ -1322,20 +1503,41 @@ mod tests {
 
     #[test]
     fn cluster_requests_police_damage() {
-        // Unsorted / duplicate partition ids in a view pull's list are
-        // rejected.
-        for parts in [[3u64, 1], [2, 2]] {
-            // Default space, since 0, min_watermark 0, then the list.
-            let mut payload = vec![VERSION, 0x0F, 0x00, 0x00, 0x00];
-            put_uvarint(&mut payload, 2);
-            for p in parts {
+        // A scoped read's partition list must be sorted, unique and
+        // non-empty. Default space, `certified`, a stale read, the list.
+        let scoped = |parts: &[u64]| {
+            let mut payload = vec![VERSION, 0x13, 0x00, 0x00, 0x00];
+            put_uvarint(&mut payload, parts.len() as u64);
+            for &p in parts {
                 put_uvarint(&mut payload, p);
             }
+            Request::decode(&payload)
+        };
+        for parts in [[3u64, 1], [2, 2]] {
             assert_eq!(
-                Request::decode(&payload),
+                scoped(&parts),
                 Err(FrameError::Malformed("partition ids not sorted unique"))
             );
         }
+        assert_eq!(
+            scoped(&[]),
+            Err(FrameError::Malformed("scoped read names no partition"))
+        );
+        assert!(scoped(&[1, 2]).is_ok());
+        // An unknown scoped query kind is malformed.
+        let mut payload = vec![VERSION, 0x13, 0x00, 0x07, 0x00];
+        put_partitions(&mut payload, &[1]);
+        assert_eq!(
+            Request::decode(&payload),
+            Err(FrameError::Malformed("scoped-read kind"))
+        );
+        // A view pull carries no list: one is trailing bytes.
+        let mut payload = vec![VERSION, 0x0F, 0x00, 0x00, 0x00];
+        put_partitions(&mut payload, &[1]);
+        assert_eq!(
+            Request::decode(&payload),
+            Err(FrameError::Malformed("trailing bytes"))
+        );
         // Partition count far beyond the body size must not allocate.
         let mut payload = vec![VERSION, 0x10, 0x00];
         put_uvarint(&mut payload, u64::MAX);
@@ -1461,6 +1663,16 @@ mod tests {
             epoch: 9,
             pooled: vec![(3, vec![17, 2]), (8, Vec::new())],
         }));
+        roundtrip_response(Response::CertifiedIn(None));
+        roundtrip_response(Response::TopIn(Vec::new()));
+        roundtrip_response(Response::TopIn(vec![
+            (u64::MAX, Neighbourhood::new(3, vec![1, 2])),
+            (2, Neighbourhood::new(0, Vec::new())),
+        ]));
+        roundtrip_response(Response::CertifiedIn(Some((
+            1,
+            Neighbourhood::new(u32::MAX, vec![4, u64::MAX]),
+        ))));
         roundtrip_response(Response::error(
             ErrorCode::QuotaExceeded,
             "space tenant-1 over quota".into(),
@@ -1651,6 +1863,41 @@ mod tests {
             Request::decode(&payload),
             Err(FrameError::Malformed("space config"))
         ));
+    }
+
+    #[test]
+    fn answers_past_one_frame_are_typed_oversized() {
+        // The bound counts every varint at full width.
+        assert!(body_fits(answer_bound([3, 1024, 0])));
+        assert!(!body_fits(answer_bound([MAX_FRAME / 10])));
+        assert!(!body_fits(answer_bound(std::iter::repeat_n(
+            0,
+            MAX_FRAME / 21
+        ))));
+        // A synthetic answer past one frame: zeroed witness pages are never
+        // touched, since the bound reads only the list lengths.
+        let huge = || Neighbourhood {
+            vertex: 1,
+            witnesses: vec![0; MAX_FRAME / 10],
+        };
+        for answer in [
+            Response::Top(vec![Neighbourhood::new(2, vec![7]), huge()]),
+            Response::Answer(Some(huge())),
+            Response::CertifiedIn(Some((0, huge()))),
+            Response::TopIn(vec![(3, huge())]),
+        ] {
+            assert!(matches!(
+                answer.bounded(),
+                Response::Error {
+                    code: ErrorCode::Oversized,
+                    ..
+                }
+            ));
+        }
+        // Answers that fit, and every other response, pass unchanged.
+        let small = Response::Top(vec![Neighbourhood::new(2, vec![7, 9])]);
+        assert_eq!(small.clone().bounded(), small);
+        assert_eq!(Response::Pong.bounded(), Response::Pong);
     }
 
     #[test]

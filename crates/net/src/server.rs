@@ -71,13 +71,13 @@
 //! connection are unaffected.
 
 use crate::proto::{
-    check_frame_len, ErrorCode, FrameError, ReadMode, Request, Response, WireNodeInfo,
+    check_frame_len, ErrorCode, FrameError, ReadMode, Request, Response, ScopedQuery, WireNodeInfo,
     WireShardStats, WireSpaceInfo, WireStats, WireView,
 };
 use fews_common::{SpaceConfig, SpaceId};
 use fews_engine::checkpoint::{unwrap_envelope, wrap_envelope, Header};
 use fews_engine::wal::{wal_path, SpaceDir, Wal, WalHandle};
-use fews_engine::{partition_of, Engine, EngineConfig, EngineStats, GlobalView, ModelSpec};
+use fews_engine::{Engine, EngineConfig, EngineStats, GlobalView, ModelSpec, Scope};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -1575,6 +1575,11 @@ fn read_snapshot(
     }
 }
 
+/// A wire `top k` as a ranking length.
+fn clamp_k(k: u64) -> usize {
+    k.min(u32::MAX as u64) as usize
+}
+
 fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared) -> Response {
     match request {
         // State-changing requests: space state lock, WAL-then-apply, then
@@ -1739,16 +1744,18 @@ fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared)
         // lock, no shard barrier, no blocking against ingest or each other.
         // `AtLeast` waits (condvar, not engine work) for the refresher to
         // cover the client's watermark; `Stale` answers immediately.
+        // Every answer is bounded before it is encoded: a large `top k`
+        // is a typed `oversized`, not a panic in the codec.
         Request::Certified(mode) => match read_snapshot(handle, &mode, &shared.limits) {
-            Ok(snap) => Response::Answer(snap.view.certified()),
+            Ok(snap) => Response::Answer(snap.view.certified()).bounded(),
             Err(resp) => *resp,
         },
         Request::Certify(v, mode) => match read_snapshot(handle, &mode, &shared.limits) {
-            Ok(snap) => Response::Answer(snap.view.certify(v)),
+            Ok(snap) => Response::Answer(snap.view.certify(v)).bounded(),
             Err(resp) => *resp,
         },
         Request::Top(k, mode) => match read_snapshot(handle, &mode, &shared.limits) {
-            Ok(snap) => Response::Top(snap.view.top(k.min(u32::MAX as u64) as usize)),
+            Ok(snap) => Response::Top(snap.view.top(clamp_k(k))).bounded(),
             Err(resp) => *resp,
         },
         Request::Stats(mode) => {
@@ -1838,50 +1845,26 @@ fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared)
         Request::ViewPull {
             since,
             min_watermark,
-            parts: named,
         } => {
-            if let Some(&p) = named.iter().find(|&&p| p as usize >= handle.cfg.partitions) {
-                return Response::error(
-                    ErrorCode::Malformed,
-                    format!(
-                        "view pull names partition {p}, space has {}",
-                        handle.cfg.partitions
-                    ),
-                );
-            }
-            // A router pulls to answer a query that must cover everything
-            // it has routed: wait for the refresher to publish past the
-            // node's acked watermark before deciding anything.
             let snap =
                 match read_snapshot(handle, &ReadMode::AtLeast(min_watermark), &shared.limits) {
                     Ok(snap) => snap,
                     Err(resp) => return *resp,
                 };
             if snap.version == since {
-                // The puller's watermark is current: nothing to ship (the
-                // quiesced-cluster fast path).
+                // The puller's copy is current: nothing to ship.
                 return Response::View(WireView::Unchanged { epoch: since });
             }
-            // The list is sorted and unique (the decoder enforces it), so
-            // membership is a binary search; empty ships everything.
-            let wanted = |p: u32| named.is_empty() || named.binary_search(&p).is_ok();
             let view = match snap.view.as_ref() {
                 GlobalView::InsertOnly { parts, .. } => WireView::InsertOnly {
                     epoch: snap.version,
-                    parts: parts
-                        .iter()
-                        .enumerate()
-                        .filter(|&(p, _)| wanted(p as u32))
-                        .map(|(p, state)| (p as u32, state.encode()))
+                    parts: (0..)
+                        .zip(parts.iter().map(|state| state.encode()))
                         .collect(),
                 },
                 GlobalView::InsertDelete { pooled, .. } => WireView::InsertDelete {
                     epoch: snap.version,
-                    pooled: pooled
-                        .iter()
-                        .filter(|(a, _)| wanted(partition_of(*a, handle.cfg.partitions) as u32))
-                        .cloned()
-                        .collect(),
+                    pooled: pooled.clone(),
                 },
             };
             // Worst-case wire size (varints at max width) — checked before
@@ -1904,6 +1887,36 @@ fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared)
                 );
             }
             Response::View(view)
+        }
+        // A router's pushed-down read: the same snapshot resolution (lag
+        // shed, watermark wait) as a client read, answered over the named
+        // partitions only, so only the answer's witness lists are copied.
+        Request::ScopedRead {
+            query,
+            mode,
+            parts: named,
+        } => {
+            let partitions = handle.cfg.partitions;
+            if let Some(&p) = named.iter().find(|&&p| p as usize >= partitions) {
+                return Response::error(
+                    ErrorCode::Malformed,
+                    format!("scoped read names partition {p}, space has {partitions}"),
+                );
+            }
+            let snap = match read_snapshot(handle, &mode, &shared.limits) {
+                Ok(snap) => snap,
+                Err(resp) => return *resp,
+            };
+            let scope = Scope::Parts {
+                named: &named,
+                partitions,
+            };
+            match query {
+                ScopedQuery::Certified => Response::CertifiedIn(snap.view.certified_in(scope)),
+                ScopedQuery::Certify(v) => Response::Answer(snap.view.certify_in(v, scope)),
+                ScopedQuery::Top(k) => Response::TopIn(snap.view.top_in(clamp_k(k), scope)),
+            }
+            .bounded()
         }
         Request::SliceCheckpoint(parts) => {
             if let Some(&p) = parts.iter().find(|&&p| p as usize >= handle.cfg.partitions) {

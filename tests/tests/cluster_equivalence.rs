@@ -9,8 +9,8 @@
 //! instances seeded via [`fews_engine::partition_seed`], fed in stream order
 //! through [`fews_engine::partition_of`] routing, merged with the
 //! `fews-core` merge hooks. The cluster adds processes-worth of machinery —
-//! wire framing, partition routing, per-node epoch-gated view pulls, the
-//! cross-node merge — none of which may change a byte. A final test kills a
+//! wire framing, partition routing, per-node scoped reads, the merge of
+//! their answers — none of which may change a byte. A final test kills a
 //! worker mid-stream, keeps ingesting while it is down, revives it through
 //! the checkpoint-handoff rejoin path, and holds the recovered cluster to
 //! the same byte-identity bar.

@@ -109,8 +109,8 @@ fn watermarked_reads_match_reference_at_every_prefix() {
 }
 
 /// The same prefix differential through a cluster router: the ack watermark
-/// is the router's, fan-out view pulls must wait on the per-worker
-/// watermarks it implies.
+/// is the router's, and the scoped reads it fans out must wait on the
+/// per-worker watermarks it implies.
 #[test]
 fn watermarked_reads_match_reference_through_router() {
     let (cfg, updates) = io_workload();
