@@ -133,6 +133,13 @@ fn usage(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Parse `args` as `--key value` flags, accepting only those `known` names
+/// (the flags the subcommand's usage line lists): any other flag is a
+/// usage error.
+fn opts(args: &[String], known: &str) -> Opts {
+    Opts::parse(args, known).unwrap_or_else(|e| usage(&e))
+}
+
 fn write_stream(path: &str, updates: &[Update]) {
     let f = std::fs::File::create(path).unwrap_or_else(|e| usage(&format!("create {path}: {e}")));
     sio::write_updates(std::io::BufWriter::new(f), updates).expect("write stream");
@@ -156,7 +163,14 @@ fn generate(rest: &[String]) {
         .first()
         .cloned()
         .unwrap_or_else(|| usage("generate needs a workload"));
-    let o = Opts::parse(&rest[1..]);
+    let known = match workload.as_str() {
+        "planted" => "seed out n m d background",
+        "zipf" => "seed out n len theta",
+        "dos" => "seed out dsts srcs packets attack",
+        "dblog" => "seed out records users hot background retract",
+        other => usage(&format!("unknown workload {other}")),
+    };
+    let o = opts(&rest[1..], known);
     let seed: u64 = o.get("seed", 1);
     let out: String = o
         .get_str("out")
@@ -204,7 +218,7 @@ fn generate(rest: &[String]) {
             outln!("# hot record {}", log.hot_record);
             write_stream(&out, &log.updates);
         }
-        other => usage(&format!("unknown workload {other}")),
+        _ => unreachable!("workload checked with its flags"),
     }
 }
 
@@ -213,7 +227,7 @@ fn stats(rest: &[String]) {
         .first()
         .cloned()
         .unwrap_or_else(|| usage("stats needs a FILE"));
-    let o = Opts::parse(&rest[1..]);
+    let o = opts(&rest[1..], "n");
     let updates = read_stream(&path);
     let inserts = updates.iter().filter(|u| u.delta > 0).count();
     let deletes = updates.len() - inserts;
@@ -284,7 +298,7 @@ fn run(rest: &[String]) {
         .first()
         .cloned()
         .unwrap_or_else(|| usage("run needs a FILE"));
-    let o = Opts::parse(&rest[1..]);
+    let o = opts(&rest[1..], "n d alpha model seed scale m");
     let d: u32 = o
         .get_str("d")
         .map(|s| {
@@ -468,7 +482,10 @@ fn serve(rest: &[String]) {
         .first()
         .cloned()
         .unwrap_or_else(|| usage("serve needs a FILE"));
-    let o = Opts::parse(&rest[1..]);
+    let o = opts(
+        &rest[1..],
+        "n d alpha model seed scale m shards partitions batch restore",
+    );
     let (cfg, is_io, n, m) = engine_cfg_from(&o);
     let (shards, partitions) = (cfg.shards, cfg.partitions);
 
@@ -593,7 +610,11 @@ fn serve(rest: &[String]) {
 /// `--data-dir DIR` turns on durability: spaces found under DIR are
 /// recovered before the first connection is accepted.
 fn listen(rest: &[String]) {
-    let o = Opts::parse(rest);
+    let o = opts(
+        rest,
+        "addr n d alpha model seed scale m shards partitions batch replay restore data-dir \
+         compact-bytes max-conns inflight-updates inflight-bytes lag-budget",
+    );
     let addr = o.get_str("addr").unwrap_or_else(|| "127.0.0.1:7411".into());
     let (cfg, _, n, m) = engine_cfg_from(&o);
     let (shards, partitions) = (cfg.shards, cfg.partitions);
@@ -649,7 +670,11 @@ fn listen(rest: &[String]) {
 /// empty and serve the exact model flags given here — the router verifies
 /// each one's identity (`node-hello`) before routing a single update.
 fn router(rest: &[String]) {
-    let o = Opts::parse(rest);
+    let o = opts(
+        rest,
+        "addr workers n d alpha model seed scale m partitions replicas data-dir timeout-ms \
+         retries heartbeat-ms retained-budget forward-shutdown",
+    );
     let addr = o.get_str("addr").unwrap_or_else(|| "127.0.0.1:7421".into());
     let workers: Vec<String> = o
         .get_str("workers")
@@ -911,7 +936,7 @@ fn client_cmd(rest: &[String]) {
                 .get(2)
                 .cloned()
                 .unwrap_or_else(|| usage("ingest needs a FILE"));
-            let o = Opts::parse(&rest[3..]);
+            let o = opts(&rest[3..], "batch");
             let batch = o.get("batch", 1024usize).max(1);
             // Ranges are enforced server-side; pass the widest bounds here.
             let count = ingest_file(&mut client, &path, batch, u32::MAX, 0);
@@ -947,7 +972,10 @@ fn client_cmd(rest: &[String]) {
                 .cloned()
                 .unwrap_or_else(|| usage("create-space needs a NAME"));
             let name = SpaceId::new(&name).unwrap_or_else(|e| usage(&format!("create-space: {e}")));
-            let spec = space_spec_from(&Opts::parse(&rest[3..]));
+            let spec = space_spec_from(&opts(
+                &rest[3..],
+                "n d alpha model m scale partitions quota",
+            ));
             client.create_space(&name, spec).unwrap_or_else(|e| fail(e));
             outln!("created space '{name}'");
         }

@@ -6,23 +6,27 @@ pub struct Opts {
 }
 
 impl Opts {
-    /// Parse a flat argument list of `--key value` pairs.
-    pub fn parse(args: &[String]) -> Opts {
+    /// Parse a flat argument list of `--key value` pairs. Only the flags
+    /// named in `known` (space-separated, without dashes) are accepted: a
+    /// misspelt or foreign flag must not be silently ignored, so it is an
+    /// error naming the flag.
+    pub fn parse(args: &[String], known: &str) -> Result<Opts, String> {
         let mut pairs = Vec::new();
         let mut i = 0;
         while i < args.len() {
             let Some(key) = args[i].strip_prefix("--") else {
-                eprintln!("error: expected --flag, got {}", args[i]);
-                std::process::exit(2);
+                return Err(format!("expected --flag, got {}", args[i]));
             };
+            if !known.split_whitespace().any(|k| k == key) {
+                return Err(format!("unknown flag --{key} for this command"));
+            }
             let Some(val) = args.get(i + 1) else {
-                eprintln!("error: --{key} needs a value");
-                std::process::exit(2);
+                return Err(format!("--{key} needs a value"));
             };
             pairs.push((key.to_string(), val.clone()));
             i += 2;
         }
-        Opts { pairs }
+        Ok(Opts { pairs })
     }
 
     /// Typed lookup with a default.
@@ -56,7 +60,8 @@ mod tests {
 
     #[test]
     fn parses_typed_values() {
-        let o = Opts::parse(&strs(&["--n", "42", "--theta", "1.5", "--out", "x.txt"]));
+        let args = strs(&["--n", "42", "--theta", "1.5", "--out", "x.txt"]);
+        let o = Opts::parse(&args, "n theta out").expect("known flags");
         assert_eq!(o.get("n", 0u32), 42);
         assert_eq!(o.get("theta", 0.0f64), 1.5);
         assert_eq!(o.get_str("out").as_deref(), Some("x.txt"));
@@ -65,7 +70,24 @@ mod tests {
 
     #[test]
     fn last_occurrence_wins() {
-        let o = Opts::parse(&strs(&["--n", "1", "--n", "2"]));
+        let o = Opts::parse(&strs(&["--n", "1", "--n", "2"]), "n").expect("known flag");
         assert_eq!(o.get("n", 0u32), 2);
+    }
+
+    #[test]
+    fn unknown_flags_are_errors_naming_the_flag() {
+        let known = "n d alpha";
+        let err = Opts::parse(&strs(&["--n", "16", "--d", "2", "--aplha", "3"]), known)
+            .err()
+            .expect("a misspelt flag is an error");
+        assert!(err.contains("--aplha"), "error: {err}");
+        // Rejected wherever it appears, and even without a value; a known
+        // name's prefix is not a match.
+        assert!(Opts::parse(&strs(&["--max-conns", "4", "--n", "16"]), known).is_err());
+        assert!(Opts::parse(&strs(&["--n", "16", "--bogus"]), known).is_err());
+        assert!(Opts::parse(&strs(&["--alp", "3"]), known).is_err());
+        // Malformed lists stay errors too.
+        assert!(Opts::parse(&strs(&["16"]), known).is_err());
+        assert!(Opts::parse(&strs(&["--n"]), known).is_err());
     }
 }

@@ -9,9 +9,10 @@
 //!
 //! ## Architecture
 //!
-//! [`Router`] is itself a `fews-net` protocol v3 server, so any existing
-//! client (`fews client`, the bench harness) talks to a cluster exactly as
-//! it talks to one node. Behind the front end:
+//! [`Router`] is itself a `fews-net` protocol v3 server, running the
+//! node's own connection core (`fews_net::serve`), so any existing client
+//! (`fews client`, the bench harness) talks to a cluster exactly as it
+//! talks to one node. Behind the front end:
 //!
 //! * **Partition routing.** The unit of distribution is the *partition* —
 //!   the same `partition_of(a, P)` vertex-hash slice the engine already

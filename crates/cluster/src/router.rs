@@ -4,7 +4,10 @@
 //! server on its public side and a `fews-net` client on its worker side;
 //! everything it knows lives in one [`Inner`] behind a mutex (request
 //! handling serializes at the router, the workers' own shard pools provide
-//! the parallelism).
+//! the parallelism). Its front end is the node's own connection core,
+//! [`fews_net::serve`], handed the router's request handler: accept, frame
+//! deadlines, typed errors for header damage and shutdown behave exactly
+//! as on a node, with no connection cap.
 //!
 //! ## Consistency argument
 //!
@@ -89,27 +92,21 @@ use fews_core::neighbourhood::Neighbourhood;
 use fews_engine::checkpoint::{self, unwrap_envelope, Header};
 use fews_engine::wal::{atomic_write, wal_path, SpaceDir, Wal};
 use fews_engine::{partition_of, Engine, EngineConfig, ModelSpec};
-use fews_net::proto::{body_fits, check_frame_len, FrameError};
+use fews_net::proto::body_fits;
+use fews_net::serve::{self, FrontEnd};
+use fews_net::server::validate_batch;
 use fews_net::{
     Client, ClientError, ClientOptions, ErrorCode, ReadMode, Request, Response, ScopedQuery,
     WireNodeInfo, WireOverload, WireShardStats, WireStats,
 };
 use fews_stream::Update;
 use std::cmp::{Ordering as Rank, Reverse};
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::ErrorKind;
+use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How long a front-end connection blocks in `read` before re-checking the
-/// shutdown flag (same role as the server's idle poll).
-const IDLE_POLL: Duration = Duration::from_millis(100);
-
-/// Upper bound on one front-end response write.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Replay chunk size for checkpoint-handoff rejoin: small enough that a
 /// chunk always fits one frame, large enough to amortize round-trips.
@@ -378,49 +375,6 @@ fn node_fail(addr: &str, e: &ClientError) -> Fail {
         ),
         ClientError::Server { code, message, .. } => (*code, format!("worker {addr}: {message}")),
     }
-}
-
-/// Same validation the single-node server applies before any update reaches
-/// an engine, so a cluster rejects exactly what one node rejects.
-fn validate_batch(cfg: &EngineConfig, updates: &[Update]) -> Result<(), Fail> {
-    match cfg.model {
-        ModelSpec::InsertOnly(c) => {
-            for u in updates {
-                if u.delta < 0 {
-                    return Err((
-                        ErrorCode::ModelMismatch,
-                        format!(
-                            "deletion of ({}, {}) into an insertion-only model",
-                            u.edge.a, u.edge.b
-                        ),
-                    ));
-                }
-                if u.edge.a >= c.n {
-                    return Err((
-                        ErrorCode::BadUpdate,
-                        format!("vertex {} out of range n={}", u.edge.a, c.n),
-                    ));
-                }
-            }
-        }
-        ModelSpec::InsertDelete(c) => {
-            for u in updates {
-                if u.edge.a >= c.n {
-                    return Err((
-                        ErrorCode::BadUpdate,
-                        format!("vertex {} out of range n={}", u.edge.a, c.n),
-                    ));
-                }
-                if u.edge.b >= c.m {
-                    return Err((
-                        ErrorCode::BadUpdate,
-                        format!("witness {} out of range m={}", u.edge.b, c.m),
-                    ));
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Whether a worker's typed refusal of a read is load, not a fault: the
@@ -1225,7 +1179,9 @@ impl Inner {
 
 struct RouterShared {
     inner: Mutex<Inner>,
-    shutdown: AtomicBool,
+    /// The connection core's shared half: the shutdown flag the
+    /// heartbeat polls.
+    front: Arc<FrontEnd>,
 }
 
 /// A running cluster coordinator. Dropping it (or [`Router::join`] after a
@@ -1421,14 +1377,15 @@ impl Router {
         }
         let shared = Arc::new(RouterShared {
             inner: Mutex::new(inner),
-            shutdown: AtomicBool::new(false),
+            front: Arc::new(FrontEnd::new(0)),
         });
         let acceptor = {
             let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("fews-cluster-acceptor".into())
-                .spawn(move || run_acceptor(listener, shared))
-                .expect("spawn acceptor")
+            serve::spawn(
+                listener,
+                Arc::clone(&shared.front),
+                move |space, request| handle_request(space, request, &shared),
+            )
         };
         let heartbeat = heartbeat_period.map(|period| {
             let shared = Arc::clone(&shared);
@@ -1450,17 +1407,11 @@ impl Router {
         self.addr
     }
 
-    /// Whether a shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Request shutdown from the owning side. Does *not* forward to the
     /// workers — only a client-initiated `shutdown` does that (and only
     /// with [`RouterOptions::forward_shutdown`]).
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
+        self.shared.front.shutdown(self.addr);
     }
 
     /// Block until the front end has wound down. Returns the number of
@@ -1493,7 +1444,7 @@ fn run_heartbeat(shared: Arc<RouterShared>, period: Duration) {
     let tick = Duration::from_millis(50);
     let mut elapsed = Duration::ZERO;
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shared.front.is_shutting_down() {
             return;
         }
         std::thread::sleep(tick);
@@ -1502,155 +1453,10 @@ fn run_heartbeat(shared: Arc<RouterShared>, period: Duration) {
             continue;
         }
         elapsed = Duration::ZERO;
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shared.front.is_shutting_down() {
             return;
         }
         shared.inner.lock().expect("router state").heartbeat();
-    }
-}
-
-fn run_acceptor(listener: TcpListener, shared: Arc<RouterShared>) {
-    let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else {
-            std::thread::sleep(Duration::from_millis(50));
-            continue;
-        };
-        let shared = Arc::clone(&shared);
-        let worker = std::thread::Builder::new()
-            .name("fews-cluster-conn".into())
-            .spawn(move || serve_connection(stream, shared))
-            .expect("spawn connection worker");
-        workers.push(worker);
-        workers.retain(|w| !w.is_finished());
-    }
-    for worker in workers {
-        let _ = worker.join();
-    }
-}
-
-/// What a blocking read observed at a frame boundary.
-enum ReadOutcome {
-    Full,
-    CleanEof,
-    Truncated,
-    ShuttingDown,
-}
-
-/// Fill `buf`, tolerating read timeouts (the shutdown poll) without losing
-/// bytes across them.
-fn read_full(stream: &mut TcpStream, buf: &mut [u8], shared: &RouterShared) -> ReadOutcome {
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    ReadOutcome::CleanEof
-                } else {
-                    ReadOutcome::Truncated
-                };
-            }
-            Ok(n) => filled += n,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return ReadOutcome::ShuttingDown;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return ReadOutcome::Truncated,
-        }
-    }
-    ReadOutcome::Full
-}
-
-fn send_error(stream: &mut TcpStream, code: ErrorCode, message: String) {
-    let _ = stream.write_all(&Response::error(code, message).encode());
-}
-
-fn error_code_for(err: &FrameError) -> ErrorCode {
-    match err {
-        FrameError::Oversized(_) => ErrorCode::Oversized,
-        FrameError::UnsupportedVersion(_) => ErrorCode::UnsupportedVersion,
-        FrameError::UnknownTag(_) => ErrorCode::UnknownTag,
-        FrameError::Malformed(_) => ErrorCode::Malformed,
-    }
-}
-
-/// The front-end connection loop — the same framing discipline as the
-/// single-node server: length-delimited frames keep a malformed body from
-/// desyncing the stream, header-level damage closes the connection after a
-/// best-effort error frame.
-fn serve_connection(mut stream: TcpStream, shared: Arc<RouterShared>) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(IDLE_POLL));
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    let mut header = [0u8; 4];
-    const BUF_RETAIN: usize = 1 << 20;
-    let mut payload: Vec<u8> = Vec::new();
-    let mut out: Vec<u8> = Vec::new();
-    loop {
-        if payload.capacity() > BUF_RETAIN {
-            payload.shrink_to(BUF_RETAIN);
-        }
-        if out.capacity() > BUF_RETAIN {
-            out.shrink_to(BUF_RETAIN);
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match read_full(&mut stream, &mut header, &shared) {
-            ReadOutcome::Full => {}
-            ReadOutcome::CleanEof | ReadOutcome::ShuttingDown | ReadOutcome::Truncated => return,
-        }
-        let declared = u32::from_le_bytes(header) as u64;
-        let len = match check_frame_len(declared) {
-            Ok(len) => len,
-            Err(e) => {
-                send_error(&mut stream, ErrorCode::Oversized, e.to_string());
-                return;
-            }
-        };
-        payload.clear();
-        payload.resize(len, 0);
-        match read_full(&mut stream, &mut payload, &shared) {
-            ReadOutcome::Full => {}
-            ReadOutcome::ShuttingDown => return,
-            ReadOutcome::CleanEof | ReadOutcome::Truncated => {
-                send_error(
-                    &mut stream,
-                    ErrorCode::Truncated,
-                    "frame truncated before declared length".into(),
-                );
-                return;
-            }
-        }
-        let (space, request) = match Request::decode(&payload) {
-            Ok(decoded) => decoded,
-            Err(e) => {
-                send_error(&mut stream, error_code_for(&e), e.to_string());
-                continue;
-            }
-        };
-        let response = handle_request(space, request, &shared);
-        let bye = matches!(response, Response::Bye);
-        if bye {
-            shared.shutdown.store(true, Ordering::SeqCst);
-        }
-        out.clear();
-        response.encode_into(&mut out);
-        let write_ok = stream.write_all(&out).is_ok();
-        if bye {
-            if let Ok(addr) = stream.local_addr() {
-                let _ = TcpStream::connect(addr);
-            }
-            return;
-        }
-        if !write_ok {
-            return;
-        }
     }
 }
 
@@ -1798,6 +1604,9 @@ mod tests {
     use fews_engine::{GlobalView, Scope};
     use fews_net::{OverloadLimits, Server, ServerOptions};
     use fews_stream::Edge;
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn test_cfg() -> EngineConfig {
         EngineConfig::insert_only(FewwConfig::new(64, 8, 2), 2021)

@@ -14,6 +14,11 @@
 //!   `fews_core::wire`, checkpoints byte-identical to
 //!   [`fews_engine::Engine::checkpoint`], wrapped in a space-tagged
 //!   envelope).
+//! * [`serve`] — the one connection core, run by a node's [`Server`] and
+//!   by the `fews-cluster` router alike: accept-time shedding past a
+//!   connection cap, per-frame read deadlines, buffer reuse, typed error
+//!   frames for header damage, and shutdown. A front end supplies only its
+//!   request handler.
 //! * [`server`] — [`Server`]: bind, accept, validate, answer. Malformed
 //!   input yields error frames, never panics; ingest is validated against
 //!   the addressed space's model before any update reaches a shard. With
@@ -64,6 +69,7 @@
 pub mod client;
 pub mod fault;
 pub mod proto;
+pub mod serve;
 pub mod server;
 
 pub use client::{Client, ClientError, ClientOptions};

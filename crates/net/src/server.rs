@@ -1,6 +1,7 @@
-//! The threaded TCP server: one acceptor, one worker thread per connection,
-//! and a *space registry* — every tenant space owns its own [`Engine`]
-//! behind its own mutex, plus a published, lock-free query snapshot.
+//! The threaded TCP server: the connection core ([`crate::serve`]: one
+//! acceptor, one worker thread per connection) in front of a *space
+//! registry* — every tenant space owns its own [`Engine`] behind its own
+//! mutex, plus a published, lock-free query snapshot.
 //!
 //! **Spaces are isolation domains.** The registry is a
 //! `RwLock<HashMap<SpaceId, Arc<SpaceHandle>>>`: request dispatch takes the
@@ -71,45 +72,27 @@
 //! connection are unaffected.
 
 use crate::proto::{
-    check_frame_len, ErrorCode, FrameError, ReadMode, Request, Response, ScopedQuery, WireNodeInfo,
-    WireShardStats, WireSpaceInfo, WireStats, WireView,
+    ErrorCode, ReadMode, Request, Response, ScopedQuery, WireNodeInfo, WireShardStats,
+    WireSpaceInfo, WireStats, WireView,
 };
+use crate::serve::{self, FrontEnd};
 use fews_common::{SpaceConfig, SpaceId};
 use fews_engine::checkpoint::{unwrap_envelope, wrap_envelope, Header};
 use fews_engine::wal::{wal_path, SpaceDir, Wal, WalHandle};
 use fews_engine::{Engine, EngineConfig, EngineStats, GlobalView, ModelSpec, Scope};
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::ErrorKind;
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long a connection worker blocks in `read` before re-checking the
-/// shutdown flag. Bounds how late a worker can notice server shutdown.
-const IDLE_POLL: Duration = Duration::from_millis(100);
-
-/// Upper bound on one response write. A peer that requests a large reply
-/// and then never drains its socket would otherwise pin its worker in
-/// `write_all` forever — and with it the acceptor's shutdown join.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Once a frame's first byte arrives, the rest of it (header and payload)
-/// must land within this deadline. A slowloris peer trickling one byte per
-/// poll interval would otherwise hold a worker — and, under
-/// [`ServerOptions::max_conns`], a connection slot — forever. Idle time
-/// *between* frames is unbounded: a quiet, well-formed connection is cheap.
-const FRAME_DEADLINE: Duration = Duration::from_secs(30);
-
 /// Base unit of the `retry_after_ms` hint on shed requests; scaled by how
 /// far past its budget the space is, so harder overload spreads retries
 /// over a wider window.
 const RETRY_BASE_MS: u64 = 50;
-
-/// Retry hint handed to connections shed at accept time.
-const CONN_RETRY_MS: u64 = 200;
 
 /// Upper bound on a watermarked query's wait for the refresher to catch
 /// up. Normally the refresher publishes within a millisecond of ingest, so
@@ -714,16 +697,12 @@ struct Shared {
     refresh_debounce: Option<Duration>,
     /// Overload budgets ([`ServerOptions::limits`]).
     limits: OverloadLimits,
-    /// Connection cap ([`ServerOptions::max_conns`]; 0 = unlimited).
-    max_conns: usize,
-    /// Live connection workers.
-    conns: AtomicU64,
-    /// Connections shed at accept time (monotone, server-wide).
-    shed_conns: AtomicU64,
     /// Storage fault lab ([`ServerOptions::disk_faults`]), attached to
     /// every created space's checkpoint writer.
     disk_faults: Option<Arc<fews_engine::diskfault::DiskFaultPlan>>,
-    shutdown: AtomicBool,
+    /// The connection core's shared half: the shutdown flag, and the
+    /// connection cap ([`ServerOptions::max_conns`]) with its counts.
+    front: Arc<FrontEnd>,
     /// Set by [`Server::crash`]: skip graceful finalization on join.
     crash: AtomicBool,
 }
@@ -781,19 +760,17 @@ impl Server {
             refresh: RefreshSignal::default(),
             refresh_debounce: opts.refresh_debounce,
             limits: opts.limits,
-            max_conns: opts.max_conns,
-            conns: AtomicU64::new(0),
-            shed_conns: AtomicU64::new(0),
             disk_faults: opts.disk_faults,
-            shutdown: AtomicBool::new(false),
+            front: Arc::new(FrontEnd::new(opts.max_conns)),
             crash: AtomicBool::new(false),
         });
         let acceptor = {
             let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("fews-net-acceptor".into())
-                .spawn(move || run_acceptor(listener, shared))
-                .expect("spawn acceptor")
+            serve::spawn(
+                listener,
+                Arc::clone(&shared.front),
+                move |space, request| handle_request(space, request, &shared),
+            )
         };
         let refresher = {
             let shared = Arc::clone(&shared);
@@ -823,18 +800,12 @@ impl Server {
         &self.recovery_log
     }
 
-    /// Whether a shutdown request has been received.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Request shutdown from the owning side (equivalent to a client's
     /// [`Request::Shutdown`], minus the response frame).
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
         // Wake the acceptor out of its blocking accept, and the refresher
         // out of its doorbell wait.
-        let _ = TcpStream::connect(self.addr);
+        self.shared.front.shutdown(self.addr);
         self.shared.refresh.ring();
     }
 
@@ -858,7 +829,6 @@ impl Server {
         if let Some(handle) = self.acceptor.take() {
             let _ = handle.join();
         }
-        self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.refresh.ring();
         if let Some(handle) = self.refresher.take() {
             let _ = handle.join();
@@ -1080,49 +1050,6 @@ fn build_spaces(
     Ok((spaces, Some(wal)))
 }
 
-fn run_acceptor(listener: TcpListener, shared: Arc<Shared>) {
-    let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else {
-            // Accept failures (e.g. fd exhaustion from too many concurrent
-            // connections) tend to persist; back off instead of spinning.
-            std::thread::sleep(Duration::from_millis(50));
-            continue;
-        };
-        // Accept-time shedding: past the connection cap, answer with a
-        // typed Overloaded frame and close — the peer learns to back off
-        // instead of discovering a dead socket (or a full SYN queue) later.
-        if shared.max_conns > 0 && shared.conns.load(Ordering::SeqCst) >= shared.max_conns as u64 {
-            shared.shed_conns.fetch_add(1, Ordering::SeqCst);
-            let mut stream = stream;
-            let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-            let _ = stream.write_all(
-                &Response::overloaded(
-                    format!("server is at its connection limit ({})", shared.max_conns),
-                    CONN_RETRY_MS,
-                )
-                .encode(),
-            );
-            continue;
-        }
-        shared.conns.fetch_add(1, Ordering::SeqCst);
-        let shared = Arc::clone(&shared);
-        let worker = std::thread::Builder::new()
-            .name("fews-net-conn".into())
-            .spawn(move || serve_connection(stream, shared))
-            .expect("spawn connection worker");
-        workers.push(worker);
-        // Reap finished workers so the handle list stays bounded.
-        workers.retain(|w| !w.is_finished());
-    }
-    for worker in workers {
-        let _ = worker.join();
-    }
-}
-
 /// The background snapshot refresher: sleep on the ingest doorbell, then
 /// sweep the registry and publish every space whose applied state has
 /// moved past its published watermark. One thread serves every space — a
@@ -1132,7 +1059,7 @@ fn run_refresher(shared: Arc<Shared>) {
     let mut seen = 0u64;
     loop {
         seen = shared.refresh.wait(seen);
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shared.front.is_shutting_down() {
             return;
         }
         if let Some(delay) = shared.refresh_debounce {
@@ -1175,207 +1102,17 @@ fn run_refresher(shared: Arc<Shared>) {
         // idle spaces) still republish near-continuously. The cap bounds
         // watermarked-read latency even when a sweep is pathologically slow.
         let took = pass.elapsed();
-        if took > REFRESH_PACE_FLOOR && !shared.shutdown.load(Ordering::SeqCst) {
+        if took > REFRESH_PACE_FLOOR && !shared.front.is_shutting_down() {
             std::thread::sleep((took * 3).min(REFRESH_PACE_CAP));
         }
     }
 }
 
-/// What `read_full` observed at a frame boundary.
-enum ReadOutcome {
-    /// Buffer filled completely.
-    Full,
-    /// Clean EOF before the first byte — the peer is done.
-    CleanEof,
-    /// EOF or error partway through — the frame is truncated.
-    Truncated,
-    /// The server is shutting down.
-    ShuttingDown,
-    /// The frame's read deadline expired before the buffer filled — a
-    /// slowloris peer trickling bytes, or one that wandered off mid-frame.
-    DeadlineExpired,
-}
-
-/// Fill `buf` from `stream`, tolerating read timeouts (used as a shutdown
-/// poll) without ever losing bytes: the fill position survives timeouts.
-/// With a `deadline`, the fill must complete before it — the slowloris
-/// guard on a started frame; without one, the wait is unbounded (the idle
-/// wait between frames).
-fn read_full(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    shared: &Shared,
-    deadline: Option<Instant>,
-) -> ReadOutcome {
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    ReadOutcome::CleanEof
-                } else {
-                    ReadOutcome::Truncated
-                };
-            }
-            Ok(n) => filled += n,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return ReadOutcome::ShuttingDown;
-                }
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    return ReadOutcome::DeadlineExpired;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return ReadOutcome::Truncated,
-        }
-    }
-    ReadOutcome::Full
-}
-
-/// Best-effort error reply; the peer may already be gone.
-fn send_error(stream: &mut TcpStream, code: ErrorCode, message: String) {
-    let _ = stream.write_all(&Response::error(code, message).encode());
-}
-
-fn error_code_for(err: &FrameError) -> ErrorCode {
-    match err {
-        FrameError::Oversized(_) => ErrorCode::Oversized,
-        FrameError::UnsupportedVersion(_) => ErrorCode::UnsupportedVersion,
-        FrameError::UnknownTag(_) => ErrorCode::UnknownTag,
-        FrameError::Malformed(_) => ErrorCode::Malformed,
-    }
-}
-
-/// Releases a connection's slot in [`Shared::conns`] however its worker
-/// exits.
-struct ConnSlot<'a>(&'a Shared);
-
-impl Drop for ConnSlot<'_> {
-    fn drop(&mut self) {
-        self.0.conns.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-fn serve_connection(mut stream: TcpStream, shared: Arc<Shared>) {
-    let _slot = ConnSlot(&shared);
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(IDLE_POLL));
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    let mut header = [0u8; 4];
-    // Request payloads and response frames are read/encoded into buffers
-    // that live for the whole connection — no per-frame allocations on the
-    // steady-state path. One outsized frame (checkpoint/restore, up to
-    // MAX_FRAME = 64 MiB) must not pin that capacity for the connection's
-    // life, so capacities above this are released after the frame.
-    const BUF_RETAIN: usize = 1 << 20;
-    let mut payload: Vec<u8> = Vec::new();
-    let mut out: Vec<u8> = Vec::new();
-    loop {
-        if payload.capacity() > BUF_RETAIN {
-            payload.shrink_to(BUF_RETAIN);
-        }
-        if out.capacity() > BUF_RETAIN {
-            out.shrink_to(BUF_RETAIN);
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        // Idle wait (unbounded) for a frame's first byte; once it lands,
-        // the whole frame — header and payload — must complete within
-        // FRAME_DEADLINE, or the connection is closed with a typed error.
-        match read_full(&mut stream, &mut header[..1], &shared, None) {
-            ReadOutcome::Full => {}
-            ReadOutcome::CleanEof | ReadOutcome::ShuttingDown => return,
-            ReadOutcome::Truncated | ReadOutcome::DeadlineExpired => return,
-        }
-        let deadline = Some(Instant::now() + FRAME_DEADLINE);
-        match read_full(&mut stream, &mut header[1..], &shared, deadline) {
-            ReadOutcome::Full => {}
-            ReadOutcome::ShuttingDown => return,
-            ReadOutcome::CleanEof | ReadOutcome::Truncated => return,
-            ReadOutcome::DeadlineExpired => {
-                send_error(
-                    &mut stream,
-                    ErrorCode::Truncated,
-                    format!(
-                        "frame header did not complete within {}s",
-                        FRAME_DEADLINE.as_secs()
-                    ),
-                );
-                return;
-            }
-        }
-        let declared = u32::from_le_bytes(header) as u64;
-        let len = match check_frame_len(declared) {
-            Ok(len) => len,
-            Err(e) => {
-                // Cannot resync a stream with a bogus length: answer, close.
-                send_error(&mut stream, ErrorCode::Oversized, e.to_string());
-                return;
-            }
-        };
-        payload.clear();
-        payload.resize(len, 0);
-        match read_full(&mut stream, &mut payload, &shared, deadline) {
-            ReadOutcome::Full => {}
-            ReadOutcome::ShuttingDown => return,
-            ReadOutcome::CleanEof | ReadOutcome::Truncated => {
-                send_error(
-                    &mut stream,
-                    ErrorCode::Truncated,
-                    "frame truncated before declared length".into(),
-                );
-                return;
-            }
-            ReadOutcome::DeadlineExpired => {
-                send_error(
-                    &mut stream,
-                    ErrorCode::Truncated,
-                    format!(
-                        "frame payload did not complete within {}s",
-                        FRAME_DEADLINE.as_secs()
-                    ),
-                );
-                return;
-            }
-        }
-        // The frame is complete, so any decode failure leaves the stream in
-        // sync: report it and keep serving this connection.
-        let (space, request) = match Request::decode(&payload) {
-            Ok(decoded) => decoded,
-            Err(e) => {
-                send_error(&mut stream, error_code_for(&e), e.to_string());
-                continue;
-            }
-        };
-        let response = handle_request(space, request, &shared);
-        let bye = matches!(response, Response::Bye);
-        if bye {
-            // Commit the shutdown before answering: a peer that dies without
-            // reading its Bye must not un-shutdown the server.
-            shared.shutdown.store(true, Ordering::SeqCst);
-        }
-        out.clear();
-        response.encode_into(&mut out);
-        let write_ok = stream.write_all(&out).is_ok();
-        if bye {
-            // Wake the acceptor; its own listener address is the only
-            // guaranteed-listening endpoint.
-            if let Ok(addr) = stream.local_addr() {
-                let _ = TcpStream::connect(addr);
-            }
-            return;
-        }
-        if !write_ok {
-            return;
-        }
-    }
-}
-
 /// Validate an ingest batch against the serving model. Returns the first
-/// violation with its wire code; on `Ok` every update is safe to push.
-fn validate_batch(
+/// violation with its wire code; on `Ok` every update is safe to push. A
+/// cluster router runs the same check, so a cluster rejects exactly what
+/// one node rejects.
+pub fn validate_batch(
     cfg: &EngineConfig,
     updates: &[fews_stream::Update],
 ) -> Result<(), (ErrorCode, String)> {
@@ -1774,7 +1511,7 @@ fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared)
             let overload = crate::proto::WireOverload {
                 shed_ingest: handle.load.shed_ingest.load(Ordering::SeqCst),
                 shed_reads: handle.load.shed_reads.load(Ordering::SeqCst),
-                shed_conns: shared.shed_conns.load(Ordering::SeqCst),
+                shed_conns: shared.front.shed_conns(),
                 inflight_updates: handle.load.inflight_updates.load(Ordering::SeqCst),
                 inflight_bytes: handle.load.inflight_bytes.load(Ordering::SeqCst),
                 lag_updates,
