@@ -1,7 +1,7 @@
 //! Experiment driver: regenerates every table/figure of the reproduction.
 //!
 //! ```text
-//! experiments <id>|all|list [--quick] [--seed N] [--out DIR] [--query-every N]
+//! experiments <id>|all|list [--quick] [--seed N] [--out DIR]
 //! ```
 
 use fews_bench::experiments::{registry, ExpCtx};
@@ -13,19 +13,10 @@ fn main() {
     let mut quick = false;
     let mut seed = 2021u64; // PODS 2021
     let mut out_dir = PathBuf::from("results");
-    let mut query_every = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => quick = true,
-            "--query-every" => {
-                query_every = Some(
-                    it.next()
-                        .and_then(|s| s.parse::<usize>().ok())
-                        .filter(|&q| q >= 1)
-                        .unwrap_or_else(|| usage("--query-every needs a positive integer")),
-                );
-            }
             "--seed" => {
                 seed = it
                     .next()
@@ -54,7 +45,6 @@ fn main() {
         out_dir,
         quick,
         seed,
-        query_every,
     };
     std::fs::create_dir_all(&ctx.out_dir).expect("create results dir");
 

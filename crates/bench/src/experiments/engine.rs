@@ -11,22 +11,18 @@
 //! Note: speedup is physically bounded by the host's core count (recorded in
 //! the JSON); on a single-core machine all shard counts tie.
 
+use super::load::Workload;
 use super::ExpCtx;
 use crate::table::{f3, Table};
 use fews_common::rng::{derive_seed, rng_for};
-use fews_core::insertion_deletion::IdConfig;
 use fews_core::insertion_only::FewwConfig;
 use fews_engine::{Engine, EngineConfig};
 use fews_stream::update::as_insertions;
 use fews_stream::Update;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-struct Workload {
-    name: &'static str,
-    updates: Vec<Update>,
-    cfg: EngineConfig, // shard/batch fields overridden per cell
-}
+/// Engine batch of the scaling cells (the batch sweep varies it on zipf).
+const BATCH: usize = 4096;
 
 fn workloads(ctx: &ExpCtx) -> Vec<Workload> {
     let seed = derive_seed(ctx.seed, 0xE26_0001);
@@ -41,6 +37,8 @@ fn workloads(ctx: &ExpCtx) -> Vec<Workload> {
         name: "zipf",
         updates: as_insertions(&s.edges),
         cfg: EngineConfig::insert_only(FewwConfig::new(n, d.max(1), 2), seed),
+        batch: BATCH,
+        repeat: 1,
     });
 
     // Planted star in a background of light vertices.
@@ -54,6 +52,8 @@ fn workloads(ctx: &ExpCtx) -> Vec<Workload> {
         name: "planted",
         updates: as_insertions(&g.edges),
         cfg: EngineConfig::insert_only(FewwConfig::new(n, d, 2), seed),
+        batch: BATCH,
+        repeat: 1,
     });
 
     // DoS trace: victims × attack sources.
@@ -74,21 +74,18 @@ fn workloads(ctx: &ExpCtx) -> Vec<Workload> {
         name: "dos",
         updates: as_insertions(&t.edges),
         cfg: EngineConfig::insert_only(FewwConfig::new(dsts, attack, 2), seed),
+        batch: BATCH,
+        repeat: 1,
     });
 
     // Database audit log — the insertion-deletion model. Kept small: every
     // partition carries the full ℓ₀-sampler budget, so the id engine trades
     // P× space/time for mergeability (see the crate docs); this cell is
     // about model coverage, not peak throughput.
-    let (records, hot) = if ctx.quick { (32u32, 12u32) } else { (48, 16) };
-    let log = fews_stream::gen::dblog::db_log(records, 1 << 10, hot, 4, 0.5, &mut rng_for(seed, 4));
     out.push(Workload {
-        name: "dblog",
-        updates: log.updates,
-        cfg: EngineConfig::insert_delete(
-            IdConfig::with_scale(records, 1 << 10, hot, 2, 0.02),
-            seed,
-        ),
+        batch: BATCH,
+        repeat: 1,
+        ..Workload::dblog(ctx, seed, 4)
     });
 
     out
@@ -111,7 +108,6 @@ fn replay(cfg: EngineConfig, updates: &[Update]) -> (f64, Option<(u32, usize)>) 
 /// `BENCH_engine.json` summary.
 pub fn engine_exp(ctx: &ExpCtx) -> Vec<Table> {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let batch = 4096usize;
 
     let mut scaling = Table::new(
         "engine — ingest throughput vs shard count (batch 4096)",
@@ -128,15 +124,12 @@ pub fn engine_exp(ctx: &ExpCtx) -> Vec<Table> {
     let mut json_rows = Vec::new();
     let ws = workloads(ctx);
     for w in &ws {
-        let model = match w.cfg.model {
-            fews_engine::ModelSpec::InsertOnly(_) => "io",
-            fews_engine::ModelSpec::InsertDelete(_) => "id",
-        };
+        let (model, _) = w.model();
         let mut base_rate = 0.0;
         let mut first_certified = None;
         let mut rates = Vec::new();
         for (i, &k) in SHARD_COUNTS.iter().enumerate() {
-            let (secs, certified) = replay(w.cfg.with_shards(k).with_batch(batch), &w.updates);
+            let (secs, certified) = replay(w.cfg.with_shards(k).with_batch(w.batch), &w.updates);
             if i == 0 {
                 first_certified = certified;
             } else {
@@ -201,7 +194,7 @@ pub fn engine_exp(ctx: &ExpCtx) -> Vec<Table> {
         .expect("csv");
 
     let json = format!(
-        "{{\n  \"experiment\": \"engine\",\n  \"mode\": \"{}\",\n  \"seed\": {},\n  \"cores\": {cores},\n  \"batch\": {batch},\n  \"shard_counts\": [1, 2, 4, 8],\n{}\n}}\n",
+        "{{\n  \"experiment\": \"engine\",\n  \"mode\": \"{}\",\n  \"seed\": {},\n  \"cores\": {cores},\n  \"batch\": {BATCH},\n  \"shard_counts\": [1, 2, 4, 8],\n{}\n}}\n",
         if ctx.quick { "quick" } else { "full" },
         ctx.seed,
         json_rows.join(",\n")

@@ -23,70 +23,27 @@
 //! `certified` p99 must be < 20 ms (the old serving layer was ~220 ms
 //! p50), and the quiesced/engine-level numbers must show O(1) repeats.
 
-use super::net::query_floor;
-use super::ExpCtx;
+use super::load::{query_floor, Workload};
+use super::{percentile, ExpCtx};
 use crate::table::Table;
-use fews_common::rng::{derive_seed, rng_for};
-use fews_core::insertion_deletion::IdConfig;
-use fews_core::insertion_only::FewwConfig;
-use fews_engine::{Engine, EngineConfig};
+use fews_common::rng::derive_seed;
+use fews_engine::Engine;
 use fews_net::{Client, Server};
-use fews_stream::update::as_insertions;
-use fews_stream::Update;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-struct Cell {
-    name: &'static str,
-    model: &'static str,
-    updates: Vec<Update>,
-    cfg: EngineConfig,
-    batch: usize,
-    /// Certify queries draw vertices from `0..n`.
-    n: u32,
-}
-
-fn cells(ctx: &ExpCtx) -> Vec<Cell> {
+/// The two cells: zipf at `net`'s heavy-hitter threshold, and dblog's
+/// short log, which the ingest thread loops so the engine sees sustained
+/// insert/retract traffic for as long as the query phase needs.
+fn cells(ctx: &ExpCtx) -> Vec<Workload> {
     let seed = derive_seed(ctx.seed, 0xE26_0003);
-    let mut out = Vec::new();
-
-    // Fixed heavy-hitter threshold, matching the net experiment's zipf
-    // cell (d tied to the stream max would make d₂ huge and the state
-    // pathologically witness-heavy).
     let zipf_len = if ctx.quick { 40_000 } else { 400_000 };
-    let n = 4096u32;
-    let s = fews_stream::gen::zipf::zipf_stream(n, 1.1, zipf_len, &mut rng_for(seed, 1));
-    out.push(Cell {
-        name: "zipf",
-        model: "io",
-        updates: as_insertions(&s.edges),
-        cfg: EngineConfig::insert_only(FewwConfig::new(n, 2048, 2), seed),
-        batch: 1024,
-        n,
-    });
-
-    // Same shape as the net experiment's dblog cell: small model, short
-    // log — the ingest thread loops it, so the engine sees sustained
-    // insert/retract traffic for as long as the query phase needs.
-    let (records, hot) = if ctx.quick { (32u32, 12u32) } else { (48, 16) };
-    let log = fews_stream::gen::dblog::db_log(records, 1 << 10, hot, 4, 0.5, &mut rng_for(seed, 2));
-    out.push(Cell {
-        name: "dblog",
-        model: "id",
-        updates: log.updates,
-        cfg: EngineConfig::insert_delete(
-            IdConfig::with_scale(records, 1 << 10, hot, 2, 0.02),
-            seed,
-        ),
-        batch: 64,
-        n: records,
-    });
-
-    out
+    vec![
+        Workload::zipf(seed, 1, zipf_len, 1024),
+        Workload::dblog(ctx, seed, 2),
+    ]
 }
-
-use super::percentile;
 
 #[derive(Debug, Default)]
 struct KindLat {
@@ -120,7 +77,7 @@ struct CellResult {
 
 /// Sustained-ingest + quiesced query phases against one loopback server.
 fn run_cell(
-    cell: &Cell,
+    cell: &Workload,
     timed_queries: usize,
     pace: Duration,
     quiesced_queries: usize,
@@ -154,6 +111,7 @@ fn run_cell(
                 (
                     acked.load(Ordering::Relaxed) as f64 / secs,
                     percentile(&lat, 0.99),
+                    client.watermark(),
                 )
             })
         };
@@ -175,7 +133,7 @@ fn run_cell(
                     certified.record(t0);
                 }
                 1 => {
-                    let v = (q as u64 * 37) % cell.n as u64;
+                    let v = (q as u64 * 37) % cell.model().1 as u64;
                     let t0 = Instant::now();
                     let _ = client.certify(v as u32).expect("certify");
                     certify.record(t0);
@@ -189,10 +147,19 @@ fn run_cell(
             std::thread::sleep(pace);
         }
         stop.store(true, Ordering::Relaxed);
-        let ingest = ingester.join().expect("ingest thread panicked");
+        let (rate, p99, watermark) = ingester.join().expect("ingest thread panicked");
 
-        // Quiesce: the last ingest ack published its snapshot, so every
-        // query below sees the final state; repeats are O(1) snapshot reads.
+        // Quiesce: this connection never ingests, so it reads at the ingest
+        // connection's last ack watermark — the snapshot that covers every
+        // acked update. Every query below sees that final state; repeats
+        // are O(1) snapshot reads.
+        client.set_watermark(watermark);
+        let stats = client.stats().expect("stats");
+        assert_eq!(
+            stats.ingested,
+            acked.load(Ordering::Relaxed),
+            "quiesced reads must see every acked update"
+        );
         let mut quiesced: Vec<u64> = Vec::with_capacity(quiesced_queries);
         let _ = client.certified().expect("certified");
         for _ in 0..quiesced_queries {
@@ -207,7 +174,7 @@ fn run_cell(
         client.shutdown().expect("shutdown");
         (
             (certified, certify, top, quiesced_mean, quiesced_p99),
-            ingest,
+            (rate, p99),
         )
     });
     server.join();
@@ -228,7 +195,7 @@ fn run_cell(
 
 /// In-process engine-level O(1) check: cold first view vs repeated views on
 /// a quiesced engine.
-fn engine_view_profile(cell: &Cell, repeats: u32) -> (u64, f64) {
+fn engine_view_profile(cell: &Workload, repeats: u32) -> (u64, f64) {
     let mut engine = Engine::start(cell.cfg.with_shards(1));
     engine.ingest(cell.updates.iter().copied());
     let t0 = Instant::now();
@@ -288,7 +255,7 @@ pub fn latency_exp(ctx: &ExpCtx) -> Vec<Table> {
         let (cold_us, repeat_us) = engine_view_profile(cell, 100);
         table.push_row(vec![
             cell.name.into(),
-            cell.model.into(),
+            cell.model().0.into(),
             queries.to_string(),
             if sound { "yes".into() } else { "NO".into() },
             r.certified.0.to_string(),
@@ -313,7 +280,7 @@ pub fn latency_exp(ctx: &ExpCtx) -> Vec<Table> {
              \"quiesced\": {{\"certified_mean_us\": {:.1}, \"certified_p99_us\": {}}}, \
              \"engine_view\": {{\"cold_us\": {}, \"repeat_mean_us\": {:.1}}}}}",
             cell.name,
-            cell.model,
+            cell.model().0,
             queries,
             !sound,
             r.certified.0,

@@ -6,6 +6,7 @@ pub mod engine;
 pub mod insertion_deletion;
 pub mod insertion_only;
 pub mod latency;
+mod load;
 pub mod lower_bounds;
 pub mod misc;
 pub mod net;
@@ -35,10 +36,6 @@ pub struct ExpCtx {
     pub quick: bool,
     /// Master seed; every trial derives from it.
     pub seed: u64,
-    /// Override for the serving experiments' query cadence: one timed query
-    /// per this many ingest frames (`--query-every N`). `None` = each
-    /// workload's tuned default.
-    pub query_every: Option<usize>,
 }
 
 impl ExpCtx {
@@ -214,7 +211,6 @@ mod tests {
             out_dir: std::env::temp_dir(),
             quick: true,
             seed: 1,
-            query_every: None,
         };
         assert_eq!(ctx.trials(1000, 10), 10);
         let full = ExpCtx {

@@ -1,8 +1,10 @@
 //! `net` — loopback load generation against the `fews-net` TCP server.
 //!
 //! Starts a real [`fews_net::Server`] on an ephemeral loopback port and
-//! drives it with C concurrent client threads running a mixed workload:
-//! batched ingest frames interleaved with live queries (`certify`, `top`).
+//! drives it with the shared load driver (`load::drive`, which
+//! `cluster` points at a router): C concurrent client threads running a
+//! mixed workload of batched ingest frames interleaved with live queries
+//! (`certify`, `top`).
 //! Reports sustained throughput (mixed ops/s, where an op is one applied
 //! update or one answered query), request rate, p50/p99 per-request latency
 //! split by request kind, and wire bytes per request. Alongside the CSVs it
@@ -13,11 +15,11 @@
 //! physics); a shard sweep on the zipf workload records how the numbers
 //! move with K anyway.
 
+use super::load::{drive, load_cols, query_floor, LoadMetrics, Workload};
 use super::ExpCtx;
 use crate::table::Table;
 use fews_common::rng::{derive_seed, rng_for};
 use fews_common::{SpaceConfig, SpaceId};
-use fews_core::insertion_deletion::IdConfig;
 use fews_core::insertion_only::FewwConfig;
 use fews_engine::EngineConfig;
 use fews_net::{Client, Server, ServerOptions};
@@ -29,56 +31,18 @@ const CLIENT_COUNTS: [usize; 3] = [1, 2, 4];
 const SHARD_SWEEP: [usize; 3] = [1, 2, 4];
 const SPACE_COUNTS: [usize; 3] = [1, 8, 64];
 
-/// Minimum timed queries per cell for the latency columns to be reported
-/// as sound. Cells below the floor are flagged (`sound = no`, JSON
-/// `"low_queries": true`) instead of being printed as if their percentiles
-/// meant anything.
-pub fn query_floor(quick: bool) -> u64 {
-    if quick {
-        20
-    } else {
-        100
-    }
-}
-
-struct Workload {
-    name: &'static str,
-    updates: Vec<Update>,
-    cfg: EngineConfig, // shard count overridden per cell
-    /// Updates per ingest frame.
-    batch: usize,
-    /// One timed query per this many ingest frames, per client (overridden
-    /// globally by `experiments --query-every N`).
-    query_every: usize,
-    /// Ingest the stream this many times — sustained-traffic knob for
-    /// short logs (turnstile semantics: repeating a log scales every net
-    /// count, so positive stays positive and retracted stays retracted).
-    repeat: usize,
-}
-
 fn workloads(ctx: &ExpCtx) -> Vec<Workload> {
     let seed = derive_seed(ctx.seed, 0xE26_0002);
-    let mut out = Vec::new();
 
-    // Zipf item stream — the throughput headline. The detection threshold
-    // is a fixed heavy-hitter bar (d = 2048 ⇒ report items with ≥ 1024
-    // witnesses), not the stream's max frequency: tying d to the max made
-    // d₂ ≈ 70k, so reservoir entries accumulated ~14 MB of witnesses that
-    // every per-ack publish re-snapshotted and every `top` query re-ranked.
-    let zipf_len = if ctx.quick { 60_000 } else { 1_200_000 };
-    let n = 4096u32;
-    let s = fews_stream::gen::zipf::zipf_stream(n, 1.1, zipf_len, &mut rng_for(seed, 1));
-    out.push(Workload {
-        name: "zipf",
-        updates: as_insertions(&s.edges),
-        cfg: EngineConfig::insert_only(FewwConfig::new(n, 2048, 2), seed),
-        // Large frames amortize the publish-before-ack refresh (each ack
-        // re-snapshots every partition the frame touched); one timed query
-        // per frame keeps the cell comfortably above the query floor.
-        batch: if ctx.quick { 1024 } else { 8192 },
-        query_every: 1,
-        repeat: 1,
-    });
+    // Zipf item stream — the throughput headline. Large frames amortize
+    // the publish-before-ack refresh (each ack re-snapshots every partition
+    // the frame touched); one timed query per frame keeps the cell
+    // comfortably above the query floor.
+    let zipf = if ctx.quick {
+        Workload::zipf(seed, 1, 60_000, 1024)
+    } else {
+        Workload::zipf(seed, 1, 1_200_000, 8192)
+    };
 
     // Planted star in a light background.
     let (n, bg, d) = if ctx.quick {
@@ -87,14 +51,13 @@ fn workloads(ctx: &ExpCtx) -> Vec<Workload> {
         (20_000, 15, 500)
     };
     let g = fews_stream::gen::planted::planted_star(n, 1 << 20, d, bg, &mut rng_for(seed, 2));
-    out.push(Workload {
+    let planted = Workload {
         name: "planted",
         updates: as_insertions(&g.edges),
         cfg: EngineConfig::insert_only(FewwConfig::new(n, d, 2), seed),
         batch: if ctx.quick { 1024 } else { 2048 },
-        query_every: 1,
         repeat: 1,
-    });
+    };
 
     // DoS trace.
     let (dsts, packets, attack) = if ctx.quick {
@@ -110,54 +73,22 @@ fn workloads(ctx: &ExpCtx) -> Vec<Workload> {
         attack,
         &mut rng_for(seed, 3),
     );
-    out.push(Workload {
+    let dos = Workload {
         name: "dos",
         updates: as_insertions(&t.edges),
         cfg: EngineConfig::insert_only(FewwConfig::new(dsts, attack, 2), seed),
         batch: if ctx.quick { 512 } else { 1024 },
-        query_every: 1,
         repeat: 1,
-    });
+    };
 
-    // Database audit log — the insertion-deletion model over the wire. The
-    // model stays small on purpose (the id hot path is ~1000× costlier per
-    // update; see the `sketch` experiment), but the ~300-update log is
-    // *repeated* so the cell sustains enough ingest frames for ≥100 timed
-    // queries — the old single-frame cell reported a "p99" from one sample.
-    let (records, hot) = if ctx.quick { (32u32, 12u32) } else { (48, 16) };
-    let log = fews_stream::gen::dblog::db_log(records, 1 << 10, hot, 4, 0.5, &mut rng_for(seed, 4));
-    out.push(Workload {
-        name: "dblog",
-        updates: log.updates,
-        cfg: EngineConfig::insert_delete(
-            IdConfig::with_scale(records, 1 << 10, hot, 2, 0.02),
-            seed,
-        ),
-        batch: 64,
-        query_every: 1,
-        repeat: if ctx.quick { 8 } else { 24 },
-    });
-
-    out
+    // Database audit log — the insertion-deletion model over the wire,
+    // repeated so the cell sustains enough ingest frames for ≥100 timed
+    // queries (a single-frame cell once reported a "p99" from one sample).
+    vec![zipf, planted, dos, Workload::dblog(ctx, seed, 4)]
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct LoadMetrics {
-    secs: f64,
-    ops_per_sec: f64,
-    requests_per_sec: f64,
-    queries: u64,
-    p50_ingest_us: u64,
-    p99_ingest_us: u64,
-    p50_query_us: u64,
-    p99_query_us: u64,
-    bytes_per_request: f64,
-}
-
-use super::percentile;
-
-/// Drive `clients` threads of mixed ingest+query load against one server.
-fn run_load(w: &Workload, shards: usize, clients: usize, query_every: usize) -> LoadMetrics {
+/// One mixed-load cell: `clients` threads against a fresh K-shard server.
+pub(super) fn run_load(w: &Workload, shards: usize, clients: usize) -> LoadMetrics {
     // Engine batch ≥ 1024 regardless of wire frame size: acks return at
     // enqueue, so small frames coalesce in the engine's pending buffer and
     // each shard hand-off carries enough updates per partition for the
@@ -165,127 +96,29 @@ fn run_load(w: &Workload, shards: usize, clients: usize, query_every: usize) -> 
     // the hand-off granularity changes).
     let cfg = w.cfg.with_shards(shards).with_batch(w.batch.max(1024));
     let server = Server::start(cfg, "127.0.0.1:0").expect("bind server");
-    let addr = server.local_addr();
-    let (_, n) = model_of(&w.cfg);
-    let updates = &w.updates;
-    // Contiguous slices per client: every update is ingested exactly once
-    // per repeat pass (client interleaving makes the final state
-    // run-dependent, which is fine here — byte-equivalence is the stress
-    // *test*'s job).
-    let per_client = updates.len().div_ceil(clients);
-    let started = Instant::now();
-    // Per client: (ingest latencies, query latencies, bytes sent, bytes
-    // received, highest acked watermark).
-    type ClientSample = (Vec<u64>, Vec<u64>, u64, u64, u64);
-    let results: Vec<ClientSample> = std::thread::scope(|scope| {
-        let handles: Vec<_> = updates
-            .chunks(per_client)
-            .enumerate()
-            .map(|(c, slice)| {
-                scope.spawn(move || {
-                    let mut client = Client::connect(addr).expect("bench client connect");
-                    // The mixed cells price *sustained* serving: queries
-                    // read `?stale` from the latest published snapshot.
-                    // A watermarked (read-your-writes) query instead waits
-                    // for the refresher to cover the client's last ack —
-                    // that is a freshness contract with its own latency
-                    // (priced by the net smoke and the freshness suite),
-                    // not a per-request serving cost.
-                    client.set_stale(true);
-                    let mut ingest_lat = Vec::with_capacity(w.repeat * (slice.len() / w.batch + 2));
-                    let mut query_lat = Vec::new();
-                    let mut queries = 0u64;
-                    let mut frames = 0usize;
-                    for _ in 0..w.repeat {
-                        for chunk in slice.chunks(w.batch) {
-                            let t0 = Instant::now();
-                            client.ingest_batch(chunk).expect("bench ingest");
-                            ingest_lat.push(t0.elapsed().as_micros() as u64);
-                            frames += 1;
-                            if frames.is_multiple_of(query_every) {
-                                let t0 = Instant::now();
-                                match queries % 2 {
-                                    0 => {
-                                        let v = (queries * 37 + c as u64) % n as u64;
-                                        let _ = client.certify(v as u32).expect("bench certify");
-                                    }
-                                    _ => {
-                                        let _ = client.top(3).expect("bench top");
-                                    }
-                                }
-                                query_lat.push(t0.elapsed().as_micros() as u64);
-                                queries += 1;
-                            }
-                        }
-                    }
-                    // One closing query per client so every cell reports
-                    // query latency even when the stream is short.
-                    let t0 = Instant::now();
-                    let _ = client.top(3).expect("bench top");
-                    query_lat.push(t0.elapsed().as_micros() as u64);
-                    queries += 1;
-                    (
-                        ingest_lat,
-                        query_lat,
-                        queries,
-                        client.bytes_sent() + client.bytes_received(),
-                        client.watermark(),
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("bench client panicked"))
-            .collect()
-    });
-    let secs = started.elapsed().as_secs_f64();
-    let total_updates = (updates.len() * w.repeat) as u64;
-    let mut owner = Client::connect(addr).expect("owner connect");
-    // Stats counters are publish-consistent; wait for the snapshot that
-    // covers the highest batch any load client had acked.
-    let high = results.iter().map(|r| r.4).max().unwrap_or(0);
-    owner.set_watermark(high);
-    let stats = owner.stats().expect("owner stats");
-    assert_eq!(stats.ingested, total_updates, "updates lost");
-    owner.shutdown().expect("owner shutdown");
+    // The mixed cells price *sustained* serving: queries read `?stale`
+    // from the latest published snapshot. A watermarked (read-your-writes)
+    // query instead waits for the refresher to cover the client's last ack
+    // — that is a freshness contract with its own latency (priced by the
+    // net smoke and the freshness suite), not a per-request serving cost.
+    let m = drive(server.local_addr(), w, clients, true);
+    server.shutdown();
     server.join();
-
-    let mut ingest_lat: Vec<u64> = results.iter().flat_map(|r| r.0.iter().copied()).collect();
-    let mut query_lat: Vec<u64> = results.iter().flat_map(|r| r.1.iter().copied()).collect();
-    ingest_lat.sort_unstable();
-    query_lat.sort_unstable();
-    let queries: u64 = results.iter().map(|r| r.2).sum();
-    let wire_bytes: u64 = results.iter().map(|r| r.3).sum();
-    let requests = ingest_lat.len() as u64 + queries;
-    LoadMetrics {
-        secs,
-        ops_per_sec: (total_updates + queries) as f64 / secs,
-        requests_per_sec: requests as f64 / secs,
-        queries,
-        p50_ingest_us: percentile(&ingest_lat, 0.50),
-        p99_ingest_us: percentile(&ingest_lat, 0.99),
-        p50_query_us: percentile(&query_lat, 0.50),
-        p99_query_us: percentile(&query_lat, 0.99),
-        bytes_per_request: wire_bytes as f64 / requests.max(1) as f64,
-    }
+    m
 }
 
-/// One multi-tenant cell: `s` spaces served by one server, ingest-only
-/// traffic spread round-robin across the roster by 8 client threads.
+/// One multi-tenant cell: `s` spaces of `w`'s shape served by one server,
+/// each fed `per_space`, ingest-only traffic spread round-robin across the
+/// roster by 8 client threads.
 /// With `data_dir` set every batch is write-ahead-logged and fsynced before
 /// the ack — the WAL-on/WAL-off pair prices durability on the same traffic.
 fn run_spaces_cell(
-    seed: u64,
+    w: &Workload,
     per_space: &[Update],
     s: usize,
     data_dir: Option<std::path::PathBuf>,
 ) -> LoadMetrics {
-    let batch = 2048usize;
-    let base = EngineConfig::insert_only(FewwConfig::new(4096, 2048, 2), seed)
-        .with_partitions(4)
-        .with_shards(1)
-        .with_batch(batch);
+    let base = w.cfg.with_partitions(4).with_shards(1).with_batch(w.batch);
     let opts = ServerOptions {
         data_dir,
         // No mid-run compaction: the cell prices the append+fsync hot path,
@@ -332,7 +165,7 @@ fn run_spaces_cell(
                     let mut lat = Vec::new();
                     for space in roster {
                         client.set_space(space.clone());
-                        for chunk in slice.chunks(batch) {
+                        for chunk in slice.chunks(w.batch) {
                             let t0 = Instant::now();
                             client.ingest_batch(chunk).expect("spaces ingest");
                             lat.push(t0.elapsed().as_micros() as u64);
@@ -354,55 +187,10 @@ fn run_spaces_cell(
     let total_updates = (per_space.len() * s) as u64;
     assert_eq!(ingested, total_updates, "updates lost across spaces");
 
-    let mut ingest_lat: Vec<u64> = results.iter().flat_map(|r| r.0.iter().copied()).collect();
-    ingest_lat.sort_unstable();
-    let wire_bytes: u64 = results.iter().map(|r| r.1).sum();
-    let requests = ingest_lat.len() as u64;
-    LoadMetrics {
-        secs,
-        ops_per_sec: total_updates as f64 / secs,
-        requests_per_sec: requests as f64 / secs,
-        queries: 0,
-        p50_ingest_us: percentile(&ingest_lat, 0.50),
-        p99_ingest_us: percentile(&ingest_lat, 0.99),
-        p50_query_us: 0,
-        p99_query_us: 0,
-        bytes_per_request: wire_bytes as f64 / requests.max(1) as f64,
-    }
+    let ingest_us = results.iter().flat_map(|r| r.0.iter().copied()).collect();
+    let wire_bytes = results.iter().map(|r| r.1).sum();
+    LoadMetrics::from_samples(secs, total_updates, ingest_us, Vec::new(), wire_bytes)
 }
-
-fn model_of(cfg: &EngineConfig) -> (&'static str, u32) {
-    match cfg.model {
-        fews_engine::ModelSpec::InsertOnly(c) => ("io", c.n),
-        fews_engine::ModelSpec::InsertDelete(c) => ("id", c.n),
-    }
-}
-
-fn push_metric_row(table: &mut Table, head: Vec<String>, m: &LoadMetrics) {
-    let mut row = head;
-    row.extend([
-        format!("{:.3}", m.secs),
-        format!("{:.0}", m.ops_per_sec),
-        format!("{:.0}", m.requests_per_sec),
-        m.p50_ingest_us.to_string(),
-        m.p99_ingest_us.to_string(),
-        m.p50_query_us.to_string(),
-        m.p99_query_us.to_string(),
-        format!("{:.0}", m.bytes_per_request),
-    ]);
-    table.push_row(row);
-}
-
-const METRIC_COLS: [&str; 8] = [
-    "secs",
-    "ops_per_sec",
-    "requests_per_sec",
-    "p50_ingest_us",
-    "p99_ingest_us",
-    "p50_query_us",
-    "p99_query_us",
-    "bytes_per_request",
-];
 
 /// Loopback serving throughput/latency across client counts, plus a shard
 /// sweep, plus `BENCH_net.json`.
@@ -411,78 +199,27 @@ pub fn net_exp(ctx: &ExpCtx) -> Vec<Table> {
     let ws = workloads(ctx);
     let floor = query_floor(ctx.quick);
 
-    let mut cols = vec![
-        "generator",
-        "model",
-        "updates",
-        "batch",
-        "query_every",
-        "clients",
-        "queries_sound",
-    ];
-    cols.extend(METRIC_COLS);
     let mut load = Table::new(
         "net — loopback mixed ingest+query load vs client count (K = 1)",
-        &cols,
+        &load_cols(&["clients"]),
     );
     let mut json_rows = Vec::new();
     for w in &ws {
-        let (model, _) = model_of(&w.cfg);
-        let query_every = ctx.query_every.unwrap_or(w.query_every).max(1);
-        let total_updates = w.updates.len() * w.repeat;
         // Untimed warm-up pass: first-touch effects (page cache, allocator
         // growth, thread spawn) land here instead of skewing the C = 1
         // cell that happens to run first.
-        let _ = run_load(w, 1, 2, query_every);
+        let _ = run_load(w, 1, 2);
         let mut client_cells = Vec::new();
         for &clients in &CLIENT_COUNTS {
-            let m = run_load(w, 1, clients, query_every);
-            let sound = m.queries >= floor;
-            if !sound {
-                eprintln!(
-                    "net: {} C={clients} reports only {} timed queries (< {floor}) — \
-                     latency percentiles flagged as unsound",
-                    w.name, m.queries
-                );
-            }
-            push_metric_row(
-                &mut load,
-                vec![
-                    w.name.into(),
-                    model.into(),
-                    total_updates.to_string(),
-                    w.batch.to_string(),
-                    query_every.to_string(),
-                    clients.to_string(),
-                    if sound { "yes".into() } else { "NO".into() },
-                ],
-                &m,
-            );
-            client_cells.push(format!(
-                "\"{}\": {{\"ops_per_sec\": {:.0}, \"requests_per_sec\": {:.0}, \
-                 \"queries\": {}, \"low_queries\": {}, \"p50_ingest_us\": {}, \
-                 \"p99_ingest_us\": {}, \"p50_query_us\": {}, \"p99_query_us\": {}, \
-                 \"bytes_per_request\": {:.0}}}",
-                clients,
-                m.ops_per_sec,
-                m.requests_per_sec,
-                m.queries,
-                !sound,
-                m.p50_ingest_us,
-                m.p99_ingest_us,
-                m.p50_query_us,
-                m.p99_query_us,
-                m.bytes_per_request
-            ));
+            let m = run_load(w, 1, clients);
+            let sound = m.sound(ctx.quick, &format!("net: {} C={clients}", w.name));
+            m.push_row(&mut load, w.row([clients.to_string()], sound));
+            client_cells.push(format!("\"{clients}\": {{{}}}", m.json_fields(!sound)));
         }
         json_rows.push(format!(
-            "  \"{}\": {{\"model\": \"{}\", \"updates\": {}, \"batch\": {}, \
-             \"query_every\": {}, \"clients\": {{{}}}}}",
+            "  \"{}\": {{{}, \"clients\": {{{}}}}}",
             w.name,
-            model,
-            total_updates,
-            w.batch,
-            query_every,
+            w.json_fields(),
             client_cells.join(", ")
         ));
     }
@@ -490,14 +227,12 @@ pub fn net_exp(ctx: &ExpCtx) -> Vec<Table> {
 
     // Shard sweep on the zipf workload at C = 2.
     let mut cols = vec!["shards"];
-    cols.extend(METRIC_COLS);
+    cols.extend(LoadMetrics::COLS);
     let mut sweep = Table::new("net — zipf load vs shard count (2 clients)", &cols);
-    let zipf = &ws[0];
-    let zipf_qe = ctx.query_every.unwrap_or(zipf.query_every).max(1);
     let mut sweep_cells = Vec::new();
     for &k in &SHARD_SWEEP {
-        let m = run_load(zipf, k, 2, zipf_qe);
-        push_metric_row(&mut sweep, vec![k.to_string()], &m);
+        let m = run_load(&ws[0], k, 2);
+        m.push_row(&mut sweep, vec![k.to_string()]);
         sweep_cells.push(format!("\"{k}\": {:.0}", m.ops_per_sec));
     }
     sweep.write_csv(&ctx.out_dir, "net_shards").expect("csv");
@@ -505,16 +240,14 @@ pub fn net_exp(ctx: &ExpCtx) -> Vec<Table> {
     // Tenancy sweep: S spaces × WAL on/off at constant total traffic —
     // the committed evidence for "durability costs ≤ 25% on batched ingest"
     // and "64 tenants do not collapse the serving layer".
-    let spaces_seed = derive_seed(ctx.seed, 0xE26_0003);
     let total: usize = if ctx.quick { 49_152 } else { 1_572_864 }; // 24 / 768 batches
-    let zs =
-        fews_stream::gen::zipf::zipf_stream(4096, 1.1, total as u64, &mut rng_for(spaces_seed, 1));
-    let stream = as_insertions(&zs.edges);
+    let spaces = Workload::zipf(derive_seed(ctx.seed, 0xE26_0003), 1, total as u64, 2048);
+    let stream = &spaces.updates;
     // Untimed warm-up so the first timed cell does not pay thread spawn,
     // allocator growth, and page-fault costs the later cells skip.
-    run_spaces_cell(spaces_seed, &stream[..8192.min(stream.len())], 1, None);
+    run_spaces_cell(&spaces, &stream[..8192.min(stream.len())], 1, None);
     let mut cols = vec!["spaces", "wal"];
-    cols.extend(METRIC_COLS);
+    cols.extend(LoadMetrics::COLS);
     let mut tenancy = Table::new(
         "net — S tenant spaces × WAL on/off (K = 1, batch 2048, constant total updates)",
         &cols,
@@ -535,7 +268,7 @@ pub fn net_exp(ctx: &ExpCtx) -> Vec<Table> {
                     let _ = std::fs::remove_dir_all(&dir);
                     dir
                 });
-                let m = run_spaces_cell(spaces_seed, per_space, s, data_dir.clone());
+                let m = run_spaces_cell(&spaces, per_space, s, data_dir.clone());
                 if let Some(dir) = data_dir {
                     let _ = std::fs::remove_dir_all(dir);
                 }
@@ -547,10 +280,9 @@ pub fn net_exp(ctx: &ExpCtx) -> Vec<Table> {
             let side = &mut runs[wal as usize];
             side.sort_by(|a, b| a.ops_per_sec.total_cmp(&b.ops_per_sec));
             let m = side.swap_remove(side.len() / 2);
-            push_metric_row(
+            m.push_row(
                 &mut tenancy,
                 vec![s.to_string(), if wal { "on" } else { "off" }.into()],
-                &m,
             );
             pair.push(m.ops_per_sec);
         }

@@ -333,6 +333,24 @@ fn read_meta(path: &Path) -> Option<(u64, u64, Option<u64>)> {
     Some((epoch?, ingested?, wal_seq))
 }
 
+/// Decode a full checkpoint (an envelope or a bare container) into the
+/// dense per-partition payload store and the WAL sequence it covers —
+/// the one decoder under startup recovery and a wire `restore`. Refuses a
+/// container for another space or another config; a full container for
+/// this config carries partitions `0..P` in order.
+fn decode_store(cfg: &EngineConfig, bytes: &[u8]) -> Result<(Vec<Vec<u8>>, u64), String> {
+    let env = unwrap_envelope(bytes).map_err(|e| e.to_string())?;
+    if env.space != SpaceId::default_space().as_str() {
+        return Err(format!(
+            "checkpoint is for space '{}', a cluster router serves the default space",
+            env.space
+        ));
+    }
+    let (header, listed) = checkpoint::decode(env.inner).map_err(|e| e.to_string())?;
+    header.check_against(cfg).map_err(|e| e.to_string())?;
+    Ok((listed.into_iter().map(|(_, b)| b).collect(), env.wal_seq))
+}
+
 /// Connect to a worker and verify it serves the exact model, seed, and
 /// partitioning this cluster routes for.
 fn admit(
@@ -870,15 +888,7 @@ impl Inner {
         };
         debug_assert!(self.logs.iter().all(|l| l.is_empty()));
         let seq = d.wal.last_seq();
-        let listed: Vec<(u32, Vec<u8>)> = self
-            .payloads
-            .iter()
-            .enumerate()
-            .map(|(p, b)| (p as u32, b.clone()))
-            .collect();
-        let inner = checkpoint::encode(&self.cfg, &listed);
-        let env = checkpoint::wrap_envelope(SpaceId::default_space().as_str(), seq, &inner);
-        d.store.write_checkpoint(&env)?;
+        d.store.write_checkpoint(&self.envelope(seq))?;
         write_meta(&d.meta, self.assign_epoch, self.ingested, seq)?;
         d.wal.reset()
     }
@@ -977,18 +987,20 @@ impl Inner {
     /// space like a single server's answer.
     fn checkpoint(&mut self) -> Result<Vec<u8>, Fail> {
         self.refresh_all_strict()?;
-        let payloads: Vec<(u32, Vec<u8>)> = self
+        Ok(self.envelope(0))
+    }
+
+    /// The payload store as a default-space checkpoint envelope stamped
+    /// with `wal_seq` — what a checkpoint answers and compaction persists.
+    fn envelope(&self, wal_seq: u64) -> Vec<u8> {
+        let listed: Vec<(u32, Vec<u8>)> = self
             .payloads
             .iter()
             .enumerate()
             .map(|(p, b)| (p as u32, b.clone()))
             .collect();
-        let inner = checkpoint::encode(&self.cfg, &payloads);
-        Ok(checkpoint::wrap_envelope(
-            SpaceId::default_space().as_str(),
-            0,
-            &inner,
-        ))
+        let inner = checkpoint::encode(&self.cfg, &listed);
+        checkpoint::wrap_envelope(SpaceId::default_space().as_str(), wal_seq, &inner)
     }
 
     /// Install a full checkpoint cluster-wide. The payload store commits
@@ -997,38 +1009,7 @@ impl Inner {
     /// the restored state through the ordinary rejoin path — so the restore
     /// is never torn.
     fn restore(&mut self, bytes: &[u8]) -> Result<(), Fail> {
-        let env = match unwrap_envelope(bytes) {
-            Ok(env) if env.space != SpaceId::default_space().as_str() => {
-                return Err((
-                    ErrorCode::Checkpoint,
-                    format!(
-                        "checkpoint space mismatch: container is for '{}', a cluster router \
-                         serves the default space",
-                        env.space
-                    ),
-                ));
-            }
-            Ok(env) => env,
-            Err(e) => return Err((ErrorCode::Checkpoint, e.to_string())),
-        };
-        let (header, payloads) =
-            checkpoint::decode(env.inner).map_err(|e| (ErrorCode::Checkpoint, e.to_string()))?;
-        header
-            .check_against(&self.cfg)
-            .map_err(|e| (ErrorCode::Checkpoint, e.to_string()))?;
-        let mut dense: Vec<Vec<u8>> = vec![Vec::new(); self.cfg.partitions];
-        for (p, b) in payloads {
-            let Some(slot) = dense.get_mut(p as usize) else {
-                return Err((
-                    ErrorCode::Checkpoint,
-                    format!(
-                        "checkpoint names partition {p}, cluster has {}",
-                        self.cfg.partitions
-                    ),
-                ));
-            };
-            *slot = b;
-        }
+        let (dense, _) = decode_store(&self.cfg, bytes).map_err(|m| (ErrorCode::Checkpoint, m))?;
         // Commit router-side truth before any push.
         self.payloads = dense;
         for log in &mut self.logs {
@@ -1245,36 +1226,12 @@ impl Router {
             std::fs::create_dir_all(dir)?;
             let store = SpaceDir::new(dir, &SpaceId::default_space());
             std::fs::create_dir_all(store.path())?;
-            let prior = store.read_checkpoint()?;
-            let floor = match &prior {
-                Some(env_bytes) => {
-                    let env = unwrap_envelope(env_bytes)
-                        .map_err(|e| invalid(format!("router checkpoint: {e}")))?;
-                    if env.space != SpaceId::default_space().as_str() {
-                        return Err(invalid(format!(
-                            "router checkpoint is for space '{}', expected the default space",
-                            env.space
-                        )));
-                    }
-                    let (header, listed) = checkpoint::decode(env.inner)
-                        .map_err(|e| invalid(format!("router checkpoint: {e}")))?;
-                    header
-                        .check_against(&cfg)
-                        .map_err(|e| invalid(format!("router checkpoint: {e}")))?;
-                    let mut dense = vec![Vec::new(); partitions];
-                    for (p, b) in listed {
-                        let slot = dense.get_mut(p as usize).ok_or_else(|| {
-                            invalid(format!(
-                                "router checkpoint names partition {p}, config has {partitions}"
-                            ))
-                        })?;
-                        *slot = b;
-                    }
-                    recovered_payloads = Some(dense);
-                    env.wal_seq
-                }
-                None => 0,
-            };
+            let prior = store
+                .read_checkpoint()?
+                .map(|bytes| decode_store(&cfg, &bytes))
+                .transpose()
+                .map_err(|m| invalid(format!("router checkpoint: {m}")))?;
+            let floor = prior.as_ref().map_or(0, |&(_, wal_seq)| wal_seq);
             let (wal, recovery) = Wal::open(&wal_path(dir), floor)?;
             let meta = dir.join(META_FILE);
             // `ingested` counts the records up to meta's WAL sequence. A
@@ -1304,6 +1261,7 @@ impl Router {
                 replayed += updates.len() as u64;
             }
             recovered = prior.is_some() || replayed > 0;
+            recovered_payloads = prior.map(|(dense, _)| dense);
             durable = Some(Durable { wal, store, meta });
         }
 
@@ -1313,16 +1271,9 @@ impl Router {
         let payloads = match recovered_payloads {
             Some(p) => p,
             None => {
-                let mut scratch = Engine::start(cfg);
-                let all: Vec<u32> = (0..partitions as u32).collect();
-                let container = scratch.checkpoint_slice(&all);
-                let (_, listed) = checkpoint::decode_slice(&container)
-                    .map_err(|e| invalid(format!("baseline checkpoint: {e}")))?;
-                let mut dense = vec![Vec::new(); partitions];
-                for (p, b) in listed {
-                    dense[p as usize] = b;
-                }
-                dense
+                decode_store(&cfg, &Engine::start(cfg).checkpoint())
+                    .map_err(|m| invalid(format!("baseline checkpoint: {m}")))?
+                    .0
             }
         };
 

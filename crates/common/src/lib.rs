@@ -8,18 +8,22 @@
 //!   statements about space; experiments measure it through this trait.
 //! * [`math`] — exact integer combinatorics (binomials, ceil-div, integer
 //!   logs) and the analytic bound curves the experiments compare against.
-//! * [`stats`] — summary statistics (mean, standard deviation, quantiles,
-//!   exact binomial confidence bounds) used by the experiment harness.
+//! * [`stats`] — summary statistics (mean, standard deviation, exact
+//!   binomial confidence bounds) used by the experiment harness.
 //! * [`rng`] — deterministic seed derivation so that every run of every
 //!   experiment and every parallel trial is reproducible from a single seed.
 //! * [`spaceid`] — multi-tenant *space* identifiers and per-space
 //!   configuration ([`SpaceId`], [`SpaceConfig`]): the key every layer above
 //!   (protocol, server registry, WAL, checkpoint envelope) uses to keep
 //!   tenants apart.
+//! * [`fault`] — the seeded, budgeted [`Schedule`](fault::Schedule) under
+//!   both fault labs (transport faults in `fews-net`, storage faults in
+//!   `fews-engine`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod fault;
 pub mod math;
 pub mod rng;
 pub mod space;

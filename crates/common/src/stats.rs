@@ -94,18 +94,6 @@ impl Summary {
     }
 }
 
-/// Empirical quantile (nearest-rank) of a sample; sorts a copy.
-pub fn quantile(xs: &[f64], q: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&q), "quantile out of range");
-    if xs.is_empty() {
-        return f64::NAN;
-    }
-    let mut v: Vec<f64> = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
-    let idx = ((q * (v.len() as f64 - 1.0)).round() as usize).min(v.len() - 1);
-    v[idx]
-}
-
 /// One-sided Clopper–Pearson-style lower confidence bound on a success
 /// probability, via the simpler Chernoff/Hoeffding relaxation
 /// `p̂ − sqrt(ln(1/δ) / (2t))`. Good enough for reporting "observed success
@@ -169,15 +157,6 @@ mod tests {
         e.merge(&a);
         assert_eq!(e.count(), 2);
         assert!((e.mean() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quantiles() {
-        let xs: Vec<f64> = (1..=101).map(|i| i as f64).collect();
-        assert_eq!(quantile(&xs, 0.0), 1.0);
-        assert_eq!(quantile(&xs, 0.5), 51.0);
-        assert_eq!(quantile(&xs, 1.0), 101.0);
-        assert!(quantile(&[], 0.5).is_nan());
     }
 
     #[test]

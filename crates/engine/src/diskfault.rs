@@ -1,12 +1,11 @@
 //! Deterministic storage fault injection — the disk twin of the transport
 //! fault lab in `fews-net::fault`.
 //!
-//! A [`DiskFaultPlan`] is a seeded, *budgeted* schedule of storage failures
-//! consulted by the write-ahead log ([`crate::wal::Wal`]) on every flush
-//! and fsync, and by the checkpoint writer on every atomic replace. Each
-//! consult draws the next value of a `splitmix64` stream derived from the
-//! plan's seed, so the same seed over the same I/O sequence produces the
-//! same faults — a failing schedule replays exactly from its seed.
+//! A [`DiskFaultPlan`] is a storage profile on the shared [`Schedule`]
+//! core (seeded decision stream, budget, replay — see
+//! `fews_common::fault`), consulted by the write-ahead log
+//! ([`crate::wal::Wal`]) on every flush and fsync, and by the checkpoint
+//! writer on every atomic replace.
 //!
 //! The taxonomy matches what real disks do when they stop cooperating:
 //!
@@ -31,14 +30,10 @@
 //! step it stops dead, leaving the directory exactly as a `kill -9` at
 //! that instant would. Sweeping the arm over every step of compaction —
 //! buffer, tmp write, tmp fsync, rename, directory fsync — and asserting
-//! bit-exact recovery after each is the compaction crash lab.
-//!
-//! The `budget` bounds the total number of probabilistic faults. Once
-//! spent, the plan goes permanently quiet — a harness injects chaos for
-//! the measured window, then quiesces fault-free and asserts the recovered
-//! state is byte-identical to the reference.
+//! bit-exact recovery after each is the compaction crash lab. Armed
+//! crashes are scheduled, not drawn: they cost no budget.
 
-use fews_common::rng::splitmix64;
+use fews_common::fault::Schedule;
 use std::io::ErrorKind;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -102,16 +97,8 @@ impl Default for DiskFaultProfile {
 /// checkpoint writers (wrap it in an `Arc`).
 #[derive(Debug)]
 pub struct DiskFaultPlan {
-    seed: u64,
+    schedule: Schedule,
     profile: DiskFaultProfile,
-    /// Probabilistic faults injected so far; at `budget` the plan is quiet.
-    injected: AtomicU64,
-    /// Hard cap on probabilistic faults (`u64::MAX` = unbounded). Armed
-    /// crashes cost no budget — they are scheduled, not drawn.
-    budget: u64,
-    /// Decision counter — every consult advances the deterministic stream,
-    /// whether or not it injects.
-    decisions: AtomicU64,
     /// The one armed crash point, consumed on hit.
     armed: Mutex<Option<CrashPoint>>,
     sync_failed: AtomicU64,
@@ -138,11 +125,9 @@ impl DiskFaultPlan {
     /// `budget` probabilistic faults before going quiet.
     pub fn new(seed: u64, profile: DiskFaultProfile, budget: u64) -> DiskFaultPlan {
         DiskFaultPlan {
-            seed,
+            // The storage lab's salt: distinct from the transport lab's.
+            schedule: Schedule::new(seed, 0x5851_F42D, budget),
             profile,
-            injected: AtomicU64::new(0),
-            budget,
-            decisions: AtomicU64::new(0),
             armed: Mutex::new(None),
             sync_failed: AtomicU64::new(0),
             short_writes: AtomicU64::new(0),
@@ -165,40 +150,23 @@ impl DiskFaultPlan {
         )
     }
 
-    /// The next value of the decision stream.
-    fn draw(&self) -> u64 {
-        let d = self.decisions.fetch_add(1, Ordering::SeqCst);
-        splitmix64(self.seed ^ splitmix64(d.wrapping_add(0x5851_F42D)))
-    }
-
-    /// Try to spend one unit of budget; `false` once the plan is dry.
-    fn spend(&self) -> bool {
-        self.injected
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                (n < self.budget).then_some(n + 1)
-            })
-            .is_ok()
-    }
-
     /// Whether the probabilistic budget is spent (the quiesce signal for
     /// harnesses).
     pub fn exhausted(&self) -> bool {
-        self.injected.load(Ordering::SeqCst) >= self.budget
+        self.schedule.exhausted()
     }
 
     /// What to do with a write of `len` bytes about to hit the device.
     pub fn write_fault(&self, len: usize) -> DiskFault {
-        let r = self.draw() % 1000;
+        let r = self.schedule.draw() % 1000;
         let p = &self.profile;
         if r < u64::from(p.short_write_permille) && len > 1 {
-            if self.spend() {
+            if self.schedule.spend() {
                 self.short_writes.fetch_add(1, Ordering::SeqCst);
-                // A second draw places the cut strictly inside the buffer.
-                let at = 1 + (self.draw() as usize) % (len - 1);
-                return DiskFault::Short(at);
+                return DiskFault::Short(self.schedule.cut_inside(len));
             }
         } else if r < u64::from(p.short_write_permille) + u64::from(p.enospc_permille)
-            && self.spend()
+            && self.schedule.spend()
         {
             self.no_space.fetch_add(1, Ordering::SeqCst);
             return DiskFault::NoSpace;
@@ -208,8 +176,8 @@ impl DiskFaultPlan {
 
     /// Should this fsync fail?
     pub fn sync_fails(&self) -> bool {
-        let hit = self.draw() % 1000 < u64::from(self.profile.sync_fail_permille);
-        if hit && self.spend() {
+        let hit = self.schedule.draw() % 1000 < u64::from(self.profile.sync_fail_permille);
+        if hit && self.schedule.spend() {
             self.sync_failed.fetch_add(1, Ordering::SeqCst);
             return true;
         }
@@ -341,5 +309,32 @@ mod tests {
             assert!(!plan.sync_fails());
         }
         assert_eq!(plan.counts(), DiskFaultCounts::default());
+    }
+
+    /// Seed 2021's first 256 consults, digested when the plan still drew
+    /// its own stream: the shared schedule core must replay them exactly,
+    /// budget exhaustion included.
+    #[test]
+    fn seeded_trace_is_pinned() {
+        let profile = DiskFaultProfile {
+            sync_fail_permille: 100,
+            short_write_permille: 100,
+            enospc_permille: 100,
+        };
+        let plan = DiskFaultPlan::new(2021, profile, 24);
+        let digest = (0..256usize).fold(0, |h, i| {
+            let code = if i.is_multiple_of(2) {
+                u64::from(plan.sync_fails())
+            } else {
+                match plan.write_fault(64 + i) {
+                    DiskFault::None => 2,
+                    DiskFault::Short(at) => 3 + ((at as u64) << 8),
+                    DiskFault::NoSpace => 4,
+                }
+            };
+            fews_common::rng::splitmix64(h ^ code)
+        });
+        assert_eq!(digest, 0xbc97_4ca2_449c_b50f);
+        assert!(plan.exhausted());
     }
 }

@@ -396,43 +396,7 @@ impl Engine {
         self.flush();
         let (header, payloads) = checkpoint::decode_slice(bytes)?;
         header.check_against(&self.cfg)?;
-        let touched: Vec<u32> = payloads.iter().map(|&(p, _)| p).collect();
-        let mut per_shard: Vec<Vec<(u32, Vec<u8>)>> = vec![Vec::new(); self.cfg.shards];
-        for (p, bytes) in payloads {
-            per_shard[p as usize % self.cfg.shards].push((p, bytes));
-        }
-        // Phase 1: validate everywhere (shards with no payloads are still
-        // part of the barrier so a following Abort/Commit is unambiguous).
-        let mut replies = Vec::with_capacity(self.cfg.shards);
-        for (shard, payloads) in per_shard.into_iter().enumerate() {
-            let (tx, rx) = channel();
-            self.senders[shard]
-                .send(ShardMsg::PrepareRestore(payloads, tx))
-                .expect("shard worker died");
-            replies.push(rx);
-        }
-        let mut failure = None;
-        for rx in replies {
-            if let Err(e) = rx.recv().expect("shard worker died") {
-                failure.get_or_insert(e);
-            }
-        }
-        if let Some(e) = failure {
-            for sender in &self.senders {
-                sender
-                    .send(ShardMsg::AbortRestore)
-                    .expect("shard worker died");
-            }
-            return Err(CheckpointError::Corrupt(e));
-        }
-        // Phase 2: commit everywhere (cannot fail).
-        for () in self.gather(ShardMsg::CommitRestore) {}
-        // Only the carried partitions changed; drop exactly their memos.
-        for p in touched {
-            self.memos[p as usize] = None;
-        }
-        self.cached_view = None;
-        Ok(())
+        self.install_restore(payloads)
     }
 
     /// Load a checkpoint written by an engine with the same model
@@ -454,7 +418,16 @@ impl Engine {
         let inner = checkpoint::unwrap_envelope(bytes)?.inner;
         let (header, payloads) = checkpoint::decode(inner)?;
         header.check_against(&self.cfg)?;
-        // Group payloads by owning shard, preserving partition order.
+        self.install_restore(payloads)
+    }
+
+    /// The two-phase install under both restores: every shard validates its
+    /// share of `payloads` (shards with none still join the barrier, so the
+    /// following Abort/Commit is unambiguous), and only when all succeed
+    /// does the infallible commit run. Drops exactly the memos of the
+    /// carried partitions — for a full checkpoint, every partition.
+    fn install_restore(&mut self, payloads: Vec<(u32, Vec<u8>)>) -> Result<(), CheckpointError> {
+        let touched: Vec<u32> = payloads.iter().map(|&(p, _)| p).collect();
         let mut per_shard: Vec<Vec<(u32, Vec<u8>)>> = vec![Vec::new(); self.cfg.shards];
         for (p, bytes) in payloads {
             per_shard[p as usize % self.cfg.shards].push((p, bytes));
@@ -484,9 +457,9 @@ impl Engine {
         }
         // Phase 2: commit everywhere (cannot fail).
         for () in self.gather(ShardMsg::CommitRestore) {}
-        // Every partition's state was just replaced wholesale: the memos
-        // and the combined view describe the pre-restore world.
-        self.memos = (0..self.cfg.partitions).map(|_| None).collect();
+        for p in touched {
+            self.memos[p as usize] = None;
+        }
         self.cached_view = None;
         Ok(())
     }

@@ -1,11 +1,9 @@
 //! Deterministic transport fault injection.
 //!
-//! A [`FaultPlan`] is the cluster's fault lab: a seeded, *budgeted* schedule
-//! of transport failures that the [`crate::Client`] consults at every
-//! connect attempt and every request it is about to write. Each consult
-//! draws the next value of a `splitmix64` stream derived from the plan's
-//! seed, so the same seed over the same request sequence produces the same
-//! faults — a failing schedule replays exactly from its seed.
+//! A [`FaultPlan`] is the cluster's fault lab: a transport profile on the
+//! shared [`Schedule`] core (seeded decision stream, budget, replay — see
+//! `fews_common::fault`), consulted by the [`crate::Client`] at every
+//! connect attempt and every request it is about to write.
 //!
 //! The taxonomy matches what a real worker loss looks like from a router:
 //!
@@ -24,13 +22,8 @@
 //! That is what makes byte-identity assertions under fault schedules
 //! meaningful: the injected failures exercise retry, rejoin, and replica
 //! fail-over, never silent corruption.
-//!
-//! The `budget` bounds the total number of injected faults. Once spent, the
-//! plan goes permanently quiet — a harness injects chaos for the measured
-//! window, then quiesces fault-free and asserts the recovered answers are
-//! byte-identical to the reference.
 
-use fews_common::rng::splitmix64;
+use fews_common::fault::Schedule;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -95,15 +88,8 @@ impl Default for FaultProfile {
 /// it (wrap it in an `Arc` inside [`crate::ClientOptions::faults`]).
 #[derive(Debug)]
 pub struct FaultPlan {
-    seed: u64,
+    schedule: Schedule,
     profile: FaultProfile,
-    /// Faults injected so far; once it reaches `budget` the plan is quiet.
-    injected: AtomicU64,
-    /// Hard cap on injected faults (`u64::MAX` = unbounded).
-    budget: u64,
-    /// Decision counter — every consult advances the deterministic stream,
-    /// whether or not it injects.
-    decisions: AtomicU64,
     refused: AtomicU64,
     cut: AtomicU64,
     stalled: AtomicU64,
@@ -128,11 +114,9 @@ impl FaultPlan {
     /// `budget` faults before going quiet.
     pub fn new(seed: u64, profile: FaultProfile, budget: u64) -> FaultPlan {
         FaultPlan {
-            seed,
+            // The transport lab's salt: distinct from the storage lab's.
+            schedule: Schedule::new(seed, 0x9E37_79B9, budget),
             profile,
-            injected: AtomicU64::new(0),
-            budget,
-            decisions: AtomicU64::new(0),
             refused: AtomicU64::new(0),
             cut: AtomicU64::new(0),
             stalled: AtomicU64::new(0),
@@ -140,30 +124,15 @@ impl FaultPlan {
         }
     }
 
-    /// The next value of the decision stream.
-    fn draw(&self) -> u64 {
-        let d = self.decisions.fetch_add(1, Ordering::SeqCst);
-        splitmix64(self.seed ^ splitmix64(d.wrapping_add(0x9E37_79B9)))
-    }
-
-    /// Try to spend one unit of budget; `false` once the plan is dry.
-    fn spend(&self) -> bool {
-        self.injected
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                (n < self.budget).then_some(n + 1)
-            })
-            .is_ok()
-    }
-
     /// Whether the budget is spent (the quiesce signal for harnesses).
     pub fn exhausted(&self) -> bool {
-        self.injected.load(Ordering::SeqCst) >= self.budget
+        self.schedule.exhausted()
     }
 
     /// Should this connect attempt be refused?
     pub fn connect_refused(&self) -> bool {
-        let hit = self.draw() % 1000 < u64::from(self.profile.refuse_permille);
-        if hit && self.spend() {
+        let hit = self.schedule.draw() % 1000 < u64::from(self.profile.refuse_permille);
+        if hit && self.schedule.spend() {
             self.refused.fetch_add(1, Ordering::SeqCst);
             return true;
         }
@@ -173,24 +142,22 @@ impl FaultPlan {
     /// What to do with the request frame about to be written (`frame_len`
     /// bytes on the wire, header included).
     pub fn send_fault(&self, frame_len: usize) -> SendFault {
-        let r = self.draw() % 1000;
+        let r = self.schedule.draw() % 1000;
         let p = &self.profile;
         if r < u64::from(p.cut_permille) && frame_len > 1 {
-            if self.spend() {
+            if self.schedule.spend() {
                 self.cut.fetch_add(1, Ordering::SeqCst);
-                // A second draw places the cut strictly inside the frame.
-                let at = 1 + (self.draw() as usize) % (frame_len - 1);
-                return SendFault::CutAfter(at);
+                return SendFault::CutAfter(self.schedule.cut_inside(frame_len));
             }
         } else if r < u64::from(p.cut_permille) + u64::from(p.stall_permille) {
-            if self.spend() {
+            if self.schedule.spend() {
                 self.stalled.fetch_add(1, Ordering::SeqCst);
                 return SendFault::Stall(p.stall);
             }
         } else if r < u64::from(p.cut_permille)
             + u64::from(p.stall_permille)
             + u64::from(p.deliver_cut_permille)
-            && self.spend()
+            && self.schedule.spend()
         {
             self.delivered_cut.fetch_add(1, Ordering::SeqCst);
             return SendFault::DeliverThenCut;
@@ -293,5 +260,35 @@ mod tests {
         assert!(plan.slow_start(1).is_some());
         assert!(plan.slow_start(2).is_some());
         assert!(plan.slow_start(3).is_none());
+    }
+
+    /// Seed 2021's first 256 consults, digested when the plan still drew
+    /// its own stream: the shared schedule core must replay them exactly,
+    /// budget exhaustion included.
+    #[test]
+    fn seeded_trace_is_pinned() {
+        let profile = FaultProfile {
+            refuse_permille: 100,
+            cut_permille: 100,
+            stall_permille: 100,
+            deliver_cut_permille: 100,
+            ..noisy()
+        };
+        let plan = FaultPlan::new(2021, profile, 48);
+        let digest = (0..256usize).fold(0, |h, i| {
+            let code = if i.is_multiple_of(2) {
+                u64::from(plan.connect_refused())
+            } else {
+                match plan.send_fault(64 + i) {
+                    SendFault::None => 2,
+                    SendFault::CutAfter(at) => 3 + ((at as u64) << 8),
+                    SendFault::Stall(_) => 4,
+                    SendFault::DeliverThenCut => 5,
+                }
+            };
+            fews_common::rng::splitmix64(h ^ code)
+        });
+        assert_eq!(digest, 0xba3c_e354_ab64_7553);
+        assert!(plan.exhausted());
     }
 }
