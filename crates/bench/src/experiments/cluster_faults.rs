@@ -70,6 +70,7 @@ fn run_schedule(
         // so fault schedules never shed; refreshes come from rejoins and
         // the final checkpoint.
         retained_budget: 1 << 20,
+        disk_faults: None,
     };
     let router = Router::start(cfg, "127.0.0.1:0", &addrs, opts).expect("router starts");
     let mut client = Client::connect(router.local_addr()).expect("connect");

@@ -709,6 +709,7 @@ fn router(rest: &[String]) {
         replicas: o.get("replicas", 2usize).max(1),
         data_dir,
         retained_budget,
+        disk_faults: None,
     };
     let replicas = opts.replicas;
     let router = fews_cluster::Router::start(cfg, &addr, &workers, opts)

@@ -61,18 +61,18 @@
 //! ## Durability
 //!
 //! With [`RouterOptions::data_dir`] set, the retained state is crash-safe
-//! through the same machinery a single durable server uses
-//! ([`fews_engine::wal`]): every acked batch is appended to a space-tagged,
-//! CRC-framed WAL and fsynced *before* the ack, and compaction (whenever
-//! every retained log is empty) atomically writes a checkpoint envelope
-//! whose watermark is the WAL sequence it covers, then the metadata (the
-//! ack watermark `ingested`, paired with the WAL sequence it counts up
-//! to), then resets the log. `kill -9` of the router replays checkpoint +
-//! WAL tail back to bit-exact retained state and recounts every WAL record
-//! past the metadata's sequence, so the ack watermark never comes back
-//! lower than one already acked; restart then pushes every worker its
-//! slice wholesale, so the cluster's answers are byte-identical to an
-//! uninterrupted run.
+//! through a node's durable core ([`fews_engine::wal`]): every acked batch
+//! is appended to a space-tagged, CRC-framed WAL and fsynced by its group
+//! commit *before* the ack — and a failed fsync poisons durability as on a
+//! node. Compaction (whenever every retained log is empty) is
+//! [`Wal::compact`]: a checkpoint envelope whose watermark is the WAL
+//! sequence it covers, then the metadata (the ack watermark `ingested`,
+//! paired with the WAL sequence it counts up to), then the log reset.
+//! `kill -9` of the router replays checkpoint + WAL tail back to bit-exact
+//! retained state and recounts every WAL record past the metadata's
+//! sequence, so the ack watermark never comes back lower than one already
+//! acked; restart then pushes every worker its slice wholesale, so the
+//! cluster's answers are byte-identical to an uninterrupted run.
 //!
 //! The logs have one bound, [`RouterOptions::retained_budget`]. When a
 //! batch would carry them past it, the router first *refreshes*: it pulls
@@ -90,7 +90,8 @@ use fews_common::rng::derive_seed;
 use fews_common::SpaceId;
 use fews_core::neighbourhood::Neighbourhood;
 use fews_engine::checkpoint::{self, unwrap_envelope, Header};
-use fews_engine::wal::{atomic_write, wal_path, SpaceDir, Wal};
+use fews_engine::diskfault::DiskFaultPlan;
+use fews_engine::wal::{wal_path, SpaceDir, Wal};
 use fews_engine::{partition_of, Engine, EngineConfig, ModelSpec};
 use fews_net::proto::body_fits;
 use fews_net::serve::{self, FrontEnd};
@@ -114,6 +115,8 @@ const REPLAY_CHUNK: usize = 8192;
 
 /// The router's durable metadata file inside the data dir.
 const META_FILE: &str = "router.meta";
+/// The metadata file's first line.
+const META_HEADER: &str = "fews-router-meta v1";
 
 /// Base unit of the `retry_after_ms` hint on router-side shedding, scaled
 /// by how far past the retained-log budget the router is.
@@ -159,6 +162,11 @@ pub struct RouterOptions {
     /// router stops accepting what it cannot place and tells clients when
     /// to come back. Must be at least 1; [`Router::start`] refuses 0.
     pub retained_budget: u64,
+    /// Storage fault lab: a seeded plan consulted by every WAL flush and
+    /// fsync and by every compaction's checkpoint and metadata replace —
+    /// the type a node's `ServerOptions::disk_faults` takes. `None` (the
+    /// default) runs the real disk untouched.
+    pub disk_faults: Option<Arc<DiskFaultPlan>>,
 }
 
 impl Default for RouterOptions {
@@ -170,6 +178,7 @@ impl Default for RouterOptions {
             replicas: 2,
             data_dir: None,
             retained_budget: 1 << 20,
+            disk_faults: None,
         }
     }
 }
@@ -231,11 +240,6 @@ struct Inner {
     /// Updates accepted over the router's lifetime (recovered across
     /// restarts when durable).
     ingested: u64,
-    /// Generation number of the ownership map: bumps every time the map is
-    /// (re)computed — startup, worker join — and persists with the
-    /// checkpoint so a restarted router knows how many assignments its
-    /// lifetime has seen.
-    assign_epoch: u64,
     durable: Option<Durable>,
     started: Instant,
     /// Ingest batches the router itself shed with [`ErrorCode::Overloaded`]
@@ -298,39 +302,33 @@ fn client_opts_for(opts: &RouterOptions, i: usize) -> ClientOptions {
     o
 }
 
-/// Durably persist the router's metadata: the assignment epoch and the
-/// ack watermark `ingested`, which counts every update in WAL records up
-/// to `wal_seq`. Written through the checkpoint's fsync'd tmp + rename +
-/// directory-fsync path, so it is on disk before the WAL reset that
-/// follows it can drop the records it counts.
-fn write_meta(path: &Path, assign_epoch: u64, ingested: u64, wal_seq: u64) -> std::io::Result<()> {
-    let text = format!(
-        "fews-router-meta v1\nassign_epoch {assign_epoch}\ningested {ingested}\nwal_seq {wal_seq}\n"
-    );
-    atomic_write(path, text.as_bytes(), None)
-}
-
-/// Read the metadata file back as `(assign_epoch, ingested, wal_seq)`;
-/// `None` if absent or unparseable (both recoverable — the counters
-/// restart from zero). `wal_seq` is `None` in a file written before the
-/// pairing existed.
-fn read_meta(path: &Path) -> Option<(u64, u64, Option<u64>)> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let mut lines = text.lines();
-    if lines.next()? != "fews-router-meta v1" {
-        return None;
-    }
-    let (mut epoch, mut ingested, mut wal_seq) = (None, None, None);
-    for line in lines {
-        let mut it = line.split_whitespace();
-        match (it.next(), it.next()) {
-            (Some("assign_epoch"), Some(v)) => epoch = v.parse().ok(),
-            (Some("ingested"), Some(v)) => ingested = v.parse().ok(),
-            (Some("wal_seq"), Some(v)) => wal_seq = v.parse().ok(),
-            _ => {}
+/// Read the metadata file back as `(ingested, wal_seq)`: `None` if absent
+/// (the router never finished a compaction), `InvalidData` naming the file
+/// if it does not parse — recounting from the WAL tail alone would bring
+/// the ack watermark back lower than one already acked. `wal_seq` is
+/// `None` in a file written before the pairing existed; other lines, such
+/// as an older file's `assign_epoch`, are skipped.
+fn read_meta(path: &Path) -> std::io::Result<Option<(u64, Option<u64>)>> {
+    let fail = |kind, why: &dyn std::fmt::Display| {
+        std::io::Error::new(kind, format!("router meta {}: {why}", path.display()))
+    };
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(fail(e.kind(), &e)),
+    };
+    // `None` if the key is absent, `Some(None)` if its value is unreadable.
+    let value = |key: &str| {
+        let mut line = text.lines().skip(1).map(str::split_whitespace);
+        let mut words = line.find(|words| words.clone().next() == Some(key))?;
+        Some(words.nth(1).and_then(|v| v.parse::<u64>().ok()))
+    };
+    match (text.lines().next(), value("ingested"), value("wal_seq")) {
+        (Some(META_HEADER), Some(Some(ingested)), wal_seq) if wal_seq != Some(None) => {
+            Ok(Some((ingested, wal_seq.flatten())))
         }
+        _ => Err(fail(ErrorKind::InvalidData, &"unreadable")),
     }
-    Some((epoch?, ingested?, wal_seq))
 }
 
 /// Decode a full checkpoint (an envelope or a bare container) into the
@@ -697,11 +695,17 @@ impl Inner {
         }
         if let Some(d) = &self.durable {
             // Acknowledged means durable: the batch is on stable storage
-            // before any worker sees it. A sync failure refuses the ack
-            // (the buffered record is then a harmless never-acked orphan).
-            d.wal.append(SpaceId::default_space().as_str(), &updates);
-            if let Err(e) = d.wal.sync() {
-                return Response::error(ErrorCode::Durability, format!("router wal: {e}"));
+            // before any worker sees it. A failed fsync's flush may have
+            // written the refused record, so a restart may replay it, as
+            // on a node; the poison refuses every later batch (a retry
+            // included) before the log, so it lands at most once.
+            let logged = d
+                .wal
+                .announce()
+                .append(SpaceId::default_space().as_str(), &updates)
+                .and_then(|a| d.wal.wait_durable(&a));
+            if let Err(e) = logged {
+                return Response::error(ErrorCode::Durability, e.to_string());
             }
         }
         let mut per_node: Vec<Vec<Update>> = vec![Vec::new(); self.nodes.len()];
@@ -875,22 +879,26 @@ impl Inner {
         Ok(())
     }
 
-    /// Durably anchor the retained state: write the checkpoint envelope
-    /// (watermarked with the last WAL sequence it covers), then the
-    /// metadata paired with that same sequence, then reset the WAL. Sound
-    /// only when every retained log is empty — the payload store then *is*
-    /// the full retained state. A crash between any two steps recovers
-    /// exactly: records the checkpoint covers are not replayed, and
-    /// records past the metadata's sequence are still in the log to count.
+    /// Durably anchor the retained state ([`Wal::compact`]): write the
+    /// checkpoint envelope (watermarked with the last WAL sequence it
+    /// covers), then the metadata — the ack watermark `ingested`, which
+    /// counts every update in WAL records up to that same sequence — then
+    /// reset the WAL. Sound only when every retained log is empty — the
+    /// payload store then *is* the full retained state. A crash between
+    /// any two steps recovers exactly: records the checkpoint covers are
+    /// not replayed, and records past the metadata's sequence are still in
+    /// the log to count.
     fn compact_durable(&mut self) -> std::io::Result<()> {
         let Some(d) = &self.durable else {
             return Ok(());
         };
         debug_assert!(self.logs.iter().all(|l| l.is_empty()));
         let seq = d.wal.last_seq();
-        d.store.write_checkpoint(&self.envelope(seq))?;
-        write_meta(&d.meta, self.assign_epoch, self.ingested, seq)?;
-        d.wal.reset()
+        let meta = format!("{META_HEADER}\ningested {}\nwal_seq {seq}\n", self.ingested);
+        d.wal.compact([
+            (d.store.checkpoint_path(), self.envelope(seq)),
+            (d.meta.clone(), meta.into_bytes()),
+        ])
     }
 
     /// Answer `query` from the designated readers: plan the read
@@ -1057,10 +1065,6 @@ impl Inner {
         self.nodes.push(Node::fresh(addr.to_string(), Some(client)));
         let n = self.nodes.len();
         self.owners = owner_map(self.cfg.partitions, n, self.opts.replicas);
-        self.assign_epoch += 1;
-        if let Some(d) = &self.durable {
-            let _ = write_meta(&d.meta, self.assign_epoch, self.ingested, d.wal.last_seq());
-        }
         // Every node gets its new slice pushed (or rejoins with it).
         for i in 0..n {
             if self.nodes[i].client.is_none() {
@@ -1220,7 +1224,6 @@ impl Router {
         let mut recovered_payloads: Option<Vec<Vec<u8>>> = None;
         let mut logs: Vec<Vec<Update>> = vec![Vec::new(); partitions];
         let mut ingested = 0u64;
-        let mut assign_epoch = 0u64;
         let mut recovered = false;
         if let Some(dir) = &opts.data_dir {
             std::fs::create_dir_all(dir)?;
@@ -1232,15 +1235,16 @@ impl Router {
                 .transpose()
                 .map_err(|m| invalid(format!("router checkpoint: {m}")))?;
             let floor = prior.as_ref().map_or(0, |&(_, wal_seq)| wal_seq);
-            let (wal, recovery) = Wal::open(&wal_path(dir), floor)?;
+            let (wal, recovery) = Wal::open_with(&wal_path(dir), floor, opts.disk_faults.clone())?;
             let meta = dir.join(META_FILE);
             // `ingested` counts the records up to meta's WAL sequence. A
             // crash between the checkpoint and meta writes leaves records
             // the checkpoint covers (not replayed) that meta never counted
             // (counted here), so the ack watermark comes back whole.
-            let mut counted = floor;
-            if let Some((epoch, count, wal_seq)) = read_meta(&meta) {
-                assign_epoch = epoch;
+            // Without meta no compaction ever finished, so the log was
+            // never reset and every record in it counts.
+            let mut counted = 0;
+            if let Some((count, wal_seq)) = read_meta(&meta)? {
                 ingested = count;
                 counted = wal_seq.unwrap_or(floor);
             }
@@ -1297,7 +1301,6 @@ impl Router {
             }
         }
         let owners = owner_map(partitions, nodes.len(), opts.replicas);
-        assign_epoch += 1;
         let heartbeat_period = opts.heartbeat;
         let mut inner = Inner {
             cfg,
@@ -1307,7 +1310,6 @@ impl Router {
             payloads,
             logs,
             ingested,
-            assign_epoch,
             durable,
             started: Instant::now(),
             shed_ingest: 0,
@@ -1321,10 +1323,6 @@ impl Router {
                     let _ = inner.push_slice(i);
                 }
             }
-        } else if inner.durable.is_some() {
-            // Anchor the empty baseline so a crash before the first
-            // compaction still recovers through the checkpoint path.
-            inner.compact_durable()?;
         }
         let shared = Arc::new(RouterShared {
             inner: Mutex::new(inner),
@@ -1552,6 +1550,7 @@ mod tests {
     use fews_core::insertion_deletion::IdConfig;
     use fews_core::insertion_only::FewwConfig;
     use fews_core::wire::{MemoryState, RunState};
+    use fews_engine::diskfault::{CrashPoint, DiskFaultProfile};
     use fews_engine::{GlobalView, Scope};
     use fews_net::{OverloadLimits, Server, ServerOptions};
     use fews_stream::Edge;
@@ -1593,6 +1592,7 @@ mod tests {
             replicas: 1,
             data_dir: None,
             retained_budget: HEALTHY_BUDGET,
+            disk_faults: None,
         }
     }
 
@@ -1895,15 +1895,13 @@ mod tests {
         ([w1, w2], workers, opts)
     }
 
-    /// Crash both workers and bring them back empty, restart the router
-    /// from its data dir alone, and hold its answers, checkpoint bytes and
-    /// ack watermark to a single engine that saw `updates`.
-    fn assert_restart_exact(
+    /// Crash both workers and bring them back empty, then restart the
+    /// router from its data dir alone.
+    fn restart_cluster(
         workers: [Server; 2],
         addrs: &[String],
         opts: RouterOptions,
-        updates: &[Update],
-    ) {
+    ) -> ([Server; 2], Router, Client) {
         let cfg = test_cfg();
         let workers = workers.map(|w| {
             let addr = w.local_addr();
@@ -1912,7 +1910,19 @@ mod tests {
             start_worker_at(cfg, addr)
         });
         let router = Router::start(cfg, "127.0.0.1:0", addrs, opts).expect("restarted router");
-        let mut client = Client::connect(router.local_addr()).expect("reconnect");
+        let client = Client::connect(router.local_addr()).expect("reconnect");
+        (workers, router, client)
+    }
+
+    /// Hold a router's answers, checkpoint bytes and ack watermark to a
+    /// single engine that saw `updates`, then stop the cluster.
+    fn assert_holds_exactly(
+        workers: [Server; 2],
+        router: Router,
+        mut client: Client,
+        updates: &[Update],
+    ) {
+        let cfg = test_cfg();
         let view = reference_view(cfg, updates);
         assert_eq!(client.certified().expect("replayed"), view.certified());
         let mut reference = Engine::start(cfg);
@@ -1931,35 +1941,204 @@ mod tests {
         }
     }
 
+    /// Crash both workers and bring them back empty, restart the router
+    /// from its data dir alone, and hold its answers, checkpoint bytes and
+    /// ack watermark to a single engine that saw `updates`.
+    fn assert_restart_exact(
+        workers: [Server; 2],
+        addrs: &[String],
+        opts: RouterOptions,
+        updates: &[Update],
+    ) {
+        let (workers, router, client) = restart_cluster(workers, addrs, opts);
+        assert_holds_exactly(workers, router, client, updates);
+    }
+
     #[test]
     fn killed_router_restarts_from_data_dir_byte_identical() {
         let cfg = test_cfg();
-        let dir = scratch_dir("restart");
-        let (workers, addrs, opts) = durable_pair(&dir, HEALTHY_BUDGET);
-
         // 22 chunks of 97 against HEALTHY_BUDGET: the last refresh runs
         // before chunk 21 and compacts chunks 1–20 into the checkpoint, so
         // chunks 21–22 are retained only in the WAL tail — the restart
-        // exercises checkpoint restore AND WAL replay.
-        let updates = stream(2_134);
-        {
-            let router = Router::start(cfg, "127.0.0.1:0", &addrs, opts.clone()).expect("router");
-            let mut client = Client::connect(router.local_addr()).expect("connect");
-            for chunk in updates.chunks(97) {
-                client.ingest_batch(chunk).expect("ingest");
+        // exercises checkpoint restore AND WAL replay. At 1 << 20 nothing
+        // ever compacts: the router dies before writing any checkpoint or
+        // metadata, and the restart recovers from the WAL alone.
+        for budget in [HEALTHY_BUDGET, 1 << 20] {
+            let dir = scratch_dir(&format!("restart-{budget}"));
+            let (workers, addrs, opts) = durable_pair(&dir, budget);
+            let updates = stream(2_134);
+            {
+                let router =
+                    Router::start(cfg, "127.0.0.1:0", &addrs, opts.clone()).expect("router");
+                let mut client = Client::connect(router.local_addr()).expect("connect");
+                for chunk in updates.chunks(97) {
+                    client.ingest_batch(chunk).expect("ingest");
+                }
+                let stats = client.stats().expect("stats");
+                assert_eq!(stats.ingested, updates.len() as u64);
+                assert!(stats.wal_bytes > 0, "budget {budget}: no WAL tail");
+                // No clean shutdown handshake: dropping the router here is
+                // a crash as far as durability is concerned (nothing is
+                // flushed on drop — every ack was already fsynced).
+                router.shutdown();
+                router.join();
             }
-            let stats = client.stats().expect("stats");
-            assert_eq!(stats.ingested, updates.len() as u64);
-            assert!(stats.wal_bytes > 0, "chunks 21–22 must be a WAL tail");
-            // No clean shutdown handshake: dropping the router here is a
-            // crash as far as durability is concerned (nothing is flushed
-            // on drop — every ack was already fsynced).
-            router.shutdown();
-            router.join();
+            assert_eq!(
+                dir.join(META_FILE).exists(),
+                budget == HEALTHY_BUDGET,
+                "budget {budget}: only a compaction writes the metadata"
+            );
+
+            // The workers die too; they come back empty. Everything the new
+            // router pushes them comes from disk alone.
+            assert_restart_exact(workers, &addrs, opts, &updates);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// One injected fsync failure refuses a batch typed `durability`, and
+    /// the client retries it. The failed fsync's flush already wrote the
+    /// refused record, so an accepted retry would land the batch twice:
+    /// the retry must be refused too. After a crash-restart the router
+    /// holds a batch-prefix of the distinct batches, every acked one
+    /// exactly once; the refused one may replay, as on a node.
+    #[test]
+    fn retried_batch_after_a_failed_fsync_never_lands_twice() {
+        let cfg = test_cfg();
+        let dir = scratch_dir("fsync-retry");
+        let (workers, addrs, opts) = durable_pair(&dir, 1 << 20);
+        // Seed 5 fails the 4th fsync, and only it.
+        let plan = Arc::new(DiskFaultPlan::new(
+            5,
+            DiskFaultProfile {
+                sync_fail_permille: 300,
+                short_write_permille: 0,
+                enospc_permille: 0,
+            },
+            1,
+        ));
+        let faulty = RouterOptions {
+            disk_faults: Some(Arc::clone(&plan)),
+            ..opts.clone()
+        };
+        let router = Router::start(cfg, "127.0.0.1:0", &addrs, faulty).expect("router");
+        let mut client = Client::connect(router.local_addr()).expect("connect");
+        let updates = stream(4 * 97);
+        let batches: Vec<&[Update]> = updates.chunks(97).collect();
+        let mut acked = 0;
+        for batch in &batches[..3] {
+            client.ingest_batch(batch).expect("healthy fsyncs ack");
+            acked += batch.len();
+        }
+        match client.ingest_batch(batches[3]) {
+            Err(ClientError::Server {
+                code: ErrorCode::Durability,
+                ..
+            }) => {}
+            other => panic!("the failed fsync should refuse the batch typed, got {other:?}"),
+        }
+        assert_eq!(plan.counts().sync_failed, 1);
+        let retry = client.ingest_batch(batches[3]);
+        if retry.is_ok() {
+            acked += batches[3].len();
+        }
+        router.shutdown();
+        router.join();
+
+        let (workers, router, mut client) = restart_cluster(workers, &addrs, opts);
+        let held = client.stats().expect("stats").ingested as usize;
+        let prefix = (0..=batches.len())
+            .find(|&k| batches[..k].iter().map(|b| b.len()).sum::<usize>() == held)
+            .unwrap_or_else(|| {
+                panic!(
+                    "the restarted router holds {held} updates: no batch-prefix of the {} \
+                     distinct updates sent ({acked} acked)",
+                    updates.len()
+                )
+            });
+        assert!(
+            held >= acked,
+            "the restart lost acked updates: {held} < {acked}"
+        );
+        assert_holds_exactly(workers, router, client, &batches[..prefix].concat());
+        match retry {
+            Err(ClientError::Server {
+                code: ErrorCode::Durability,
+                message,
+                ..
+            }) => assert!(message.contains("durability disabled"), "got {message:?}"),
+            other => panic!("a poisoned router accepted the retry: {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A compaction killed after its checkpoint rename, before the first
+    /// metadata file was ever written, leaves a checkpoint, no metadata and
+    /// the WAL it never reset. Every record in that log is acked and
+    /// counts, those the checkpoint covers included.
+    #[test]
+    fn crash_inside_the_first_compaction_keeps_the_ack_watermark() {
+        let cfg = test_cfg();
+        let dir = scratch_dir("first-compaction");
+        let (workers, addrs, opts) = durable_pair(&dir, 1 << 20);
+        let plan = Arc::new(DiskFaultPlan::crash_only(3));
+        plan.arm_crash(CrashPoint::DirSync);
+        let faulty = RouterOptions {
+            disk_faults: Some(Arc::clone(&plan)),
+            ..opts.clone()
+        };
+        let router = Router::start(cfg, "127.0.0.1:0", &addrs, faulty).expect("router");
+        let mut client = Client::connect(router.local_addr()).expect("connect");
+        let updates = stream(400);
+        for chunk in updates.chunks(97) {
+            client.ingest_batch(chunk).expect("ingest");
+        }
+        client
+            .checkpoint()
+            .expect("the compaction's failure is not the checkpoint's");
+        assert_eq!(plan.counts().crashes, 1);
+        assert!(dir.join("default").join("checkpoint.fck").exists());
+        assert!(!dir.join(META_FILE).exists());
+        router.shutdown();
+        router.join();
+
+        let (workers, router, client) = restart_cluster(workers, &addrs, opts);
+        assert_holds_exactly(workers, router, client, &updates);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A metadata file that exists but does not parse refuses the start,
+    /// naming the file, instead of recounting the ack watermark from the
+    /// WAL tail alone (which would bring it back lower than one already
+    /// acked). A file in the older format, with its `assign_epoch` line,
+    /// still reads.
+    #[test]
+    fn unreadable_meta_refuses_the_start_and_an_older_meta_still_reads() {
+        let cfg = test_cfg();
+        let dir = scratch_dir("bad-meta");
+        let (workers, addrs, opts) = durable_pair(&dir, HEALTHY_BUDGET);
+        let updates = stream(2_134);
+        let router = Router::start(cfg, "127.0.0.1:0", &addrs, opts.clone()).expect("router");
+        let mut client = Client::connect(router.local_addr()).expect("connect");
+        for chunk in updates.chunks(97) {
+            client.ingest_batch(chunk).expect("ingest");
+        }
+        router.shutdown();
+        router.join();
+        let meta = dir.join(META_FILE);
+        let written = std::fs::read_to_string(&meta).expect("meta");
+
+        std::fs::write(&meta, "garbage\n").expect("overwrite meta");
+        match Router::start(cfg, "127.0.0.1:0", &addrs, opts.clone()) {
+            Err(e) => {
+                assert_eq!(e.kind(), ErrorKind::InvalidData);
+                assert!(e.to_string().contains(META_FILE), "got {e}");
+            }
+            Ok(_) => panic!("a router started over an unreadable {META_FILE}"),
         }
 
-        // The workers die too; they come back empty. Everything the new
-        // router pushes them comes from disk alone.
+        let (header, rest) = written.split_once('\n').expect("a header line");
+        std::fs::write(&meta, format!("{header}\nassign_epoch 2\n{rest}")).expect("older meta");
         assert_restart_exact(workers, &addrs, opts, &updates);
         let _ = std::fs::remove_dir_all(&dir);
     }

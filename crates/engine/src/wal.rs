@@ -1,16 +1,20 @@
-//! Write-ahead logging and the per-space durability directory.
+//! Write-ahead logging, its group commit, and the per-space durability
+//! directory — the one durable core under both serving tiers, a node
+//! (`fews_net::server`) and a cluster router (`fews_cluster::router`).
 //!
 //! Durability contract: **fsync before ack**. A batch of updates is appended
 //! to the log and `fdatasync`'d *before* the serving layer acknowledges the
 //! client — so every acknowledged update is on disk, and a `kill -9` at any
-//! instant loses at most un-acknowledged work. Append, file write, and
-//! fsync are separate steps ([`Wal::append`] buffers in memory,
-//! [`WalHandle::flush`] writes, [`WalHandle::sync`] makes durable) so the
-//! serving layer can group-commit: one write+fsync covers every record
-//! appended before it. Recovery restores each space's newest checkpoint
-//! envelope and replays the log tail beyond its watermark, reproducing the
-//! exact acknowledged state (`tests/tests/wal_recovery.rs` byte-diffs this
-//! against a no-crash reference).
+//! instant loses at most un-acknowledged work. Append and fsync are
+//! separate steps ([`Wal::append`] buffers in memory, [`Wal::sync`] writes
+//! and fsyncs) so that one write+fsync can cover every record appended
+//! before it: the *group commit* ([`Wal::wait_durable`]). Its first failed
+//! fsync *poisons* the log, and every later batch is refused before it
+//! reaches the file ([`Announced::append`]). Recovery restores each space's
+//! newest checkpoint envelope and replays the log tail beyond its
+//! watermark, reproducing the exact acknowledged state
+//! (`tests/tests/wal_recovery.rs` byte-diffs this against a no-crash
+//! reference).
 //!
 //! The log is **shared by every space of a server** — one file at the root
 //! of the data dir, each record tagged with the space it belongs to. One
@@ -54,10 +58,11 @@
 //! The log is not allowed to grow without bound: once it passes the serving
 //! layer's threshold, every space's engine is checkpointed into a
 //! space-tagged envelope ([`crate::checkpoint::wrap_envelope`]) carrying
-//! that space's highest applied sequence number, each envelope is written
-//! atomically (tmp + `fsync` + `rename` + directory `fsync`), and the log
-//! is reset. A crash between those steps is safe: replay skips every record
-//! at or below its space's envelope watermark, so nothing is applied twice.
+//! that space's highest applied sequence number, and [`Wal::compact`]
+//! writes each envelope atomically (tmp + `fsync` + `rename` + directory
+//! `fsync`) and then resets the log. A crash between those steps is safe:
+//! replay skips every record at or below its space's envelope watermark, so
+//! nothing is applied twice.
 use crate::diskfault::{CrashPoint, DiskFault, DiskFaultPlan};
 use fews_common::{SpaceConfig, SpaceId};
 use fews_core::wire::{get_space_config, get_uvarint, put_space_config, put_uvarint};
@@ -66,7 +71,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, Read, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Duration;
 
 /// Magic bytes opening a space configuration file (`space.cfg`).
 pub const SPACE_CONFIG_MAGIC: &[u8; 8] = b"FEWWSPC1";
@@ -246,7 +252,7 @@ pub fn scan_log(bytes: &[u8]) -> (Vec<WalRecord>, usize, Option<String>) {
 }
 
 /// The record's byte position and sequence assignment returned by
-/// [`Wal::append`].
+/// [`Wal::append`] — also the ticket [`Wal::wait_durable`] waits on.
 #[derive(Debug, Clone, Copy)]
 pub struct WalAppend {
     /// The record's sequence number.
@@ -257,22 +263,31 @@ pub struct WalAppend {
     pub end: u64,
     /// Encoded size of this record alone.
     pub len: u64,
+    /// The log generation the record went into: every reset starts a new
+    /// one, and a closed generation is durable through its checkpoints.
+    epoch: u64,
 }
 
-/// An open write-ahead log — one per server, shared by all of its spaces.
+/// An open write-ahead log — one per server, shared by all of its spaces —
+/// and its group commit.
 ///
 /// Appends land in an in-memory *log buffer* — no syscall at all. Getting
-/// them to disk is a separate, explicit flush (buffer → file) and fsync,
-/// reachable without the `Wal` itself through a cloneable [`WalHandle`].
-/// That split is what lets a server group-commit: many appended records
-/// ride one write+fsync, appends never touch the file's inode (so they
-/// cannot stall behind an in-flight fsync), and the flush/fsync run outside
-/// whatever lock serializes appends. The contract stands regardless: **no
-/// record may be acknowledged before a flush *and* an fsync have covered
-/// it.**
+/// them to disk is a separate flush (buffer → file) and fsync, so appends
+/// never touch the file's inode (they cannot stall behind an in-flight
+/// fsync) and the fsync runs outside whatever lock serializes appends. The
+/// contract stands regardless: **no record may be acknowledged before a
+/// flush *and* an fsync have covered it** — [`Wal::wait_durable`] is how a
+/// serving tier waits for that.
 #[derive(Debug)]
 pub struct Wal {
-    io: WalHandle,
+    file: File,
+    pending: Mutex<WalBuf>,
+    /// Storage fault lab, consulted on every flush and fsync and by
+    /// [`Wal::compact`]'s file replaces (`None` in production).
+    faults: Option<Arc<DiskFaultPlan>>,
+    commit: Mutex<Commit>,
+    /// Signalled whenever a group-commit wait may be able to proceed.
+    committed: Condvar,
 }
 
 /// The log buffer: appended records not yet written to the file, plus the
@@ -288,23 +303,269 @@ struct WalBuf {
     next_seq: u64,
 }
 
-/// Shared access to a log's buffer and file: enough to flush and fsync, not
-/// enough to append or reset. The buffer lock serializes flush-writes with
-/// resets; the fsync itself holds no lock at all.
-#[derive(Debug, Clone)]
-pub struct WalHandle {
-    file: Arc<File>,
-    pending: Arc<Mutex<WalBuf>>,
-    /// Storage fault lab, consulted on every flush and fsync (`None` in
-    /// production).
-    faults: Option<Arc<DiskFaultPlan>>,
+/// Group-commit state. Lock order: the buffer lock, then this one — an
+/// append registers (and a reset closes the epoch) under the buffer lock,
+/// so a record's ticket always names the generation it was written into.
+#[derive(Debug, Default)]
+struct Commit {
+    /// Bumped by every log reset (compaction). Tickets from closed epochs
+    /// are durable via the fsynced checkpoints that closed them.
+    epoch: u64,
+    /// Bytes of the current epoch's log known appended.
+    appended: u64,
+    /// Bytes of the current epoch's log covered by a completed fsync.
+    synced: u64,
+    /// A leader's fsync is in flight.
+    syncing: bool,
+    /// Appends announced ([`Wal::announce`]) and not yet appended or
+    /// withdrawn: their records are an apply away, so a scooping leader
+    /// holds its fsync for them.
+    appenders: u32,
+    /// How many appends the most recent completed fsync covered — the
+    /// leader's evidence of concurrency when deciding whether a grace hold
+    /// is worth it.
+    prev_group: u64,
+    /// Appends registered since the last fsync's coverage was snapshotted.
+    group: u64,
+    /// An fsync failed: the log can no longer vouch for anything, so every
+    /// present and future durability wait fails, and every later
+    /// announced append is refused.
+    poisoned: bool,
 }
 
-impl WalHandle {
-    /// Write the pending log buffer to the file (page cache, no fsync).
-    /// After `Ok`, every record appended so far is in the file and
-    /// [`WalHandle::sync`] makes it durable.
-    pub fn flush(&self) -> std::io::Result<()> {
+/// How long a scooping leader waits for one announced appender.
+const SCOOP_WAIT: Duration = Duration::from_millis(2);
+/// Cap on a leader's scoop waits, so a stuck appender cannot stall acks.
+const SCOOP_ROUNDS: u32 = 8;
+/// A leader's one-beat hold for the next wave when the last fsync covered
+/// one (see [`Wal::wait_durable`]).
+const GRACE_WAIT: Duration = Duration::from_micros(750);
+
+/// An announced append ([`Wal::announce`]). Until it is appended or
+/// dropped, a group-commit leader may hold its fsync for it.
+#[derive(Debug)]
+#[must_use = "an announcement is withdrawn when dropped"]
+pub struct Announced<'a> {
+    wal: &'a Wal,
+}
+
+impl Announced<'_> {
+    /// Append one batch for `space` ([`Wal::append`]) — unless durability
+    /// is poisoned, in which case the batch is refused before it touches
+    /// the log, so a refused batch can never land behind a later one.
+    pub fn append(self, space: &str, updates: &[Update]) -> std::io::Result<WalAppend> {
+        if self.wal.commit.lock().expect("wal commit").poisoned {
+            return Err(std::io::Error::other(
+                "durability disabled: a write-ahead log fsync failed",
+            ));
+        }
+        Ok(self.wal.append(space, updates))
+    }
+}
+
+impl Drop for Announced<'_> {
+    fn drop(&mut self) {
+        // A panicked holder of the lock is reported by the next `expect`;
+        // a drop (maybe during that unwind) must not panic again.
+        if let Ok(mut c) = self.wal.commit.lock() {
+            c.appenders = c.appenders.saturating_sub(1);
+            if c.syncing {
+                self.wal.committed.notify_all();
+            }
+        }
+    }
+}
+
+impl Wal {
+    /// Open (or create) the log at `path`, recover its valid records, and
+    /// truncate away any damaged tail. `floor_seq` is the highest checkpoint
+    /// watermark across the server's spaces: the log may have been reset
+    /// since those sequence numbers were issued, and new records must stay
+    /// above every watermark or replay would skip them.
+    pub fn open(path: &Path, floor_seq: u64) -> std::io::Result<(Wal, WalRecovery)> {
+        Self::open_with(path, floor_seq, None)
+    }
+
+    /// [`Wal::open`] with a storage fault plan consulted on every flush and
+    /// fsync and by [`Wal::compact`] — the fault lab's entry point.
+    /// Recovery itself runs clean: the plan models a flaky device under a
+    /// live log, not a corrupted read path.
+    pub fn open_with(
+        path: &Path,
+        floor_seq: u64,
+        faults: Option<Arc<DiskFaultPlan>>,
+    ) -> std::io::Result<(Wal, WalRecovery)> {
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        let (replay, valid_len, damage) = scan_log(&bytes);
+        let mut allocated = bytes.len() as u64;
+        if damage.is_some() {
+            // Drop the damaged tail. The shrink deallocates it, and the
+            // bytes read back as zeros once the file regrows — a clean end
+            // of log, so the damage is reported exactly once.
+            file.set_len(valid_len as u64)?;
+            file.sync_all()?;
+            allocated = valid_len as u64;
+        }
+        let last_seq = replay.last().map_or(0, |(seq, _, _)| *seq);
+        let wal = Wal {
+            file,
+            pending: Mutex::new(WalBuf {
+                data: Vec::new(),
+                bytes: valid_len as u64,
+                allocated,
+                next_seq: last_seq.max(floor_seq) + 1,
+            }),
+            faults,
+            commit: Mutex::new(Commit::default()),
+            committed: Condvar::new(),
+        };
+        Ok((
+            wal,
+            WalRecovery {
+                replay,
+                last_seq,
+                damage,
+            },
+        ))
+    }
+
+    /// Append one batch for `space` to the log buffer (**no file I/O**).
+    /// Safe to call from many spaces concurrently — the buffer lock
+    /// serializes encoding and assigns globally increasing sequence numbers.
+    /// This raw append does not look at the poison; a serving tier appends
+    /// through [`Wal::announce`] instead.
+    pub fn append(&self, space: &str, updates: &[Update]) -> WalAppend {
+        let mut pending = self.pending.lock().expect("wal buffer");
+        let seq = pending.next_seq;
+        let before = pending.data.len();
+        encode_record(&mut pending.data, seq, space, updates);
+        let len = (pending.data.len() - before) as u64;
+        pending.bytes += len;
+        pending.next_seq += 1;
+        let mut c = self.commit.lock().expect("wal commit");
+        c.group += 1;
+        c.appended = c.appended.max(pending.bytes);
+        if c.syncing {
+            self.committed.notify_all();
+        }
+        WalAppend {
+            seq,
+            end: pending.bytes,
+            len,
+            epoch: c.epoch,
+        }
+    }
+
+    /// Announce an append that is about to queue on the caller's ordering
+    /// lock. The announcement is what lets a group-commit leader *scoop*:
+    /// it holds its fsync until every announced appender has appended, so
+    /// the whole concurrent wave shares one flush instead of paying one
+    /// each.
+    pub fn announce(&self) -> Announced<'_> {
+        let mut c = self.commit.lock().expect("wal commit");
+        c.appenders += 1;
+        if c.syncing {
+            // Wake a leader in its grace hold: the wave it held for is here.
+            self.committed.notify_all();
+        }
+        Announced { wal: self }
+    }
+
+    /// Block until `appended`'s record is durable — fsynced, or covered by
+    /// a compaction that reset its log generation — flushing and fsyncing
+    /// the log as group leader if nobody else is. A flush or fsync failure
+    /// poisons the log: this wait and every later one fail.
+    pub fn wait_durable(&self, appended: &WalAppend) -> std::io::Result<()> {
+        let mut c = self.commit.lock().expect("wal commit");
+        loop {
+            if c.poisoned {
+                return Err(std::io::Error::other(
+                    "write-ahead log fsync failed earlier",
+                ));
+            }
+            if c.epoch != appended.epoch || c.synced >= appended.end {
+                return Ok(());
+            }
+            if c.syncing {
+                c = self.committed.wait(c).expect("wal commit");
+                continue;
+            }
+            // Leader: one flush + fsync covers everything appended up to
+            // here. The flush is a page-cache write under the log's own
+            // buffer lock — the caller's ordering lock is never touched, so
+            // appends keep landing while the disk works — and the fsync,
+            // the expensive part, runs with no lock held at all.
+            c.syncing = true;
+            let epoch = c.epoch;
+            c = self.scoop(c, epoch);
+            // Grace hold: nobody is announced, but the previous fsync
+            // covered a wave — its acks are in flight and the next wave is
+            // about an RTT away. Holding one beat merges this record into
+            // that wave instead of buying it a private fsync; with a single
+            // steady writer the previous group is 1 and the hold never
+            // happens, so an unconcurrent stream pays nothing.
+            if c.appenders == 0 && c.prev_group >= 2 && c.epoch == epoch {
+                c = self
+                    .committed
+                    .wait_timeout(c, GRACE_WAIT)
+                    .expect("wal commit")
+                    .0;
+                c = self.scoop(c, epoch);
+            }
+            let covered = c.appended;
+            c.prev_group = std::mem::take(&mut c.group);
+            drop(c);
+            let result = self.sync();
+            c = self.commit.lock().expect("wal commit");
+            c.syncing = false;
+            self.committed.notify_all();
+            match result {
+                Ok(()) if c.epoch == epoch => c.synced = c.synced.max(covered),
+                Ok(()) => {}
+                Err(e) => {
+                    c.poisoned = true;
+                    return Err(std::io::Error::new(
+                        e.kind(),
+                        format!("write-ahead log fsync failed: {e}"),
+                    ));
+                }
+            }
+        }
+    }
+
+    /// Scoop the wave: every appender that announced itself is mid-apply
+    /// under the caller's ordering lock, one append away. Waiting for the
+    /// count to drain means a single fsync covers the whole wave — leaving
+    /// one straggler out, so its apply overlaps the disk write. The wait is
+    /// event-driven (no polling); the round cap and timeout keep a slow or
+    /// stuck appender from stalling acknowledged batches behind it.
+    fn scoop<'a>(&self, mut c: MutexGuard<'a, Commit>, epoch: u64) -> MutexGuard<'a, Commit> {
+        let mut rounds = 0;
+        while c.appenders > 1 && c.epoch == epoch && rounds < SCOOP_ROUNDS {
+            let (next, timeout) = self
+                .committed
+                .wait_timeout(c, SCOOP_WAIT)
+                .expect("wal commit");
+            c = next;
+            if timeout.timed_out() {
+                break;
+            }
+            rounds += 1;
+        }
+        c
+    }
+
+    /// Flush the log buffer and fsync: everything appended so far is on
+    /// stable storage when this returns. The raw, retryable primitive under
+    /// the group commit: it neither reads nor sets the poison.
+    pub fn sync(&self) -> std::io::Result<()> {
         let mut pending = self.pending.lock().expect("wal buffer");
         if !pending.data.is_empty() {
             if pending.bytes > pending.allocated {
@@ -334,143 +595,73 @@ impl WalHandle {
             self.file.write_all_at(&pending.data, offset)?;
             pending.data.clear();
         }
-        Ok(())
-    }
-
-    /// Flush the log buffer and fsync: everything appended before this call
-    /// is on stable storage when it returns.
-    pub fn sync(&self) -> std::io::Result<()> {
-        self.flush()?;
+        // The fsync itself runs without the buffer lock: appends keep
+        // landing while the disk works.
+        drop(pending);
         if self.faults.as_ref().is_some_and(|plan| plan.sync_fails()) {
             // The real fsync is skipped: after a failed fsync the page
             // cache state is unknowable, which is exactly the state the
-            // caller must treat as poisoned.
+            // group commit must treat as poisoned.
             return Err(DiskFaultPlan::sync_error());
         }
         self.file.sync_data()
     }
-}
 
-impl Wal {
-    /// Open (or create) the log at `path`, recover its valid records, and
-    /// truncate away any damaged tail. `floor_seq` is the highest checkpoint
-    /// watermark across the server's spaces: the log may have been reset
-    /// since those sequence numbers were issued, and new records must stay
-    /// above every watermark or replay would skip them.
-    pub fn open(path: &Path, floor_seq: u64) -> std::io::Result<(Wal, WalRecovery)> {
-        Self::open_with(path, floor_seq, None)
-    }
-
-    /// [`Wal::open`] with a storage fault plan consulted on every flush and
-    /// fsync — the fault lab's entry point. Recovery itself runs clean: the
-    /// plan models a flaky device under a live log, not a corrupted read
-    /// path.
-    pub fn open_with(
-        path: &Path,
-        floor_seq: u64,
-        faults: Option<Arc<DiskFaultPlan>>,
-    ) -> std::io::Result<(Wal, WalRecovery)> {
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        let (replay, valid_len, damage) = scan_log(&bytes);
-        let mut allocated = bytes.len() as u64;
-        if damage.is_some() {
-            // Drop the damaged tail. The shrink deallocates it, and the
-            // bytes read back as zeros once the file regrows — a clean end
-            // of log, so the damage is reported exactly once.
-            file.set_len(valid_len as u64)?;
-            file.sync_all()?;
-            allocated = valid_len as u64;
+    /// Compact the log: atomically replace every `(path, bytes)` file, in
+    /// order and under the log's fault plan — each space's checkpoint
+    /// envelope, watermarked with the last sequence it covers, and any
+    /// metadata that must land with it — then reset the log. A crash or an
+    /// error at any step leaves the log intact (the reset comes last), and
+    /// replay skips every record at or below its space's envelope
+    /// watermark, so nothing is applied twice and nothing acked is lost.
+    /// The caller keeps appends out until this returns: a record appended
+    /// after its space's envelope was built would vanish with the reset.
+    pub fn compact(
+        &self,
+        files: impl IntoIterator<Item = (PathBuf, Vec<u8>)>,
+    ) -> std::io::Result<()> {
+        for (path, bytes) in files {
+            atomic_write(&path, &bytes, self.faults.as_deref())?;
         }
-        let last_seq = replay.last().map_or(0, |(seq, _, _)| *seq);
-        let wal = Wal {
-            io: WalHandle {
-                file: Arc::new(file),
-                pending: Arc::new(Mutex::new(WalBuf {
-                    data: Vec::new(),
-                    bytes: valid_len as u64,
-                    allocated,
-                    next_seq: last_seq.max(floor_seq) + 1,
-                })),
-                faults,
-            },
-        };
-        Ok((
-            wal,
-            WalRecovery {
-                replay,
-                last_seq,
-                damage,
-            },
-        ))
-    }
-
-    /// Append one batch for `space` to the log buffer (**no file I/O**).
-    /// Safe to call from many spaces concurrently — the buffer lock
-    /// serializes encoding and assigns globally increasing sequence numbers.
-    pub fn append(&self, space: &str, updates: &[Update]) -> WalAppend {
-        let mut pending = self.io.pending.lock().expect("wal buffer");
-        let seq = pending.next_seq;
-        let before = pending.data.len();
-        encode_record(&mut pending.data, seq, space, updates);
-        let len = (pending.data.len() - before) as u64;
-        pending.bytes += len;
-        pending.next_seq += 1;
-        WalAppend {
-            seq,
-            end: pending.bytes,
-            len,
-        }
-    }
-
-    /// Flush the log buffer and fsync: everything appended so far is on
-    /// stable storage when this returns.
-    pub fn sync(&self) -> std::io::Result<()> {
-        self.io.sync()
-    }
-
-    /// A cloneable flush/fsync handle to the log's buffer and file, for
-    /// making records durable outside whatever lock owns the `Wal` itself.
-    pub fn handle(&self) -> WalHandle {
-        self.io.clone()
+        self.reset()
     }
 
     /// Reset the log after a compaction has durably checkpointed every
     /// space. The pending buffer is discarded with the file contents —
-    /// every appended record is covered by the checkpoints just taken.
-    /// Sequence numbers keep increasing across resets — the checkpoint
-    /// envelopes' watermarks are what make replay exactly-once.
+    /// every appended record is covered by the checkpoints just taken — and
+    /// the durability epoch closes, releasing every group-commit waiter on
+    /// those records. Sequence numbers keep increasing across resets — the
+    /// checkpoint envelopes' watermarks are what make replay exactly-once.
     pub fn reset(&self) -> std::io::Result<()> {
         // Holding the buffer lock across the truncate keeps a concurrent
-        // [`WalHandle::flush`] from interleaving a write with it.
-        let mut pending = self.io.pending.lock().expect("wal buffer");
+        // flush from interleaving a write with it.
+        let mut pending = self.pending.lock().expect("wal buffer");
         pending.data.clear();
         // Shrink to zero (dropping every old record), then regrow sparse:
         // the untouched allocation reads back as zeros — a clean end of
         // log — and steady-state appends overwrite inside it without ever
         // moving the file size again.
-        self.io.file.set_len(0)?;
-        self.io.file.set_len(GROW_CHUNK)?;
-        self.io.file.sync_all()?;
+        self.file.set_len(0)?;
+        self.file.set_len(GROW_CHUNK)?;
+        self.file.sync_all()?;
         pending.bytes = 0;
         pending.allocated = GROW_CHUNK;
+        let mut c = self.commit.lock().expect("wal commit");
+        c.epoch += 1;
+        c.appended = 0;
+        c.synced = 0;
+        self.committed.notify_all();
         Ok(())
     }
 
     /// Current logical log size in bytes (the compaction trigger input).
     pub fn bytes(&self) -> u64 {
-        self.io.pending.lock().expect("wal buffer").bytes
+        self.pending.lock().expect("wal buffer").bytes
     }
 
     /// Sequence number of the most recently appended record (0 = none yet).
     pub fn last_seq(&self) -> u64 {
-        self.io.pending.lock().expect("wal buffer").next_seq - 1
+        self.pending.lock().expect("wal buffer").next_seq - 1
     }
 }
 
@@ -487,11 +678,7 @@ impl Wal {
 /// fsync draw from the plan's probabilistic stream — short writes,
 /// `ENOSPC`, fsync failures — so a flaky disk under the checkpoint writer
 /// is replayable from a seed.
-pub fn atomic_write(
-    path: &Path,
-    bytes: &[u8],
-    faults: Option<&DiskFaultPlan>,
-) -> std::io::Result<()> {
+fn atomic_write(path: &Path, bytes: &[u8], faults: Option<&DiskFaultPlan>) -> std::io::Result<()> {
     let crash = |point| faults.and_then(|plan| plan.crash(point));
     if let Some(e) = crash(CrashPoint::Buffer) {
         return Err(e);
@@ -620,18 +807,19 @@ impl SpaceDir {
         Ok((spec, seed))
     }
 
+    /// Path of the space's checkpoint envelope.
+    pub fn checkpoint_path(&self) -> PathBuf {
+        self.dir.join(CHECKPOINT_FILE)
+    }
+
     /// Atomically replace the space's checkpoint envelope.
     pub fn write_checkpoint(&self, envelope: &[u8]) -> std::io::Result<()> {
-        atomic_write(
-            &self.dir.join(CHECKPOINT_FILE),
-            envelope,
-            self.faults.as_deref(),
-        )
+        atomic_write(&self.checkpoint_path(), envelope, self.faults.as_deref())
     }
 
     /// Read the space's checkpoint envelope, if one has been written.
     pub fn read_checkpoint(&self) -> std::io::Result<Option<Vec<u8>>> {
-        match std::fs::read(self.dir.join(CHECKPOINT_FILE)) {
+        match std::fs::read(self.checkpoint_path()) {
             Ok(bytes) => Ok(Some(bytes)),
             Err(e) if e.kind() == ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e),
@@ -933,6 +1121,78 @@ mod tests {
         }
         assert_eq!(plan.counts().crashes, sweep.len() as u64);
         std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn group_commit_poisons_at_the_first_failed_fsync() {
+        use crate::diskfault::{DiskFaultPlan, DiskFaultProfile};
+        let dir = tmp_dir("poison");
+        let profile = DiskFaultProfile {
+            sync_fail_permille: 1000,
+            short_write_permille: 0,
+            enospc_permille: 0,
+        };
+        let plan = Arc::new(DiskFaultPlan::new(7, profile, 1));
+        let (wal, _) = Wal::open_with(&dir.join(WAL_FILE), 0, Some(plan)).expect("open");
+        let a = wal
+            .announce()
+            .append("default", &batch(0, 4))
+            .expect("healthy");
+        let err = wal
+            .wait_durable(&a)
+            .expect_err("the injected fsync failure");
+        assert!(err.to_string().contains("fsync failed"), "{err}");
+        // The plan is spent and the disk is healthy again, but the log can
+        // no longer vouch for anything: later batches are refused before
+        // they touch it, and no wait succeeds.
+        let err = wal
+            .announce()
+            .append("default", &batch(10, 4))
+            .expect_err("a poisoned log refuses appends");
+        assert!(err.to_string().contains("durability disabled"), "{err}");
+        assert_eq!(wal.last_seq(), 1, "the refused batch was never logged");
+        assert!(wal.wait_durable(&a).is_err(), "the poison is sticky");
+        // The raw primitive underneath stays retryable.
+        wal.sync().expect("raw sync on a healthy disk");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn compaction_closes_the_durability_epoch_and_a_crash_keeps_the_log() {
+        use crate::diskfault::{CrashPoint, DiskFaultPlan};
+        let dir = tmp_dir("compact");
+        let plan = Arc::new(DiskFaultPlan::crash_only(2));
+        let (wal, _) =
+            Wal::open_with(&dir.join(WAL_FILE), 0, Some(Arc::clone(&plan))).expect("open");
+        let a = wal
+            .announce()
+            .append("default", &batch(0, 4))
+            .expect("append");
+        let files = || {
+            vec![
+                (dir.join("one"), b"first".to_vec()),
+                (dir.join("two"), b"second".to_vec()),
+            ]
+        };
+        // Killed before the first rename: the old file and the log stand.
+        std::fs::write(dir.join("one"), b"old").expect("old file");
+        plan.arm_crash(CrashPoint::Rename);
+        wal.compact(files()).expect_err("armed crash");
+        assert_eq!(std::fs::read(dir.join("one")).expect("one"), b"old");
+        assert!(wal.bytes() > 0, "an aborted compaction keeps the log");
+        // A clean compaction replaces every file in order, resets the log
+        // and releases the unsynced record's waiter: its checkpoint covers it.
+        wal.compact(files()).expect("compact");
+        assert_eq!(std::fs::read(dir.join("two")).expect("two"), b"second");
+        assert_eq!(wal.bytes(), 0);
+        wal.wait_durable(&a).expect("covered by the compaction");
+        let b = wal
+            .announce()
+            .append("default", &batch(8, 4))
+            .expect("append");
+        assert_eq!(b.seq, 2, "sequence numbers survive compaction");
+        wal.wait_durable(&b).expect("fsynced in the new epoch");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -28,14 +28,16 @@
 //! batch is appended to the log and applied under the space lock, and the
 //! acknowledgement then waits — outside the lock — for an fsync that covers
 //! the record (**fsync before ack**), so every acknowledged update survives
-//! `kill -9`. The wait is a *group commit* ([`WalSync`]): the first waiter
-//! fsyncs once for every record appended before it started, so concurrent
-//! batches share a flush instead of paying one each, and a query may
-//! observe an applied-but-not-yet-durable batch (its writer simply has not
-//! been acknowledged yet). Once a space's log
-//! passes [`ServerOptions::compact_bytes`], the server checkpoints the
-//! engine into a space-tagged envelope, atomically replaces
-//! `checkpoint.fck`, and resets the log. Startup recovers every space found
+//! `kill -9`. The wait is the log's own *group commit*
+//! ([`Wal::wait_durable`]): the first waiter fsyncs once for every record
+//! appended before it started, so concurrent batches share a flush instead
+//! of paying one each, and a query may observe an applied-but-not-yet-durable
+//! batch (its writer simply has not been acknowledged yet). A failed fsync
+//! poisons the log, and every later ingest is refused typed before it is
+//! logged or applied. Once the log passes [`ServerOptions::compact_bytes`],
+//! the server checkpoints every space into a space-tagged envelope and
+//! [`Wal::compact`] replaces each `checkpoint.fck` atomically, then resets
+//! the log. Startup recovers every space found
 //! under the data dir: restore the checkpoint, replay the log tail beyond
 //! its envelope watermark ([`Server::recovery_log`] reports what happened).
 //! Graceful shutdown (client `shutdown` request or [`Server::shutdown`])
@@ -78,7 +80,7 @@ use crate::proto::{
 use crate::serve::{self, FrontEnd};
 use fews_common::{SpaceConfig, SpaceId};
 use fews_engine::checkpoint::{unwrap_envelope, wrap_envelope, Header};
-use fews_engine::wal::{wal_path, SpaceDir, Wal, WalHandle};
+use fews_engine::wal::{wal_path, SpaceDir, Wal};
 use fews_engine::{Engine, EngineConfig, EngineStats, GlobalView, ModelSpec, Scope};
 use std::collections::HashMap;
 use std::io::ErrorKind;
@@ -215,195 +217,11 @@ struct SpaceState {
     ingest_seq: u64,
 }
 
-/// A batch's durability target: it may be acknowledged once the log of
-/// `epoch` is fsynced through byte `target` (or the epoch has been closed by
-/// a compaction, whose checkpoint is fsynced by construction).
-#[derive(Clone, Copy)]
-struct SyncTicket {
-    epoch: u64,
-    target: u64,
-}
-
-/// Group-commit coordination for the server's shared WAL.
-///
-/// Appends happen under the space state lock (which fixes the log order and
-/// the matching engine-apply order), but the fsync that makes them
-/// acknowledgeable happens *here*, outside that lock: the first waiter
-/// becomes the sync leader, fsyncs once, and that single fsync covers every
-/// record appended before it started — concurrent batches share the flush
-/// instead of paying one fsync each, and the space keeps ingesting while the
-/// disk works.
-#[derive(Default)]
-struct WalSync {
-    point: Mutex<SyncPoint>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct SyncPoint {
-    /// Bumped by every log reset (compaction). Tickets from closed epochs
-    /// are durable via the fsynced checkpoint that closed them.
-    epoch: u64,
-    /// Bytes of the current epoch's log known appended.
-    appended: u64,
-    /// Bytes of the current epoch's log covered by a completed fsync.
-    synced: u64,
-    /// A leader's fsync is in flight.
-    syncing: bool,
-    /// Ingest workers that have announced an append ([`WalSync::begin_append`])
-    /// but not yet registered it: their records are an apply away, so a
-    /// scooping leader holds its fsync for them.
-    appenders: u32,
-    /// How many registers the most recent completed fsync covered — the
-    /// leader's evidence of concurrency when deciding whether a grace hold
-    /// is worth it.
-    prev_group: u64,
-    /// Appends registered since the log was opened (monotonic).
-    registers: u64,
-    /// Value of `registers` when the last fsync's coverage was snapshotted.
-    r_mark: u64,
-    /// An fsync failed: the log can no longer vouch for anything, so every
-    /// present and future durability wait on this space fails.
-    poisoned: bool,
-}
-
-impl WalSync {
-    fn poisoned(&self) -> bool {
-        self.point.lock().expect("wal sync point").poisoned
-    }
-
-    /// An ingest worker is about to take the space lock and append. The
-    /// announcement is what lets a group-commit leader *scoop*: it holds
-    /// its fsync until every announced appender has registered, so the
-    /// whole concurrent wave shares one flush instead of paying one each.
-    fn begin_append(&self) {
-        let mut p = self.point.lock().expect("wal sync point");
-        p.appenders += 1;
-        if p.syncing {
-            // Wake a leader in its grace hold: the wave it held for is here.
-            self.cv.notify_all();
-        }
-    }
-
-    /// The announced append is not going to happen (validation under the
-    /// lock failed): release any leader waiting on it.
-    fn abort_append(&self) {
-        let mut p = self.point.lock().expect("wal sync point");
-        p.appenders = p.appenders.saturating_sub(1);
-        if p.syncing {
-            self.cv.notify_all();
-        }
-    }
-
-    /// Record an append at log length `target` and hand back its ticket.
-    fn register(&self, target: u64) -> SyncTicket {
-        let mut p = self.point.lock().expect("wal sync point");
-        p.appenders = p.appenders.saturating_sub(1);
-        p.registers += 1;
-        p.appended = p.appended.max(target);
-        if p.syncing {
-            self.cv.notify_all();
-        }
-        SyncTicket {
-            epoch: p.epoch,
-            target,
-        }
-    }
-
-    /// A compaction durably checkpointed everything logged so far and reset
-    /// the log: close the epoch and release every waiter on it.
-    fn close_epoch(&self) {
-        let mut p = self.point.lock().expect("wal sync point");
-        p.epoch += 1;
-        p.appended = 0;
-        p.synced = 0;
-        self.cv.notify_all();
-    }
-
-    /// Block until `ticket` is durable, flushing and fsyncing the log (as
-    /// group leader) if nobody else is. A flush or fsync failure poisons the
-    /// space.
-    fn wait_durable(&self, wal: &WalHandle, ticket: SyncTicket) -> std::io::Result<()> {
-        let mut p = self.point.lock().expect("wal sync point");
-        loop {
-            if p.poisoned {
-                return Err(std::io::Error::other(
-                    "write-ahead log fsync failed earlier",
-                ));
-            }
-            if p.epoch != ticket.epoch || p.synced >= ticket.target {
-                return Ok(());
-            }
-            if p.syncing {
-                p = self.cv.wait(p).expect("wal sync point");
-                continue;
-            }
-            // Leader: one flush + fsync covers everything appended up to
-            // here. The flush is a page-cache write under the log's own
-            // buffer lock — the space state lock is never touched, so the
-            // engine keeps applying batches while the disk works — and the
-            // fsync, the expensive part, runs with no lock held at all.
-            p.syncing = true;
-            let epoch = p.epoch;
-            // Scoop the wave: every appender that announced itself is
-            // mid-apply under the space lock, one register-notify away.
-            // Waiting for the count to drain means a single fsync covers
-            // the whole wave — and runs on an otherwise idle ack path. The
-            // wait is event-driven (no polling); the round cap and timeout
-            // keep a slow or stuck appender from stalling acknowledged
-            // batches behind it.
-            const SCOOP_WAIT: Duration = Duration::from_millis(2);
-            const SCOOP_ROUNDS: u32 = 8;
-            let mut rounds = 0;
-            while p.appenders > 1 && p.epoch == epoch && rounds < SCOOP_ROUNDS {
-                let (q, timeout) = self.cv.wait_timeout(p, SCOOP_WAIT).expect("wal sync point");
-                p = q;
-                if timeout.timed_out() {
-                    break;
-                }
-                rounds += 1;
-            }
-            // Grace hold: nobody is announced, but the previous fsync
-            // covered a wave — its acks are in flight and the next wave is
-            // about an RTT away. Holding one beat merges this record into
-            // that wave instead of buying it a private fsync; with a single
-            // steady client the previous group is 1 and the hold never
-            // happens, so an unconcurrent stream pays nothing.
-            const GRACE_WAIT: Duration = Duration::from_micros(750);
-            if p.appenders == 0 && p.prev_group >= 2 && p.epoch == epoch {
-                let (q, _) = self.cv.wait_timeout(p, GRACE_WAIT).expect("wal sync point");
-                p = q;
-                rounds = 0;
-                while p.appenders > 1 && p.epoch == epoch && rounds < SCOOP_ROUNDS {
-                    let (q, timeout) = self.cv.wait_timeout(p, SCOOP_WAIT).expect("wal sync point");
-                    p = q;
-                    if timeout.timed_out() {
-                        break;
-                    }
-                    rounds += 1;
-                }
-            }
-            let covered = p.appended;
-            p.prev_group = p.registers - p.r_mark;
-            p.r_mark = p.registers;
-            drop(p);
-            let result = wal.sync();
-            p = self.point.lock().expect("wal sync point");
-            p.syncing = false;
-            match result {
-                Ok(()) => {
-                    if p.epoch == epoch {
-                        p.synced = p.synced.max(covered);
-                    }
-                    self.cv.notify_all();
-                }
-                Err(e) => {
-                    p.poisoned = true;
-                    self.cv.notify_all();
-                    return Err(e);
-                }
-            }
-        }
+impl SpaceState {
+    /// The engine's checkpoint in an envelope tagged with `space` and the
+    /// applied watermark — what compaction writes and a client downloads.
+    fn envelope(&mut self, space: &SpaceId) -> Vec<u8> {
+        wrap_envelope(space.as_str(), self.last_seq, &self.engine.checkpoint())
     }
 }
 
@@ -602,39 +420,38 @@ impl SpaceHandle {
         }
     }
 
-    /// Durably checkpoint this space at its current applied watermark. Part
-    /// of compaction and of restore-persistence; the caller holds the state
-    /// lock.
+    /// Durably checkpoint this space at its current applied watermark — a
+    /// restore's persistence; the caller holds the state lock.
     fn write_checkpoint(&self, state: &mut SpaceState) -> std::io::Result<()> {
-        let Some(dir) = self.dir.as_ref() else {
-            return Ok(());
-        };
-        let inner = state.engine.checkpoint();
-        let envelope = wrap_envelope(self.space.as_str(), state.last_seq, &inner);
-        dir.write_checkpoint(&envelope)
+        match &self.dir {
+            Some(dir) => dir.write_checkpoint(&state.envelope(&self.space)),
+            None => Ok(()),
+        }
     }
 }
 
-/// Stop-the-world compaction of the shared log: checkpoint every space at
-/// its applied watermark, then reset the log and release every group-commit
-/// waiter (the checkpoints just written cover their records). The caller
-/// holds the registry lock (read or write) and the compaction gate; every
-/// space lock is taken, in name order, for the duration — no append may land
-/// between a space's checkpoint and the reset, or it would vanish with it.
-/// On failure the log simply keeps growing — correctness does not depend on
-/// compaction succeeding, only on append's fsync.
-fn compact_spaces(wal: &Wal, sync: &WalSync, spaces: &SpaceRegistry) -> std::io::Result<()> {
+/// Stop-the-world compaction of the shared log ([`Wal::compact`]):
+/// checkpoint every space at its applied watermark, then reset the log,
+/// which releases every group-commit waiter (the checkpoints just written
+/// cover their records). The caller holds the registry lock (read or write)
+/// and the compaction gate; every space lock is taken, in name order, for
+/// the duration — no append may land between a space's checkpoint and the
+/// reset, or it would vanish with it. On failure the log simply keeps
+/// growing — correctness does not depend on compaction succeeding, only on
+/// append's fsync.
+fn compact_spaces(wal: &Wal, spaces: &SpaceRegistry) -> std::io::Result<()> {
     let mut handles: Vec<&Arc<SpaceHandle>> = spaces.values().collect();
     handles.sort_by(|a, b| a.space.cmp(&b.space));
     let mut states = Vec::with_capacity(handles.len());
     for h in &handles {
         states.push(h.state.lock().expect("space state"));
     }
-    for (h, st) in handles.iter().zip(states.iter_mut()) {
-        h.write_checkpoint(st)?;
-    }
-    wal.reset()?;
-    sync.close_epoch();
+    wal.compact(
+        handles
+            .iter()
+            .zip(states.iter_mut())
+            .filter_map(|(h, st)| Some((h.dir.as_ref()?.checkpoint_path(), st.envelope(&h.space)))),
+    )?;
     for h in &handles {
         h.wal_bytes.store(0, Ordering::Relaxed);
     }
@@ -685,8 +502,6 @@ struct Shared {
     /// multi-tenant: concurrent batches ride one fsync whatever space they
     /// address.
     wal: Option<Wal>,
-    /// Group-commit barrier for the shared log.
-    sync: WalSync,
     /// Held by whichever thread is running a compaction; `try_lock` keeps
     /// ingest workers from piling up behind one.
     compact_gate: Mutex<()>,
@@ -754,7 +569,6 @@ impl Server {
             base: cfg,
             data_dir: opts.data_dir,
             wal,
-            sync: WalSync::default(),
             compact_gate: Mutex::new(()),
             compact_bytes: opts.compact_bytes.max(1),
             refresh: RefreshSignal::default(),
@@ -846,7 +660,7 @@ impl Server {
             if let Some(wal) = &self.shared.wal {
                 let registry = self.shared.spaces.read().expect("space registry");
                 let _gate = self.shared.compact_gate.lock().expect("compaction gate");
-                let _ = compact_spaces(wal, &self.shared.sync, &registry);
+                let _ = compact_spaces(wal, &registry);
             }
         }
         spaces
@@ -1030,16 +844,12 @@ fn build_spaces(
     // Pass 3: startup compaction. Replayed state becomes the checkpoints,
     // the log restarts empty — the next recovery replays nothing, and any
     // dropped-space debris is gone before its name can be reused.
-    let had_tail = wal.bytes() > 0;
-    for (space, _, _, dir, state, _) in &mut restored {
-        if had_tail {
-            let inner = state.engine.checkpoint();
-            let envelope = wrap_envelope(space.as_str(), state.last_seq, &inner);
-            dir.write_checkpoint(&envelope)?;
-        }
-    }
-    if had_tail {
-        wal.reset()?;
+    if wal.bytes() > 0 {
+        wal.compact(
+            restored
+                .iter_mut()
+                .map(|(space, _, _, dir, state, _)| (dir.checkpoint_path(), state.envelope(space))),
+        )?;
     }
     for (space, spec, cfg, dir, state, _) in restored {
         spaces.insert(
@@ -1240,7 +1050,7 @@ fn drop_space(shared: &Shared, space: &SpaceId) -> Response {
     // crash replaying the old tenant's records into the new one.
     if let Some(wal) = &shared.wal {
         let _gate = shared.compact_gate.lock().expect("compaction gate");
-        let _ = compact_spaces(wal, &shared.sync, &registry);
+        let _ = compact_spaces(wal, &registry);
     }
     Response::SpaceOk
 }
@@ -1370,38 +1180,32 @@ fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared)
             // Announce the append *before* queueing on the space lock, so a
             // group-commit leader elected while this batch is applying knows
             // to hold its fsync for it.
-            let announced = shared.wal.is_some();
-            if announced {
-                shared.sync.begin_append();
-            }
-            let (watermark, durability) = {
+            let announced = shared.wal.as_ref().map(Wal::announce);
+            let (watermark, logged) = {
                 let mut state = handle.state.lock().expect("space state");
-                let mut ticket = None;
-                if let Some(wal) = shared.wal.as_ref() {
-                    if shared.sync.poisoned() {
-                        shared.sync.abort_append();
-                        return Response::error(
-                            ErrorCode::Durability,
-                            "durability disabled: a write-ahead log fsync failed".into(),
-                        );
-                    }
+                let mut logged = None;
+                if let Some(announced) = announced {
                     // Log before applying, so the log order and the engine
-                    // order of this space can never disagree.
-                    let a = wal.append(handle.space.as_str(), &updates);
+                    // order of this space can never disagree. A poisoned
+                    // log refuses the batch before either sees it.
+                    let a = match announced.append(handle.space.as_str(), &updates) {
+                        Ok(a) => a,
+                        Err(e) => return Response::error(ErrorCode::Durability, e.to_string()),
+                    };
                     state.last_seq = a.seq;
                     handle.wal_bytes.fetch_add(a.len, Ordering::Relaxed);
-                    ticket = Some((wal.handle(), shared.sync.register(a.end)));
+                    logged = Some(a);
                 }
                 state.engine.ingest(updates);
                 // The ack watermark rides the WAL sequence when there is
                 // one (monotonic across restarts); otherwise it is a plain
                 // per-space batch counter.
-                state.ingest_seq = if ticket.is_some() {
+                state.ingest_seq = if logged.is_some() {
                     state.last_seq
                 } else {
                     state.ingest_seq + 1
                 };
-                (state.ingest_seq, ticket)
+                (state.ingest_seq, logged)
             };
             // Mirror the acked watermark where lag probes can read it
             // without the state lock.
@@ -1416,19 +1220,16 @@ fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared)
                     let registry = shared.spaces.read().expect("space registry");
                     if let Ok(_gate) = shared.compact_gate.try_lock() {
                         if wal.bytes() >= shared.compact_bytes {
-                            let _ = compact_spaces(wal, &shared.sync, &registry);
+                            let _ = compact_spaces(wal, &registry);
                         }
                     }
                 }
             }
-            if let Some((wal, ticket)) = durability {
+            if let (Some(wal), Some(logged)) = (shared.wal.as_ref(), logged) {
                 // Fsync-before-ack: the batch is applied, but the
                 // acknowledgement waits for a covering flush + fsync.
-                if let Err(e) = shared.sync.wait_durable(&wal, ticket) {
-                    return Response::error(
-                        ErrorCode::Durability,
-                        format!("write-ahead log fsync failed: {e}"),
-                    );
+                if let Err(e) = wal.wait_durable(&logged) {
+                    return Response::error(ErrorCode::Durability, e.to_string());
                 }
             }
             Response::Ingested { count, watermark }
@@ -1459,13 +1260,11 @@ fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared)
                     // restored state goes straight to disk at this space's
                     // current watermark, so surviving log records older than
                     // the restore can never replay over it.
-                    if shared.wal.is_some() {
-                        if let Err(e) = handle.write_checkpoint(&mut state) {
-                            return Response::error(
-                                ErrorCode::Durability,
-                                format!("restore applied but could not be persisted: {e}"),
-                            );
-                        }
+                    if let Err(e) = handle.write_checkpoint(&mut state) {
+                        return Response::error(
+                            ErrorCode::Durability,
+                            format!("restore applied but could not be persisted: {e}"),
+                        );
                     }
                     // A restore is immediately visible: publish inline (the
                     // restored state replaces the stream wholesale, so
@@ -1550,10 +1349,11 @@ fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared)
         // WAL watermark (0 without durability), so what a client downloads
         // is exactly what compaction would have written to disk.
         Request::Checkpoint => {
-            let mut state = handle.state.lock().expect("space state");
-            let seq = state.last_seq;
-            let inner = state.engine.checkpoint();
-            let envelope = wrap_envelope(handle.space.as_str(), seq, &inner);
+            let envelope = handle
+                .state
+                .lock()
+                .expect("space state")
+                .envelope(&handle.space);
             if !crate::proto::body_fits(envelope.len()) {
                 return Response::error(
                     ErrorCode::Oversized,
@@ -1684,13 +1484,11 @@ fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared)
                 Ok(()) => {
                     // Like a full restore, a grafted slice is a checkpoint
                     // point under durability: persist before acknowledging.
-                    if shared.wal.is_some() {
-                        if let Err(e) = handle.write_checkpoint(&mut state) {
-                            return Response::error(
-                                ErrorCode::Durability,
-                                format!("slice restore applied but could not be persisted: {e}"),
-                            );
-                        }
+                    if let Err(e) = handle.write_checkpoint(&mut state) {
+                        return Response::error(
+                            ErrorCode::Durability,
+                            format!("slice restore applied but could not be persisted: {e}"),
+                        );
                     }
                     handle.publish_state(&mut state);
                     Response::Restored

@@ -115,6 +115,7 @@ fn quick_opts() -> RouterOptions {
         replicas: 1,
         data_dir: None,
         retained_budget: HEALTHY_BUDGET,
+        disk_faults: None,
     }
 }
 

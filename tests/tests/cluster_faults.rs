@@ -70,6 +70,7 @@ fn faulty_opts(plan: &Arc<FaultPlan>) -> RouterOptions {
         // stream cannot reach keeps any owed backlog from shedding, and
         // refreshes come from rejoins and the final checkpoint.
         retained_budget: 1 << 20,
+        disk_faults: None,
     }
 }
 

@@ -128,6 +128,7 @@ fn watermarked_reads_match_reference_through_router() {
         // 6,000-update stream (62 chunks) crosses the budget six times and
         // every prefix read after a refresh reads refreshed state.
         retained_budget: 1_024,
+        disk_faults: None,
     };
     let router = fews_cluster::Router::start(cfg, "127.0.0.1:0", &addrs, opts).expect("router");
     let mut client = Client::connect(router.local_addr()).expect("connect");

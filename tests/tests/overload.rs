@@ -378,6 +378,7 @@ fn router_opts(retained_budget: u64) -> fews_cluster::RouterOptions {
         replicas: 1,
         data_dir: None,
         retained_budget,
+        disk_faults: None,
     }
 }
 

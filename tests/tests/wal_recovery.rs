@@ -11,19 +11,26 @@
 //! Beyond clean crashes, the suite injects real disk damage — mid-record
 //! truncation (a torn write) and bit corruption — and requires the WAL to
 //! recover the longest valid prefix, report the damage, and keep serving.
+//!
+//! The storage-fault lab at the end runs against a node and against a
+//! durable router over two workers: both sit on the one durable core
+//! (`fews_engine::wal`), so both must pass every case.
 
+use fews_cluster::{Router, RouterOptions};
 use fews_common::rng::rng_for;
 use fews_common::{SpaceConfig, SpaceId};
 use fews_core::insertion_only::FewwConfig;
 use fews_engine::checkpoint::unwrap_envelope;
 use fews_engine::diskfault::{CrashPoint, DiskFaultPlan, DiskFaultProfile};
 use fews_engine::EngineConfig;
-use fews_net::{Client, ClientError, ErrorCode, Server, ServerOptions};
+use fews_net::{Client, ClientError, ClientOptions, ErrorCode, Server, ServerOptions};
 use fews_stream::update::as_insertions;
 use fews_stream::Update;
 use rand::RngExt;
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Duration;
 
 const SEED: u64 = 2021;
 const BATCH: usize = 97;
@@ -411,24 +418,129 @@ fn every_space_recovers_after_crash_with_its_own_config_and_data() {
 // Storage-fault lab: seeded disk faults under the WAL and checkpoint writer.
 // ---------------------------------------------------------------------------
 
-/// `durable`, plus a seeded [`DiskFaultPlan`] threaded under the WAL and the
-/// checkpoint writer, and a compaction threshold the test picks.
-fn faulty(dir: &Path, plan: &Arc<DiskFaultPlan>, compact_bytes: u64) -> ServerOptions {
-    ServerOptions {
-        data_dir: Some(dir.to_path_buf()),
-        compact_bytes,
-        refresh_debounce: None,
-        disk_faults: Some(Arc::clone(plan)),
-        ..ServerOptions::default()
+/// A durable front end under test: a node, or a router over two
+/// memory-only workers.
+enum Front {
+    Node(Server),
+    Routed {
+        router: Router,
+        workers: Vec<Server>,
+    },
+}
+
+impl Front {
+    /// Start a node (`routed` false) or a router on `dir`, with a seeded
+    /// [`DiskFaultPlan`] threaded under its WAL and checkpoint writer when
+    /// `faults` is given. `compact` is the compaction trigger the test
+    /// picks: a node's `compact_bytes`, a router's `retained_budget` (each
+    /// refresh that drains the retained logs compacts).
+    fn start(routed: bool, dir: &Path, faults: Option<&Arc<DiskFaultPlan>>, compact: u64) -> Front {
+        let disk_faults = faults.cloned();
+        if !routed {
+            let opts = ServerOptions {
+                data_dir: Some(dir.to_path_buf()),
+                compact_bytes: compact,
+                refresh_debounce: None,
+                disk_faults,
+                ..ServerOptions::default()
+            };
+            return Front::Node(Server::start_with(base_cfg(), "127.0.0.1:0", opts).expect("bind"));
+        }
+        let workers: Vec<Server> = (0..2)
+            .map(|_| Server::start(base_cfg(), "127.0.0.1:0").expect("bind worker"))
+            .collect();
+        let addrs: Vec<String> = workers.iter().map(|w| w.local_addr().to_string()).collect();
+        let opts = RouterOptions {
+            client: ClientOptions::bounded(Duration::from_secs(5), 0),
+            heartbeat: None,
+            forward_shutdown: false,
+            replicas: 2,
+            data_dir: Some(dir.to_path_buf()),
+            retained_budget: compact,
+            disk_faults,
+        };
+        let router = Router::start(base_cfg(), "127.0.0.1:0", &addrs, opts).expect("bind router");
+        Front::Routed { router, workers }
+    }
+
+    /// Restart the same kind of front end on `dir` after a crash, on a
+    /// healthy disk (a router gets fresh, empty workers).
+    fn restart(routed: bool, dir: &Path) -> Front {
+        Front::start(routed, dir, None, 64 << 20)
+    }
+
+    fn local_addr(&self) -> SocketAddr {
+        match self {
+            Front::Node(server) => server.local_addr(),
+            Front::Routed { router, .. } => router.local_addr(),
+        }
+    }
+
+    /// `kill -9` every process of the front end: no graceful finalization.
+    fn crash(self) {
+        match self {
+            Front::Node(server) => {
+                server.crash();
+                server.join();
+            }
+            Front::Routed { router, workers } => {
+                router.shutdown();
+                router.join();
+                for w in workers {
+                    w.crash();
+                    w.join();
+                }
+            }
+        }
+    }
+
+    /// How many of `sent`'s batches a restarted front end replayed: the
+    /// node's recovery log says so; the router's recovered ack watermark
+    /// counts their updates.
+    fn replayed(&self, client: &mut Client, sent: &[&[Update]]) -> usize {
+        match self {
+            Front::Node(server) => {
+                let log = server.recovery_log();
+                log.iter()
+                    .find_map(|l| {
+                        let (_, tail) = l.split_once("replayed ")?;
+                        tail.split_once(" wal batches")?.0.parse().ok()
+                    })
+                    .unwrap_or_else(|| panic!("no replay count in recovery log {log:?}"))
+            }
+            Front::Routed { .. } => {
+                let held = client.stats().expect("stats").ingested as usize;
+                (0..=sent.len())
+                    .find(|&k| sent[..k].iter().map(|b| b.len()).sum::<usize>() == held)
+                    .unwrap_or_else(|| panic!("{held} updates recovered: no batch-prefix"))
+            }
+        }
+    }
+
+    /// Shut the front end down through `client`, then every process.
+    fn finish(self, mut client: Client) {
+        client.shutdown().expect("shutdown");
+        match self {
+            Front::Node(server) => {
+                server.join();
+            }
+            Front::Routed { router, workers } => {
+                router.join();
+                for w in workers {
+                    w.shutdown();
+                    w.join();
+                }
+            }
+        }
     }
 }
 
 /// Kill -9 at **every** step of the checkpoint writer's atomic-rename dance
 /// — before the tmp write, mid tmp write, before the tmp fsync, before the
 /// rename, before the directory fsync — and require recovery to come back
-/// bit-exact every time. An aborted compaction must leave the WAL alone
-/// (`compact_spaces` resets the log only after every checkpoint landed), so
-/// no acked byte has anywhere to vanish.
+/// bit-exact every time, on a node and on a router. An aborted compaction
+/// must leave the WAL alone (`Wal::compact` resets the log only after every
+/// file landed), so no acked byte has anywhere to vanish.
 #[test]
 fn compaction_crash_point_sweep_recovers_bit_exact() {
     let updates = workload();
@@ -440,15 +552,19 @@ fn compaction_crash_point_sweep_recovers_bit_exact() {
         CrashPoint::Rename,
         CrashPoint::DirSync,
     ];
-    for (i, point) in sweep.into_iter().enumerate() {
+    let cells = [false, true]
+        .into_iter()
+        .flat_map(|routed| sweep.map(|point| (routed, point)));
+    for (i, (routed, point)) in cells.enumerate() {
         let dir = scratch(&format!("crashpoint-{i}"));
         let plan = Arc::new(DiskFaultPlan::crash_only(900 + i as u64));
         plan.arm_crash(point);
-        // A tiny threshold forces compactions mid-stream; the armed crash
-        // fires at the first one and is consumed, so later compactions run
-        // clean — exactly one power cut per cell, at a chosen instruction.
-        let server =
-            Server::start_with(base_cfg(), "127.0.0.1:0", faulty(&dir, &plan, 512)).expect("bind");
+        // A tiny trigger forces compactions mid-stream — 512 log bytes on a
+        // node, two batches retained on a router; the armed crash fires at
+        // the first one and is consumed, so later compactions run clean —
+        // exactly one power cut per cell, at a chosen instruction.
+        let compact = if routed { 2 * BATCH as u64 } else { 512 };
+        let server = Front::start(routed, &dir, Some(&plan), compact);
         let mut client = Client::connect(server.local_addr()).expect("connect");
         for chunk in updates.chunks(BATCH) {
             // Compaction failure is invisible to writers: correctness rests
@@ -462,12 +578,10 @@ fn compaction_crash_point_sweep_recovers_bit_exact() {
             1,
             "{point:?}: armed crash fired once"
         );
-        server.crash();
         drop(client);
-        server.join();
+        server.crash();
 
-        let revived =
-            Server::start_with(base_cfg(), "127.0.0.1:0", durable(&dir)).expect("restart");
+        let revived = Front::restart(routed, &dir);
         let mut client = Client::connect(revived.local_addr()).expect("reconnect");
         assert_eq!(
             client.certified().expect("certified"),
@@ -480,22 +594,28 @@ fn compaction_crash_point_sweep_recovers_bit_exact() {
             &want_inner[..],
             "{point:?}: recovered state is bit-exact"
         );
-        client.shutdown().expect("shutdown");
-        revived.join();
+        revived.finish(client);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
 /// Seeded probabilistic faults — failed fsyncs, short writes, `ENOSPC` —
-/// under a live ingest stream. The first fault poisons durability: the
-/// in-flight ack fails typed, later writes are refused up front, reads keep
-/// serving. After a kill -9, recovery replays at least every acked batch
-/// (never fewer — "acked" means "fsynced") and lands on a batch-prefix of
-/// the stream, bit-exact against a memory-only reference.
+/// under a live ingest stream, on a node and on a router. The first fault
+/// poisons durability: the in-flight ack fails typed, later writes are
+/// refused up front, reads keep serving. After a kill -9, recovery replays
+/// at least every acked batch (never fewer — "acked" means "fsynced") and
+/// lands on a batch-prefix of the stream, bit-exact against a memory-only
+/// reference.
 #[test]
 fn injected_disk_faults_never_lose_an_acked_update() {
+    for routed in [false, true] {
+        injected_disk_faults_case(routed);
+    }
+}
+
+fn injected_disk_faults_case(routed: bool) {
     let updates = workload();
-    let dir = scratch("faultlab");
+    let dir = scratch(&format!("faultlab-{routed}"));
     let plan = Arc::new(DiskFaultPlan::new(
         4242,
         DiskFaultProfile {
@@ -505,8 +625,10 @@ fn injected_disk_faults_never_lose_an_acked_update() {
         },
         1, // one fault, then the disk behaves — the poison must outlive it
     ));
-    let server =
-        Server::start_with(base_cfg(), "127.0.0.1:0", faulty(&dir, &plan, 64 << 20)).expect("bind");
+    // No compaction: 64 MiB of log on a node, a million retained updates
+    // on a router.
+    let compact = if routed { 1 << 20 } else { 64 << 20 };
+    let server = Front::start(routed, &dir, Some(&plan), compact);
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
     let mut sent: Vec<&[Update]> = Vec::new();
@@ -548,19 +670,12 @@ fn injected_disk_faults_never_lose_an_acked_update() {
     // …while reads keep answering: degraded, not dead.
     client.certified().expect("reads survive the poison");
 
-    server.crash();
     drop(client);
-    server.join();
+    server.crash();
 
-    let revived = Server::start_with(base_cfg(), "127.0.0.1:0", durable(&dir)).expect("restart");
-    let log = revived.recovery_log();
-    let replayed: usize = log
-        .iter()
-        .find_map(|l| {
-            let (_, tail) = l.split_once("replayed ")?;
-            tail.split_once(" wal batches")?.0.parse().ok()
-        })
-        .unwrap_or_else(|| panic!("no replay count in recovery log {log:?}"));
+    let revived = Front::restart(routed, &dir);
+    let mut client = Client::connect(revived.local_addr()).expect("reconnect");
+    let replayed = revived.replayed(&mut client, &sent);
     // The batch whose ack the fault killed may or may not have reached the
     // platter — both are legal. Losing an *acked* batch is not.
     assert!(
@@ -570,7 +685,6 @@ fn injected_disk_faults_never_lose_an_acked_update() {
     );
     let replayed_updates: Vec<Update> = sent[..replayed].concat();
     let (want_certified, _, want_inner) = reference_state(&replayed_updates);
-    let mut client = Client::connect(revived.local_addr()).expect("reconnect");
     assert_eq!(client.certified().expect("certified"), want_certified);
     let ckpt = client.checkpoint().expect("checkpoint");
     assert_eq!(
@@ -578,7 +692,6 @@ fn injected_disk_faults_never_lose_an_acked_update() {
         &want_inner[..],
         "recovered state is a bit-exact batch-prefix"
     );
-    client.shutdown().expect("shutdown");
-    revived.join();
+    revived.finish(client);
     let _ = std::fs::remove_dir_all(&dir);
 }
