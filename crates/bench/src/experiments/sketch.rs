@@ -7,11 +7,11 @@
 //!    same N, at several N. This isolates the data-structure effect: shared
 //!    `z^index`, flat cells, exact-level updates.
 //! 2. **`id` model end to end** — the engine experiment's dblog workload
-//!    ingested by [`FewwInsertDelete`] on the reference backend versus the
-//!    default banked backend, same config and seed as the `engine`
-//!    experiment's dblog cell. The PR 2 baseline for this cell
-//!    (`BENCH_engine.json`) was ~430 updates/s; the acceptance target is
-//!    ≥ 50× that.
+//!    ingested by [`FewwInsertDelete`] one update at a time and in
+//!    engine-sized batches, same config and seed as the `engine`
+//!    experiment's dblog cell. The pre-bank engine ingested this cell at
+//!    426 updates/s (`BENCH_engine.json` of that time); the acceptance
+//!    target is ≥ 50× that.
 //!
 //! Space is reported alongside (`SpaceUsage` bytes): banks also shrink the
 //! resident footprint by collapsing thousands of nested `Vec`s into three
@@ -24,7 +24,6 @@ use fews_common::SpaceUsage;
 use fews_core::insertion_deletion::{FewwInsertDelete, IdConfig};
 use fews_sketch::bank::SamplerBank;
 use fews_sketch::l0::L0Sampler;
-use fews_stream::Update;
 use std::time::Instant;
 
 /// Run `pass` repeatedly until at least `min_secs` of wall clock or
@@ -65,42 +64,35 @@ fn turnstile_updates(dim: u64, len: usize, seed: u64) -> Vec<(u64, i64)> {
     out
 }
 
+/// The dblog cell's ingest rate before the sampler banks, in updates/s.
+const PRE_BANK_BASELINE: f64 = 426.0;
+
+/// One bank-size sweep cell: loose samplers before, the bank after.
 struct Cell {
     label: String,
     updates: usize,
     before: f64,
     after: f64,
-    /// The batched (`update_batch` / `push_batch`) rate, when the cell
-    /// measures one; `None` keeps the legacy two-column shape.
-    batched: Option<f64>,
+    /// The batched (`update_batch`) rate.
+    batched: f64,
     before_bytes: usize,
     after_bytes: usize,
 }
 
 impl Cell {
-    fn json(&self, baseline: Option<f64>) -> String {
-        let best = self.batched.unwrap_or(self.after);
-        let vs_baseline = baseline.map_or(String::new(), |b| {
-            format!(" \"speedup_vs_pr2_engine\": {:.1},", best / b)
-        });
-        let batched = self.batched.map_or(String::new(), |r| {
-            format!(
-                " \"batched_updates_per_sec\": {:.0}, \"batched_vs_scalar\": {:.2},",
-                r,
-                r / self.after
-            )
-        });
+    fn json(&self) -> String {
         format!(
             "\"{}\": {{\"updates\": {}, \"reference_updates_per_sec\": {:.0}, \
-             \"banked_updates_per_sec\": {:.0}, \"speedup\": {:.1},{}{} \
+             \"banked_updates_per_sec\": {:.0}, \"speedup\": {:.1}, \
+             \"batched_updates_per_sec\": {:.0}, \"batched_vs_scalar\": {:.2}, \
              \"reference_space_bytes\": {}, \"banked_space_bytes\": {}}}",
             self.label,
             self.updates,
             self.before,
             self.after,
-            best / self.before,
-            batched,
-            vs_baseline,
+            self.batched / self.before,
+            self.batched,
+            self.batched / self.after,
             self.before_bytes,
             self.after_bytes
         )
@@ -180,7 +172,7 @@ pub fn sketch_exp(ctx: &ExpCtx) -> Vec<Table> {
             updates: updates.len(),
             before,
             after,
-            batched: Some(batched),
+            batched,
             before_bytes,
             after_bytes,
         });
@@ -189,87 +181,79 @@ pub fn sketch_exp(ctx: &ExpCtx) -> Vec<Table> {
         .write_csv(&ctx.out_dir, "sketch_bank_sizes")
         .expect("csv");
 
-    // The engine experiment's dblog cell, ingested directly by the two
-    // FewwInsertDelete backends (same config + seed as `engine`).
+    // The engine experiment's dblog cell, ingested directly by
+    // FewwInsertDelete (same config + seed as `engine`).
     let eng_seed = fews_common::rng::derive_seed(seed, 0xE26_0001);
     let (records, hot) = if ctx.quick { (32u32, 12u32) } else { (48, 16) };
     let log =
         fews_stream::gen::dblog::db_log(records, 1 << 10, hot, 4, 0.5, &mut rng_for(eng_seed, 4));
     let id_cfg = IdConfig::with_scale(records, 1 << 10, hot, 2, 0.02);
     let mut id_table = Table::new(
-        "sketch — id model (dblog), reference vs banked backend",
+        "sketch — id model (dblog), banked ingest vs the pre-bank engine",
         &[
-            "backend",
+            "path",
             "samplers",
             "updates",
             "updates_per_sec",
-            "speedup",
+            "vs_pre_bank_engine",
             "state_KiB",
         ],
     );
-    let ingest = |alg: &mut FewwInsertDelete, stream: &[Update]| {
-        for u in stream {
-            alg.push(*u);
-        }
-    };
-    let mut reference = FewwInsertDelete::new_reference(id_cfg, eng_seed);
-    let before = rate(log.updates.len(), 0.5, 8, || {
-        ingest(&mut reference, &log.updates)
-    });
     let mut banked = FewwInsertDelete::new(id_cfg, eng_seed);
-    let after = rate(log.updates.len(), 0.5, 10_000, || {
-        ingest(&mut banked, &log.updates)
+    let scalar = rate(log.updates.len(), 0.5, 10_000, || {
+        for u in &log.updates {
+            banked.push(*u);
+        }
     });
     let batched = rate(log.updates.len(), 0.5, 10_000, || {
         for chunk in log.updates.chunks(256) {
             banked.push_batch(chunk);
         }
     });
-    // Satellite: the witness-pool intermediate is deduplicated per bank as
-    // it is collected; report what one query buffers now vs what the
+    // The witness-pool intermediate is deduplicated per bank as it is
+    // collected; report what one query buffers now vs what the
     // undeduplicated pool held (16 bytes per `(u32, u64)` pair).
     let (pool_raw, pool_deduped) = banked.witness_pool_stats();
     let pair_bytes = std::mem::size_of::<(u32, u64)>();
-    let id_cell = Cell {
-        label: "id_dblog".into(),
-        updates: log.updates.len(),
-        before,
-        after,
-        batched: Some(batched),
-        before_bytes: reference.space_bytes(),
-        after_bytes: banked.space_bytes(),
-    };
-    for (name, alg, r) in [
-        ("reference", &reference, before),
-        ("banked", &banked, after),
-        ("banked (batched)", &banked, batched),
-    ] {
+    for (name, r) in [("scalar", scalar), ("batched", batched)] {
         id_table.push_row(vec![
             name.into(),
-            alg.sampler_count().to_string(),
+            banked.sampler_count().to_string(),
             log.updates.len().to_string(),
             format!("{r:.0}"),
-            f3(r / before),
-            (alg.space_bytes() / 1024).to_string(),
+            f3(r / PRE_BANK_BASELINE),
+            (banked.space_bytes() / 1024).to_string(),
         ]);
     }
     id_table
         .write_csv(&ctx.out_dir, "sketch_id_model")
         .expect("csv");
+    let id_json = format!(
+        "\"id_dblog\": {{\"updates\": {}, \"banked_updates_per_sec\": {:.0}, \
+         \"batched_updates_per_sec\": {:.0}, \"batched_vs_scalar\": {:.2}, \
+         \"speedup_vs_pr2_engine\": {:.1}, \"banked_space_bytes\": {}}}",
+        log.updates.len(),
+        scalar,
+        batched,
+        batched / scalar,
+        batched / PRE_BANK_BASELINE,
+        banked.space_bytes()
+    );
 
     let size_json: Vec<String> = size_cells
         .iter()
-        .map(|c| format!("  {}", c.json(None)))
+        .map(|c| format!("  {}", c.json()))
         .collect();
     let json = format!(
         "{{\n  \"experiment\": \"sketch\",\n  \"mode\": \"{}\",\n  \"seed\": {},\n  \
-         \"baseline_pr2_engine_dblog_updates_per_sec\": 426,\n  {},\n  \
+         \"baseline_pr2_engine_dblog_updates_per_sec\": {:.0},\n  {},\n  \
          \"witness_pool\": {{\"raw_pairs\": {}, \"deduped_pairs\": {}, \
          \"raw_bytes\": {}, \"deduped_bytes\": {}}},\n  \
          \"bank_sizes\": {{\n{}\n  }}\n}}\n",
         if ctx.quick { "quick" } else { "full" },
         seed,
-        id_cell.json(Some(426.0)),
+        PRE_BANK_BASELINE,
+        id_json,
         pool_raw,
         pool_deduped,
         pool_raw * pair_bytes,

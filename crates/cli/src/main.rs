@@ -4,7 +4,6 @@
 //! fews generate <planted|zipf|dos|dblog> [--key value …] --out FILE
 //! fews stats FILE [--n N]
 //! fews run FILE --n N --d D [--alpha A] [--model io|id] [--seed S] [--scale X]
-//! fews serve FILE --n N --d D [--shards K] [--batch B] [--model io|id] …
 //! fews listen --addr A --n N --d D [--shards K] [--model io|id] [--replay FILE]
 //!             [--data-dir DIR] [--compact-bytes N] [--max-conns C]
 //!             [--inflight-updates U] [--inflight-bytes B] [--lag-budget L] …
@@ -60,12 +59,12 @@ use fews_common::{SpaceConfig, SpaceId, SpaceModel, SpaceUsage};
 use fews_core::insertion_deletion::{FewwInsertDelete, IdConfig};
 use fews_core::insertion_only::{FewwConfig, FewwInsertOnly};
 use fews_core::neighbourhood::Neighbourhood;
-use fews_engine::{Engine, EngineConfig, GlobalView};
+use fews_engine::EngineConfig;
 use fews_net::{Client, Server, ServerOptions};
 use fews_stream::update::{as_insertions, degrees, net_graph};
 use fews_stream::{io as sio, Update};
 use opts::Opts;
-use std::io::{BufRead, BufReader};
+use std::io::BufReader;
 
 /// Write one line to stdout, exiting cleanly on a broken pipe.
 fn emit(args: std::fmt::Arguments) {
@@ -95,7 +94,6 @@ fn main() {
         "generate" => generate(&rest),
         "stats" => stats(&rest),
         "run" => run(&rest),
-        "serve" => serve(&rest),
         "listen" => listen(&rest),
         "router" => router(&rest),
         "client" => client_cmd(&rest),
@@ -110,8 +108,6 @@ fn usage(msg: &str) -> ! {
         "usage:\n  fews generate <planted|zipf|dos|dblog> [--key value …] --out FILE\n  \
          fews stats FILE [--n N]\n  \
          fews run FILE --n N --d D [--alpha A] [--model io|id] [--seed S] [--scale X] [--m M]\n  \
-         fews serve FILE --n N --d D [--alpha A] [--model io|id] [--seed S] [--scale X] [--m M]\n  \
-         {:13}[--shards K] [--partitions P] [--batch B] [--restore CKPT]\n  \
          fews listen --addr HOST:PORT --n N --d D [--alpha A] [--model io|id] [--seed S] \
          [--scale X] [--m M]\n  \
          {:13}[--shards K] [--partitions P] [--batch B] [--replay FILE] [--restore CKPT]\n  \
@@ -128,7 +124,7 @@ fn usage(msg: &str) -> ! {
          {:13}create-space NAME --n N --d D [--alpha A] [--model io|id] [--m M] [--scale X] \
          [--partitions P] [--quota Q] |\n  \
          {:13}drop-space NAME | list-spaces | join-worker ADDR>",
-        "", "", "", "", "", "", "", "", "", ""
+        "", "", "", "", "", "", "", "", ""
     );
     std::process::exit(2);
 }
@@ -308,9 +304,6 @@ fn run(rest: &[String]) {
         .unwrap_or_else(|| usage("--d is required"));
     let alpha: u32 = o.get("alpha", 2);
     let seed: u64 = o.get("seed", 2021);
-    if d == 0 || alpha == 0 {
-        usage("--d and --alpha must be ≥ 1");
-    }
     let explicit_model = o.get_str("model");
     let explicit_n = o.get_str("n").map(|s| {
         s.parse::<u32>()
@@ -326,6 +319,7 @@ fn run(rest: &[String]) {
     // materializing the stream.
     match (explicit_model.as_deref(), explicit_n, explicit_m) {
         (Some("io"), Some(n), _) => {
+            validated(SpaceConfig::insert_only(n, d, alpha));
             let started = std::time::Instant::now();
             let mut alg = FewwInsertOnly::new(FewwConfig::new(n, d, alpha), seed);
             let mut count = 0usize;
@@ -349,6 +343,7 @@ fn run(rest: &[String]) {
         }
         (Some("id"), Some(n), Some(m)) => {
             let scale = o.get("scale", 0.1f64);
+            validated(SpaceConfig::insert_delete(n, m, d, alpha, scale));
             let started = std::time::Instant::now();
             let mut alg = FewwInsertDelete::new(IdConfig::with_scale(n, m, d, alpha, scale), seed);
             let mut count = 0usize;
@@ -402,6 +397,7 @@ fn run_buffered(
             if updates.iter().any(|u| u.delta < 0) {
                 usage("stream contains deletions; use --model id");
             }
+            validated(SpaceConfig::insert_only(n, d, alpha));
             let mut alg = FewwInsertOnly::new(FewwConfig::new(n, d, alpha), seed);
             for u in &updates {
                 alg.push(u.edge);
@@ -414,6 +410,7 @@ fn run_buffered(
                 updates.iter().map(|u| u.edge.b).max().map_or(1, |b| b + 1),
             );
             let scale = o.get("scale", 0.1f64);
+            validated(SpaceConfig::insert_delete(n, m, d, alpha, scale));
             let cfg = IdConfig::with_scale(n, m, d, alpha, scale);
             let mut alg = FewwInsertDelete::new(cfg, seed);
             for u in &updates {
@@ -426,182 +423,20 @@ fn run_buffered(
     report(result, &model, updates.len(), started.elapsed(), space);
 }
 
-/// Build an [`EngineConfig`] from the shared `--n --d [--alpha] [--model]
-/// [--m] [--scale] [--seed] [--shards] [--partitions] [--batch]` flags
-/// (`serve` and `listen` speak the same dialect). Returns the config plus
-/// `(is_io, n, m)` for input validation at the edge.
-fn engine_cfg_from(o: &Opts) -> (EngineConfig, bool, u32, u64) {
-    let n: u32 = o
-        .get_str("n")
-        .map(|s| {
-            s.parse()
-                .unwrap_or_else(|_| usage("--n got an unparsable value"))
-        })
-        .unwrap_or_else(|| usage("--n is required (the engine is pre-sharded)"));
-    let d: u32 = o
-        .get_str("d")
-        .map(|s| {
-            s.parse()
-                .unwrap_or_else(|_| usage("--d got an unparsable value"))
-        })
-        .unwrap_or_else(|| usage("--d is required"));
-    let alpha: u32 = o.get("alpha", 2);
-    let seed: u64 = o.get("seed", 2021);
+/// Build an [`EngineConfig`] from the model flags of `create-space`, under
+/// the same parse and the same rule ([`space_spec_from`]), plus the runtime
+/// shape `[--seed S] [--shards K] [--batch B]`: `listen` and `router` speak
+/// this dialect.
+fn engine_cfg_from(o: &Opts) -> EngineConfig {
+    let spec = space_spec_from(o);
     let shards: usize = o.get("shards", 4);
-    let partitions: usize = o.get("partitions", fews_engine::DEFAULT_PARTITIONS);
     let batch: usize = o.get("batch", 1024);
-    if n == 0 || d == 0 || alpha == 0 {
-        usage("--n, --d, and --alpha must be ≥ 1");
+    if shards == 0 || batch == 0 {
+        usage("--shards and --batch must be ≥ 1");
     }
-    if shards == 0 || partitions == 0 || batch == 0 {
-        usage("--shards, --partitions, and --batch must be ≥ 1");
-    }
-    let model: String = o.get_str("model").unwrap_or_else(|| "io".into());
-    let m: u64 = o.get("m", 0);
-    let cfg = match model.as_str() {
-        "io" => EngineConfig::insert_only(FewwConfig::new(n, d, alpha), seed),
-        "id" => {
-            if m == 0 {
-                usage("--m is required for --model id");
-            }
-            let scale = o.get("scale", 0.1f64);
-            EngineConfig::insert_delete(IdConfig::with_scale(n, m, d, alpha, scale), seed)
-        }
-        other => usage(&format!("unknown model {other} (io|id)")),
-    }
-    .with_shards(shards)
-    .with_partitions(partitions)
-    .with_batch(batch);
-    (cfg, model == "io", n, m)
-}
-
-/// `fews serve`: replay FILE through the sharded engine, then answer queries
-/// from stdin until EOF.
-fn serve(rest: &[String]) {
-    let path = rest
-        .first()
-        .cloned()
-        .unwrap_or_else(|| usage("serve needs a FILE"));
-    let o = opts(
-        &rest[1..],
-        "n d alpha model seed scale m shards partitions batch restore",
-    );
-    let (cfg, is_io, n, m) = engine_cfg_from(&o);
-    let (shards, partitions) = (cfg.shards, cfg.partitions);
-
-    let mut engine = Engine::start(cfg);
-    if let Some(ckpt) = o.get_str("restore") {
-        let bytes = std::fs::read(&ckpt).unwrap_or_else(|e| usage(&format!("read {ckpt}: {e}")));
-        engine
-            .restore_checkpoint(&bytes)
-            .unwrap_or_else(|e| usage(&format!("restore {ckpt}: {e}")));
-        outln!("restored checkpoint {ckpt} ({} bytes)", bytes.len());
-    }
-
-    let started = std::time::Instant::now();
-    let mut count = 0u64;
-    for u in stream_updates(&path) {
-        if is_io && u.delta < 0 {
-            usage("stream contains deletions; use --model id");
-        }
-        if u.edge.a >= n || (!is_io && u.edge.b >= m) {
-            usage(&format!(
-                "edge ({}, {}) out of range --n {n}{}",
-                u.edge.a,
-                u.edge.b,
-                if is_io {
-                    String::new()
-                } else {
-                    format!(" / --m {m}")
-                }
-            ));
-        }
-        engine.push(u);
-        count += 1;
-    }
-    let stats = engine.stats(); // barrier: all batches applied
-    let elapsed = started.elapsed();
-    outln!(
-        "replayed {count} updates in {:.2?} across {shards} shard(s) / {partitions} partition(s) \
-         — {:.0} updates/s",
-        elapsed,
-        count as f64 / elapsed.as_secs_f64().max(1e-9)
-    );
-    for s in &stats.shards {
-        outln!(
-            "  shard {}: {} partitions | {} updates in {} batches | {} KiB",
-            s.shard,
-            s.partitions,
-            s.processed,
-            s.batches,
-            s.space_bytes / 1024
-        );
-    }
-    outln!("ready — queries: top [K] | certify V | stats | checkpoint PATH | quit");
-
-    let stdin = std::io::stdin();
-    for line in stdin.lock().lines() {
-        let line = line.unwrap_or_else(|e| usage(&format!("stdin: {e}")));
-        let mut words = line.split_whitespace();
-        match words.next() {
-            None => continue,
-            Some("quit") | Some("exit") => break,
-            Some("top") => {
-                let k: usize = words.next().and_then(|w| w.parse().ok()).unwrap_or(5);
-                let view = engine.view();
-                let top = view.top(k);
-                if top.is_empty() {
-                    outln!("(no witnesses collected yet)");
-                }
-                for nb in top {
-                    print_neighbourhood(&nb, &view);
-                }
-            }
-            Some("certify") => match words.next().and_then(|w| w.parse::<u32>().ok()) {
-                Some(v) => {
-                    let view = engine.view();
-                    match view.certify(v) {
-                        Some(nb) => print_neighbourhood(&nb, &view),
-                        None => outln!("vertex {v}: no witnesses held"),
-                    }
-                }
-                None => outln!("certify needs a vertex id"),
-            },
-            Some("stats") => {
-                let s = engine.stats();
-                outln!(
-                    "{} updates ingested | uptime {:.2?} | {:.0} updates/s | state {} KiB",
-                    s.ingested,
-                    s.uptime,
-                    s.updates_per_sec(),
-                    s.space_bytes() / 1024
-                );
-                for sh in &s.shards {
-                    outln!(
-                        "  shard {}: {} partitions | {} updates in {} batches | {} KiB",
-                        sh.shard,
-                        sh.partitions,
-                        sh.processed,
-                        sh.batches,
-                        sh.space_bytes / 1024
-                    );
-                }
-            }
-            Some("checkpoint") => match words.next() {
-                Some(out) => {
-                    let bytes = engine.checkpoint();
-                    match std::fs::write(out, &bytes) {
-                        Ok(()) => outln!("checkpointed {} bytes to {out}", bytes.len()),
-                        Err(e) => outln!("checkpoint {out}: {e}"),
-                    }
-                }
-                None => outln!("checkpoint needs an output PATH"),
-            },
-            Some(other) => {
-                outln!("unknown query {other:?} — try: top [K] | certify V | stats | checkpoint PATH | quit");
-            }
-        }
-    }
+    EngineConfig::from_space(&spec, o.get("seed", 2021))
+        .with_shards(shards)
+        .with_batch(batch)
 }
 
 /// `fews listen`: start the TCP server and block until a client sends
@@ -616,7 +451,7 @@ fn listen(rest: &[String]) {
          compact-bytes max-conns inflight-updates inflight-bytes lag-budget",
     );
     let addr = o.get_str("addr").unwrap_or_else(|| "127.0.0.1:7411".into());
-    let (cfg, _, n, m) = engine_cfg_from(&o);
+    let cfg = engine_cfg_from(&o);
     let (shards, partitions) = (cfg.shards, cfg.partitions);
     let opts = ServerOptions {
         data_dir: o.get_str("data-dir").map(std::path::PathBuf::from),
@@ -657,7 +492,8 @@ fn listen(rest: &[String]) {
         }
         if let Some(path) = o.get_str("replay") {
             let batch = o.get("batch", 1024usize).max(1);
-            let count = ingest_file(&mut local, &path, batch, n, m);
+            let space = cfg.to_space(0);
+            let count = ingest_file(&mut local, &path, batch, space.n, space.m);
             outln!("replayed {count} updates from {path}");
         }
     }
@@ -686,7 +522,7 @@ fn router(rest: &[String]) {
     if workers.is_empty() {
         usage("--workers named no addresses");
     }
-    let (cfg, ..) = engine_cfg_from(&o);
+    let cfg = engine_cfg_from(&o);
     let timeout = std::time::Duration::from_millis(o.get("timeout-ms", 2_000u64).max(1));
     let mut client = fews_net::ClientOptions::bounded(timeout, o.get("retries", 2u32));
     // Worker connections jitter their retry backoff from the master seed,
@@ -1039,8 +875,9 @@ fn client_cmd(rest: &[String]) {
 }
 
 /// Build a [`SpaceConfig`] from `create-space` flags (`--n --d [--alpha]
-/// [--model io|id] [--m] [--scale] [--partitions] [--quota]` — the same
-/// dialect as `run`/`serve`/`listen`, minus runtime shape).
+/// [--model io|id] [--m] [--scale] [--partitions] [--quota]`, the model
+/// half of `listen`'s and `router`'s dialect), refusing every parameter
+/// set [`SpaceConfig::validate`] refuses.
 fn space_spec_from(o: &Opts) -> SpaceConfig {
     let n: u32 = o
         .get_str("n")
@@ -1073,6 +910,12 @@ fn space_spec_from(o: &Opts) -> SpaceConfig {
     }
     .with_partitions(partitions)
     .with_quota(quota);
+    validated(spec)
+}
+
+/// `spec`, or a usage error naming the rule it breaks: the one parameter
+/// rule behind `run`, `listen`, `router` and `create-space`.
+fn validated(spec: SpaceConfig) -> SpaceConfig {
     spec.validate().unwrap_or_else(|e| usage(&e));
     spec
 }
@@ -1084,27 +927,6 @@ fn print_wire_neighbourhood(nb: &Neighbourhood, d2: u64) {
         nb.vertex,
         nb.size(),
         if nb.size() as u64 >= d2 {
-            " ✓ certified"
-        } else {
-            ""
-        },
-        shown.join(", "),
-        if nb.size() > 8 { ", …" } else { "" }
-    );
-}
-
-fn print_neighbourhood(nb: &Neighbourhood, view: &GlobalView) {
-    let shown: Vec<String> = nb.witnesses.iter().take(8).map(u64::to_string).collect();
-    let degree = view
-        .degree(nb.vertex)
-        .map(|deg| format!(" degree {deg} |"))
-        .unwrap_or_default();
-    outln!(
-        "vertex {:6} |{} {} witness(es){} [{}{}]",
-        nb.vertex,
-        degree,
-        nb.size(),
-        if nb.size() as u64 >= view.witness_target() as u64 {
             " ✓ certified"
         } else {
             ""

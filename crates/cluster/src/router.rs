@@ -1011,13 +1011,18 @@ impl Inner {
         checkpoint::wrap_envelope(SpaceId::default_space().as_str(), wal_seq, &inner)
     }
 
-    /// Install a full checkpoint cluster-wide. The payload store commits
-    /// first (durably, when the router has a data dir), then slices push to
-    /// the owners; a node that misses the push is marked down and recovers
-    /// the restored state through the ordinary rejoin path — so the restore
-    /// is never torn.
+    /// Install a full checkpoint cluster-wide. Every payload first passes
+    /// the engine's own restore validation, so a checkpoint a worker would
+    /// refuse is refused here, typed, with nothing committed. The payload
+    /// store then commits (durably, when the router has a data dir), then
+    /// slices push to the owners; a node that misses the push is marked
+    /// down and recovers the restored state through the ordinary rejoin
+    /// path — so the restore is never torn.
     fn restore(&mut self, bytes: &[u8]) -> Result<(), Fail> {
         let (dense, _) = decode_store(&self.cfg, bytes).map_err(|m| (ErrorCode::Checkpoint, m))?;
+        Engine::start(self.cfg)
+            .restore_checkpoint(bytes)
+            .map_err(|e| (ErrorCode::Checkpoint, e.to_string()))?;
         // Commit router-side truth before any push.
         self.payloads = dense;
         for log in &mut self.logs {

@@ -24,7 +24,7 @@ use fews_common::math::{ilog2_ceil, insertion_deletion_x};
 use fews_common::rng::rng_for;
 use fews_common::SpaceUsage;
 use fews_sketch::bank::SamplerBank;
-use fews_sketch::l0::{L0Config, L0Sampler};
+use fews_sketch::l0::L0Config;
 use fews_stream::{Edge, Update};
 use std::collections::HashMap;
 
@@ -113,123 +113,16 @@ impl IdConfig {
         (ilog2_ceil(self.n as u64 * self.m) as usize + 2) * self.l0.rows * 2 * self.l0.sparsity
     }
 
-    /// Total ℓ₀-samplers an instance runs (wire v1 geometry).
-    pub fn total_samplers(&self) -> u64 {
-        (self.vertex_sample_size() * self.samplers_per_vertex() + self.edge_sampler_count()) as u64
-    }
-
     /// Total sampler banks an instance runs: one per sampled vertex plus the
-    /// edge bank (wire v2 geometry).
+    /// edge bank (the wire geometry).
     pub fn bank_count(&self) -> u64 {
         self.vertex_sample_size() as u64 + 1
     }
 
-    /// Total register cells — identical for both backends (banks keep the
-    /// same `(level, row, col)` geometry, just exact-level contents).
+    /// Total register cells across every bank.
     pub fn total_cells(&self) -> usize {
         self.vertex_sample_size() * self.samplers_per_vertex() * self.cells_per_vertex_sampler()
             + self.edge_sampler_count() * self.cells_per_edge_sampler()
-    }
-}
-
-/// Which sampler backend a [`FewwInsertDelete`] instance runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IdBackendKind {
-    /// Flat [`SamplerBank`]s — the default: ~7× faster ingest than the
-    /// reference layout in-process (~90× vs the pre-bank engine dblog
-    /// cell; `BENCH_sketch.json`).
-    Banked,
-    /// The per-sampler layout of the original implementation, byte- and
-    /// randomness-compatible with wire-format v1 checkpoints; retained as
-    /// the differential-testing and benchmarking reference.
-    Reference,
-}
-
-/// Sampler storage. Both backends implement the same Algorithm 3; they
-/// differ in memory layout, hash-randomness draw order, and speed.
-#[derive(Debug)]
-pub(crate) enum IdBackend {
-    /// One bank per sampled vertex (sorted by vertex) plus the edge bank.
-    Banked {
-        /// `(vertex, bank over 0..m)`, ascending by vertex.
-        vertex_banks: Vec<(u32, SamplerBank)>,
-        /// vertex → index into `vertex_banks` (push-time routing).
-        vertex_index: HashMap<u32, usize>,
-        /// Bank over the `n·m` edge-indicator vector.
-        edge_bank: SamplerBank,
-    },
-    /// Independent per-sampler structures (wire v1 layout).
-    Reference {
-        /// Sampled vertex → its per-vertex ℓ₀-samplers over `0..m`.
-        vertex_samplers: HashMap<u32, Vec<L0Sampler>>,
-        /// Sampled vertices in ascending order, cached at construction (the
-        /// key set never changes, so serialization never re-sorts).
-        sorted_keys: Vec<u32>,
-        /// Global ℓ₀-samplers over the `n·m` edge-indicator vector.
-        edge_samplers: Vec<L0Sampler>,
-    },
-}
-
-impl IdBackend {
-    /// Banked backend. Shares the vertex-sample draw with the reference
-    /// backend (same `A′` for a given seed), then draws bank randomness.
-    fn banked(config: IdConfig, seed: u64) -> Self {
-        let mut rng = rng_for(seed, 0x1D_0001);
-        let sample_size = config.vertex_sample_size();
-        let per_vertex = config.samplers_per_vertex();
-        let mut sampled = fews_stream::gen::sample_distinct(config.n as u64, sample_size, &mut rng);
-        sampled.sort_unstable();
-        let vertex_banks: Vec<(u32, SamplerBank)> = sampled
-            .into_iter()
-            .map(|a| {
-                (
-                    a as u32,
-                    SamplerBank::with_config(config.m, per_vertex, config.l0, &mut rng),
-                )
-            })
-            .collect();
-        let vertex_index = vertex_banks
-            .iter()
-            .enumerate()
-            .map(|(i, (a, _))| (*a, i))
-            .collect();
-        let edge_bank = SamplerBank::with_config(
-            config.n as u64 * config.m,
-            config.edge_sampler_count(),
-            config.l0,
-            &mut rng,
-        );
-        IdBackend::Banked {
-            vertex_banks,
-            vertex_index,
-            edge_bank,
-        }
-    }
-
-    /// Reference backend — the exact randomness draw order of the original
-    /// implementation, so same-seed instances reproduce v1 register files.
-    fn reference(config: IdConfig, seed: u64) -> Self {
-        let mut rng = rng_for(seed, 0x1D_0001);
-        let sample_size = config.vertex_sample_size();
-        let per_vertex = config.samplers_per_vertex();
-        let sampled = fews_stream::gen::sample_distinct(config.n as u64, sample_size, &mut rng);
-        let mut vertex_samplers = HashMap::with_capacity(sample_size);
-        for a in sampled {
-            let samplers: Vec<L0Sampler> = (0..per_vertex)
-                .map(|_| L0Sampler::with_config(config.m, config.l0, &mut rng))
-                .collect();
-            vertex_samplers.insert(a as u32, samplers);
-        }
-        let edge_samplers = (0..config.edge_sampler_count())
-            .map(|_| L0Sampler::with_config(config.n as u64 * config.m, config.l0, &mut rng))
-            .collect();
-        let mut sorted_keys: Vec<u32> = vertex_samplers.keys().copied().collect();
-        sorted_keys.sort_unstable();
-        IdBackend::Reference {
-            vertex_samplers,
-            sorted_keys,
-            edge_samplers,
-        }
     }
 }
 
@@ -237,7 +130,7 @@ impl IdBackend {
 /// generation reachable from 0 by increments — marks a cache slot stale.
 const STALE: u64 = u64::MAX;
 
-/// Memoized per-bank decode results for the banked backend, validated by
+/// Memoized per-bank decode results, validated by
 /// [`SamplerBank::generation`]: a slot is reused verbatim while its bank's
 /// generation is unchanged, so a query after `k` updates re-decodes only the
 /// banks those updates touched (plus the edge bank, which every update
@@ -293,67 +186,105 @@ fn best_vertex(pooled: Vec<(u32, Vec<u64>)>, d2: usize) -> Option<Neighbourhood>
         .map(|(a, ws)| Neighbourhood::new(a, ws))
 }
 
+/// The witnesses (positive net count) a vertex bank currently recovers,
+/// sorted and deduplicated into `out`. A bank's samplers mostly agree at
+/// low degree, so without the per-bank dedup a pool would hold up to
+/// `samplers_per_bank` copies of the same pair per sampled vertex — the
+/// `--model id` large-`m` memory spike. Deduplicating here bounds every
+/// intermediate (and the decode memo) at the *distinct* count.
+fn vertex_witnesses(bank: &SamplerBank, out: &mut Vec<u64>) {
+    out.clear();
+    out.extend(
+        (0..bank.len())
+            .filter_map(|i| bank.sample(i))
+            .filter(|&(_, c)| c > 0)
+            .map(|(b, _)| b),
+    );
+    out.sort_unstable();
+    out.dedup();
+}
+
+/// The `(vertex, witness)` pairs the edge bank over the `n·m` universe
+/// currently recovers, sorted and deduplicated into `out`.
+fn edge_witnesses(bank: &SamplerBank, m: u64, out: &mut Vec<(u32, u64)>) {
+    out.clear();
+    out.extend(
+        (0..bank.len())
+            .filter_map(|i| bank.sample(i))
+            .filter(|&(_, c)| c > 0)
+            .map(|(idx, _)| {
+                let e = Edge::from_linear_index(idx, m);
+                (e.a, e.b)
+            }),
+    );
+    out.sort_unstable();
+    out.dedup();
+}
+
 /// The α-approximation insertion-deletion streaming algorithm for FEwW.
+///
+/// Its ℓ₀-samplers live in flat [`SamplerBank`]s: one bank per sampled
+/// vertex plus the edge bank. `crates/sketch/tests/differential_bank.rs`
+/// pins every bank slot to an exact per-sampler
+/// [`fews_sketch::l0::L0Sampler`].
 #[derive(Debug)]
 pub struct FewwInsertDelete {
     config: IdConfig,
     seed: u64,
-    pub(crate) backend: IdBackend,
+    /// `(vertex, bank over 0..m)`, ascending by vertex.
+    pub(crate) vertex_banks: Vec<(u32, SamplerBank)>,
+    /// vertex → index into `vertex_banks` (push-time routing).
+    vertex_index: HashMap<u32, usize>,
+    /// Bank over the `n·m` edge-indicator vector.
+    pub(crate) edge_bank: SamplerBank,
     pushed: u64,
-    /// Lazily built; dropped whenever the backend is rebuilt. Generation
-    /// tags keep it correct across in-place restores.
+    /// Lazily built by the first cached query. Generation tags keep it
+    /// correct across in-place restores.
     decode_cache: Option<DecodeCache>,
 }
 
 impl FewwInsertDelete {
-    /// Initialise on the fast banked backend: draws the vertex sample `A′`
-    /// and all sampler hash functions up front (Algorithm 3 samples *before*
-    /// the stream starts).
+    /// Initialise: draws the vertex sample `A′` (kept in ascending order)
+    /// and then all sampler hash functions up front — Algorithm 3 samples
+    /// *before* the stream starts.
     pub fn new(config: IdConfig, seed: u64) -> Self {
+        let mut rng = rng_for(seed, 0x1D_0001);
+        let per_vertex = config.samplers_per_vertex();
+        let mut sampled = fews_stream::gen::sample_distinct(
+            config.n as u64,
+            config.vertex_sample_size(),
+            &mut rng,
+        );
+        sampled.sort_unstable();
+        let vertex_banks: Vec<(u32, SamplerBank)> = sampled
+            .into_iter()
+            .map(|a| {
+                (
+                    a as u32,
+                    SamplerBank::with_config(config.m, per_vertex, config.l0, &mut rng),
+                )
+            })
+            .collect();
+        let vertex_index = vertex_banks
+            .iter()
+            .enumerate()
+            .map(|(i, (a, _))| (*a, i))
+            .collect();
+        let edge_bank = SamplerBank::with_config(
+            config.n as u64 * config.m,
+            config.edge_sampler_count(),
+            config.l0,
+            &mut rng,
+        );
         FewwInsertDelete {
             config,
             seed,
-            backend: IdBackend::banked(config, seed),
+            vertex_banks,
+            vertex_index,
+            edge_bank,
             pushed: 0,
             decode_cache: None,
         }
-    }
-
-    /// Initialise on the legacy per-sampler reference backend (wire v1
-    /// layout; several times slower ingest — benchmarking and v1 restore
-    /// only).
-    pub fn new_reference(config: IdConfig, seed: u64) -> Self {
-        FewwInsertDelete {
-            config,
-            seed,
-            backend: IdBackend::reference(config, seed),
-            pushed: 0,
-            decode_cache: None,
-        }
-    }
-
-    /// Which backend this instance currently runs on.
-    pub fn backend_kind(&self) -> IdBackendKind {
-        match self.backend {
-            IdBackend::Banked { .. } => IdBackendKind::Banked,
-            IdBackend::Reference { .. } => IdBackendKind::Reference,
-        }
-    }
-
-    /// Rebuild the sampler storage on `kind` from the instance's own seed,
-    /// dropping all accumulated registers (used by wire restore, which
-    /// installs a full register file right after).
-    pub(crate) fn reset_backend(&mut self, kind: IdBackendKind) {
-        if self.backend_kind() == kind {
-            return;
-        }
-        // Rebuilt banks restart at generation 0, which a stale cache entry
-        // could otherwise mistake for "unchanged".
-        self.decode_cache = None;
-        self.backend = match kind {
-            IdBackendKind::Banked => IdBackend::banked(self.config, self.seed),
-            IdBackendKind::Reference => IdBackend::reference(self.config, self.seed),
-        };
     }
 
     /// Process one turnstile update.
@@ -362,33 +293,10 @@ impl FewwInsertDelete {
         debug_assert!(e.a < self.config.n && e.b < self.config.m);
         self.pushed += 1;
         let delta = update.delta as i64;
-        let idx = e.linear_index(self.config.m);
-        match &mut self.backend {
-            IdBackend::Banked {
-                vertex_banks,
-                vertex_index,
-                edge_bank,
-            } => {
-                if let Some(&i) = vertex_index.get(&e.a) {
-                    vertex_banks[i].1.update(e.b, delta);
-                }
-                edge_bank.update(idx, delta);
-            }
-            IdBackend::Reference {
-                vertex_samplers,
-                edge_samplers,
-                ..
-            } => {
-                if let Some(samplers) = vertex_samplers.get_mut(&e.a) {
-                    for s in samplers {
-                        s.update(e.b, delta);
-                    }
-                }
-                for s in edge_samplers {
-                    s.update(idx, delta);
-                }
-            }
+        if let Some(&i) = self.vertex_index.get(&e.a) {
+            self.vertex_banks[i].1.update(e.b, delta);
         }
+        self.edge_bank.update(e.linear_index(self.config.m), delta);
     }
 
     /// Process a batch of turnstile updates — register-equivalent to
@@ -399,10 +307,8 @@ impl FewwInsertDelete {
     /// is free — cell updates are commutative additions). Every touched
     /// bank's generation then bumps once per batch instead of once per
     /// update, so the incremental decode cache stays exactly as selective.
-    /// The reference backend has no batch path and falls back to one-at-a-
-    /// time pushes.
     pub fn push_batch(&mut self, updates: &[Update]) {
-        if updates.len() < 2 || matches!(self.backend, IdBackend::Reference { .. }) {
+        if updates.len() < 2 {
             for &u in updates {
                 self.push(u);
             }
@@ -410,14 +316,6 @@ impl FewwInsertDelete {
         }
         self.pushed += updates.len() as u64;
         let (n, m) = (self.config.n, self.config.m);
-        let IdBackend::Banked {
-            vertex_banks,
-            vertex_index,
-            edge_bank,
-        } = &mut self.backend
-        else {
-            unreachable!("reference backend handled above")
-        };
         let mut edge_updates: Vec<(u64, i64)> = Vec::with_capacity(updates.len());
         let mut vertex_updates: Vec<(usize, u64, i64)> = Vec::new();
         for u in updates {
@@ -425,7 +323,7 @@ impl FewwInsertDelete {
             debug_assert!(e.a < n && e.b < m);
             let delta = u.delta as i64;
             edge_updates.push((e.linear_index(m), delta));
-            if let Some(&i) = vertex_index.get(&e.a) {
+            if let Some(&i) = self.vertex_index.get(&e.a) {
                 vertex_updates.push((i, e.b, delta));
             }
         }
@@ -443,87 +341,29 @@ impl FewwInsertDelete {
                     .unwrap_or(vertex_updates.len() - start);
             group.clear();
             group.extend(vertex_updates[start..end].iter().map(|&(_, b, d)| (b, d)));
-            vertex_banks[bank_i].1.update_batch(&group);
+            self.vertex_banks[bank_i].1.update_batch(&group);
             start = end;
         }
-        edge_bank.update_batch(&edge_updates);
+        self.edge_bank.update_batch(&edge_updates);
     }
 
     /// Every `(vertex, witness)` pair the vertex strategy currently
-    /// recovers, deduplicated *per bank* as it is collected. A bank's
-    /// samplers mostly agree at low degree, so without the incremental
-    /// dedup the flat pool holds up to `samplers_per_bank` copies of the
-    /// same pair per sampled vertex before the final collect→sort→dedup —
-    /// the `--model id` large-`m` memory spike. One small sorted scratch
-    /// buffer per bank bounds the intermediate at the *distinct* count.
+    /// recovers, deduplicated per bank (see [`vertex_witnesses`]).
     fn vertex_strategy_pairs(&self) -> Vec<(u32, u64)> {
         let mut pairs = Vec::new();
         let mut scratch: Vec<u64> = Vec::new();
-        match &self.backend {
-            IdBackend::Banked { vertex_banks, .. } => {
-                for (a, bank) in vertex_banks {
-                    scratch.clear();
-                    for i in 0..bank.len() {
-                        if let Some((b, c)) = bank.sample(i) {
-                            if c > 0 {
-                                scratch.push(b);
-                            }
-                        }
-                    }
-                    scratch.sort_unstable();
-                    scratch.dedup();
-                    pairs.extend(scratch.iter().map(|&b| (*a, b)));
-                }
-            }
-            IdBackend::Reference {
-                vertex_samplers, ..
-            } => {
-                for (&a, samplers) in vertex_samplers {
-                    scratch.clear();
-                    for s in samplers {
-                        if let Some((b, c)) = s.sample() {
-                            if c > 0 {
-                                scratch.push(b);
-                            }
-                        }
-                    }
-                    scratch.sort_unstable();
-                    scratch.dedup();
-                    pairs.extend(scratch.iter().map(|&b| (a, b)));
-                }
-            }
+        for (a, bank) in &self.vertex_banks {
+            vertex_witnesses(bank, &mut scratch);
+            pairs.extend(scratch.iter().map(|&b| (*a, b)));
         }
         pairs
     }
 
     /// Every `(vertex, witness)` pair the edge strategy currently recovers,
-    /// deduplicated before returning (same bound as
-    /// [`Self::vertex_strategy_pairs`]: the pool holds distinct pairs, not
-    /// one per agreeing sampler).
+    /// deduplicated.
     fn edge_strategy_pairs(&self) -> Vec<(u32, u64)> {
         let mut pairs = Vec::new();
-        let mut harvest = |sample: Option<(u64, i64)>| {
-            if let Some((idx, c)) = sample {
-                if c > 0 {
-                    let e = Edge::from_linear_index(idx, self.config.m);
-                    pairs.push((e.a, e.b));
-                }
-            }
-        };
-        match &self.backend {
-            IdBackend::Banked { edge_bank, .. } => {
-                for i in 0..edge_bank.len() {
-                    harvest(edge_bank.sample(i));
-                }
-            }
-            IdBackend::Reference { edge_samplers, .. } => {
-                for s in edge_samplers {
-                    harvest(s.sample());
-                }
-            }
-        }
-        pairs.sort_unstable();
-        pairs.dedup();
+        edge_witnesses(&self.edge_bank, self.config.m, &mut pairs);
         pairs
     }
 
@@ -534,42 +374,17 @@ impl FewwInsertDelete {
     /// `size_of::<(u32, u64)>()` for resident bytes; the bench reports the
     /// pair.
     pub fn witness_pool_stats(&self) -> (usize, usize) {
-        let mut raw = 0usize;
-        let mut count = |sample: Option<(u64, i64)>| {
-            if matches!(sample, Some((_, c)) if c > 0) {
-                raw += 1;
-            }
-        };
-        match &self.backend {
-            IdBackend::Banked {
-                vertex_banks,
-                edge_bank,
-                ..
-            } => {
-                for (_, bank) in vertex_banks {
-                    for i in 0..bank.len() {
-                        count(bank.sample(i));
-                    }
-                }
-                for i in 0..edge_bank.len() {
-                    count(edge_bank.sample(i));
-                }
-            }
-            IdBackend::Reference {
-                vertex_samplers,
-                edge_samplers,
-                ..
-            } => {
-                for samplers in vertex_samplers.values() {
-                    for s in samplers {
-                        count(s.sample());
-                    }
-                }
-                for s in edge_samplers {
-                    count(s.sample());
-                }
-            }
-        }
+        let raw = self
+            .vertex_banks
+            .iter()
+            .map(|(_, bank)| bank)
+            .chain(std::iter::once(&self.edge_bank))
+            .map(|bank| {
+                (0..bank.len())
+                    .filter(|&i| matches!(bank.sample(i), Some((_, c)) if c > 0))
+                    .count()
+            })
+            .sum();
         let deduped = self.vertex_strategy_pairs().len() + self.edge_strategy_pairs().len();
         (raw, deduped)
     }
@@ -591,55 +406,24 @@ impl FewwInsertDelete {
     /// whose registers changed since the previous call are re-decoded — the
     /// cost is O(banks touched since the last query), not O(total state).
     /// Output is identical to `pooled_witnesses` (the incremental-view
-    /// differential suites pin this). The reference backend has no flat
-    /// banks to tag and falls back to the from-scratch path.
+    /// differential suites pin this).
     pub fn pooled_witnesses_cached(&mut self) -> Vec<(u32, Vec<u64>)> {
-        let IdBackend::Banked {
-            vertex_banks,
-            edge_bank,
-            ..
-        } = &self.backend
-        else {
-            return self.pooled_witnesses();
-        };
-        let cache = match &mut self.decode_cache {
-            Some(c) if c.vertex.len() == vertex_banks.len() => c,
-            slot => slot.insert(DecodeCache::stale(vertex_banks.len())),
-        };
-        for ((gen, witnesses), (_, bank)) in cache.vertex.iter_mut().zip(vertex_banks) {
+        let banks = self.vertex_banks.len();
+        let cache = self
+            .decode_cache
+            .get_or_insert_with(|| DecodeCache::stale(banks));
+        for ((gen, witnesses), (_, bank)) in cache.vertex.iter_mut().zip(&self.vertex_banks) {
             if *gen != bank.generation() {
-                witnesses.clear();
-                for i in 0..bank.len() {
-                    if let Some((b, c)) = bank.sample(i) {
-                        if c > 0 {
-                            witnesses.push(b);
-                        }
-                    }
-                }
-                // Dedup in the memo itself: agreeing samplers would
-                // otherwise keep `samplers_per_bank` copies resident for
-                // the cache's whole life, not just one query.
-                witnesses.sort_unstable();
-                witnesses.dedup();
+                vertex_witnesses(bank, witnesses);
                 *gen = bank.generation();
             }
         }
-        if cache.edge.0 != edge_bank.generation() {
-            cache.edge.1.clear();
-            for i in 0..edge_bank.len() {
-                if let Some((idx, c)) = edge_bank.sample(i) {
-                    if c > 0 {
-                        let e = Edge::from_linear_index(idx, self.config.m);
-                        cache.edge.1.push((e.a, e.b));
-                    }
-                }
-            }
-            cache.edge.1.sort_unstable();
-            cache.edge.1.dedup();
-            cache.edge.0 = edge_bank.generation();
+        if cache.edge.0 != self.edge_bank.generation() {
+            edge_witnesses(&self.edge_bank, self.config.m, &mut cache.edge.1);
+            cache.edge.0 = self.edge_bank.generation();
         }
         let mut pairs: Vec<(u32, u64)> = Vec::new();
-        for ((_, witnesses), (a, _)) in cache.vertex.iter().zip(vertex_banks) {
+        for ((_, witnesses), (a, _)) in cache.vertex.iter().zip(&self.vertex_banks) {
             pairs.extend(witnesses.iter().map(|&b| (*a, b)));
         }
         pairs.extend_from_slice(&cache.edge.1);
@@ -656,17 +440,14 @@ impl FewwInsertDelete {
         )
     }
 
-    /// Capture the ℓ₀-sampler register file for checkpointing, in the wire
-    /// version native to the running backend (see [`crate::wire_id`]).
+    /// Capture the ℓ₀-sampler register file for checkpointing (see
+    /// [`crate::wire_id`]).
     pub fn snapshot(&self) -> crate::wire_id::IdWireState {
         crate::wire_id::IdWireState::capture(self)
     }
 
     /// Install a register file captured from an instance with the same
-    /// configuration and seed (hash functions are shared randomness). A v1
-    /// state switches this instance to the reference backend, a v2 state to
-    /// the banked backend — registers are meaningful only on the layout that
-    /// produced them.
+    /// configuration and seed (hash functions are shared randomness).
     pub fn restore_from(&mut self, state: &crate::wire_id::IdWireState) {
         state.restore(self);
     }
@@ -706,64 +487,34 @@ impl FewwInsertDelete {
 
     /// Whether a given vertex is in the pre-drawn sample `A′`.
     pub fn vertex_sampled(&self, a: u32) -> bool {
-        match &self.backend {
-            IdBackend::Banked { vertex_index, .. } => vertex_index.contains_key(&a),
-            IdBackend::Reference {
-                vertex_samplers, ..
-            } => vertex_samplers.contains_key(&a),
-        }
+        self.vertex_index.contains_key(&a)
     }
 
     /// Total ℓ₀-sampler count (diagnostics).
     pub fn sampler_count(&self) -> usize {
-        match &self.backend {
-            IdBackend::Banked {
-                vertex_banks,
-                edge_bank,
-                ..
-            } => vertex_banks.iter().map(|(_, b)| b.len()).sum::<usize>() + edge_bank.len(),
-            IdBackend::Reference {
-                vertex_samplers,
-                edge_samplers,
-                ..
-            } => vertex_samplers.values().map(Vec::len).sum::<usize>() + edge_samplers.len(),
-        }
+        self.vertex_banks
+            .iter()
+            .map(|(_, b)| b.len())
+            .sum::<usize>()
+            + self.edge_bank.len()
     }
 }
 
 impl SpaceUsage for FewwInsertDelete {
     fn space_bytes(&self) -> usize {
-        let backend = match &self.backend {
-            IdBackend::Banked {
-                vertex_banks,
-                vertex_index,
-                edge_bank,
-            } => {
-                // `space_bytes` on a bank already counts its struct; add
-                // only the per-element slot overhead beyond it.
-                let slot =
-                    std::mem::size_of::<(u32, SamplerBank)>() - std::mem::size_of::<SamplerBank>();
-                vertex_banks
-                    .iter()
-                    .map(|(_, b)| b.space_bytes() + slot)
-                    .sum::<usize>()
-                    + vertex_index.len() * std::mem::size_of::<(u32, usize)>()
-                    + edge_bank.space_bytes()
-                    - std::mem::size_of::<SamplerBank>()
-            }
-            IdBackend::Reference {
-                vertex_samplers,
-                sorted_keys,
-                edge_samplers,
-            } => {
-                vertex_samplers.space_bytes()
-                    + sorted_keys.capacity() * 4
-                    + edge_samplers.space_bytes()
-                    - std::mem::size_of::<HashMap<u32, Vec<L0Sampler>>>()
-                    - std::mem::size_of::<Vec<L0Sampler>>()
-            }
-        };
-        std::mem::size_of::<Self>() + backend
+        // `space_bytes` on a bank already counts its struct, which
+        // `size_of::<Self>()` or the vector slot holds too; count only the
+        // rest of each slot once.
+        let slot = std::mem::size_of::<(u32, SamplerBank)>() - std::mem::size_of::<SamplerBank>();
+        std::mem::size_of::<Self>()
+            + self
+                .vertex_banks
+                .iter()
+                .map(|(_, b)| b.space_bytes() + slot)
+                .sum::<usize>()
+            + self.vertex_index.len() * std::mem::size_of::<(u32, usize)>()
+            + self.edge_bank.space_bytes()
+            - std::mem::size_of::<SamplerBank>()
     }
 }
 

@@ -1,37 +1,28 @@
-//! Wire formats for the insertion-deletion algorithm's memory state.
+//! Wire format for the insertion-deletion algorithm's memory state.
 //!
 //! The Lemma 6.3 reduction sends the state of
 //! [`FewwInsertDelete`](crate::insertion_deletion::FewwInsertDelete) from
 //! Alice to Bob, and the engine checkpoints it. That state is the register
 //! file of every ℓ₀-sampler cell: the `(count, index-sum, fingerprint)`
-//! triples, in a deterministic order. Hash functions are shared public
+//! triples of the [`fews_sketch::bank::SamplerBank`] layout — *exact-level*
+//! registers in (bank, sampler, level, row, column) order, vertex banks
+//! ascending then the edge bank. Hash functions are shared public
 //! randomness, re-derived from the seed on the receiving side, so only
 //! registers travel.
 //!
-//! Two versions coexist:
+//! Encoding: zig-zag + LEB128 varints. A stream opens with a `0` sentinel
+//! and the version tag `2`, then the bank count, the register count and the
+//! registers.
 //!
-//! * **v1** ([`IdMemoryState`]) — the per-sampler layout of the reference
-//!   backend: cumulative-level registers in (sampler, level, row, column)
-//!   order, samplers ordered sampled-vertices-ascending then edge samplers.
-//!   Byte-compatible with every checkpoint written before banks existed.
-//! * **v2** ([`BankedIdState`]) — the [`fews_sketch::bank::SamplerBank`]
-//!   layout of the default backend: *exact-level* registers in (bank,
-//!   sampler, level, row, column) order, vertex banks ascending then the
-//!   edge bank.
-//!
-//! The two layouts carry registers relative to *different hash randomness*
-//! (banks share row hashes across levels and one fingerprint base), so they
-//! cannot be transcoded; [`IdWireState::restore`] instead switches the
-//! receiving instance onto the backend that produced the state. Restoring a
-//! v1 checkpoint therefore still works forever — it just runs on the slower
-//! reference backend from that point on.
-//!
-//! Encoding: zig-zag + LEB128 varints. A v1 stream opens with its sampler
-//! count, which is always ≥ 1; v2 opens with a `0` sentinel followed by a
-//! version tag, so the two are self-describing and [`IdWireState::decode`]
-//! accepts either.
+//! The retired pre-bank format, wire v1, opened with its sampler count
+//! (always ≥ 1) and carried the per-sampler layout's cumulative-level
+//! registers. Those registers belong to hash randomness no instance draws
+//! any more, so they cannot be transcoded. [`IdWireState::decode`] still
+//! recognises a well-formed v1 stream and refuses it as
+//! [`IdDecodeError::PreBank`], so a restore names the format instead of
+//! reporting noise.
 
-use crate::insertion_deletion::{FewwInsertDelete, IdBackend, IdBackendKind};
+use crate::insertion_deletion::FewwInsertDelete;
 use crate::wire::{get_uvarint, put_uvarint};
 
 /// Zig-zag encode a signed value for varint storage.
@@ -61,178 +52,84 @@ fn get_i128(buf: &[u8], pos: &mut usize) -> Option<i128> {
     Some(((z >> 1) as i128) ^ -((z & 1) as i128))
 }
 
-/// The version tag a v2 stream carries after its `0` sentinel.
+/// The version tag a stream carries after its `0` sentinel.
 const V2_TAG: u64 = 2;
 
-/// v1 register file: the reference backend's per-sampler layout.
+/// The register file of a [`FewwInsertDelete`] instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IdMemoryState {
-    /// Geometry header: sampler count, for validation.
-    pub samplers: u64,
-    /// Flat register stream: for every cell, `(count, index_sum,
-    /// fingerprint)` in (sampler, level, row, column) order.
-    pub registers: Vec<(i64, i128, u64)>,
-}
-
-/// v2 register file: the banked backend's exact-level layout.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BankedIdState {
+pub struct IdWireState {
     /// Geometry header: bank count (sampled vertices + the edge bank).
     pub banks: u64,
     /// Flat register stream in (bank, sampler, level, row, column) order.
     pub registers: Vec<(i64, i128, u64)>,
 }
 
-/// A decoded insertion-deletion wire state of either version.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum IdWireState {
-    /// Reference-backend registers (legacy checkpoints).
-    V1(IdMemoryState),
-    /// Banked-backend registers (current default).
-    V2(BankedIdState),
+/// Why [`IdWireState::decode`] refused a byte string.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IdDecodeError {
+    /// A well-formed stream in the retired pre-bank format (wire v1).
+    PreBank,
+    /// Not a register file: damaged, truncated, or an unknown version.
+    Malformed,
+}
+
+impl std::fmt::Display for IdDecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            IdDecodeError::PreBank => {
+                "insertion-deletion payload is in the retired pre-bank format (wire v1), \
+                 which no longer restores"
+            }
+            IdDecodeError::Malformed => "malformed insertion-deletion partition payload",
+        })
+    }
 }
 
 impl IdWireState {
-    /// Extract the register file from a running instance, in the version
-    /// native to its backend.
+    /// Extract the register file from a running instance.
     pub fn capture(alg: &FewwInsertDelete) -> Self {
-        match &alg.backend {
-            IdBackend::Banked {
-                vertex_banks,
-                edge_bank,
-                ..
-            } => {
-                let mut registers = Vec::new();
-                let mut push = |c: i64, s: i128, f: u64| registers.push((c, s, f));
-                for (_, bank) in vertex_banks {
-                    bank.visit_cells(&mut push);
-                }
-                edge_bank.visit_cells(&mut push);
-                IdWireState::V2(BankedIdState {
-                    banks: vertex_banks.len() as u64 + 1,
-                    registers,
-                })
-            }
-            IdBackend::Reference {
-                vertex_samplers,
-                sorted_keys,
-                edge_samplers,
-            } => {
-                let mut samplers = 0u64;
-                let mut registers = Vec::new();
-                let mut visit = |s: &fews_sketch::l0::L0Sampler| {
-                    samplers += 1;
-                    s.visit_cells(|c, ix, f| registers.push((c, ix, f)));
-                };
-                for a in sorted_keys {
-                    for s in &vertex_samplers[a] {
-                        visit(s);
-                    }
-                }
-                for s in edge_samplers {
-                    visit(s);
-                }
-                IdWireState::V1(IdMemoryState {
-                    samplers,
-                    registers,
-                })
-            }
+        let mut registers = Vec::new();
+        let mut push = |c: i64, s: i128, f: u64| registers.push((c, s, f));
+        for (_, bank) in &alg.vertex_banks {
+            bank.visit_cells(&mut push);
+        }
+        alg.edge_bank.visit_cells(&mut push);
+        IdWireState {
+            banks: alg.vertex_banks.len() as u64 + 1,
+            registers,
         }
     }
 
     /// Install the register file into an instance constructed with the same
-    /// configuration and seed, switching it onto the backend whose layout
-    /// the state carries.
+    /// configuration and seed. Panics on a geometry mismatch: callers that
+    /// take untrusted bytes check the geometry first, as the engine does.
     pub fn restore(&self, alg: &mut FewwInsertDelete) {
-        let registers = match self {
-            IdWireState::V1(s) => {
-                alg.reset_backend(IdBackendKind::Reference);
-                &s.registers
-            }
-            IdWireState::V2(s) => {
-                alg.reset_backend(IdBackendKind::Banked);
-                &s.registers
-            }
-        };
-        let mut idx = 0usize;
+        assert_eq!(
+            self.banks,
+            alg.vertex_banks.len() as u64 + 1,
+            "bank count mismatch on restore"
+        );
+        let mut cells = self.registers.iter();
         let mut write = |count: &mut i64, index_sum: &mut i128, fingerprint: &mut u64| {
-            let (c, s, f) = registers[idx];
-            idx += 1;
-            *count = c;
-            *index_sum = s;
-            *fingerprint = f;
+            (*count, *index_sum, *fingerprint) =
+                *cells.next().expect("register count mismatch on restore");
         };
-        match (&mut alg.backend, self) {
-            (
-                IdBackend::Banked {
-                    vertex_banks,
-                    edge_bank,
-                    ..
-                },
-                IdWireState::V2(s),
-            ) => {
-                assert_eq!(
-                    s.banks,
-                    vertex_banks.len() as u64 + 1,
-                    "bank count mismatch on restore"
-                );
-                for (_, bank) in vertex_banks.iter_mut() {
-                    bank.visit_cells_mut(&mut write);
-                }
-                edge_bank.visit_cells_mut(&mut write);
-            }
-            (
-                IdBackend::Reference {
-                    vertex_samplers,
-                    sorted_keys,
-                    edge_samplers,
-                },
-                IdWireState::V1(s),
-            ) => {
-                let mut samplers = 0u64;
-                for a in sorted_keys.iter() {
-                    for smp in vertex_samplers.get_mut(a).expect("key exists") {
-                        samplers += 1;
-                        smp.visit_cells_mut(&mut write);
-                    }
-                }
-                for smp in edge_samplers.iter_mut() {
-                    samplers += 1;
-                    smp.visit_cells_mut(&mut write);
-                }
-                assert_eq!(samplers, s.samplers, "sampler count mismatch on restore");
-            }
-            _ => unreachable!("reset_backend matched the state version"),
+        for (_, bank) in &mut alg.vertex_banks {
+            bank.visit_cells_mut(&mut write);
         }
-        assert_eq!(idx, registers.len(), "register count mismatch on restore");
-    }
-
-    /// The raw register triples, whichever version carries them.
-    pub fn registers(&self) -> &[(i64, i128, u64)] {
-        match self {
-            IdWireState::V1(s) => &s.registers,
-            IdWireState::V2(s) => &s.registers,
-        }
+        alg.edge_bank.visit_cells_mut(&mut write);
+        assert!(cells.next().is_none(), "register count mismatch on restore");
     }
 
     /// Encode to bytes. Empty cells (the overwhelming majority on sparse
     /// inputs) cost 3 bytes; varints keep live cells near their entropy.
     pub fn encode(&self) -> Vec<u8> {
-        let registers = self.registers();
-        let mut buf = Vec::with_capacity(registers.len() * 4 + 16);
-        match self {
-            IdWireState::V1(s) => {
-                debug_assert!(s.samplers >= 1, "v1 sampler count is the format tag");
-                put_uvarint(&mut buf, s.samplers);
-            }
-            IdWireState::V2(s) => {
-                put_uvarint(&mut buf, 0); // sentinel: not a v1 sampler count
-                put_uvarint(&mut buf, V2_TAG);
-                put_uvarint(&mut buf, s.banks);
-            }
-        }
-        put_uvarint(&mut buf, registers.len() as u64);
-        for &(count, index_sum, fingerprint) in registers {
+        let mut buf = Vec::with_capacity(self.registers.len() * 4 + 16);
+        put_uvarint(&mut buf, 0); // sentinel: never a v1 sampler count
+        put_uvarint(&mut buf, V2_TAG);
+        put_uvarint(&mut buf, self.banks);
+        put_uvarint(&mut buf, self.registers.len() as u64);
+        for &(count, index_sum, fingerprint) in &self.registers {
             put_uvarint(&mut buf, zigzag(count));
             put_i128(&mut buf, index_sum);
             put_uvarint(&mut buf, fingerprint);
@@ -240,46 +137,46 @@ impl IdWireState {
         buf
     }
 
-    /// Decode either version from bytes; `None` on malformed input.
-    pub fn decode(buf: &[u8]) -> Option<Self> {
+    /// Decode from bytes. A well-formed v1 stream is
+    /// [`IdDecodeError::PreBank`]; anything else that is not a register
+    /// file is [`IdDecodeError::Malformed`].
+    pub fn decode(buf: &[u8]) -> Result<Self, IdDecodeError> {
         let mut pos = 0usize;
-        let opening = get_uvarint(buf, &mut pos)?;
-        let header = if opening == 0 {
-            if get_uvarint(buf, &mut pos)? != V2_TAG {
-                return None;
-            }
-            IdWireState::V2(BankedIdState {
-                banks: get_uvarint(buf, &mut pos)?,
-                registers: Vec::new(),
-            })
+        let opening = get_uvarint(buf, &mut pos).ok_or(IdDecodeError::Malformed)?;
+        // v1 opened with its sampler count; its register stream has the
+        // same shape as ours, so both parse with one body decoder.
+        let banks = if opening == 0 {
+            let header = get_uvarint(buf, &mut pos)
+                .filter(|&tag| tag == V2_TAG)
+                .and_then(|_| get_uvarint(buf, &mut pos));
+            Some(header.ok_or(IdDecodeError::Malformed)?)
         } else {
-            IdWireState::V1(IdMemoryState {
-                samplers: opening,
-                registers: Vec::new(),
-            })
+            None
         };
-        let n = get_uvarint(buf, &mut pos)? as usize;
-        // Every register costs ≥ 3 bytes, so a count the remaining buffer
-        // cannot hold is malformed — reject it before trusting it as a
-        // pre-allocation size.
-        if n > (buf.len() - pos) / 3 {
-            return None;
-        }
-        let mut registers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let count = unzigzag(get_uvarint(buf, &mut pos)?);
-            let index_sum = get_i128(buf, &mut pos)?;
-            let fingerprint = get_uvarint(buf, &mut pos)?;
-            registers.push((count, index_sum, fingerprint));
-        }
-        if pos != buf.len() {
-            return None;
-        }
-        Some(match header {
-            IdWireState::V1(s) => IdWireState::V1(IdMemoryState { registers, ..s }),
-            IdWireState::V2(s) => IdWireState::V2(BankedIdState { registers, ..s }),
-        })
+        let registers = decode_registers(buf, pos).ok_or(IdDecodeError::Malformed)?;
+        let banks = banks.ok_or(IdDecodeError::PreBank)?;
+        Ok(IdWireState { banks, registers })
     }
+}
+
+/// The register count and register triples from `pos` to the end of `buf`;
+/// `None` on malformed input or trailing bytes.
+fn decode_registers(buf: &[u8], mut pos: usize) -> Option<Vec<(i64, i128, u64)>> {
+    let n = get_uvarint(buf, &mut pos)? as usize;
+    // Every register costs ≥ 3 bytes, so a count the remaining buffer
+    // cannot hold is malformed — reject it before trusting it as a
+    // pre-allocation size.
+    if n > (buf.len() - pos) / 3 {
+        return None;
+    }
+    let mut registers = Vec::with_capacity(n);
+    for _ in 0..n {
+        let count = unzigzag(get_uvarint(buf, &mut pos)?);
+        let index_sum = get_i128(buf, &mut pos)?;
+        let fingerprint = get_uvarint(buf, &mut pos)?;
+        registers.push((count, index_sum, fingerprint));
+    }
+    (pos == buf.len()).then_some(registers)
 }
 
 #[cfg(test)]
@@ -294,10 +191,6 @@ mod tests {
 
     fn tiny() -> FewwInsertDelete {
         FewwInsertDelete::new(tiny_cfg(), 9)
-    }
-
-    fn tiny_reference() -> FewwInsertDelete {
-        FewwInsertDelete::new_reference(tiny_cfg(), 9)
     }
 
     #[test]
@@ -352,101 +245,41 @@ mod tests {
     }
 
     #[test]
-    fn v1_checkpoint_restores_into_default_instance() {
-        // A legacy instance writes v1 bytes; a *banked* receiver restores
-        // them, switching itself onto the reference backend, and reproduces
-        // the sender's view exactly.
-        let mut legacy = tiny_reference();
-        for b in 0..6u64 {
-            legacy.push(Update::insert(Edge::new(3, b)));
-        }
-        legacy.push(Update::delete(Edge::new(3, 5)));
-        let msg = legacy.snapshot().encode();
-        assert!(matches!(
-            IdWireState::decode(&msg),
-            Some(IdWireState::V1(_))
-        ));
-
-        let mut receiver = tiny(); // banked by default
-        assert_eq!(
-            receiver.backend_kind(),
-            crate::insertion_deletion::IdBackendKind::Banked
-        );
-        IdWireState::decode(&msg).unwrap().restore(&mut receiver);
-        assert_eq!(
-            receiver.backend_kind(),
-            crate::insertion_deletion::IdBackendKind::Reference
-        );
-        assert_eq!(receiver.pooled_witnesses(), legacy.pooled_witnesses());
-        // The restored instance re-encodes to the same v1 bytes.
-        assert_eq!(receiver.snapshot().encode(), msg);
-    }
-
-    #[test]
-    fn v1_bytes_match_pre_bank_encoding() {
-        // The v1 encoder is byte-compatible with the original format:
-        // uvarint(samplers), uvarint(cells), then register triples — no
-        // sentinel, no version tag.
-        let alg = tiny_reference();
-        let state = IdWireState::capture(&alg);
-        let IdWireState::V1(v1) = &state else {
-            panic!("reference backend must capture v1");
-        };
-        let mut expect = Vec::new();
-        put_uvarint(&mut expect, v1.samplers);
-        put_uvarint(&mut expect, v1.registers.len() as u64);
-        for &(c, s, f) in &v1.registers {
-            put_uvarint(&mut expect, zigzag(c));
-            put_i128(&mut expect, s);
-            put_uvarint(&mut expect, f);
-        }
-        assert_eq!(state.encode(), expect);
-        assert_eq!(v1.samplers, tiny_cfg().total_samplers());
-        assert_eq!(v1.registers.len(), tiny_cfg().total_cells());
-    }
-
-    #[test]
     fn v2_geometry_matches_config() {
-        let alg = tiny();
-        let IdWireState::V2(v2) = alg.snapshot() else {
-            panic!("banked backend must capture v2");
-        };
-        assert_eq!(v2.banks, tiny_cfg().bank_count());
-        assert_eq!(v2.registers.len(), tiny_cfg().total_cells());
+        let state = tiny().snapshot();
+        assert_eq!(state.banks, tiny_cfg().bank_count());
+        assert_eq!(state.registers.len(), tiny_cfg().total_cells());
     }
 
     #[test]
     fn empty_state_is_compact() {
-        for alg in [tiny(), tiny_reference()] {
-            let state = alg.snapshot();
-            let bytes = state.encode();
-            // 3 varint bytes per empty cell + header.
-            assert!(
-                bytes.len() <= state.registers().len() * 4 + 16,
-                "{} bytes for {} cells",
-                bytes.len(),
-                state.registers().len()
-            );
-            assert_eq!(IdWireState::decode(&bytes), Some(state));
-        }
+        let state = tiny().snapshot();
+        let bytes = state.encode();
+        // 3 varint bytes per empty cell + header.
+        assert!(
+            bytes.len() <= state.registers.len() * 4 + 16,
+            "{} bytes for {} cells",
+            bytes.len(),
+            state.registers.len()
+        );
+        assert_eq!(IdWireState::decode(&bytes), Ok(state));
     }
 
     #[test]
     fn decode_rejects_truncation_and_trailing() {
-        for alg in [tiny(), tiny_reference()] {
-            let mut bytes = alg.snapshot().encode();
-            bytes.push(7);
-            assert!(IdWireState::decode(&bytes).is_none());
-            bytes.pop();
-            bytes.pop();
-            assert!(IdWireState::decode(&bytes).is_none());
-        }
+        let mut bytes = tiny().snapshot().encode();
+        bytes.push(7);
+        assert_eq!(IdWireState::decode(&bytes), Err(IdDecodeError::Malformed));
+        bytes.pop();
+        bytes.pop();
+        assert_eq!(IdWireState::decode(&bytes), Err(IdDecodeError::Malformed));
     }
 
     #[test]
     fn decode_rejects_absurd_register_count_without_allocating() {
-        // A corrupted count varint must yield None, not a capacity-overflow
-        // panic from pre-allocating the claimed length.
+        // A corrupted count varint must yield an error, not a
+        // capacity-overflow panic from pre-allocating the claimed length —
+        // behind either opening.
         for opening in [1u64, 0] {
             let mut bytes = Vec::new();
             put_uvarint(&mut bytes, opening);
@@ -455,7 +288,7 @@ mod tests {
                 put_uvarint(&mut bytes, 1); // banks
             }
             put_uvarint(&mut bytes, 1 << 60); // registers "count"
-            assert!(IdWireState::decode(&bytes).is_none());
+            assert_eq!(IdWireState::decode(&bytes), Err(IdDecodeError::Malformed));
         }
     }
 
@@ -466,6 +299,25 @@ mod tests {
         put_uvarint(&mut bytes, 7); // bogus version
         put_uvarint(&mut bytes, 1);
         put_uvarint(&mut bytes, 0);
-        assert!(IdWireState::decode(&bytes).is_none());
+        assert_eq!(IdWireState::decode(&bytes), Err(IdDecodeError::Malformed));
+    }
+
+    #[test]
+    fn pre_bank_stream_is_named_not_restored() {
+        // The v1 shape: uvarint(samplers ≥ 1), uvarint(cells), then the
+        // register triples — no sentinel, no version tag.
+        let mut bytes = Vec::new();
+        put_uvarint(&mut bytes, 3);
+        put_uvarint(&mut bytes, 2);
+        for &(c, s, f) in &[(1i64, 5i128, 9u64), (0, 0, 0)] {
+            put_uvarint(&mut bytes, zigzag(c));
+            put_i128(&mut bytes, s);
+            put_uvarint(&mut bytes, f);
+        }
+        assert_eq!(IdWireState::decode(&bytes), Err(IdDecodeError::PreBank));
+        assert!(IdDecodeError::PreBank.to_string().contains("pre-bank"));
+        // A damaged v1 stream is malformed, like any other noise.
+        bytes.pop();
+        assert_eq!(IdWireState::decode(&bytes), Err(IdDecodeError::Malformed));
     }
 }

@@ -11,12 +11,15 @@
 //! ```
 //!
 //! Payload `p` is [`fews_core::wire::MemoryState::encode`] (insertion-only)
-//! or [`fews_core::wire_id::IdWireState::encode`] (insertion-deletion, v1 or
-//! v2 self-describing) of
-//! partition `p`. Because the body is keyed by *partition* — the unit of
-//! both randomness and routing — a checkpoint written at one shard count
-//! restores at any other, and two engines that saw the same stream under the
-//! same master seed write byte-identical checkpoints regardless of K.
+//! or [`fews_core::wire_id::IdWireState::encode`] (insertion-deletion, the
+//! sampler-bank layout) of partition `p`. An insertion-deletion payload in
+//! the retired pre-bank layout (wire v1) is refused when a restore
+//! validates it, before anything is installed.
+//!
+//! Because the body is keyed by *partition* — the unit of both randomness
+//! and routing — a checkpoint written at one shard count restores at any
+//! other, and two engines that saw the same stream under the same master
+//! seed write byte-identical checkpoints regardless of K.
 
 use crate::{EngineConfig, ModelSpec};
 use fews_common::spaceid::MAX_SPACE_NAME;
@@ -119,10 +122,8 @@ impl Header {
 /// inner    the bare v1 container (b"FEWWCKP1"…), to the end of the bytes
 /// ```
 ///
-/// Old bare containers stay restorable forever: [`unwrap_envelope`] maps a
-/// `FEWWCKP1` byte string to `(space = "default", wal_seq = 0, inner = all)`,
-/// mirroring how the pre-space wire-v1 insertion-deletion payloads from PR 3
-/// remain decodable behind the self-describing v2 tag.
+/// Old bare containers stay restorable: [`unwrap_envelope`] maps a
+/// `FEWWCKP1` byte string to `(space = "default", wal_seq = 0, inner = all)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Envelope<'a> {
     /// Name of the space the checkpoint belongs to.

@@ -185,19 +185,15 @@ impl PartitionAlg {
                 Ok(DecodedState::Io(state))
             }
             PartitionAlg::Id(alg) => {
-                let state = IdWireState::decode(bytes)
-                    .ok_or_else(|| "malformed insertion-deletion partition payload".to_string())?;
+                let state = IdWireState::decode(bytes).map_err(|e| e.to_string())?;
                 let cfg = alg.config();
-                let cells = cfg.total_cells();
-                let (units, expect_units, kind) = match &state {
-                    IdWireState::V1(s) => (s.samplers, cfg.total_samplers(), "samplers"),
-                    IdWireState::V2(s) => (s.banks, cfg.bank_count(), "banks"),
-                };
-                if units != expect_units || state.registers().len() != cells {
+                let (banks, cells) = (cfg.bank_count(), cfg.total_cells());
+                if state.banks != banks || state.registers.len() != cells {
                     return Err(format!(
-                        "snapshot geometry ({units} {kind} / {} cells) disagrees with engine \
-                         config ({expect_units} / {cells})",
-                        state.registers().len()
+                        "snapshot geometry ({} banks / {} cells) disagrees with engine config \
+                         ({banks} / {cells})",
+                        state.banks,
+                        state.registers.len()
                     ));
                 }
                 Ok(DecodedState::Id(state))

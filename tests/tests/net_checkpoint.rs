@@ -6,7 +6,8 @@
 
 use fews_core::insertion_deletion::IdConfig;
 use fews_core::insertion_only::FewwConfig;
-use fews_engine::EngineConfig;
+use fews_engine::{checkpoint, Engine, EngineConfig};
+use fews_integration_tests::Front;
 use fews_net::{Client, ClientError, ErrorCode, Server};
 use fews_stream::update::as_insertions;
 use fews_stream::Update;
@@ -128,32 +129,49 @@ fn restore_rejects_garbage_and_mismatches_over_the_wire() {
             .with_shards(2)
             .with_batch(16)
     };
-    let (server, mut client) = serve(make(64));
-    // Garbage bytes.
-    match client.restore(b"definitely not a checkpoint") {
-        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::Checkpoint),
-        other => panic!("expected checkpoint error, got {other:?}"),
-    }
+    let star = |a: u32, bs: std::ops::Range<u64>| -> Vec<Update> {
+        bs.map(|b| Update::insert(fews_stream::Edge::new(a, b)))
+            .collect()
+    };
     // A checkpoint from a mismatched configuration.
-    let (other_server, mut other) = serve(make(128));
-    let foreign = other.checkpoint().expect("foreign checkpoint");
-    match client.restore(&foreign) {
-        Err(ClientError::Server { code, message, .. }) => {
-            assert_eq!(code, ErrorCode::Checkpoint);
-            assert!(message.contains("mismatch"), "message: {message}");
+    let foreign = Engine::start(make(128)).checkpoint();
+    // A container whose header fits but whose partition-1 payload is junk:
+    // only the engine's own per-partition validation can refuse it.
+    let mut donor = Engine::start(make(64));
+    donor.ingest(star(3, 0..8));
+    let (_, mut payloads) = checkpoint::decode(&donor.checkpoint()).expect("donor decodes");
+    payloads[1].1 = b"junk".to_vec();
+    let junk = checkpoint::encode(&make(64), &payloads);
+
+    for front in [Front::node(make(64)), Front::routed(make(64))] {
+        let mut client = Client::connect(front.local_addr()).expect("connect");
+        client.ingest_batch(&star(7, 0..8)).expect("ingest");
+        let certified = client.certified().expect("certified");
+        let ckpt = client.checkpoint().expect("checkpoint");
+        let refusals: [(&[u8], &str); 3] = [
+            (b"definitely not a checkpoint", "magic"),
+            (&foreign, "mismatch"),
+            (&junk, "partition 1"),
+        ];
+        for (bytes, names) in refusals {
+            match client.restore(bytes) {
+                Err(ClientError::Server { code, message, .. }) => {
+                    assert_eq!(code, ErrorCode::Checkpoint, "{message}");
+                    assert!(message.contains(names), "message: {message}");
+                }
+                other => panic!("expected a checkpoint error naming {names:?}, got {other:?}"),
+            }
+            // Nothing was committed: the front answers as before.
+            assert_eq!(client.certified().expect("certified"), certified);
+            assert_eq!(client.checkpoint().expect("checkpoint"), ckpt);
         }
-        other => panic!("expected config mismatch, got {other:?}"),
+        // And it still ingests and answers after the rejected restores.
+        client
+            .ingest_batch(&star(9, 0..8))
+            .expect("ingest after reject");
+        let nb = client.certify(9).expect("query").expect("vertex 9 held");
+        assert_eq!(nb.vertex, 9);
+        client.shutdown().expect("shutdown");
+        front.join();
     }
-    // The server still ingests and answers after rejected restores.
-    let updates: Vec<Update> = (0..8)
-        .map(|b| Update::insert(fews_stream::Edge::new(7, b)))
-        .collect();
-    client.ingest_batch(&updates).expect("ingest after reject");
-    let nb = client
-        .certified()
-        .expect("query")
-        .expect("vertex 7 certifies");
-    assert_eq!(nb.vertex, 7);
-    shut(other_server, other);
-    shut(server, client);
 }

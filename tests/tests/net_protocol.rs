@@ -8,47 +8,17 @@
 //! query (on the same connection when the protocol guarantees resync, on a
 //! fresh one when the front end is expected to have dropped the peer).
 
-use fews_cluster::{Router, RouterOptions};
 use fews_common::rng::rng_for;
 use fews_common::SpaceId;
 use fews_core::insertion_only::FewwConfig;
 use fews_engine::EngineConfig;
+use fews_integration_tests::Front;
 use fews_net::proto::{Request, Response, MAX_FRAME, VERSION};
-use fews_net::{Client, ClientError, ErrorCode, Server};
+use fews_net::{Client, ClientError, ErrorCode};
 use fews_stream::{Edge, Update};
 use rand::RngExt;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-
-/// A front end under test: a node, or a router over two workers.
-enum Front {
-    Node(Server),
-    Routed {
-        router: Router,
-        _workers: Vec<Server>,
-    },
-}
-
-impl Front {
-    fn local_addr(&self) -> SocketAddr {
-        match self {
-            Front::Node(server) => server.local_addr(),
-            Front::Routed { router, .. } => router.local_addr(),
-        }
-    }
-
-    /// Block until a client's `shutdown` has wound the front end down.
-    fn join(self) {
-        match self {
-            Front::Node(server) => {
-                server.join();
-            }
-            Front::Routed { router, .. } => {
-                router.join();
-            }
-        }
-    }
-}
+use std::net::TcpStream;
 
 /// Run `scenario` against a node, then against a router over two workers.
 fn on_each_front(scenario: impl Fn(Front)) {
@@ -56,19 +26,8 @@ fn on_each_front(scenario: impl Fn(Front)) {
         .with_shards(2)
         .with_partitions(4)
         .with_batch(16);
-    let start = || Server::start(cfg, "127.0.0.1:0").expect("bind test server");
-    scenario(Front::Node(start()));
-    let workers = vec![start(), start()];
-    let addrs: Vec<String> = workers.iter().map(|w| w.local_addr().to_string()).collect();
-    let opts = RouterOptions {
-        heartbeat: None,
-        ..RouterOptions::default()
-    };
-    let router = Router::start(cfg, "127.0.0.1:0", &addrs, opts).expect("start test router");
-    scenario(Front::Routed {
-        router,
-        _workers: workers,
-    });
+    scenario(Front::node(cfg));
+    scenario(Front::routed(cfg));
 }
 
 /// The liveness probe: the front end still answers a well-formed query.

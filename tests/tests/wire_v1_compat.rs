@@ -1,129 +1,93 @@
-//! Back-compat: insertion-deletion checkpoints written in the pre-bank wire
-//! v1 format must still restore — both directly into a `fews-core` instance
-//! and through the engine's checkpoint container — and must reproduce the
-//! writer's recovered-witness view exactly. The restoring instance switches
-//! onto the retained reference backend (v1 registers are only meaningful on
-//! the per-sampler layout) and keeps serving queries and updates from there.
+//! Wire v1, the pre-bank insertion-deletion payload format, is retired: a
+//! checkpoint carrying one is refused, typed and naming the format, on every
+//! tier — an in-process engine, a node, and a router over two workers — and
+//! the refusal installs nothing anywhere.
 
-use fews_core::insertion_deletion::{FewwInsertDelete, IdBackendKind, IdConfig};
-use fews_core::wire_id::IdWireState;
-use fews_engine::{checkpoint, partition_of, partition_seed, Engine, EngineConfig};
+use fews_core::insertion_deletion::IdConfig;
+use fews_core::wire::put_uvarint;
+use fews_engine::{checkpoint, Engine, EngineConfig};
+use fews_integration_tests::Front;
+use fews_net::{Client, ClientError, ErrorCode};
 use fews_stream::Update;
 
-const PARTITIONS: usize = 8;
+const SEED: u64 = 2021;
 
-fn cfg() -> IdConfig {
+fn id_cfg() -> IdConfig {
     IdConfig::with_scale(32, 1 << 10, 12, 2, 0.03)
 }
 
-fn dblog_updates(seed: u64) -> Vec<Update> {
-    fews_stream::gen::dblog::db_log(
+fn cfg() -> EngineConfig {
+    EngineConfig::insert_delete(id_cfg(), SEED)
+        .with_partitions(4)
+        .with_shards(2)
+        .with_batch(64)
+}
+
+/// The register file a pre-bank engine wrote for an empty partition of
+/// [`id_cfg`]: the sampler count opens it (no sentinel, no version tag),
+/// then the cell count and one all-zero `(count, index-sum, fingerprint)`
+/// triple per cell — four one-byte varints, the index sum taking two.
+fn v1_payload() -> Vec<u8> {
+    let c = id_cfg();
+    let samplers = c.vertex_sample_size() * c.samplers_per_vertex() + c.edge_sampler_count();
+    let mut bytes = Vec::new();
+    put_uvarint(&mut bytes, samplers as u64);
+    put_uvarint(&mut bytes, c.total_cells() as u64);
+    bytes.resize(bytes.len() + 4 * c.total_cells(), 0);
+    bytes
+}
+
+#[test]
+fn v1_payloads_are_refused_on_every_tier() {
+    let updates: Vec<Update> = fews_stream::gen::dblog::db_log(
         32,
         1 << 10,
         12,
         2,
         0.4,
-        &mut fews_common::rng::rng_for(seed, 4),
+        &mut fews_common::rng::rng_for(SEED, 4),
     )
-    .updates
-}
+    .updates;
+    let (head, _) = updates.split_at(updates.len() / 2);
+    // A donor holding the whole stream, with partition 1 swapped for v1
+    // bytes: every other payload is a valid bank file that differs from
+    // what the targets hold, so a partial install would show.
+    let mut donor = Engine::start(cfg());
+    donor.ingest(updates.iter().copied());
+    let (_, mut payloads) = checkpoint::decode(&donor.checkpoint()).expect("donor decodes");
+    payloads[1].1 = v1_payload();
+    let mixed = checkpoint::encode(&cfg(), &payloads);
 
-/// A "legacy" writer: per-partition reference-backend instances, v1 wire
-/// bytes — exactly what a pre-bank engine checkpointed.
-fn legacy_partitions(seed: u64, updates: &[Update]) -> Vec<FewwInsertDelete> {
-    let mut parts: Vec<FewwInsertDelete> = (0..PARTITIONS)
-        .map(|p| FewwInsertDelete::new_reference(cfg(), partition_seed(seed, p as u32)))
-        .collect();
-    for u in updates {
-        parts[partition_of(u.edge.a, PARTITIONS)].push(*u);
+    let mut engine = Engine::start(cfg());
+    engine.ingest(head.iter().copied());
+    let before = (engine.view().certified(), engine.checkpoint());
+    let err = engine
+        .restore_checkpoint(&mixed)
+        .expect_err("a v1 payload must not restore");
+    assert!(err.to_string().contains("pre-bank"), "{err}");
+    assert_eq!((engine.view().certified(), engine.checkpoint()), before);
+
+    for front in [Front::node(cfg()), Front::routed(cfg())] {
+        let mut client = Client::connect(front.local_addr()).expect("connect");
+        for chunk in head.chunks(256) {
+            client.ingest_batch(chunk).expect("ingest");
+        }
+        let state = |c: &mut Client| {
+            (
+                c.certified().expect("certified"),
+                c.checkpoint().expect("checkpoint"),
+            )
+        };
+        let before = state(&mut client);
+        match client.restore(&mixed) {
+            Err(ClientError::Server { code, message, .. }) => {
+                assert_eq!(code, ErrorCode::Checkpoint, "{message}");
+                assert!(message.contains("pre-bank"), "message: {message}");
+            }
+            other => panic!("expected a typed checkpoint refusal, got {other:?}"),
+        }
+        assert_eq!(state(&mut client), before);
+        client.shutdown().expect("shutdown");
+        front.join();
     }
-    parts
-}
-
-#[test]
-fn v1_payloads_restore_through_engine_container() {
-    let seed = 2021;
-    let updates = dblog_updates(seed);
-    let legacy = legacy_partitions(seed, &updates);
-    let payloads: Vec<(u32, Vec<u8>)> = legacy
-        .iter()
-        .enumerate()
-        .map(|(p, alg)| {
-            let bytes = alg.snapshot().encode();
-            assert!(
-                matches!(IdWireState::decode(&bytes), Some(IdWireState::V1(_))),
-                "legacy writer must emit wire v1"
-            );
-            (p as u32, bytes)
-        })
-        .collect();
-
-    let engine_cfg = EngineConfig::insert_delete(cfg(), seed).with_partitions(PARTITIONS);
-    let container = checkpoint::encode(&engine_cfg, &payloads);
-
-    // Restore at two different shard counts; certified output must match the
-    // legacy writer's merged view both times.
-    let d2 = cfg().witness_target() as usize;
-    let want = legacy
-        .iter()
-        .flat_map(FewwInsertDelete::pooled_witnesses)
-        .filter(|(_, ws)| ws.len() >= d2)
-        .max_by_key(|(a, ws)| (ws.len(), std::cmp::Reverse(*a)))
-        .map(|(a, ws)| fews_core::neighbourhood::Neighbourhood::new(a, ws));
-    for shards in [1usize, 3] {
-        let mut engine = Engine::start(engine_cfg.with_shards(shards));
-        engine
-            .restore_checkpoint(&container)
-            .expect("v1 container restores");
-        assert_eq!(engine.view().certified(), want, "shards = {shards}");
-        // A re-checkpoint round-trips the v1 payloads byte-identically.
-        let again = engine.checkpoint();
-        let (_, got) = checkpoint::decode(&again).expect("decodes");
-        assert_eq!(got, payloads, "shards = {shards}: v1 bytes not preserved");
-    }
-}
-
-#[test]
-fn v1_restored_instance_keeps_ingesting() {
-    let seed = 77;
-    let updates = dblog_updates(seed);
-    let (head, tail) = updates.split_at(updates.len() / 2);
-
-    let mut legacy = FewwInsertDelete::new_reference(cfg(), seed);
-    for u in head {
-        legacy.push(*u);
-    }
-    let bytes = legacy.snapshot().encode();
-
-    let mut restored = FewwInsertDelete::new(cfg(), seed); // banked by default
-    IdWireState::decode(&bytes)
-        .expect("decodes")
-        .restore(&mut restored);
-    assert_eq!(restored.backend_kind(), IdBackendKind::Reference);
-
-    // Continue the stream on both; they must agree forever after.
-    for u in tail {
-        legacy.push(*u);
-        restored.push(*u);
-    }
-    assert_eq!(restored.pooled_witnesses(), legacy.pooled_witnesses());
-    assert_eq!(restored.snapshot(), legacy.snapshot());
-}
-
-#[test]
-fn v2_and_v1_checkpoints_coexist_in_one_container_stream() {
-    // Sanity: the self-describing decode picks the right version per
-    // payload, so a mixed fleet (old writers, new writers) can be read by
-    // one restorer.
-    let seed = 5;
-    let mut banked = FewwInsertDelete::new(cfg(), seed);
-    let mut reference = FewwInsertDelete::new_reference(cfg(), seed);
-    for u in dblog_updates(seed).iter().take(40) {
-        banked.push(*u);
-        reference.push(*u);
-    }
-    let v2 = banked.snapshot().encode();
-    let v1 = reference.snapshot().encode();
-    assert!(matches!(IdWireState::decode(&v2), Some(IdWireState::V2(_))));
-    assert!(matches!(IdWireState::decode(&v1), Some(IdWireState::V1(_))));
 }
