@@ -86,7 +86,6 @@ fn flash_crowd(seed: u64, clients: usize, per_client: usize) -> CrowdOutcome {
             limits: OverloadLimits {
                 inflight_updates: (BATCH * 2) as u64,
                 lag_budget: 4 * BATCH as u64,
-                ..OverloadLimits::default()
             },
             ..ServerOptions::default()
         },

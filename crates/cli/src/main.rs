@@ -6,7 +6,7 @@
 //! fews run FILE --n N --d D [--alpha A] [--model io|id] [--seed S] [--scale X]
 //! fews listen --addr A --n N --d D [--shards K] [--model io|id] [--replay FILE]
 //!             [--data-dir DIR] [--compact-bytes N] [--max-conns C]
-//!             [--inflight-updates U] [--inflight-bytes B] [--lag-budget L] …
+//!             [--inflight-updates U] [--lag-budget L] …
 //! fews router --addr A --workers H1:P1,H2:P2,… --n N --d D [--model io|id]
 //!             [--replicas R] [--data-dir DIR] [--timeout-ms T] [--retries R] …
 //! fews client ADDR [--space S] [--timeout-ms T] [--retries R] [--stale]
@@ -27,10 +27,10 @@
 //!
 //! Overload protection: `--max-conns C` caps concurrent connections
 //! (excess dials are shed with a typed `overloaded` error and a
-//! retry-after hint), `--inflight-updates U` / `--inflight-bytes B` bound
-//! un-acked ingest per space, and `--lag-budget L` fails fresh reads fast
-//! once the published snapshot trails acked ingest by more than `L`
-//! records (`--stale` reads keep answering). On the client,
+//! retry-after hint), `--inflight-updates U` bounds un-acked ingest per
+//! space, and `--lag-budget L` fails fresh reads fast once the published
+//! snapshot trails acked ingest by more than `L` records (`--stale` reads
+//! keep answering). On the client,
 //! `--overload-retries O` retries shed requests after the server's hint,
 //! and `--resend` opts ingest into resending after an *indeterminate*
 //! transport failure — safe only for idempotent streams, since the lost
@@ -112,7 +112,7 @@ fn usage(msg: &str) -> ! {
          [--scale X] [--m M]\n  \
          {:13}[--shards K] [--partitions P] [--batch B] [--replay FILE] [--restore CKPT]\n  \
          {:13}[--data-dir DIR] [--compact-bytes N] [--max-conns C]\n  \
-         {:13}[--inflight-updates U] [--inflight-bytes B] [--lag-budget L]\n  \
+         {:13}[--inflight-updates U] [--lag-budget L]\n  \
          fews router --addr HOST:PORT --workers H1:P1,H2:P2,… --n N --d D [--alpha A] \
          [--model io|id] [--seed S]\n  \
          {:13}[--scale X] [--m M] [--partitions P] [--replicas R] [--data-dir DIR]\n  \
@@ -232,6 +232,12 @@ fn stats(rest: &[String]) {
         "n",
         updates.iter().map(|u| u.edge.a).max().map_or(1, |a| a + 1),
     );
+    if n == 0 {
+        usage("--n must be at least 1");
+    }
+    if let Some(u) = updates.iter().find(|u| u.edge.a >= n) {
+        usage(&format!("vertex {} out of range --n {n}", u.edge.a));
+    }
     let deg = degrees(&net, n);
     let (argmax, &max) = deg
         .iter()
@@ -304,123 +310,80 @@ fn run(rest: &[String]) {
         .unwrap_or_else(|| usage("--d is required"));
     let alpha: u32 = o.get("alpha", 2);
     let seed: u64 = o.get("seed", 2021);
-    let explicit_model = o.get_str("model");
-    let explicit_n = o.get_str("n").map(|s| {
+    let model = o.get_str("model");
+    if let Some(other) = model.as_deref().filter(|m| !matches!(*m, "io" | "id")) {
+        usage(&format!("unknown model {other} (io|id)"));
+    }
+    let n = o.get_str("n").map(|s| {
         s.parse::<u32>()
             .unwrap_or_else(|_| usage("--n got an unparsable value"))
     });
-    let explicit_m = o.get_str("m").map(|s| {
+    let m = o.get_str("m").map(|s| {
         s.parse::<u64>()
             .unwrap_or_else(|_| usage("--m got an unparsable value"))
     });
 
-    // One-pass streaming replay (constant memory) whenever nothing needs to
-    // be inferred by scanning the file first; otherwise fall back to
-    // materializing the stream.
-    match (explicit_model.as_deref(), explicit_n, explicit_m) {
-        (Some("io"), Some(n), _) => {
-            validated(SpaceConfig::insert_only(n, d, alpha));
-            let started = std::time::Instant::now();
-            let mut alg = FewwInsertOnly::new(FewwConfig::new(n, d, alpha), seed);
-            let mut count = 0usize;
-            for u in stream_updates(&path) {
-                if u.delta < 0 {
-                    usage("stream contains deletions; use --model id");
-                }
-                if u.edge.a >= n {
-                    usage(&format!("vertex {} out of range --n {n}", u.edge.a));
-                }
-                alg.push(u.edge);
-                count += 1;
-            }
-            report(
-                alg.result(),
-                "io",
-                count,
-                started.elapsed(),
-                alg.space_bytes(),
-            );
-        }
-        (Some("id"), Some(n), Some(m)) => {
-            let scale = o.get("scale", 0.1f64);
-            validated(SpaceConfig::insert_delete(n, m, d, alpha, scale));
-            let started = std::time::Instant::now();
-            let mut alg = FewwInsertDelete::new(IdConfig::with_scale(n, m, d, alpha, scale), seed);
-            let mut count = 0usize;
-            for u in stream_updates(&path) {
-                if u.edge.a >= n || u.edge.b >= m {
-                    usage(&format!(
-                        "edge ({}, {}) out of range --n {n} / --m {m}",
-                        u.edge.a, u.edge.b
-                    ));
-                }
-                alg.push(u);
-                count += 1;
-            }
-            report(
-                alg.result(),
-                "id",
-                count,
-                started.elapsed(),
-                alg.space_bytes(),
-            );
-        }
-        _ => run_buffered(&path, &o, d, alpha, seed, explicit_model),
-    }
-}
-
-/// The original two-pass path: materialize the stream, infer whatever wasn't
-/// given, then run.
-fn run_buffered(
-    path: &str,
-    o: &Opts,
-    d: u32,
-    alpha: u32,
-    seed: u64,
-    explicit_model: Option<String>,
-) {
-    let updates = read_stream(path);
-    let n: u32 = o.get(
-        "n",
-        updates.iter().map(|u| u.edge.a).max().map_or(1, |a| a + 1),
-    );
-    let model: String = explicit_model.unwrap_or_else(|| {
-        if updates.iter().any(|u| u.delta < 0) {
-            "id".into()
-        } else {
-            "io".into()
-        }
-    });
+    // A flag left out is inferred by a first pass that only parses the
+    // file; the run pass then checks every update against the flags,
+    // given or inferred alike.
+    let given = match model.as_deref() {
+        Some("io") => n.is_some(),
+        Some(_) => n.is_some() && m.is_some(),
+        None => false,
+    };
+    let (deletes, max_n, max_m) = if given {
+        (false, 0, 0)
+    } else {
+        infer_shape(&path)
+    };
+    let n = n.unwrap_or(max_n);
+    let model = model.unwrap_or_else(|| if deletes { "id" } else { "io" }.into());
     let started = std::time::Instant::now();
-    let (result, space) = match model.as_str() {
-        "io" => {
-            if updates.iter().any(|u| u.delta < 0) {
+    let mut count = 0usize;
+    let (result, space) = if model == "io" {
+        validated(SpaceConfig::insert_only(n, d, alpha));
+        let mut alg = FewwInsertOnly::new(FewwConfig::new(n, d, alpha), seed);
+        for u in stream_updates(&path) {
+            if u.delta < 0 {
                 usage("stream contains deletions; use --model id");
             }
-            validated(SpaceConfig::insert_only(n, d, alpha));
-            let mut alg = FewwInsertOnly::new(FewwConfig::new(n, d, alpha), seed);
-            for u in &updates {
-                alg.push(u.edge);
+            if u.edge.a >= n {
+                usage(&format!("vertex {} out of range --n {n}", u.edge.a));
             }
-            (alg.result(), alg.space_bytes())
+            alg.push(u.edge);
+            count += 1;
         }
-        "id" => {
-            let m = o.get(
-                "m",
-                updates.iter().map(|u| u.edge.b).max().map_or(1, |b| b + 1),
-            );
-            let scale = o.get("scale", 0.1f64);
-            validated(SpaceConfig::insert_delete(n, m, d, alpha, scale));
-            let cfg = IdConfig::with_scale(n, m, d, alpha, scale);
-            let mut alg = FewwInsertDelete::new(cfg, seed);
-            for u in &updates {
-                alg.push(*u);
+        (alg.result(), alg.space_bytes())
+    } else {
+        let m = m.unwrap_or(max_m);
+        let scale = o.get("scale", 0.1f64);
+        validated(SpaceConfig::insert_delete(n, m, d, alpha, scale));
+        let mut alg = FewwInsertDelete::new(IdConfig::with_scale(n, m, d, alpha, scale), seed);
+        for u in stream_updates(&path) {
+            if u.edge.a >= n || u.edge.b >= m {
+                usage(&format!(
+                    "edge ({}, {}) out of range --n {n} / --m {m}",
+                    u.edge.a, u.edge.b
+                ));
             }
-            (alg.result(), alg.space_bytes())
+            alg.push(u);
+            count += 1;
         }
-        other => usage(&format!("unknown model {other} (io|id)")),
+        (alg.result(), alg.space_bytes())
     };
-    report(result, &model, updates.len(), started.elapsed(), space);
+    report(result, &model, count, started.elapsed(), space);
+}
+
+/// The first pass of `run` when a flag is missing: whether any update
+/// deletes (then the model is id), n = max a + 1 and m = max b + 1.
+fn infer_shape(path: &str) -> (bool, u32, u64) {
+    let (mut deletes, mut n, mut m) = (false, 1u32, 1u64);
+    for u in stream_updates(path) {
+        deletes |= u.delta < 0;
+        n = n.max(u.edge.a.saturating_add(1));
+        m = m.max(u.edge.b.saturating_add(1));
+    }
+    (deletes, n, m)
 }
 
 /// Build an [`EngineConfig`] from the model flags of `create-space`, under
@@ -448,7 +411,7 @@ fn listen(rest: &[String]) {
     let o = opts(
         rest,
         "addr n d alpha model seed scale m shards partitions batch replay restore data-dir \
-         compact-bytes max-conns inflight-updates inflight-bytes lag-budget",
+         compact-bytes max-conns inflight-updates lag-budget",
     );
     let addr = o.get_str("addr").unwrap_or_else(|| "127.0.0.1:7411".into());
     let cfg = engine_cfg_from(&o);
@@ -460,7 +423,6 @@ fn listen(rest: &[String]) {
         max_conns: o.get("max-conns", 0usize),
         limits: fews_net::OverloadLimits {
             inflight_updates: o.get("inflight-updates", 0u64),
-            inflight_bytes: o.get("inflight-bytes", 0u64),
             lag_budget: o.get("lag-budget", 0u64),
         },
         disk_faults: None,

@@ -26,9 +26,10 @@
 //! ## Replication
 //!
 //! Each partition has [`RouterOptions::replicas`] owners (`(p + k) % N` for
-//! `k < R`, primary first). Ingest fans out to every live owner — sends are
-//! pipelined (all frames written, then all acks collected) so R-way
-//! replication costs one round-trip, not R.
+//! `k < R`, primary first). Ingest goes to every live owner through the
+//! router's one fan-out ([`Inner::fan_out`], which scoped reads and slice
+//! pulls share): all frames written, then all replies read, so R-way
+//! replication costs one round trip, not R.
 //!
 //! Acknowledged ingest means *retained at the router*: a batch is acked
 //! once it is logged (and, with a data dir, fsynced) and offered to every
@@ -571,14 +572,11 @@ impl Inner {
                 node.acked = node.client.as_ref().map_or(0, Client::watermark);
                 Ok(())
             }
-            Err(e) => Err(self.fail_node(i, &e)),
+            Err(e) => {
+                self.nodes[i].client = None;
+                Err(node_fail(&self.nodes[i].addr, &e))
+            }
         }
-    }
-
-    /// Mark node `i` down over `e` and type the failure.
-    fn fail_node(&mut self, i: usize, e: &ClientError) -> Fail {
-        self.nodes[i].client = None;
-        node_fail(&self.nodes[i].addr, e)
     }
 
     /// Checkpoint-handoff recovery: reconnect, verify identity, stream the
@@ -659,11 +657,11 @@ impl Inner {
 
     /// Route one validated ingest batch: WAL it (durable routers fsync
     /// before the ack), log every update under its partition, fan the batch
-    /// out to every live owner, ack. A send failure marks the owner down
-    /// and the ack stands — the updates are retained and replay at rejoin,
-    /// which the heartbeat drives in the background. A batch that would
-    /// carry the retained logs past the budget first refreshes them, and is
-    /// shed only if the refresh leaves no room.
+    /// out to every live owner ([`Inner::fan_out`]), ack. Any failure marks
+    /// the owner down and the ack stands — the updates are retained and
+    /// replay at rejoin, which the heartbeat drives in the background. A
+    /// batch that would carry the retained logs past the budget first
+    /// refreshes them, and is shed only if the refresh leaves no room.
     fn ingest(&mut self, updates: Vec<Update>) -> Response {
         if let Err((code, message)) = validate_batch(&self.cfg, &updates) {
             return Response::error(code, message);
@@ -716,43 +714,29 @@ impl Inner {
                 per_node[i].push(*u);
             }
         }
-        // Phase 1: write every live owner's frame; phase 2: collect the
-        // acks in the same order. The owners apply concurrently, so the
-        // fan-out costs one round-trip instead of R.
-        let mut awaiting: Vec<usize> = Vec::new();
-        for i in 0..self.nodes.len() {
-            if per_node[i].is_empty() || self.nodes[i].client.is_none() {
-                continue;
-            }
-            let sent = self.nodes[i]
-                .client
-                .as_mut()
-                .expect("live node")
-                .ingest_send(&per_node[i]);
-            match sent {
-                Ok(()) => awaiting.push(i),
-                Err(_) => self.nodes[i].client = None,
-            }
-        }
-        for i in awaiting {
-            let acked = self.nodes[i]
-                .client
-                .as_mut()
-                .expect("live node")
-                .ingest_ack();
-            match acked {
-                Ok(_) => {
-                    let node = &mut self.nodes[i];
-                    node.routed += per_node[i].len() as u64;
-                    node.batches += 1;
-                    node.acked = node.client.as_ref().map_or(0, Client::watermark);
-                }
-                Err(_) => {
-                    // Whatever the worker did with the batch, the wholesale
-                    // restore at rejoin makes it exact again.
-                    self.nodes[i].client = None;
-                }
-            }
+        // Every live owner gets its share in one fan-out. Whatever an owner
+        // that fails did with it, the wholesale restore at rejoin makes it
+        // exact again, so every failure marks it down.
+        let routed: Vec<u64> = per_node.iter().map(|batch| batch.len() as u64).collect();
+        let requests = per_node
+            .into_iter()
+            .enumerate()
+            .filter(|(i, batch)| !batch.is_empty() && self.nodes[*i].client.is_some())
+            .map(|(i, batch)| (i, Request::IngestBatch(batch)))
+            .collect();
+        let (acked, _) = self.fan_out(
+            requests,
+            |_| false,
+            |_, reply| match reply {
+                Response::Ingested { .. } => Ok(()),
+                _ => Err("answered an ingest batch with the wrong frame kind".into()),
+            },
+        );
+        for (i, ()) in acked {
+            let node = &mut self.nodes[i];
+            node.routed += routed[i];
+            node.batches += 1;
+            node.acked = node.client.as_ref().map_or(0, Client::watermark);
         }
         self.ingested += count;
         // The router's ack watermark is its lifetime ingest count: queries
@@ -765,72 +749,42 @@ impl Inner {
         }
     }
 
-    /// Install slice-checkpoint payloads a worker returned for `requested`
-    /// partitions, truncating the covered logs. Every returned partition id
-    /// is checked against the request — a worker shipping an unsolicited or
-    /// out-of-range partition is a protocol violation, not a panic.
-    fn install_payloads(
-        &mut self,
-        requested: &[u32],
-        payloads: Vec<(u32, Vec<u8>)>,
-    ) -> Result<(), String> {
-        for (p, bytes) in payloads {
-            // `requested` is built ascending, so the membership check can
-            // binary-search; membership also bounds the index.
-            if requested.binary_search(&p).is_err() {
-                return Err(format!("unsolicited partition {p} in a slice checkpoint"));
-            }
+    /// Pull fresh slice checkpoints of `plan`'s partitions in one fan-out
+    /// ([`Inner::fan_out`]) and install them, truncating the covered logs.
+    /// Every returned partition id is checked against the request — a
+    /// worker shipping an unsolicited or out-of-range partition is a
+    /// protocol violation, not a panic. A node whose pull fails is marked
+    /// down with its logs intact; the first failure comes back typed.
+    fn pull_slices(&mut self, plan: &[Vec<u32>]) -> Result<(), Fail> {
+        let requests = plan
+            .iter()
+            .enumerate()
+            .filter(|(_, parts)| !parts.is_empty())
+            .map(|(i, parts)| (i, Request::SliceCheckpoint(parts.clone())))
+            .collect();
+        let (pulled, first) = self.fan_out(
+            requests,
+            |_| false,
+            |i, reply| {
+                let Response::Checkpoint(bytes) = reply else {
+                    return Err("answered a slice checkpoint with the wrong frame kind".into());
+                };
+                let (_, payloads) = checkpoint::decode_slice(&bytes)
+                    .map_err(|e| format!("slice checkpoint: {e}"))?;
+                // `plan[i]` is built ascending, so the membership check can
+                // binary-search; membership also bounds the index.
+                match payloads
+                    .iter()
+                    .find(|(p, _)| plan[i].binary_search(p).is_err())
+                {
+                    Some((p, _)) => Err(format!("unsolicited partition {p} in a slice checkpoint")),
+                    None => Ok(payloads),
+                }
+            },
+        );
+        for (p, bytes) in pulled.into_iter().flat_map(|(_, payloads)| payloads) {
             self.payloads[p as usize] = bytes;
             self.logs[p as usize].clear();
-        }
-        Ok(())
-    }
-
-    /// Pull fresh slice checkpoints of `plan`'s partitions and install
-    /// them, truncating the covered logs. Pipelined like ingest: every
-    /// node's request is written, then each reply read, one read per
-    /// successful write, so every connection stays in step. A node whose
-    /// pull fails is marked down with its logs intact; the first failure
-    /// comes back typed.
-    fn pull_slices(&mut self, plan: &[Vec<u32>]) -> Result<(), Fail> {
-        let mut first: Option<Fail> = None;
-        let mut awaiting: Vec<usize> = Vec::new();
-        for (i, parts) in plan.iter().enumerate() {
-            if parts.is_empty() {
-                continue;
-            }
-            let client = self.nodes[i]
-                .client
-                .as_mut()
-                .expect("a planned node is live");
-            match client.slice_checkpoint_send(parts) {
-                Ok(()) => awaiting.push(i),
-                Err(e) => {
-                    first.get_or_insert(self.fail_node(i, &e));
-                }
-            }
-        }
-        for i in awaiting {
-            let addr = self.nodes[i].addr.clone();
-            let malformed = |m: String| (ErrorCode::Malformed, format!("worker {addr}: {m}"));
-            let client = self.nodes[i]
-                .client
-                .as_mut()
-                .expect("a planned node is live");
-            let installed = client
-                .slice_checkpoint_recv()
-                .map_err(|e| node_fail(&addr, &e))
-                .and_then(|bytes| {
-                    checkpoint::decode_slice(&bytes)
-                        .map_err(|e| malformed(format!("slice checkpoint: {e}")))
-                })
-                .and_then(|(_, payloads)| {
-                    self.install_payloads(&plan[i], payloads).map_err(malformed)
-                });
-            if let Err(fail) = installed {
-                self.nodes[i].client = None;
-                first.get_or_insert(fail);
-            }
         }
         first.map_or(Ok(()), Err)
     }
@@ -933,14 +887,11 @@ impl Inner {
         Err(last.expect("the loop ran at least once"))
     }
 
-    /// Send every node `plan` names one scoped read of its partitions and
-    /// check each answer with `check`. Pipelined like ingest: every read is
-    /// written, then each answer read, one read per successful write, so
-    /// the nodes wait for their refreshers concurrently and every
-    /// connection stays in step. A node whose read fails — transport,
-    /// protocol, or an answer `check` refuses — is marked down, unless it
-    /// refused the read in step ([`keeps_node_live`]). The first failure
-    /// comes back typed.
+    /// Send every node `plan` names one scoped read of its partitions in
+    /// one fan-out ([`Inner::fan_out`]) and check each answer with
+    /// `check`: the nodes wait for their refreshers concurrently. A node
+    /// whose read fails is marked down, unless it refused the read in step
+    /// ([`keeps_node_live`]). The first failure comes back typed.
     fn scoped_reads<T>(
         &mut self,
         query: ScopedQuery,
@@ -948,45 +899,71 @@ impl Inner {
         plan: &[Vec<u32>],
         check: &impl Fn(&EngineConfig, &[u32], Response) -> Result<T, String>,
     ) -> Result<Vec<T>, Fail> {
-        let mut first: Option<Fail> = None;
-        let mut awaiting: Vec<usize> = Vec::new();
-        for (i, parts) in plan.iter().enumerate() {
-            if parts.is_empty() {
-                continue;
-            }
-            let node = &mut self.nodes[i];
-            let mode = match mode {
-                ReadMode::Stale => ReadMode::Stale,
-                ReadMode::AtLeast(_) => ReadMode::AtLeast(node.acked),
-            };
-            let client = node.client.as_mut().expect("a planned node is live");
-            match client.scoped_read_send(query, mode, parts) {
-                Ok(()) => awaiting.push(i),
-                Err(e) => {
-                    first.get_or_insert(self.fail_node(i, &e));
-                }
-            }
+        let requests = plan
+            .iter()
+            .enumerate()
+            .filter(|(_, parts)| !parts.is_empty())
+            .map(|(i, parts)| {
+                let mode = match mode {
+                    ReadMode::Stale => ReadMode::Stale,
+                    ReadMode::AtLeast(_) => ReadMode::AtLeast(self.nodes[i].acked),
+                };
+                let parts = parts.clone();
+                (i, Request::ScopedRead { query, mode, parts })
+            })
+            .collect();
+        let cfg = self.cfg;
+        let (answers, first) = self.fan_out(requests, keeps_node_live, |i, answer| {
+            check(&cfg, &plan[i], answer)
+        });
+        first.map_or(Ok(answers.into_iter().map(|(_, a)| a).collect()), Err)
+    }
+
+    /// The one fan-out from router to workers: write every `(node,
+    /// request)` frame, then read each reply in the same order, one read
+    /// per successful write, so every connection stays in step and the
+    /// nodes serve concurrently — R-way ingest, a read over N workers and
+    /// a slice pull each cost one round trip, not one per node. A node
+    /// whose write, read or `reply` check fails is marked down, unless
+    /// `keep_live` says its typed refusal is load (it answered in step); a
+    /// refused check is typed `malformed`, naming the worker. Returns the
+    /// checked replies with their nodes, and the first failure.
+    fn fan_out<T>(
+        &mut self,
+        requests: Vec<(usize, Request)>,
+        keep_live: fn(ErrorCode) -> bool,
+        reply: impl Fn(usize, Response) -> Result<T, String>,
+    ) -> (Vec<(usize, T)>, Option<Fail>) {
+        let mut written = Vec::with_capacity(requests.len());
+        for (i, request) in &requests {
+            let node = &mut self.nodes[*i];
+            let client = node.client.as_mut().expect("a fanned-out node is live");
+            written.push((
+                *i,
+                client.send(request).map_err(|e| node_fail(&node.addr, &e)),
+            ));
         }
-        let mut answers = Vec::with_capacity(awaiting.len());
-        for i in awaiting {
+        let mut first: Option<Fail> = None;
+        let mut replies = Vec::with_capacity(written.len());
+        for (i, sent) in written {
             let node = &mut self.nodes[i];
-            let client = node.client.as_mut().expect("a planned node is live");
-            let checked = match client.scoped_read_recv() {
-                Ok(answer) => check(&self.cfg, &plan[i], answer)
-                    .map_err(|m| (ErrorCode::Malformed, format!("worker {}: {m}", node.addr))),
-                Err(e) => Err(node_fail(&node.addr, &e)),
-            };
+            let checked = sent.and_then(|()| {
+                let client = node.client.as_mut().expect("a written node is live");
+                let answer = client.recv().map_err(|e| node_fail(&node.addr, &e))?;
+                reply(i, answer)
+                    .map_err(|m| (ErrorCode::Malformed, format!("worker {}: {m}", node.addr)))
+            });
             match checked {
-                Ok(answer) => answers.push(answer),
+                Ok(answer) => replies.push((i, answer)),
                 Err(fail) => {
-                    if !keeps_node_live(fail.0) {
+                    if !keep_live(fail.0) {
                         node.client = None;
                     }
                     first.get_or_insert(fail);
                 }
             }
         }
-        first.map_or(Ok(answers), Err)
+        (replies, first)
     }
 
     /// A full cluster checkpoint: drain every log into fresh payloads, then
@@ -1012,16 +989,16 @@ impl Inner {
     }
 
     /// Install a full checkpoint cluster-wide. Every payload first passes
-    /// the engine's own restore validation, so a checkpoint a worker would
-    /// refuse is refused here, typed, with nothing committed. The payload
-    /// store then commits (durably, when the router has a data dir), then
-    /// slices push to the owners; a node that misses the push is marked
-    /// down and recovers the restored state through the ordinary rejoin
-    /// path — so the restore is never torn.
+    /// the engine's own restore validation ([`Engine::validate_payloads`]),
+    /// so a checkpoint a worker would refuse is refused here, typed, with
+    /// nothing committed. The payload store then commits (durably, when
+    /// the router has a data dir), then slices push to the owners; a node
+    /// that misses the push is marked down and recovers the restored state
+    /// through the ordinary rejoin path — so the restore is never torn.
     fn restore(&mut self, bytes: &[u8]) -> Result<(), Fail> {
         let (dense, _) = decode_store(&self.cfg, bytes).map_err(|m| (ErrorCode::Checkpoint, m))?;
-        Engine::start(self.cfg)
-            .restore_checkpoint(bytes)
+        let listed = dense.iter().enumerate().map(|(p, b)| (p as u32, &b[..]));
+        Engine::validate_payloads(&self.cfg, listed)
             .map_err(|e| (ErrorCode::Checkpoint, e.to_string()))?;
         // Commit router-side truth before any push.
         self.payloads = dense;
@@ -2631,6 +2608,9 @@ mod tests {
         /// Scoped reads are refused typed `oversized`: answers past one
         /// frame.
         Oversized,
+        /// Every ingest batch is refused typed `overloaded`; reads are
+        /// refused as for `Oversized`.
+        ShedIngest,
     }
 
     /// A protocol-correct worker for admission that turns byzantine for
@@ -2677,9 +2657,12 @@ mod tests {
                 Request::Ping => Response::Pong,
                 Request::NodeHello => Response::NodeInfo(expected_info(cfg)),
                 Request::SliceRestore(_) => Response::Restored,
-                Request::IngestBatch(u) => Response::Ingested {
-                    count: u.len() as u64,
-                    watermark: 1,
+                Request::IngestBatch(u) => match mode {
+                    FakeMode::ShedIngest => Response::overloaded("shedding".into(), 100),
+                    _ => Response::Ingested {
+                        count: u.len() as u64,
+                        watermark: 1,
+                    },
                 },
                 Request::ScopedRead {
                     query,
@@ -2712,7 +2695,7 @@ mod tests {
                             });
                             answer(unnamed.expect("the read names only some partitions"))
                         }
-                        FakeMode::Oversized => Response::error(
+                        FakeMode::Oversized | FakeMode::ShedIngest => Response::error(
                             ErrorCode::Oversized,
                             "the answer may need more than one frame".into(),
                         ),
@@ -2724,7 +2707,7 @@ mod tests {
                         &[(7_777, vec![4, 5, 6])],
                     )),
                     FakeMode::Garbage => Response::Checkpoint(vec![0xde, 0xad, 0xbe, 0xef]),
-                    FakeMode::UnnamedPartition | FakeMode::Oversized => {
+                    FakeMode::UnnamedPartition | FakeMode::Oversized | FakeMode::ShedIngest => {
                         Response::Checkpoint(slice.to_vec())
                     }
                 },
@@ -2834,6 +2817,39 @@ mod tests {
         router.shutdown();
         router.join();
         let _ = TcpStream::connect(addr); // unblock the fake acceptor
+    }
+
+    /// A worker that refuses a routed batch has not applied it, whatever
+    /// it answered: unlike a shed read, a shed ingest marks the worker down
+    /// (a rejoin rebuilds it), so no diverged replica serves. At R = 2 the
+    /// batch acks and the live replica answers exactly.
+    #[test]
+    fn shed_ingest_marks_the_worker_down_and_answers_stay_exact() {
+        let cfg = test_cfg();
+        let (addr, stop) = fake_worker(cfg, FakeMode::ShedIngest);
+        let real = Server::start(cfg, "127.0.0.1:0").expect("worker");
+        let workers = vec![addr.to_string(), real.local_addr().to_string()];
+        let router = Router::start(cfg, "127.0.0.1:0", &workers, outage_opts(2)).expect("router");
+        let mut client = Client::connect(router.local_addr()).expect("connect");
+        let updates = stream(300);
+        client.ingest_batch(&updates).expect("ingest acks");
+        let live = router.shared.inner.lock().expect("router state").live();
+        assert_eq!(
+            live,
+            [false, true],
+            "the worker that shed a routed batch, and only it, is down"
+        );
+        assert_eq!(
+            client.certified().expect("certified"),
+            reference_view(cfg, &updates).certified()
+        );
+
+        stop.store(true, Ordering::SeqCst);
+        router.shutdown();
+        router.join();
+        let _ = TcpStream::connect(addr); // unblock the fake acceptor
+        real.shutdown();
+        real.join();
     }
 
     #[test]

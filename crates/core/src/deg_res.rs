@@ -118,13 +118,14 @@ impl DegResSampling {
             .any(|list| list.len() >= self.d2 as usize)
     }
 
-    /// An arbitrary neighbourhood of size `d₂` among the stored ones
-    /// (line 15 of Algorithm 1), or `None` — the run reports *fail*.
+    /// The first stored neighbourhood of size `d₂` in reservoir slot order
+    /// (line 15 of Algorithm 1 allows any of them), or `None` — the run
+    /// reports *fail*.
     pub fn result(&self) -> Option<Neighbourhood> {
-        self.collected
-            .iter()
-            .find(|(_, list)| list.len() >= self.d2 as usize)
-            .map(|(&a, list)| Neighbourhood::new(a, list.clone()))
+        self.members.iter().find_map(|&a| {
+            let list = self.collected.get(&a)?;
+            (list.len() >= self.d2 as usize).then(|| Neighbourhood::new(a, list.clone()))
+        })
     }
 
     /// How many vertices crossed the `d₁` threshold (the `x` counter).

@@ -102,9 +102,10 @@ impl FewwInsertOnly {
         }
     }
 
-    /// Any neighbourhood among the successful runs (the paper returns an
-    /// arbitrary one; we return the first successful run's output, which is
-    /// always of size exactly `d₂`).
+    /// The first successful run's output: its first full reservoir entry
+    /// in slot order, always of size exactly `d₂` — the entry
+    /// [`crate::wire::MemoryState::certified`] picks. The paper returns
+    /// an arbitrary successful run's output.
     pub fn result(&self) -> Option<Neighbourhood> {
         self.runs.iter().find_map(DegResSampling::result)
     }

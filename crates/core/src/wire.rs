@@ -145,9 +145,8 @@ impl MemoryState {
     /// order and reservoir entries in slot order, and return the first
     /// neighbourhood that reached its run's witness target `d₂`.
     ///
-    /// Unlike [`FewwInsertOnly::result`] (which may pick any successful
-    /// entry), this choice is a pure function of the state, so a K-shard
-    /// merged view certifies *byte-identical* output for every K.
+    /// This choice is a pure function of the state, so a K-shard merged
+    /// view certifies *byte-identical* output for every K.
     pub fn certified(&self) -> Option<Neighbourhood> {
         for run in &self.runs {
             for (a, ws) in &run.entries {

@@ -236,6 +236,11 @@ fn differential(cfg: FewwConfig, seed: u64, edges: &[Edge], label: &str) {
             .any(|r| r.entries.iter().any(|(_, ws)| ws.len() >= r.d2 as usize)),
         "{label}: result() success disagrees with the captured state"
     );
+    assert_eq!(
+        alg.result(),
+        got.certified(),
+        "{label}: result() is not the captured state's certified entry"
+    );
 }
 
 const SEEDS: [u64; 3] = [11, 42, 2021];

@@ -1,7 +1,7 @@
 //! The engine front end: routing, backpressure, queries, checkpointing.
 
 use crate::checkpoint::{self, CheckpointError};
-use crate::shard::{run_shard, PartView, ShardMsg, ShardStatsMsg};
+use crate::shard::{self, run_shard, PartView, ShardMsg, ShardStatsMsg};
 use crate::view::GlobalView;
 use crate::{partition_of, EngineConfig, ModelSpec};
 use fews_stream::Update;
@@ -419,6 +419,22 @@ impl Engine {
         let (header, payloads) = checkpoint::decode(inner)?;
         header.check_against(&self.cfg)?;
         self.install_restore(payloads)
+    }
+
+    /// Validate decoded checkpoint payloads for an engine serving `cfg` by
+    /// the rule restore's phase 1 applies, without starting one (no shard
+    /// threads, no partition state): what a front end that will push the
+    /// payloads on checks before it commits them. `Err` names the first
+    /// refused partition, as [`Engine::restore_checkpoint`] would.
+    pub fn validate_payloads<'a>(
+        cfg: &EngineConfig,
+        payloads: impl IntoIterator<Item = (u32, &'a [u8])>,
+    ) -> Result<(), CheckpointError> {
+        for (p, bytes) in payloads {
+            shard::validate_payload(cfg, p, bytes)
+                .map_err(|e| CheckpointError::Corrupt(format!("partition {p}: {e}")))?;
+        }
+        Ok(())
     }
 
     /// The two-phase install under both restores: every shard validates its

@@ -63,7 +63,7 @@ enum PartitionAlg {
 }
 
 /// A decoded, validated snapshot awaiting [`ShardMsg::CommitRestore`].
-enum DecodedState {
+pub(crate) enum DecodedState {
     Io(MemoryState),
     Id(IdWireState),
 }
@@ -123,91 +123,13 @@ impl PartitionAlg {
         }
     }
 
-    /// Decode and validate `bytes` as partition `p` of a `partitions`-way
-    /// engine, without touching any state, so a bad checkpoint surfaces as
-    /// an `Err` before anything is installed.
-    fn validate_bytes(
-        &self,
-        p: u32,
-        partitions: usize,
-        bytes: &[u8],
-    ) -> Result<DecodedState, String> {
-        match self {
-            PartitionAlg::Io(alg) => {
-                let state = MemoryState::decode(bytes)
-                    .ok_or_else(|| "malformed insertion-only partition payload".to_string())?;
-                let cfg = *alg.config();
-                if state.degrees.len() != cfg.n as usize {
-                    return Err(format!(
-                        "snapshot has {} vertices, engine expects {}",
-                        state.degrees.len(),
-                        cfg.n
-                    ));
-                }
-                if state.runs.len() != cfg.alpha as usize {
-                    return Err(format!(
-                        "snapshot has {} runs, engine expects α = {}",
-                        state.runs.len(),
-                        cfg.alpha
-                    ));
-                }
-                for (r, run) in state.runs.iter().enumerate() {
-                    if run.d2 != cfg.witness_target() || run.s != cfg.reservoir() as u64 {
-                        return Err("snapshot run geometry disagrees with engine config".into());
-                    }
-                    if run.entries.len() > run.s as usize {
-                        return Err("snapshot reservoir overflows its slot count".into());
-                    }
-                    // Entries the algorithm cannot produce: restoring one
-                    // would serve it, and a duplicate would silently drop
-                    // the first list.
-                    for (a, ws) in &run.entries {
-                        if *a >= cfg.n {
-                            return Err(format!("run {r} holds vertex {a}, past n = {}", cfg.n));
-                        }
-                        if crate::partition_of(*a, partitions) != p as usize {
-                            return Err(format!("run {r} holds vertex {a} of another partition"));
-                        }
-                        if ws.len() > run.d2 as usize {
-                            return Err(format!(
-                                "run {r} holds {} witnesses of vertex {a}, past d2 = {}",
-                                ws.len(),
-                                run.d2
-                            ));
-                        }
-                    }
-                    let mut vertices: Vec<u32> = run.entries.iter().map(|(a, _)| *a).collect();
-                    vertices.sort_unstable();
-                    if let Some(w) = vertices.windows(2).find(|w| w[0] == w[1]) {
-                        return Err(format!("run {r} holds vertex {} twice", w[0]));
-                    }
-                }
-                Ok(DecodedState::Io(state))
-            }
-            PartitionAlg::Id(alg) => {
-                let state = IdWireState::decode(bytes).map_err(|e| e.to_string())?;
-                let cfg = alg.config();
-                let (banks, cells) = (cfg.bank_count(), cfg.total_cells());
-                if state.banks != banks || state.registers.len() != cells {
-                    return Err(format!(
-                        "snapshot geometry ({} banks / {} cells) disagrees with engine config \
-                         ({banks} / {cells})",
-                        state.banks,
-                        state.registers.len()
-                    ));
-                }
-                Ok(DecodedState::Id(state))
-            }
-        }
-    }
-
-    /// Install a state produced by [`PartitionAlg::validate_bytes`] on this
-    /// same partition. Cannot fail.
+    /// Install a state [`validate_payload`] produced for this same
+    /// partition. Cannot fail.
     fn install(&mut self, state: DecodedState) {
         match (self, state) {
             (PartitionAlg::Io(alg), DecodedState::Io(s)) => alg.restore_from(&s),
             (PartitionAlg::Id(alg), DecodedState::Id(s)) => alg.restore_from(&s),
-            _ => unreachable!("validate_bytes matched the model"),
+            _ => unreachable!("validate_payload matched the model"),
         }
     }
 
@@ -215,6 +137,82 @@ impl PartitionAlg {
         match self {
             PartitionAlg::Io(alg) => alg.space_bytes(),
             PartitionAlg::Id(alg) => alg.space_bytes(),
+        }
+    }
+}
+
+/// Decode and validate `bytes` as partition `p` of an engine serving `cfg`
+/// — the rule restore's phase 1 applies, which reads only the model
+/// config — so a bad checkpoint surfaces as an `Err` before anything is
+/// installed.
+pub(crate) fn validate_payload(
+    cfg: &EngineConfig,
+    p: u32,
+    bytes: &[u8],
+) -> Result<DecodedState, String> {
+    match cfg.model {
+        ModelSpec::InsertOnly(c) => {
+            let state = MemoryState::decode(bytes)
+                .ok_or_else(|| "malformed insertion-only partition payload".to_string())?;
+            if state.degrees.len() != c.n as usize {
+                return Err(format!(
+                    "snapshot has {} vertices, engine expects {}",
+                    state.degrees.len(),
+                    c.n
+                ));
+            }
+            if state.runs.len() != c.alpha as usize {
+                return Err(format!(
+                    "snapshot has {} runs, engine expects α = {}",
+                    state.runs.len(),
+                    c.alpha
+                ));
+            }
+            for (r, run) in state.runs.iter().enumerate() {
+                if run.d2 != c.witness_target() || run.s != c.reservoir() as u64 {
+                    return Err("snapshot run geometry disagrees with engine config".into());
+                }
+                if run.entries.len() > run.s as usize {
+                    return Err("snapshot reservoir overflows its slot count".into());
+                }
+                // Entries the algorithm cannot produce: restoring one
+                // would serve it, and a duplicate would silently drop the
+                // first list.
+                for (a, ws) in &run.entries {
+                    if *a >= c.n {
+                        return Err(format!("run {r} holds vertex {a}, past n = {}", c.n));
+                    }
+                    if crate::partition_of(*a, cfg.partitions) != p as usize {
+                        return Err(format!("run {r} holds vertex {a} of another partition"));
+                    }
+                    if ws.len() > run.d2 as usize {
+                        return Err(format!(
+                            "run {r} holds {} witnesses of vertex {a}, past d2 = {}",
+                            ws.len(),
+                            run.d2
+                        ));
+                    }
+                }
+                let mut vertices: Vec<u32> = run.entries.iter().map(|(a, _)| *a).collect();
+                vertices.sort_unstable();
+                if let Some(w) = vertices.windows(2).find(|w| w[0] == w[1]) {
+                    return Err(format!("run {r} holds vertex {} twice", w[0]));
+                }
+            }
+            Ok(DecodedState::Io(state))
+        }
+        ModelSpec::InsertDelete(c) => {
+            let state = IdWireState::decode(bytes).map_err(|e| e.to_string())?;
+            let (banks, cells) = (c.bank_count(), c.total_cells());
+            if state.banks != banks || state.registers.len() != cells {
+                return Err(format!(
+                    "snapshot geometry ({} banks / {} cells) disagrees with engine config \
+                     ({banks} / {cells})",
+                    state.banks,
+                    state.registers.len()
+                ));
+            }
+            Ok(DecodedState::Id(state))
         }
     }
 }
@@ -285,10 +283,7 @@ pub(crate) fn run_shard(shard: usize, cfg: EngineConfig, rx: Receiver<ShardMsg>)
                 let mut outcome = Ok(());
                 for (p, bytes) in &payloads {
                     debug_assert_eq!(*p as usize % cfg.shards, shard, "misrouted payload");
-                    match parts[local(*p as usize)]
-                        .1
-                        .validate_bytes(*p, cfg.partitions, bytes)
-                    {
+                    match validate_payload(&cfg, *p, bytes) {
                         Ok(state) => decoded.push((*p, state)),
                         Err(e) => {
                             outcome = Err(format!("partition {p}: {e}"));

@@ -2,8 +2,8 @@
 
 use crate::fault::{FaultPlan, SendFault};
 use crate::proto::{
-    check_frame_len, ErrorCode, ReadMode, Request, Response, ScopedQuery, WireNodeInfo,
-    WireSpaceInfo, WireStats, WireView,
+    check_frame_len, ErrorCode, ReadMode, Request, Response, WireNodeInfo, WireSpaceInfo,
+    WireStats, WireView,
 };
 use fews_common::rng::splitmix64;
 use fews_common::{SpaceConfig, SpaceId};
@@ -91,20 +91,14 @@ const BUF_RETAIN: usize = 1 << 20;
 /// runs with them (a hung worker must not wedge the whole cluster).
 #[derive(Debug, Clone)]
 pub struct ClientOptions {
-    /// Give up establishing the TCP connection after this long
-    /// (`None` = OS default).
-    pub connect_timeout: Option<Duration>,
-    /// Fail a read that stalls longer than this (`None` = block forever).
-    pub read_timeout: Option<Duration>,
-    /// Fail a write that stalls longer than this (`None` = block forever).
-    pub write_timeout: Option<Duration>,
+    /// Bound on establishing the TCP connection and on every read and
+    /// write after it (`None` = OS connect default, block forever on i/o).
+    pub timeout: Option<Duration>,
     /// Extra connect attempts after the first fails (0 = single attempt).
     pub retries: u32,
     /// Backoff before the first retry; doubles each subsequent attempt
-    /// (exponential), capped at [`ClientOptions::backoff_cap`].
+    /// (exponential), capped at one second.
     pub backoff: Duration,
-    /// Upper bound the exponential backoff saturates at.
-    pub backoff_cap: Duration,
     /// Full-jitter seed. `Some(s)`: each retry sleeps a *uniform* draw from
     /// `[0, capped backoff)`, derived deterministically from `(s, attempt)`
     /// — N retrying clients seeded differently stop synchronizing their
@@ -131,15 +125,15 @@ pub struct ClientOptions {
     pub faults: Option<Arc<FaultPlan>>,
 }
 
+/// Upper bound the exponential backoff saturates at.
+const BACKOFF_CAP: Duration = Duration::from_secs(1);
+
 impl Default for ClientOptions {
     fn default() -> Self {
         ClientOptions {
-            connect_timeout: None,
-            read_timeout: None,
-            write_timeout: None,
+            timeout: None,
             retries: 0,
             backoff: Duration::from_millis(50),
-            backoff_cap: Duration::from_secs(1),
             jitter_seed: None,
             overload_retries: 0,
             ingest_resend: false,
@@ -154,9 +148,7 @@ impl ClientOptions {
     /// `--retries`) maps onto.
     pub fn bounded(timeout: Duration, retries: u32) -> ClientOptions {
         ClientOptions {
-            connect_timeout: Some(timeout),
-            read_timeout: Some(timeout),
-            write_timeout: Some(timeout),
+            timeout: Some(timeout),
             retries,
             ..ClientOptions::default()
         }
@@ -233,13 +225,12 @@ const MAX_RETRY_HINT: Duration = Duration::from_secs(10);
 /// up to `1 + opts.retries` attempts with (jittered) exponential backoff,
 /// consulting the fault plan at each attempt.
 fn dial(addrs: &[std::net::SocketAddr], opts: &ClientOptions) -> std::io::Result<TcpStream> {
-    let cap = opts.backoff_cap.max(Duration::from_millis(1));
-    let mut backoff = opts.backoff.min(cap);
+    let mut backoff = opts.backoff.min(BACKOFF_CAP);
     let mut last_err = None;
     for attempt in 0..=opts.retries {
         if attempt > 0 {
             std::thread::sleep(jittered(backoff, opts.jitter_seed, attempt));
-            backoff = (backoff * 2).min(cap);
+            backoff = (backoff * 2).min(BACKOFF_CAP);
         }
         if let Some(plan) = &opts.faults {
             if plan.connect_refused() {
@@ -251,15 +242,15 @@ fn dial(addrs: &[std::net::SocketAddr], opts: &ClientOptions) -> std::io::Result
             }
         }
         for sock in addrs {
-            let connected = match opts.connect_timeout {
+            let connected = match opts.timeout {
                 Some(t) => TcpStream::connect_timeout(sock, t),
                 None => TcpStream::connect(sock),
             };
             match connected {
                 Ok(stream) => {
                     stream.set_nodelay(true)?;
-                    stream.set_read_timeout(opts.read_timeout)?;
-                    stream.set_write_timeout(opts.write_timeout)?;
+                    stream.set_read_timeout(opts.timeout)?;
+                    stream.set_write_timeout(opts.timeout)?;
                     return Ok(stream);
                 }
                 Err(e) => last_err = Some(e),
@@ -279,9 +270,9 @@ impl Client {
     /// Connect with explicit timeouts and bounded retry: up to
     /// `1 + opts.retries` connect attempts, sleeping `opts.backoff` before
     /// the first retry and doubling it each subsequent one (capped at
-    /// `opts.backoff_cap`; with `opts.jitter_seed` the sleep is a
+    /// one second; with `opts.jitter_seed` the sleep is a
     /// deterministic full-jitter draw from `[0, capped backoff)`). The
-    /// read/write timeouts stay armed on the stream for the connection's
+    /// read/write timeout stays armed on the stream for the connection's
     /// whole life, so a server that hangs mid-response fails the request
     /// instead of wedging the caller.
     pub fn connect_with(addr: impl ToSocketAddrs, opts: &ClientOptions) -> std::io::Result<Client> {
@@ -380,13 +371,6 @@ impl Client {
         }
     }
 
-    /// Send the frame currently staged in `send_buf` and read one response
-    /// frame into `recv_buf`. Both buffers keep their capacity across calls.
-    fn transact_staged(&mut self) -> Result<Response, ClientError> {
-        self.write_staged()?;
-        self.read_staged()
-    }
-
     /// Write the frame staged in `send_buf` — the split-phase send half. A
     /// fault plan, if armed, may refuse to deliver it (cut or stall); the
     /// payload bytes that do go out are never altered.
@@ -459,23 +443,29 @@ impl Client {
         response
     }
 
-    /// Send one request (addressed to the current space) and read one
-    /// response frame.
-    pub fn roundtrip(&mut self, request: &Request) -> Result<Response, ClientError> {
-        self.send_buf.clear();
-        request.encode_into(&self.space, &mut self.send_buf);
-        self.transact_staged()
-    }
-
     fn expect_staged(&mut self) -> Result<Response, ClientError> {
         self.write_staged()?;
-        self.read_expected()
+        self.recv()
     }
 
-    /// Read one response frame, turning an error frame into
-    /// [`ClientError::Server`].
-    fn read_expected(&mut self) -> Result<Response, ClientError> {
-        match self.read_staged()? {
+    /// Write one request for the current space without waiting for its
+    /// reply. With [`Client::recv`] this splits a request in two, so a
+    /// fan-out caller can write every worker's frame before it reads any
+    /// reply and the workers serve concurrently. Exactly one `recv` must
+    /// follow each successful `send` before any other request on this
+    /// client.
+    pub fn send(&mut self, request: &Request) -> Result<(), ClientError> {
+        self.send_buf.clear();
+        request.encode_into(&self.space, &mut self.send_buf);
+        self.write_staged()
+    }
+
+    /// Read one reply frame, turning an error frame into
+    /// [`ClientError::Server`]. An ingest ack's watermark is remembered for
+    /// the current space — subsequent queries wait for it.
+    pub fn recv(&mut self) -> Result<Response, ClientError> {
+        let response = self.read_staged()?;
+        match response {
             Response::Error {
                 code,
                 message,
@@ -485,6 +475,11 @@ impl Client {
                 message,
                 retry_after_ms,
             }),
+            Response::Ingested { watermark, .. } => {
+                let entry = self.watermarks.entry(self.space.clone()).or_insert(0);
+                *entry = (*entry).max(watermark);
+                Ok(response)
+            }
             other => Ok(other),
         }
     }
@@ -498,12 +493,11 @@ impl Client {
     /// [`MAX_RETRY_HINT`]) — the hint is what spreads a flash crowd's
     /// retries out instead of re-synchronizing them on the shedding server.
     fn overload_pause(&self, hint: Duration, attempt: u32) {
-        let cap = self.opts.backoff_cap.max(Duration::from_millis(1));
         let exp = self
             .opts
             .backoff
             .saturating_mul(1u32 << (attempt - 1).min(16))
-            .min(cap);
+            .min(BACKOFF_CAP);
         let sleep = jittered(exp, self.opts.jitter_seed, attempt).max(hint.min(MAX_RETRY_HINT));
         std::thread::sleep(sleep);
     }
@@ -556,12 +550,10 @@ impl Client {
     }
 
     /// Split-phase ingest, send half: encode and write the batch frame
-    /// without waiting for the acknowledgement. A fan-out caller issues
-    /// sends to *all* replicas, then collects every ack with
-    /// [`Client::ingest_ack`] — the replicas apply the batch concurrently
-    /// instead of one round-trip at a time. Exactly one `ingest_ack` must
-    /// follow each successful `ingest_send` before any other request on
-    /// this client.
+    /// without waiting for the acknowledgement — [`Client::send`] for a
+    /// borrowed batch. Exactly one [`Client::ingest_ack`] (or
+    /// [`Client::recv`]) must follow each successful `ingest_send` before
+    /// any other request on this client.
     pub fn ingest_send(&mut self, updates: &[Update]) -> Result<(), ClientError> {
         // Worst-case wire size per update: two max-length varints + sign.
         if !crate::proto::body_fits(updates.len().saturating_mul(16) + 80) {
@@ -577,14 +569,10 @@ impl Client {
 
     /// Split-phase ingest, ack half: read the response to a previous
     /// [`Client::ingest_send`]; returns the server's applied count. The
-    /// ack's watermark is remembered — subsequent queries wait for it.
+    /// ack's watermark is remembered ([`Client::recv`]).
     pub fn ingest_ack(&mut self) -> Result<u64, ClientError> {
-        match self.read_expected()? {
-            Response::Ingested { count, watermark } => {
-                let entry = self.watermarks.entry(self.space.clone()).or_insert(0);
-                *entry = (*entry).max(watermark);
-                Ok(count)
-            }
+        match self.recv()? {
+            Response::Ingested { count, .. } => Ok(count),
             other => Err(unexpected("Ingested", &other)),
         }
     }
@@ -717,62 +705,9 @@ impl Client {
         }
     }
 
-    /// Split-phase scoped read, send half: write a `scoped-read` frame
-    /// asking the worker to answer `query` over the named partitions
-    /// (sorted, unique, non-empty) from a snapshot resolved under `mode`,
-    /// without waiting for the reply. A fan-out caller writes every
-    /// designated reader's read, then collects each answer with
-    /// [`Client::scoped_read_recv`] — the workers answer concurrently
-    /// instead of one at a time. Exactly one `scoped_read_recv` must follow
-    /// each successful `scoped_read_send` before any other request on this
-    /// client.
-    pub fn scoped_read_send(
-        &mut self,
-        query: ScopedQuery,
-        mode: ReadMode,
-        parts: &[u32],
-    ) -> Result<(), ClientError> {
-        self.send_buf.clear();
-        Request::ScopedRead {
-            query,
-            mode,
-            parts: parts.to_vec(),
-        }
-        .encode_into(&self.space, &mut self.send_buf);
-        self.write_staged()
-    }
-
-    /// Split-phase scoped read, receive half: the answer frame to a
-    /// previous [`Client::scoped_read_send`] — [`Response::CertifiedIn`],
-    /// [`Response::Answer`] or [`Response::TopIn`] by query kind, which the
-    /// caller checks; an error frame comes back as [`ClientError::Server`].
-    pub fn scoped_read_recv(&mut self) -> Result<Response, ClientError> {
-        self.read_expected()
-    }
-
     /// Fetch a sparse slice checkpoint of the named partitions.
     pub fn slice_checkpoint(&mut self, parts: &[u32]) -> Result<Vec<u8>, ClientError> {
         match self.expect(&Request::SliceCheckpoint(parts.to_vec()))? {
-            Response::Checkpoint(bytes) => Ok(bytes),
-            other => Err(unexpected("Checkpoint", &other)),
-        }
-    }
-
-    /// Split-phase slice checkpoint, send half: write the
-    /// `slice-checkpoint` frame for the named partitions without waiting
-    /// for the reply — the fan-out form of [`Client::slice_checkpoint`],
-    /// with the same contract as [`Client::scoped_read_send`]: exactly one
-    /// [`Client::slice_checkpoint_recv`] must follow each successful send.
-    pub fn slice_checkpoint_send(&mut self, parts: &[u32]) -> Result<(), ClientError> {
-        self.send_buf.clear();
-        Request::SliceCheckpoint(parts.to_vec()).encode_into(&self.space, &mut self.send_buf);
-        self.write_staged()
-    }
-
-    /// Split-phase slice checkpoint, receive half: read the container bytes
-    /// answering a previous [`Client::slice_checkpoint_send`].
-    pub fn slice_checkpoint_recv(&mut self) -> Result<Vec<u8>, ClientError> {
-        match self.read_expected()? {
             Response::Checkpoint(bytes) => Ok(bytes),
             other => Err(unexpected("Checkpoint", &other)),
         }

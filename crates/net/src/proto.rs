@@ -209,7 +209,7 @@ pub struct WireOverload {
     pub shed_conns: u64,
     /// Updates currently admitted but not yet acked (in the WAL/engine path).
     pub inflight_updates: u64,
-    /// Wire bytes currently admitted but not yet acked.
+    /// `inflight_updates` in bytes of the in-memory update (24 each).
     pub inflight_bytes: u64,
     /// Acked ingest watermark minus published snapshot watermark: how many
     /// updates the refresher currently trails by.
@@ -647,26 +647,12 @@ pub fn encode_ingest_batch_into(buf: &mut Vec<u8>, space: &SpaceId, updates: &[U
     });
 }
 
-/// Encode an ingest-batch request frame into a fresh buffer.
-pub fn encode_ingest_batch(space: &SpaceId, updates: &[Update]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(16 + updates.len() * 4);
-    encode_ingest_batch_into(&mut buf, space, updates);
-    buf
-}
-
 /// Append a restore request frame straight from borrowed checkpoint bytes.
 pub fn encode_restore_into(buf: &mut Vec<u8>, space: &SpaceId, bytes: &[u8]) {
     frame_into(buf, Request::TAG_RESTORE, |body| {
         put_space(body, space);
         body.extend_from_slice(bytes);
     });
-}
-
-/// Encode a restore request frame into a fresh buffer.
-pub fn encode_restore(space: &SpaceId, bytes: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(16 + bytes.len());
-    encode_restore_into(&mut buf, space, bytes);
-    buf
 }
 
 /// Append a slice-restore request frame straight from borrowed slice

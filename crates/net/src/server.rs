@@ -127,8 +127,6 @@ pub struct OverloadLimits {
     /// with [`ErrorCode::Overloaded`] *before* it touches the WAL — nothing
     /// was applied, so the client may retry blindly after the hint.
     pub inflight_updates: u64,
-    /// Per-space cap on in-flight ingest payload bytes (same shedding).
-    pub inflight_bytes: u64,
     /// Shed `AtLeast` queries once the published snapshot trails the acked
     /// watermark by more than this many WAL records (batches): under that
     /// much refresher lag a watermarked read would only stack condvar
@@ -233,8 +231,6 @@ impl SpaceState {
 struct SpaceLoad {
     /// Updates admitted to the ingest path and not yet released.
     inflight_updates: AtomicU64,
-    /// Approximate payload bytes admitted and not yet released.
-    inflight_bytes: AtomicU64,
     /// Ingest batches shed with [`ErrorCode::Overloaded`] (monotone).
     shed_ingest: AtomicU64,
     /// Watermarked queries shed for refresher lag (monotone).
@@ -252,7 +248,6 @@ struct SpaceLoad {
 struct Admitted<'a> {
     load: &'a SpaceLoad,
     updates: u64,
-    bytes: u64,
 }
 
 impl Drop for Admitted<'_> {
@@ -260,45 +255,28 @@ impl Drop for Admitted<'_> {
         self.load
             .inflight_updates
             .fetch_sub(self.updates, Ordering::SeqCst);
-        self.load
-            .inflight_bytes
-            .fetch_sub(self.bytes, Ordering::SeqCst);
     }
 }
 
 impl SpaceLoad {
-    /// Admit `updates`/`bytes` of ingest against the budget, or return the
+    /// Admit `updates` of ingest against the budget, or return the
     /// `retry_after_ms` hint to shed with. A batch is only rejected when
     /// *other* work is in flight — a lone batch bigger than the whole
     /// budget still admits (the budget bounds concurrency, not batch size;
     /// frames already cap the latter).
-    fn admit<'a>(
-        &'a self,
-        updates: u64,
-        bytes: u64,
-        limits: &OverloadLimits,
-    ) -> Result<Admitted<'a>, u64> {
+    fn admit<'a>(&'a self, updates: u64, limits: &OverloadLimits) -> Result<Admitted<'a>, u64> {
         let u = self.inflight_updates.fetch_add(updates, Ordering::SeqCst) + updates;
-        let b = self.inflight_bytes.fetch_add(bytes, Ordering::SeqCst) + bytes;
-        let over_u = limits.inflight_updates > 0 && u > limits.inflight_updates && u > updates;
-        let over_b = limits.inflight_bytes > 0 && b > limits.inflight_bytes && b > bytes;
-        if over_u || over_b {
+        if limits.inflight_updates > 0 && u > limits.inflight_updates && u > updates {
             self.inflight_updates.fetch_sub(updates, Ordering::SeqCst);
-            self.inflight_bytes.fetch_sub(bytes, Ordering::SeqCst);
             self.shed_ingest.fetch_add(1, Ordering::SeqCst);
             // Scale the hint with how far past budget the space is: deeper
             // overload spreads the retry wave over a wider window.
-            let pressure = if over_u {
-                u / limits.inflight_updates.max(1)
-            } else {
-                b / limits.inflight_bytes.max(1)
-            };
+            let pressure = u / limits.inflight_updates;
             return Err(RETRY_BASE_MS.saturating_mul(pressure.clamp(1, 10)));
         }
         Ok(Admitted {
             load: self,
             updates,
-            bytes,
         })
     }
 }
@@ -1142,16 +1120,14 @@ fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared)
             // The ticket rides to the end of the arm; its Drop releases
             // the budget on every exit path below.
             let count = updates.len() as u64;
-            let batch_bytes = (updates.len() * std::mem::size_of::<fews_stream::Update>()) as u64;
-            let _admitted = match handle.load.admit(count, batch_bytes, &shared.limits) {
+            let _admitted = match handle.load.admit(count, &shared.limits) {
                 Ok(ticket) => ticket,
                 Err(retry_after_ms) => {
                     return Response::overloaded(
                         format!(
-                            "space '{}' ingest budget exhausted ({} updates / {} bytes in flight)",
+                            "space '{}' ingest budget exhausted ({} updates in flight)",
                             handle.space,
                             handle.load.inflight_updates.load(Ordering::SeqCst),
-                            handle.load.inflight_bytes.load(Ordering::SeqCst),
                         ),
                         retry_after_ms,
                     );
@@ -1307,12 +1283,14 @@ fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared)
             let latest = handle.snapshot();
             let acked = handle.load.acked_seq.load(Ordering::SeqCst);
             let lag_updates = acked.saturating_sub(latest.watermark);
+            let inflight_updates = handle.load.inflight_updates.load(Ordering::SeqCst);
             let overload = crate::proto::WireOverload {
                 shed_ingest: handle.load.shed_ingest.load(Ordering::SeqCst),
                 shed_reads: handle.load.shed_reads.load(Ordering::SeqCst),
                 shed_conns: shared.front.shed_conns(),
-                inflight_updates: handle.load.inflight_updates.load(Ordering::SeqCst),
-                inflight_bytes: handle.load.inflight_bytes.load(Ordering::SeqCst),
+                inflight_updates,
+                inflight_bytes: inflight_updates
+                    * std::mem::size_of::<fews_stream::Update>() as u64,
                 lag_updates,
                 lag_ms: if lag_updates > 0 {
                     latest.at.elapsed().as_millis() as u64

@@ -1,11 +1,15 @@
 //! Shared helpers for the cross-crate integration tests.
 
 use fews_cluster::{Router, RouterOptions};
+use fews_engine::diskfault::DiskFaultPlan;
 use fews_engine::EngineConfig;
-use fews_net::Server;
+use fews_net::{Client, ClientOptions, Server, ServerOptions};
 use fews_stream::Edge;
 use std::collections::HashSet;
 use std::net::SocketAddr;
+use std::path::Path;
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Ground-truth neighbour set of a vertex in an edge list.
 pub fn true_neighbours(edges: &[Edge], a: u32) -> HashSet<u64> {
@@ -30,41 +34,81 @@ pub fn assert_sound(nb: &fews_core::Neighbourhood, edges: &[Edge], min_witnesses
     }
 }
 
-/// A memory-only front end under test: a node, or a router over two
-/// workers. Both run the one connection core (`fews_net::serve`), so a
-/// scenario that holds on one must hold on the other.
+/// A front end under test: a node, or a router over two memory-only
+/// workers. Both run the one connection core (`fews_net::serve`) and, when
+/// durable, the one durable core (`fews_engine::wal`), so a scenario that
+/// holds on one must hold on the other.
 pub enum Front {
     /// A single server.
     Node(Server),
     /// A router over two workers.
     Routed {
+        /// The router clients dial.
         router: Router,
-        _workers: Vec<Server>,
+        /// Its workers, each serving the router's config.
+        workers: Vec<Server>,
     },
 }
 
 impl Front {
-    /// A node serving `cfg`.
+    /// A memory-only node serving `cfg`.
     pub fn node(cfg: EngineConfig) -> Front {
         Front::Node(Server::start(cfg, "127.0.0.1:0").expect("bind test server"))
     }
 
-    /// A router over two fresh workers, every process serving `cfg`, with
-    /// no heartbeat.
+    /// A memory-only router over two fresh workers, every process serving
+    /// `cfg`, with no heartbeat.
     pub fn routed(cfg: EngineConfig) -> Front {
-        let workers: Vec<Server> = (0..2)
-            .map(|_| Server::start(cfg, "127.0.0.1:0").expect("bind test worker"))
-            .collect();
-        let addrs: Vec<String> = workers.iter().map(|w| w.local_addr().to_string()).collect();
         let opts = RouterOptions {
             heartbeat: None,
             ..RouterOptions::default()
         };
-        let router = Router::start(cfg, "127.0.0.1:0", &addrs, opts).expect("start test router");
-        Front::Routed {
-            router,
-            _workers: workers,
+        Front::over_workers(cfg, opts)
+    }
+
+    /// A durable node (`routed` false) or router on `dir` serving `cfg`,
+    /// with `faults` threaded under its WAL and checkpoint writer when
+    /// given. `compact` is the compaction trigger the test picks: a node's
+    /// `compact_bytes`, a router's `retained_budget` (each refresh that
+    /// drains the retained logs compacts). A router gets fresh, empty
+    /// workers and no heartbeat, and does not forward shutdown.
+    pub fn durable(
+        cfg: EngineConfig,
+        routed: bool,
+        dir: &Path,
+        faults: Option<Arc<DiskFaultPlan>>,
+        compact: u64,
+    ) -> Front {
+        if !routed {
+            let opts = ServerOptions {
+                data_dir: Some(dir.to_path_buf()),
+                compact_bytes: compact,
+                refresh_debounce: None,
+                disk_faults: faults,
+                ..ServerOptions::default()
+            };
+            return Front::Node(Server::start_with(cfg, "127.0.0.1:0", opts).expect("bind"));
         }
+        let opts = RouterOptions {
+            client: ClientOptions::bounded(Duration::from_secs(5), 0),
+            heartbeat: None,
+            forward_shutdown: false,
+            replicas: 2,
+            data_dir: Some(dir.to_path_buf()),
+            retained_budget: compact,
+            disk_faults: faults,
+        };
+        Front::over_workers(cfg, opts)
+    }
+
+    /// A router started with `opts` over two fresh memory-only workers.
+    fn over_workers(cfg: EngineConfig, opts: RouterOptions) -> Front {
+        let workers: Vec<Server> = (0..2)
+            .map(|_| Server::start(cfg, "127.0.0.1:0").expect("bind test worker"))
+            .collect();
+        let addrs: Vec<String> = workers.iter().map(|w| w.local_addr().to_string()).collect();
+        let router = Router::start(cfg, "127.0.0.1:0", &addrs, opts).expect("start test router");
+        Front::Routed { router, workers }
     }
 
     /// The address clients dial.
@@ -75,7 +119,8 @@ impl Front {
         }
     }
 
-    /// Block until a client's `shutdown` has wound the front end down.
+    /// Block until a client's `shutdown` has wound the front end down;
+    /// workers still running stop as they drop.
     pub fn join(self) {
         match self {
             Front::Node(server) => {
@@ -85,5 +130,29 @@ impl Front {
                 router.join();
             }
         }
+    }
+
+    /// `kill -9` every process of the front end: no graceful finalization.
+    pub fn crash(self) {
+        match self {
+            Front::Node(server) => {
+                server.crash();
+                server.join();
+            }
+            Front::Routed { router, workers } => {
+                router.shutdown();
+                router.join();
+                for w in workers {
+                    w.crash();
+                    w.join();
+                }
+            }
+        }
+    }
+
+    /// Shut the front end down through `client`, then every process.
+    pub fn finish(self, mut client: Client) {
+        client.shutdown().expect("shutdown");
+        self.join();
     }
 }

@@ -16,21 +16,19 @@
 //! durable router over two workers: both sit on the one durable core
 //! (`fews_engine::wal`), so both must pass every case.
 
-use fews_cluster::{Router, RouterOptions};
 use fews_common::rng::rng_for;
 use fews_common::{SpaceConfig, SpaceId};
 use fews_core::insertion_only::FewwConfig;
 use fews_engine::checkpoint::unwrap_envelope;
 use fews_engine::diskfault::{CrashPoint, DiskFaultPlan, DiskFaultProfile};
 use fews_engine::EngineConfig;
-use fews_net::{Client, ClientError, ClientOptions, ErrorCode, Server, ServerOptions};
+use fews_integration_tests::Front;
+use fews_net::{Client, ClientError, ErrorCode, Server, ServerOptions};
 use fews_stream::update::as_insertions;
 use fews_stream::Update;
 use rand::RngExt;
-use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
 
 const SEED: u64 = 2021;
 const BATCH: usize = 97;
@@ -418,85 +416,33 @@ fn every_space_recovers_after_crash_with_its_own_config_and_data() {
 // Storage-fault lab: seeded disk faults under the WAL and checkpoint writer.
 // ---------------------------------------------------------------------------
 
-/// A durable front end under test: a node, or a router over two
-/// memory-only workers.
-enum Front {
-    Node(Server),
-    Routed {
-        router: Router,
-        workers: Vec<Server>,
-    },
-}
-
-impl Front {
+/// This suite's durable fronts ([`Front::durable`] serving [`base_cfg`]),
+/// and what a restarted one replayed.
+trait Lab {
     /// Start a node (`routed` false) or a router on `dir`, with a seeded
     /// [`DiskFaultPlan`] threaded under its WAL and checkpoint writer when
-    /// `faults` is given. `compact` is the compaction trigger the test
-    /// picks: a node's `compact_bytes`, a router's `retained_budget` (each
-    /// refresh that drains the retained logs compacts).
-    fn start(routed: bool, dir: &Path, faults: Option<&Arc<DiskFaultPlan>>, compact: u64) -> Front {
-        let disk_faults = faults.cloned();
-        if !routed {
-            let opts = ServerOptions {
-                data_dir: Some(dir.to_path_buf()),
-                compact_bytes: compact,
-                refresh_debounce: None,
-                disk_faults,
-                ..ServerOptions::default()
-            };
-            return Front::Node(Server::start_with(base_cfg(), "127.0.0.1:0", opts).expect("bind"));
-        }
-        let workers: Vec<Server> = (0..2)
-            .map(|_| Server::start(base_cfg(), "127.0.0.1:0").expect("bind worker"))
-            .collect();
-        let addrs: Vec<String> = workers.iter().map(|w| w.local_addr().to_string()).collect();
-        let opts = RouterOptions {
-            client: ClientOptions::bounded(Duration::from_secs(5), 0),
-            heartbeat: None,
-            forward_shutdown: false,
-            replicas: 2,
-            data_dir: Some(dir.to_path_buf()),
-            retained_budget: compact,
-            disk_faults,
-        };
-        let router = Router::start(base_cfg(), "127.0.0.1:0", &addrs, opts).expect("bind router");
-        Front::Routed { router, workers }
-    }
+    /// `faults` is given, compacting at `compact`.
+    fn start(routed: bool, dir: &Path, faults: Option<&Arc<DiskFaultPlan>>, compact: u64) -> Self;
 
     /// Restart the same kind of front end on `dir` after a crash, on a
     /// healthy disk (a router gets fresh, empty workers).
-    fn restart(routed: bool, dir: &Path) -> Front {
-        Front::start(routed, dir, None, 64 << 20)
-    }
-
-    fn local_addr(&self) -> SocketAddr {
-        match self {
-            Front::Node(server) => server.local_addr(),
-            Front::Routed { router, .. } => router.local_addr(),
-        }
-    }
-
-    /// `kill -9` every process of the front end: no graceful finalization.
-    fn crash(self) {
-        match self {
-            Front::Node(server) => {
-                server.crash();
-                server.join();
-            }
-            Front::Routed { router, workers } => {
-                router.shutdown();
-                router.join();
-                for w in workers {
-                    w.crash();
-                    w.join();
-                }
-            }
-        }
-    }
+    fn restart(routed: bool, dir: &Path) -> Self;
 
     /// How many of `sent`'s batches a restarted front end replayed: the
     /// node's recovery log says so; the router's recovered ack watermark
     /// counts their updates.
+    fn replayed(&self, client: &mut Client, sent: &[&[Update]]) -> usize;
+}
+
+impl Lab for Front {
+    fn start(routed: bool, dir: &Path, faults: Option<&Arc<DiskFaultPlan>>, compact: u64) -> Front {
+        Front::durable(base_cfg(), routed, dir, faults.cloned(), compact)
+    }
+
+    fn restart(routed: bool, dir: &Path) -> Front {
+        Front::start(routed, dir, None, 64 << 20)
+    }
+
     fn replayed(&self, client: &mut Client, sent: &[&[Update]]) -> usize {
         match self {
             Front::Node(server) => {
@@ -513,23 +459,6 @@ impl Front {
                 (0..=sent.len())
                     .find(|&k| sent[..k].iter().map(|b| b.len()).sum::<usize>() == held)
                     .unwrap_or_else(|| panic!("{held} updates recovered: no batch-prefix"))
-            }
-        }
-    }
-
-    /// Shut the front end down through `client`, then every process.
-    fn finish(self, mut client: Client) {
-        client.shutdown().expect("shutdown");
-        match self {
-            Front::Node(server) => {
-                server.join();
-            }
-            Front::Routed { router, workers } => {
-                router.join();
-                for w in workers {
-                    w.shutdown();
-                    w.join();
-                }
             }
         }
     }
