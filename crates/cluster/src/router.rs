@@ -106,7 +106,7 @@ use std::cmp::{Ordering as Rank, Reverse};
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -1358,7 +1358,13 @@ impl Router {
         if let Some(handle) = self.heartbeat.take() {
             let _ = handle.join();
         }
-        self.shared.inner.lock().expect("router state").ingested
+        // `Drop` runs this too, possibly while unwinding: a thread that
+        // panicked under the lock must not turn the drop into an abort.
+        self.shared
+            .inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .ingested
     }
 }
 
@@ -1531,7 +1537,7 @@ mod tests {
     use fews_common::rng::rng_for;
     use fews_core::insertion_deletion::IdConfig;
     use fews_core::insertion_only::FewwConfig;
-    use fews_core::wire::{MemoryState, RunState};
+    use fews_core::wire::{MemoryState, PackedState, RunState};
     use fews_engine::diskfault::{CrashPoint, DiskFaultProfile};
     use fews_engine::{GlobalView, Scope};
     use fews_net::{OverloadLimits, Server, ServerOptions};
@@ -1619,6 +1625,25 @@ mod tests {
         reference.ingest(updates.to_vec());
         let (view, _) = reference.refresh();
         view
+    }
+
+    /// A thread that panics while holding the router's state lock poisons
+    /// it; dropping the router afterwards must still wind it down rather
+    /// than panic (during unwinding that would abort the process).
+    #[test]
+    fn dropping_a_router_survives_a_poisoned_state_lock() {
+        let cfg = test_cfg();
+        let worker = Server::start(cfg, "127.0.0.1:0").expect("worker");
+        let workers = [worker.local_addr().to_string()];
+        let router = Router::start(cfg, "127.0.0.1:0", &workers, quick_opts()).expect("router");
+        let shared = Arc::clone(&router.shared);
+        let poisoner = std::thread::spawn(move || {
+            let _held = shared.inner.lock().expect("router state");
+            panic!("poisoning the router state lock on purpose");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(router.shared.inner.is_poisoned());
+        drop(router);
     }
 
     #[test]
@@ -2475,10 +2500,10 @@ mod tests {
             entries,
         };
         let part = |runs| {
-            Arc::new(MemoryState {
+            Arc::new(PackedState::from(&MemoryState {
                 degrees: vec![0; 64],
                 runs,
-            })
+            }))
         };
         let view = GlobalView::InsertOnly {
             parts: vec![

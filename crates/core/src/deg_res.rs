@@ -16,10 +16,11 @@
 //! degree of the edge's endpoint to [`DegResSampling::process`].
 
 use crate::neighbourhood::Neighbourhood;
+use crate::wire::PackedRun;
+use crate::witness_list::{pow2_capacity, WitnessList};
 use fews_common::SpaceUsage;
 use fews_stream::Edge;
 use rand::{Rng, RngExt};
-use std::collections::HashMap;
 
 /// One run of Deg-Res-Sampling.
 ///
@@ -43,16 +44,13 @@ use std::collections::HashMap;
 /// ```
 #[derive(Debug, Clone)]
 pub struct DegResSampling {
-    d1: u32,
-    d2: u32,
-    s: usize,
-    /// Reservoir members, in insertion slots (uniform victim = uniform index).
-    members: Vec<u32>,
-    /// Collected incident edges per member (capped at `d2`).
-    collected: HashMap<u32, Vec<u64>>,
-    /// Number of vertices whose degree has reached `d₁` so far (the `x`
-    /// counter of Algorithm 1).
-    crossings: u64,
+    /// `d₁`, `d₂`, `s`, the crossing counter `x` of Algorithm 1, and the
+    /// reservoir: members in insertion slots (uniform victim = uniform
+    /// index), each with its packed witness list, frozen once it holds
+    /// `d₂`. The slot vector's capacity is [`slot_capacity`] of its length.
+    run: PackedRun,
+    /// Which slot holds each member.
+    index: SlotIndex,
 }
 
 impl DegResSampling {
@@ -61,109 +59,244 @@ impl DegResSampling {
     pub fn new(d1: u32, d2: u32, s: usize) -> Self {
         assert!(d1 >= 1 && d2 >= 1 && s >= 1);
         DegResSampling {
-            d1,
-            d2,
-            s,
-            members: Vec::with_capacity(s.min(1024)),
-            collected: HashMap::new(),
-            crossings: 0,
+            run: PackedRun {
+                d1,
+                d2,
+                s: s as u64,
+                crossings: 0,
+                entries: Vec::new(),
+            },
+            index: SlotIndex::default(),
         }
     }
 
     /// The lower degree bound d₁.
     pub fn d1(&self) -> u32 {
-        self.d1
+        self.run.d1
     }
 
     /// The witness target d₂.
     pub fn d2(&self) -> u32 {
-        self.d2
+        self.run.d2
     }
 
     /// Reservoir size s.
     pub fn s(&self) -> usize {
-        self.s
+        self.run.s as usize
     }
 
     /// Process the next edge. `deg_a` must be the degree of `edge.a` *after*
     /// counting this edge (the caller maintains the shared degree table).
     pub fn process(&mut self, edge: Edge, deg_a: u32, rng: &mut impl Rng) {
-        if deg_a == self.d1 {
+        let run = &mut self.run;
+        if deg_a == run.d1 {
             // Candidate to be inserted into the reservoir.
-            self.crossings += 1;
-            if self.members.len() < self.s {
-                self.members.push(edge.a);
-                self.collected.insert(edge.a, Vec::new());
-            } else if rng.random_range(0..self.crossings) < self.s as u64 {
-                // Coin(s/x): replace a uniform victim.
-                let victim_idx = rng.random_range(0..self.members.len());
-                let victim = self.members[victim_idx];
-                self.collected.remove(&victim);
-                self.members[victim_idx] = edge.a;
-                self.collected.insert(edge.a, Vec::new());
+            run.crossings += 1;
+            let occupied = run.entries.len();
+            if (occupied as u64) < run.s {
+                self.index.insert(edge.a, occupied);
+                if occupied == run.entries.capacity() {
+                    let want = slot_capacity(occupied + 1, run.s);
+                    run.entries.reserve_exact(want - occupied);
+                }
+                run.entries.push((edge.a, WitnessList::new()));
+            } else if rng.random_range(0..run.crossings) < run.s {
+                // Coin(s/x): replace a uniform victim, dropping its list.
+                let victim_idx = rng.random_range(0..occupied);
+                self.index.replace(run.entries[victim_idx].0, edge.a);
+                run.entries[victim_idx] = (edge.a, WitnessList::new());
             }
         }
-        // Collect the edge if its endpoint is sampled and still short of d₂.
-        if let Some(list) = self.collected.get_mut(&edge.a) {
-            if list.len() < self.d2 as usize {
+        // Collect the edge if its endpoint is sampled and still short of d₂;
+        // the edge that fills the list freezes it.
+        if let Some(slot) = self.index.get(edge.a) {
+            let list = &mut run.entries[slot].1;
+            if list.len() < run.d2 as usize {
                 list.push(edge.b);
+                if list.len() == run.d2 as usize {
+                    list.freeze();
+                }
             }
         }
     }
 
     /// Whether some sampled vertex has `d₂` collected edges.
     pub fn succeeded(&self) -> bool {
-        self.collected
-            .values()
-            .any(|list| list.len() >= self.d2 as usize)
+        self.full_entries().next().is_some()
     }
 
     /// The first stored neighbourhood of size `d₂` in reservoir slot order
     /// (line 15 of Algorithm 1 allows any of them), or `None` — the run
     /// reports *fail*.
     pub fn result(&self) -> Option<Neighbourhood> {
-        self.members.iter().find_map(|&a| {
-            let list = self.collected.get(&a)?;
-            (list.len() >= self.d2 as usize).then(|| Neighbourhood::new(a, list.clone()))
-        })
+        self.full_entries()
+            .next()
+            .map(|(a, ws)| Neighbourhood::new(*a, ws.to_vec()))
+    }
+
+    fn full_entries(&self) -> impl Iterator<Item = &(u32, WitnessList)> {
+        let d2 = self.run.d2 as usize;
+        self.run
+            .entries
+            .iter()
+            .filter(move |(_, ws)| ws.len() >= d2)
     }
 
     /// How many vertices crossed the `d₁` threshold (the `x` counter).
     pub fn crossings(&self) -> u64 {
-        self.crossings
+        self.run.crossings
     }
 
     /// Current reservoir occupancy.
     pub fn occupancy(&self) -> usize {
-        self.members.len()
+        self.run.entries.len()
     }
 
-    /// Export the reservoir contents in slot order (for serialization by
-    /// [`crate::wire`]).
-    pub fn export_entries(&self) -> Vec<(u32, Vec<u64>)> {
-        self.members
-            .iter()
-            .map(|&a| (a, self.collected.get(&a).cloned().unwrap_or_default()))
-            .collect()
+    /// The run's state: geometry, crossing counter and reservoir entries in
+    /// slot order, lists packed (for serialization by [`crate::wire`]).
+    pub fn reservoir(&self) -> &PackedRun {
+        &self.run
     }
 
-    /// Restore reservoir contents exported by [`Self::export_entries`]
-    /// (slot order preserved so future evictions behave identically).
-    pub fn import_entries(&mut self, crossings: u64, entries: &[(u32, Vec<u64>)]) {
-        assert!(entries.len() <= self.s, "more entries than reservoir slots");
-        self.crossings = crossings;
-        self.members = entries.iter().map(|&(a, _)| a).collect();
-        self.collected = entries.iter().cloned().collect();
+    /// A run resuming `run` (slot order preserved so future evictions
+    /// behave identically). Lists move in as they are; a list is frozen
+    /// exactly when it holds `d₂` or more.
+    pub fn from_packed(mut run: PackedRun) -> Self {
+        assert!(run.d1 >= 1 && run.d2 >= 1 && run.s >= 1);
+        assert!(
+            run.entries.len() as u64 <= run.s,
+            "more entries than reservoir slots"
+        );
+        let want = slot_capacity(run.entries.len(), run.s);
+        if run.entries.capacity() != want {
+            let mut entries = Vec::with_capacity(want);
+            entries.append(&mut run.entries);
+            run.entries = entries;
+        }
+        let mut index = SlotIndex::default();
+        for (slot, (a, ws)) in run.entries.iter_mut().enumerate() {
+            index.insert(*a, slot);
+            if ws.len() >= run.d2 as usize {
+                ws.freeze();
+            } else {
+                ws.thaw();
+            }
+        }
+        DegResSampling { run, index }
     }
 }
 
+/// The capacity of a reservoir's slot vector holding `len` of `s` slots:
+/// the next power of two, capped at `s`.
+pub(crate) fn slot_capacity(len: usize, s: u64) -> usize {
+    pow2_capacity(len).min(usize::try_from(s).unwrap_or(usize::MAX))
+}
+
 impl SpaceUsage for DegResSampling {
+    /// Charged at capacity, and a pure function of the state: the slot
+    /// vector at [`slot_capacity`], growing lists at the next power of two
+    /// of their bytes, frozen lists exact, the index at `2^k ≥ 2·occupancy`
+    /// cells.
     fn space_bytes(&self) -> usize {
+        let entries = &self.run.entries;
         std::mem::size_of::<Self>()
-            - std::mem::size_of::<Vec<u32>>()
-            - std::mem::size_of::<HashMap<u32, Vec<u64>>>()
-            + self.members.space_bytes()
-            + self.collected.space_bytes()
+            + entries.capacity() * std::mem::size_of::<(u32, WitnessList)>()
+            + entries.iter().map(|(_, ws)| ws.heap_bytes()).sum::<usize>()
+            + self.index.cells.capacity() * std::mem::size_of::<(u32, u32)>()
+    }
+}
+
+/// An index cell's slot marking it empty.
+const FREE: u32 = u32::MAX;
+
+/// Vertex → reservoir slot: open addressing with linear probing and
+/// backward-shift deletion (no tombstones), so its table of `2^k ≥ 2·len`
+/// cells is a pure function of how many vertices it holds.
+#[derive(Debug, Clone, Default)]
+struct SlotIndex {
+    /// `(vertex, slot)`; a slot of [`FREE`] marks an empty cell.
+    cells: Vec<(u32, u32)>,
+    len: usize,
+}
+
+impl SlotIndex {
+    fn cells_for(len: usize) -> usize {
+        pow2_capacity(2 * len)
+    }
+
+    /// Where `a`'s probe starts: Fibonacci hashing, the top bits of
+    /// `a · ⌊2⁶⁴/φ⌋`. Only called with at least two cells.
+    fn home(&self, a: u32) -> usize {
+        let bits = self.cells.len().trailing_zeros();
+        ((a as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+    }
+
+    /// The cell holding `a`, or the free cell ending its probe.
+    fn probe(&self, a: u32) -> usize {
+        let mask = self.cells.len() - 1;
+        let mut i = self.home(a);
+        while self.cells[i].1 != FREE && self.cells[i].0 != a {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    fn get(&self, a: u32) -> Option<usize> {
+        if self.len == 0 {
+            return None;
+        }
+        let (_, slot) = self.cells[self.probe(a)];
+        (slot != FREE).then_some(slot as usize)
+    }
+
+    /// Map `a` to `slot`, growing the table when `len` outgrows it.
+    fn insert(&mut self, a: u32, slot: usize) {
+        let slot = u32::try_from(slot)
+            .ok()
+            .filter(|&s| s != FREE)
+            .expect("reservoir slot fits the index");
+        let want = Self::cells_for(self.len + 1);
+        if want > self.cells.len() {
+            let old = std::mem::replace(&mut self.cells, vec![(0, FREE); want]);
+            self.len = 0;
+            for (v, s) in old.into_iter().filter(|&(_, s)| s != FREE) {
+                self.place(v, s);
+            }
+        }
+        self.place(a, slot);
+    }
+
+    fn place(&mut self, a: u32, slot: u32) {
+        let i = self.probe(a);
+        if self.cells[i].1 == FREE {
+            self.len += 1;
+        }
+        self.cells[i] = (a, slot);
+    }
+
+    /// Hand `old`'s slot to `new`: an eviction. The table keeps its size.
+    fn replace(&mut self, old: u32, new: u32) {
+        let mask = self.cells.len() - 1;
+        let mut hole = self.probe(old);
+        let (_, slot) = self.cells[hole];
+        assert_ne!(slot, FREE, "evicted vertex {old} is not indexed");
+        // Backward shift: pull each later cell of the run into the hole
+        // unless its probe starts after the hole.
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let (v, s) = self.cells[j];
+            if s == FREE {
+                break;
+            }
+            if (j.wrapping_sub(self.home(v)) & mask) >= (j.wrapping_sub(hole) & mask) {
+                self.cells[hole] = self.cells[j];
+                hole = j;
+            }
+        }
+        self.cells[hole] = (0, FREE);
+        self.len -= 1;
+        self.place(new, slot);
     }
 }
 
@@ -247,8 +380,8 @@ mod tests {
                 edges.push(Edge::new(a, 1));
             }
             drive(&mut run, &edges, 30, &mut r);
-            for &a in &run.members {
-                counts[a as usize] += 1;
+            for (a, _) in &run.reservoir().entries {
+                counts[*a as usize] += 1;
             }
         }
         let expect = trials as f64 * 0.2;
@@ -303,10 +436,10 @@ mod tests {
             run.process(Edge::new(0, 0), 1, &mut r);
             run.process(Edge::new(0, 1), 2, &mut r);
             run.process(Edge::new(1, 50), 1, &mut r);
-            if run.collected.contains_key(&1) {
+            if run.index.get(1).is_some() {
                 evicted_seen = true;
-                assert!(!run.collected.contains_key(&0), "stale edges kept");
-                assert_eq!(run.collected[&1], vec![50]);
+                assert!(run.index.get(0).is_none(), "stale edges kept");
+                assert_eq!(run.reservoir().entries[0].1.to_vec(), vec![50]);
             }
         }
         assert!(evicted_seen, "eviction never triggered across 50 seeds");
@@ -317,6 +450,63 @@ mod tests {
         let mut run = DegResSampling::new(1, 3, 4);
         let edges: Vec<Edge> = (0..50u64).map(|b| Edge::new(0, b)).collect();
         drive(&mut run, &edges, 1, &mut rng(5));
-        assert_eq!(run.collected[&0].len(), 3, "collection must stop at d₂");
+        let list = &run.reservoir().entries[0].1;
+        assert_eq!(list.len(), 3, "collection must stop at d₂");
+        assert!(list.is_frozen(), "a full list is frozen");
+    }
+
+    /// The index agrees with a reference map through inserts and evictions
+    /// on colliding vertices, and its table size depends only on how many
+    /// vertices it holds.
+    #[test]
+    fn slot_index_matches_a_map_under_churn() {
+        let mut index = SlotIndex::default();
+        let mut reference = std::collections::HashMap::new();
+        let mut held: Vec<u32> = Vec::new();
+        let mut state = 7u64;
+        let mut draw = |bound: u64| {
+            state = fews_common::rng::splitmix64(state);
+            state % bound
+        };
+        for step in 0..4000u32 {
+            // Multiples of 64 share their low bits, so probes collide.
+            let a = 64 * step;
+            if held.len() < 300 {
+                index.insert(a, held.len());
+                reference.insert(a, held.len());
+                held.push(a);
+            } else {
+                let slot = draw(held.len() as u64) as usize;
+                index.replace(held[slot], a);
+                reference.remove(&held[slot]);
+                reference.insert(a, slot);
+                held[slot] = a;
+            }
+            assert_eq!(index.cells.len(), SlotIndex::cells_for(held.len()));
+            if step % 97 == 0 {
+                for v in (0..=step).map(|s| 64 * s) {
+                    assert_eq!(index.get(v), reference.get(&v).copied(), "vertex {v}");
+                }
+            }
+        }
+    }
+
+    /// A run rebuilt from its own state is charged exactly what the run that
+    /// grew push by push is.
+    #[test]
+    fn charge_does_not_depend_on_history() {
+        let mut run = DegResSampling::new(2, 40, 64);
+        let mut r = rng(9);
+        let mut deg = vec![0u32; 200];
+        for t in 0..20_000u64 {
+            let a = (fews_common::rng::splitmix64(t) % 200) as u32;
+            deg[a as usize] += 1;
+            run.process(Edge::new(a, 1_000_000 + t), deg[a as usize], &mut r);
+            if t % 1000 == 0 {
+                let rebuilt = DegResSampling::from_packed(run.reservoir().clone());
+                assert_eq!(rebuilt.space_bytes(), run.space_bytes(), "at update {t}");
+                assert_eq!(rebuilt.reservoir(), run.reservoir());
+            }
+        }
     }
 }

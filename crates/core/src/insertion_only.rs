@@ -12,6 +12,7 @@
 
 use crate::deg_res::DegResSampling;
 use crate::neighbourhood::Neighbourhood;
+use crate::wire::PackedState;
 use fews_common::math::reservoir_size;
 use fews_common::rng::rng_for;
 use fews_common::SpaceUsage;
@@ -154,19 +155,44 @@ impl FewwInsertOnly {
         state.restore(self);
     }
 
+    /// The state with its lists still packed: a copy of the growing lists'
+    /// bytes, sharing every full list's allocation — what a published view
+    /// holds.
+    pub fn packed(&self) -> PackedState {
+        PackedState {
+            degrees: self.degrees.clone(),
+            runs: self.runs.iter().map(|r| r.reservoir().clone()).collect(),
+        }
+    }
+
+    /// The state's wire bytes — exactly `self.snapshot().encode()` —
+    /// written straight from the packed lists.
+    pub fn encode(&self) -> Vec<u8> {
+        crate::wire::encode_layout(
+            &self.degrees,
+            self.runs.iter().map(DegResSampling::reservoir),
+        )
+    }
+
+    /// Install a state of an identically configured instance, moving its
+    /// lists in.
+    pub fn restore_packed(&mut self, state: PackedState) {
+        assert_eq!(state.degrees.len(), self.config.n as usize);
+        assert_eq!(state.runs.len(), self.config.alpha as usize);
+        self.degrees = state.degrees;
+        self.runs = state
+            .runs
+            .into_iter()
+            .map(DegResSampling::from_packed)
+            .collect();
+    }
+
     pub(crate) fn degrees_slice(&self) -> &[u32] {
         &self.degrees
     }
 
     pub(crate) fn runs_slice(&self) -> &[DegResSampling] {
         &self.runs
-    }
-
-    pub(crate) fn replace_state(&mut self, degrees: Vec<u32>, runs: Vec<DegResSampling>) {
-        assert_eq!(degrees.len(), self.config.n as usize);
-        assert_eq!(runs.len(), self.config.alpha as usize);
-        self.degrees = degrees;
-        self.runs = runs;
     }
 }
 

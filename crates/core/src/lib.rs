@@ -22,7 +22,9 @@
 //!   (Lemma 3.3, Corollaries 3.4 and 5.5).
 //! * [`wire`] — a compact serialization of algorithm memory states, used by
 //!   the communication-complexity reductions in `fews-comm` to measure real
-//!   message sizes.
+//!   message sizes, and by `fews-engine` for checkpoints.
+//! * [`witness_list`] — the packed, append-only witness list every
+//!   reservoir entry stores its witnesses in.
 //!
 //! ## Quick start
 //!
@@ -54,6 +56,7 @@ pub mod star;
 pub mod two_pass;
 pub mod wire;
 pub mod wire_id;
+pub mod witness_list;
 
 pub use insertion_deletion::FewwInsertDelete;
 pub use insertion_only::FewwInsertOnly;

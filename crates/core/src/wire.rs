@@ -10,10 +10,26 @@
 //! The RNG stream is *not* part of the message: in the one-way communication
 //! model the parties share public coins (§2 of the paper), which is exactly
 //! how the reductions use randomness.
+//!
+//! The state has two equal-content shapes. [`MemoryState`] holds each
+//! witness list as a plain `Vec<u64>`: what the reductions, the tests and
+//! the paper-pseudocode mirror read. [`PackedState`] holds the lists as
+//! [`WitnessList`]s, the way the algorithm stores them: what the engine
+//! publishes, checkpoints and restores. Both write the one layout below
+//! through one encoder, so equal states encode to equal bytes:
+//!
+//! ```text
+//! n, n × degree
+//! runs, runs × { d₁, d₂, s, crossings, entries,
+//!                entries × { vertex, witnesses, witnesses × witness } }
+//! ```
+//!
+//! every field an unsigned LEB128 varint, every witness absolute.
 
-use crate::deg_res::DegResSampling;
+use crate::deg_res::slot_capacity;
 use crate::insertion_only::FewwInsertOnly;
 use crate::neighbourhood::Neighbourhood;
+use crate::witness_list::WitnessList;
 
 /// Append `v` as an unsigned LEB128 varint.
 pub fn put_uvarint(buf: &mut Vec<u8>, mut v: u64) {
@@ -74,36 +90,20 @@ pub struct MemoryState {
 impl MemoryState {
     /// Extract the state from a running algorithm.
     pub fn capture(alg: &FewwInsertOnly) -> Self {
-        let runs = alg
-            .runs_slice()
-            .iter()
-            .map(|r| RunState {
-                d1: r.d1(),
-                d2: r.d2(),
-                s: r.s() as u64,
-                crossings: r.crossings(),
-                entries: r.export_entries(),
-            })
-            .collect();
         MemoryState {
             degrees: alg.degrees_slice().to_vec(),
-            runs,
+            runs: alg
+                .runs_slice()
+                .iter()
+                .map(|r| r.reservoir().unpack())
+                .collect(),
         }
     }
 
     /// Install this state into an algorithm instance (which must have been
     /// constructed with the same configuration).
     pub fn restore(&self, alg: &mut FewwInsertOnly) {
-        let runs: Vec<DegResSampling> = self
-            .runs
-            .iter()
-            .map(|rs| {
-                let mut run = DegResSampling::new(rs.d1, rs.d2, rs.s as usize);
-                run.import_entries(rs.crossings, &rs.entries);
-                run
-            })
-            .collect();
-        alg.replace_state(self.degrees.clone(), runs);
+        alg.restore_packed(PackedState::from(self));
     }
 
     /// Merge another state into this one (mergeable-summary style, the way
@@ -201,59 +201,110 @@ impl MemoryState {
         self.degrees.get(v as usize).copied()
     }
 
-    /// Encode to bytes. Degree tables are delta-friendly small numbers, so
-    /// varints keep the message near the information-theoretic size.
+    /// Encode to bytes (the module's layout). Degree tables are small
+    /// numbers, so varints keep the message near the information-theoretic
+    /// size.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.degrees.len() + 64);
-        put_uvarint(&mut buf, self.degrees.len() as u64);
-        for &d in &self.degrees {
-            put_uvarint(&mut buf, d as u64);
-        }
-        put_uvarint(&mut buf, self.runs.len() as u64);
-        for run in &self.runs {
-            put_uvarint(&mut buf, run.d1 as u64);
-            put_uvarint(&mut buf, run.d2 as u64);
-            put_uvarint(&mut buf, run.s);
-            put_uvarint(&mut buf, run.crossings);
-            put_uvarint(&mut buf, run.entries.len() as u64);
-            for (a, ws) in &run.entries {
-                put_uvarint(&mut buf, *a as u64);
-                put_uvarint(&mut buf, ws.len() as u64);
-                for &w in ws {
-                    put_uvarint(&mut buf, w);
-                }
-            }
-        }
-        buf
+        PackedState::from(self).encode()
     }
 
     /// Decode from bytes; `None` on malformed input.
     pub fn decode(buf: &[u8]) -> Option<Self> {
+        PackedState::decode(buf).map(|state| state.unpack())
+    }
+}
+
+/// [`RunState`] with its witness lists packed: one Deg-Res-Sampling run as
+/// the algorithm holds it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PackedRun {
+    /// Threshold d₁.
+    pub d1: u32,
+    /// Witness target d₂.
+    pub d2: u32,
+    /// Reservoir size s.
+    pub s: u64,
+    /// Crossing counter x.
+    pub crossings: u64,
+    /// Reservoir members with their packed witnesses, in slot order. A list
+    /// holding `d₂` or more witnesses is frozen, so copies share it.
+    pub entries: Vec<(u32, WitnessList)>,
+}
+
+impl PackedRun {
+    /// The same run with every list decoded.
+    pub fn unpack(&self) -> RunState {
+        RunState {
+            d1: self.d1,
+            d2: self.d2,
+            s: self.s,
+            crossings: self.crossings,
+            entries: self
+                .entries
+                .iter()
+                .map(|(a, ws)| (*a, ws.to_vec()))
+                .collect(),
+        }
+    }
+}
+
+/// [`MemoryState`] with its witness lists packed: what the engine publishes
+/// per partition, and what a checkpoint payload decodes to.
+///
+/// A clone copies the growing lists' packed bytes and shares every full
+/// list's allocation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PackedState {
+    /// Degrees of all A-vertices.
+    pub degrees: Vec<u32>,
+    /// Per-run reservoir states.
+    pub runs: Vec<PackedRun>,
+}
+
+impl PackedState {
+    /// The same state with every list decoded.
+    pub fn unpack(&self) -> MemoryState {
+        MemoryState {
+            degrees: self.degrees.clone(),
+            runs: self.runs.iter().map(PackedRun::unpack).collect(),
+        }
+    }
+
+    /// Encode to the module's layout: exactly the bytes
+    /// [`MemoryState::encode`] writes for the same contents.
+    pub fn encode(&self) -> Vec<u8> {
+        encode_layout(&self.degrees, self.runs.iter())
+    }
+
+    /// Decode the module's layout straight into packed lists; `None` on
+    /// malformed input. No count is trusted as an allocation size before
+    /// the bytes left could hold that many elements.
+    pub fn decode(buf: &[u8]) -> Option<Self> {
         let mut pos = 0usize;
-        let n = get_uvarint(buf, &mut pos)? as usize;
+        let n = get_count(buf, &mut pos)?;
         let mut degrees = Vec::with_capacity(n);
         for _ in 0..n {
             degrees.push(u32::try_from(get_uvarint(buf, &mut pos)?).ok()?);
         }
-        let n_runs = get_uvarint(buf, &mut pos)? as usize;
+        let n_runs = get_count(buf, &mut pos)?;
         let mut runs = Vec::with_capacity(n_runs);
+        let mut scratch = Vec::new();
         for _ in 0..n_runs {
             let d1 = u32::try_from(get_uvarint(buf, &mut pos)?).ok()?;
             let d2 = u32::try_from(get_uvarint(buf, &mut pos)?).ok()?;
             let s = get_uvarint(buf, &mut pos)?;
             let crossings = get_uvarint(buf, &mut pos)?;
-            let n_entries = get_uvarint(buf, &mut pos)? as usize;
-            let mut entries = Vec::with_capacity(n_entries);
+            let n_entries = get_count(buf, &mut pos)?;
+            let mut entries = Vec::with_capacity(slot_capacity(n_entries, s));
             for _ in 0..n_entries {
                 let a = u32::try_from(get_uvarint(buf, &mut pos)?).ok()?;
-                let n_ws = get_uvarint(buf, &mut pos)? as usize;
-                let mut ws = Vec::with_capacity(n_ws);
-                for _ in 0..n_ws {
-                    ws.push(get_uvarint(buf, &mut pos)?);
-                }
+                let n_ws = get_count(buf, &mut pos)?;
+                let ws = WitnessList::pack_with(n_ws, n_ws >= d2 as usize, &mut scratch, || {
+                    get_uvarint(buf, &mut pos)
+                })?;
                 entries.push((a, ws));
             }
-            runs.push(RunState {
+            runs.push(PackedRun {
                 d1,
                 d2,
                 s,
@@ -264,8 +315,85 @@ impl MemoryState {
         if pos != buf.len() {
             return None; // trailing bytes
         }
-        Some(MemoryState { degrees, runs })
+        Some(PackedState { degrees, runs })
     }
+}
+
+/// Pack every list; a list holding its run's `d₂` or more is frozen.
+impl From<&MemoryState> for PackedState {
+    fn from(state: &MemoryState) -> Self {
+        let mut scratch = Vec::new();
+        PackedState {
+            degrees: state.degrees.clone(),
+            runs: state
+                .runs
+                .iter()
+                .map(|run| PackedRun {
+                    d1: run.d1,
+                    d2: run.d2,
+                    s: run.s,
+                    crossings: run.crossings,
+                    entries: run
+                        .entries
+                        .iter()
+                        .map(|(a, ws)| {
+                            let full = ws.len() >= run.d2 as usize;
+                            let mut it = ws.iter().copied();
+                            let list =
+                                WitnessList::pack_with(ws.len(), full, &mut scratch, || it.next())
+                                    .expect("a list of at most u32::MAX witnesses");
+                            (*a, list)
+                        })
+                        .collect(),
+                })
+                .collect(),
+        }
+    }
+}
+
+/// The one writer of the module's layout, over a degree table and runs
+/// whoever holds them: a [`PackedState`], or a live algorithm's runs
+/// ([`FewwInsertOnly::encode`]).
+pub(crate) fn encode_layout<'a>(
+    degrees: &[u32],
+    runs: impl ExactSizeIterator<Item = &'a PackedRun> + Clone,
+) -> Vec<u8> {
+    // Absolute witnesses take a little more than their packed deltas.
+    let hint: usize = runs
+        .clone()
+        .flat_map(|run| &run.entries)
+        .map(|(_, ws)| 2 * ws.byte_len() + 8)
+        .sum();
+    let mut buf = Vec::with_capacity(degrees.len() + hint + 64);
+    put_uvarint(&mut buf, degrees.len() as u64);
+    for &d in degrees {
+        put_uvarint(&mut buf, d as u64);
+    }
+    put_uvarint(&mut buf, runs.len() as u64);
+    for run in runs {
+        put_uvarint(&mut buf, run.d1 as u64);
+        put_uvarint(&mut buf, run.d2 as u64);
+        put_uvarint(&mut buf, run.s);
+        put_uvarint(&mut buf, run.crossings);
+        put_uvarint(&mut buf, run.entries.len() as u64);
+        for (a, ws) in &run.entries {
+            put_uvarint(&mut buf, *a as u64);
+            put_uvarint(&mut buf, ws.len() as u64);
+            for w in ws.iter() {
+                put_uvarint(&mut buf, w);
+            }
+        }
+    }
+    buf
+}
+
+/// A count read at `pos`, refused unless the bytes left could hold that
+/// many elements. Every element costs at least one byte, so a larger count
+/// is malformed, and trusting it as an allocation size would let a few
+/// bytes demand any amount of memory.
+fn get_count(buf: &[u8], pos: &mut usize) -> Option<usize> {
+    let n = get_uvarint(buf, pos)?;
+    (n <= (buf.len() - *pos) as u64).then_some(n as usize)
 }
 
 /// Append a [`SpaceConfig`] in the shared varint layout used by both the
@@ -505,6 +633,60 @@ mod tests {
         let mut bytes = MemoryState::capture(&run_alg(&edges)).encode();
         bytes.push(0); // trailing byte
         assert!(MemoryState::decode(&bytes).is_none());
+    }
+
+    /// A count of 2⁴⁰ or `u64::MAX` at any level — degrees, runs, entries,
+    /// witnesses — with nothing behind it is malformed, refused before it
+    /// sizes an allocation.
+    #[test]
+    fn decode_refuses_counts_past_the_bytes_left() {
+        for huge in [1u64 << 40, u64::MAX] {
+            let prefixes: [&[u64]; 4] = [&[], &[0], &[0, 1, 1, 1, 1, 0], &[0, 1, 1, 1, 1, 0, 1, 0]];
+            for prefix in prefixes {
+                let mut buf = Vec::new();
+                for &v in prefix.iter().chain([huge, 0].iter()) {
+                    put_uvarint(&mut buf, v);
+                }
+                assert!(
+                    PackedState::decode(&buf).is_none(),
+                    "{prefix:?} then {huge}"
+                );
+                assert!(
+                    MemoryState::decode(&buf).is_none(),
+                    "{prefix:?} then {huge}"
+                );
+            }
+        }
+    }
+
+    /// The packed and plain shapes encode to the same bytes and decode into
+    /// each other, and full lists come back frozen.
+    #[test]
+    fn packed_and_plain_states_share_one_layout() {
+        let edges: Vec<Edge> = (0..8u64)
+            .map(|b| Edge::new(3, 1_000_000 + b))
+            .chain((0..16u32).map(|a| Edge::new(a, 100 + a as u64)))
+            .collect();
+        let alg = run_alg(&edges);
+        let plain = alg.snapshot();
+        let packed = alg.packed();
+        assert_eq!(packed.unpack(), plain);
+        assert_eq!(PackedState::from(&plain), packed);
+        let bytes = plain.encode();
+        assert_eq!(packed.encode(), bytes);
+        assert_eq!(alg.encode(), bytes);
+        let back = PackedState::decode(&bytes).expect("decodes");
+        assert_eq!(back, packed);
+        for run in &back.runs {
+            for (_, ws) in &run.entries {
+                assert_eq!(ws.is_frozen(), ws.len() >= run.d2 as usize);
+            }
+        }
+        assert!(back
+            .runs
+            .iter()
+            .flat_map(|r| &r.entries)
+            .any(|(_, ws)| ws.is_frozen()));
     }
 
     #[test]

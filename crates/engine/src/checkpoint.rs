@@ -218,6 +218,11 @@ pub fn decode(bytes: &[u8]) -> Result<(Header, PartitionPayloads), CheckpointErr
         d: next()?,
         alpha: next()?,
     };
+    // Every payload costs at least its length byte: a partition count the
+    // bytes left cannot hold is refused before it sizes an allocation.
+    if header.partitions > (bytes.len() - pos) as u64 {
+        return Err(CheckpointError::Truncated);
+    }
     let mut payloads = Vec::with_capacity(header.partitions as usize);
     for p in 0..header.partitions {
         let len = get_uvarint(bytes, &mut pos).ok_or(CheckpointError::Truncated)? as usize;
@@ -295,6 +300,10 @@ pub fn decode_slice(bytes: &[u8]) -> Result<(Header, PartitionPayloads), Checkpo
             "slice carries {count} payloads but the space has {} partitions",
             header.partitions
         )));
+    }
+    // Every payload costs at least its id and length bytes.
+    if count > (bytes.len() - pos) as u64 / 2 {
+        return Err(CheckpointError::Truncated);
     }
     let mut payloads = Vec::with_capacity(count as usize);
     let mut last: Option<u64> = None;
@@ -443,6 +452,23 @@ mod tests {
             decode_slice(&dup),
             Err(CheckpointError::Corrupt(_))
         ));
+    }
+
+    /// A header or slice count of 2⁴⁰ or `u64::MAX` with no body behind it
+    /// is refused as truncated, never trusted as an allocation size.
+    #[test]
+    fn huge_counts_are_refused_before_allocating() {
+        for huge in [1u64 << 40, u64::MAX] {
+            let mut full = MAGIC.to_vec();
+            let mut slice = SLICE_MAGIC.to_vec();
+            for v in [0, 2021, huge, 64, 0, 8, 2] {
+                put_uvarint(&mut full, v);
+                put_uvarint(&mut slice, v);
+            }
+            assert_eq!(decode(&full), Err(CheckpointError::Truncated));
+            put_uvarint(&mut slice, huge);
+            assert_eq!(decode_slice(&slice), Err(CheckpointError::Truncated));
+        }
     }
 
     #[test]

@@ -658,15 +658,14 @@ mod tests {
     }
 
     /// An engine that saw a planted stream, and the full and partition-0
-    /// slice checkpoints of a fresh engine whose partition 0, run 0, also
-    /// holds `extra` — entries no run of the algorithm can produce. The
-    /// fresh reservoirs leave room for them, so only the entries can fail
-    /// the restore.
-    fn tampered_restore(extra: Vec<(u32, Vec<u64>)>) -> (Engine, Vec<u8>, Vec<u8>) {
+    /// slice checkpoints of a fresh engine whose partition-0 state went
+    /// through `tamper`. The fresh reservoirs leave room for added entries,
+    /// so only what `tamper` changed can fail the restore.
+    fn tampered_restore(tamper: impl FnOnce(&mut MemoryState)) -> (Engine, Vec<u8>, Vec<u8>) {
         let mut fresh = Engine::start(io_cfg(2));
         let (_, mut payloads) = checkpoint::decode(&fresh.checkpoint()).unwrap();
         let mut state = MemoryState::decode(&payloads[0].1).expect("partition 0 decodes");
-        state.runs[0].entries.extend(extra);
+        tamper(&mut state);
         payloads[0].1 = state.encode();
         let full = checkpoint::encode(fresh.config(), &payloads);
         let slice = checkpoint::encode_slice(fresh.config(), &payloads[..1]);
@@ -675,10 +674,10 @@ mod tests {
         (engine, full, slice)
     }
 
-    /// Both restore paths refuse `extra`, typed, naming `why`, and leave
-    /// the engine as it was.
-    fn assert_entries_refused(extra: Vec<(u32, Vec<u64>)>, why: &str) {
-        let (mut engine, full, slice) = tampered_restore(extra);
+    /// Both restore paths refuse the tampered state, typed, naming `why`,
+    /// and leave the engine as it was.
+    fn assert_refused(tamper: impl FnOnce(&mut MemoryState), why: &str) {
+        let (mut engine, full, slice) = tampered_restore(tamper);
         let before = engine.checkpoint();
         for refused in [
             engine.restore_checkpoint(&full),
@@ -686,10 +685,16 @@ mod tests {
         ] {
             match refused {
                 Err(CheckpointError::Corrupt(m)) => assert!(m.contains(why), "{m}"),
-                other => panic!("restore should refuse the entries ({why}), got {other:?}"),
+                other => panic!("restore should refuse the state ({why}), got {other:?}"),
             }
         }
         assert_eq!(engine.checkpoint(), before, "refused restore mutated state");
+    }
+
+    /// [`assert_refused`] for `extra` entries in partition 0's run 0 —
+    /// entries no run of the algorithm can produce.
+    fn assert_entries_refused(extra: Vec<(u32, Vec<u64>)>, why: &str) {
+        assert_refused(|state| state.runs[0].entries.extend(extra), why);
     }
 
     /// A vertex of partition `p` of the 8-partition, n = 64 test config.
@@ -713,6 +718,20 @@ mod tests {
     fn restore_refuses_a_vertex_twice_in_a_run() {
         let a = vertex_in(0);
         assert_entries_refused(vec![(a, vec![1, 2]), (a, vec![3])], "twice");
+    }
+
+    #[test]
+    fn restore_refuses_a_held_vertex_below_d1() {
+        // Every degree of the fresh state is 0, so no vertex can be held.
+        assert_entries_refused(vec![(vertex_in(0), vec![1])], "below d1");
+    }
+
+    #[test]
+    fn restore_refuses_a_threshold_the_engine_does_not_use() {
+        // d₁ = 0 used to pass validation and abort the install.
+        for d1 in [0, 2] {
+            assert_refused(|state| state.runs[0].d1 = d1, "geometry");
+        }
     }
 
     #[test]
@@ -779,6 +798,48 @@ mod tests {
         assert_eq!(engine.checkpoint(), before, "failed slice restore mutated");
         engine.restore_slice(&good).expect("good slice restore");
         assert_eq!(engine.checkpoint(), before, "idempotent self-graft changed");
+    }
+
+    /// A refresh copies only the growing lists: every full list of the
+    /// previous view is the same allocation in the next one, although every
+    /// partition took updates in between and was re-gathered.
+    #[test]
+    fn refreshes_share_full_lists_with_the_previous_view() {
+        let star = |degree: u64, offset: u64| -> Vec<Update> {
+            (0..64u32)
+                .flat_map(|a| (0..degree).map(move |b| Update::insert(Edge::new(a, offset + b))))
+                .collect()
+        };
+        let mut engine = Engine::start(io_cfg(3));
+        engine.ingest(star(12, 0));
+        let before = engine.view();
+        engine.ingest(star(5, 1000));
+        let after = engine.view();
+        let (GlobalView::InsertOnly { parts: old, .. }, GlobalView::InsertOnly { parts: new, .. }) =
+            (&*before, &*after)
+        else {
+            panic!("insertion-only views");
+        };
+        let mut shared = 0;
+        for (p, (old, new)) in old.iter().zip(new).enumerate() {
+            assert!(!Arc::ptr_eq(old, new), "partition {p} was not re-gathered");
+            for (old_run, new_run) in old.runs.iter().zip(&new.runs) {
+                for ((a, ws), (b, now)) in old_run.entries.iter().zip(&new_run.entries) {
+                    assert_eq!(a, b, "no reservoir here evicts");
+                    if ws.len() >= old_run.d2 as usize {
+                        assert!(
+                            now.shares_bytes_with(ws),
+                            "partition {p}: vertex {a} copied"
+                        );
+                        shared += 1;
+                    } else {
+                        assert!(!now.shares_bytes_with(ws));
+                    }
+                }
+            }
+        }
+        // Run 0 (d₁ = 1) fills every vertex's list at 8 of its 12 edges.
+        assert!(shared >= 64, "only {shared} full lists");
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::{partition_seed, EngineConfig, ModelSpec};
 use fews_common::SpaceUsage;
 use fews_core::insertion_deletion::FewwInsertDelete;
 use fews_core::insertion_only::FewwInsertOnly;
-use fews_core::wire::MemoryState;
+use fews_core::wire::PackedState;
 use fews_core::wire_id::IdWireState;
 use fews_stream::Update;
 use std::sync::mpsc::{Receiver, Sender};
@@ -42,8 +42,10 @@ pub(crate) enum ShardMsg {
 /// copy — an unchanged partition is never re-cloned.
 #[derive(Debug)]
 pub(crate) enum PartView {
-    /// Insertion-only: the full memory state (degree table + reservoirs).
-    Io(std::sync::Arc<MemoryState>),
+    /// Insertion-only: the packed state (degree table + reservoirs). Taking
+    /// it copies the growing lists' bytes and shares every full list with
+    /// the partition.
+    Io(std::sync::Arc<PackedState>),
     /// Insertion-deletion: recovered witnesses pooled per vertex.
     Id(Vec<(u32, Vec<u64>)>),
 }
@@ -64,7 +66,7 @@ enum PartitionAlg {
 
 /// A decoded, validated snapshot awaiting [`ShardMsg::CommitRestore`].
 pub(crate) enum DecodedState {
-    Io(MemoryState),
+    Io(PackedState),
     Id(IdWireState),
 }
 
@@ -111,14 +113,14 @@ impl PartitionAlg {
     /// re-decoded); the reported view itself is a pure value.
     fn view(&mut self) -> PartView {
         match self {
-            PartitionAlg::Io(alg) => PartView::Io(std::sync::Arc::new(alg.snapshot())),
+            PartitionAlg::Io(alg) => PartView::Io(std::sync::Arc::new(alg.packed())),
             PartitionAlg::Id(alg) => PartView::Id(alg.pooled_witnesses_cached()),
         }
     }
 
     fn snapshot_bytes(&self) -> Vec<u8> {
         match self {
-            PartitionAlg::Io(alg) => alg.snapshot().encode(),
+            PartitionAlg::Io(alg) => alg.encode(),
             PartitionAlg::Id(alg) => alg.snapshot().encode(),
         }
     }
@@ -127,7 +129,7 @@ impl PartitionAlg {
     /// partition. Cannot fail.
     fn install(&mut self, state: DecodedState) {
         match (self, state) {
-            (PartitionAlg::Io(alg), DecodedState::Io(s)) => alg.restore_from(&s),
+            (PartitionAlg::Io(alg), DecodedState::Io(s)) => alg.restore_packed(s),
             (PartitionAlg::Id(alg), DecodedState::Id(s)) => alg.restore_from(&s),
             _ => unreachable!("validate_payload matched the model"),
         }
@@ -152,7 +154,7 @@ pub(crate) fn validate_payload(
 ) -> Result<DecodedState, String> {
     match cfg.model {
         ModelSpec::InsertOnly(c) => {
-            let state = MemoryState::decode(bytes)
+            let state = PackedState::decode(bytes)
                 .ok_or_else(|| "malformed insertion-only partition payload".to_string())?;
             if state.degrees.len() != c.n as usize {
                 return Err(format!(
@@ -168,11 +170,14 @@ pub(crate) fn validate_payload(
                     c.alpha
                 ));
             }
+            let d2 = c.witness_target();
             for (r, run) in state.runs.iter().enumerate() {
-                if run.d2 != c.witness_target() || run.s != c.reservoir() as u64 {
+                // Run r's threshold, as `FewwInsertOnly::new` sets it.
+                let d1 = (r as u32 * d2).max(1);
+                if run.d1 != d1 || run.d2 != d2 || run.s != c.reservoir() as u64 {
                     return Err("snapshot run geometry disagrees with engine config".into());
                 }
-                if run.entries.len() > run.s as usize {
+                if run.entries.len() as u64 > run.s {
                     return Err("snapshot reservoir overflows its slot count".into());
                 }
                 // Entries the algorithm cannot produce: restoring one
@@ -197,6 +202,17 @@ pub(crate) fn validate_payload(
                 vertices.sort_unstable();
                 if let Some(w) = vertices.windows(2).find(|w| w[0] == w[1]) {
                     return Err(format!("run {r} holds vertex {} twice", w[0]));
+                }
+                // A vertex enters a run at the edge lifting it to d₁, so a
+                // held vertex below d₁ would enter a second slot.
+                if let Some(&a) = vertices
+                    .iter()
+                    .find(|&&a| state.degrees[a as usize] < run.d1)
+                {
+                    return Err(format!(
+                        "run {r} holds vertex {a} of degree {}, below d1 = {}",
+                        state.degrees[a as usize], run.d1
+                    ));
                 }
             }
             Ok(DecodedState::Io(state))

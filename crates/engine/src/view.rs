@@ -1,7 +1,8 @@
 //! The merged, engine-wide query view.
 
 use fews_core::neighbourhood::Neighbourhood;
-use fews_core::wire::{MemoryState, RunState};
+use fews_core::wire::{PackedRun, PackedState};
+use fews_core::witness_list::WitnessList;
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -11,16 +12,20 @@ use std::sync::Arc;
 ///
 /// The view is a *value* — queries on it are pure, deterministic, and
 /// independent of the shard count that produced it. For the insertion-only
-/// model it holds the partitions' [`MemoryState`]s *segmented* (shared
+/// model it holds the partitions' [`PackedState`]s *segmented* (shared
 /// `Arc`s, in partition order) and answers queries by scanning the
 /// segments exactly as [`MemoryState::merge`]-then-query would — the
 /// merged run `r` is the partition-order concatenation of the per-partition
 /// runs `r`, so iterating `(run, partition, slot)` visits the same entries
 /// in the same order without ever materializing the merge. That keeps the
 /// engine's incremental view cheap: an unchanged partition's `Arc` is
-/// reused as-is, so rebuild cost is cloning only the *changed* partitions'
-/// states, not re-concatenating every reservoir. For insertion-deletion it
-/// holds the union of the partitions' recovered-witness pools.
+/// reused as-is, and a changed partition costs a copy of its growing
+/// lists' packed bytes — its full lists are shared with the partition.
+/// Queries rank lists by their stored length and decode only the lists
+/// they answer with. For insertion-deletion it holds the union of the
+/// partitions' recovered-witness pools.
+///
+/// [`MemoryState::merge`]: fews_core::wire::MemoryState::merge
 ///
 /// [`crate::Engine::view`] hands the view out as an `Arc<GlobalView>`: the
 /// engine memoizes per-partition contributions by update epoch and rebuilds
@@ -32,7 +37,7 @@ pub enum GlobalView {
     InsertOnly {
         /// Every partition's state, ascending partition order. All share
         /// one run geometry (same run count and `(d₁, d₂, s)` per run).
-        parts: Vec<Arc<MemoryState>>,
+        parts: Vec<Arc<PackedState>>,
         /// The certification threshold `⌊d/α⌋`.
         d2: u32,
     },
@@ -89,7 +94,7 @@ impl GlobalView {
     }
 
     /// The insertion-only partition states `scope` reads, ascending.
-    fn io_scope<'a>(parts: &'a [Arc<MemoryState>], scope: Scope) -> Vec<&'a MemoryState> {
+    fn io_scope<'a>(parts: &'a [Arc<PackedState>], scope: Scope) -> Vec<&'a PackedState> {
         (0..parts.len())
             .filter(|&p| scope.holds(p))
             .map(|p| &*parts[p])
@@ -103,9 +108,11 @@ impl GlobalView {
     /// [`MemoryState::merge`] of `parts`. Stops early when `visit` returns
     /// `Some`. Every segmented query goes through this one scan, so the
     /// order invariant lives in one place.
+    ///
+    /// [`MemoryState::merge`]: fews_core::wire::MemoryState::merge
     fn scan_io_entries<'a, T>(
-        parts: &[&'a MemoryState],
-        mut visit: impl FnMut(usize, &'a RunState, &'a (u32, Vec<u64>)) -> Option<T>,
+        parts: &[&'a PackedState],
+        mut visit: impl FnMut(usize, &'a PackedRun, &'a (u32, WitnessList)) -> Option<T>,
     ) -> Option<T> {
         let runs = parts.first().map_or(0, |p| p.runs.len());
         for r in 0..runs {
@@ -125,7 +132,7 @@ impl GlobalView {
     /// semantics:
     ///
     /// * insertion-only — first reservoir entry reaching `d₂` in (run,
-    ///   partition, slot) scan order ([`MemoryState::certified`]);
+    ///   partition, slot) scan order (`MemoryState::certified`);
     /// * insertion-deletion — the pooled vertex with the most recovered
     ///   witnesses among those reaching `d₂` (ties to the smaller vertex).
     pub fn certified(&self) -> Option<Neighbourhood> {
@@ -143,7 +150,7 @@ impl GlobalView {
             GlobalView::InsertOnly { parts, .. } => {
                 Self::scan_io_entries(&Self::io_scope(parts, scope), |r, run, (a, ws)| {
                     (ws.len() >= run.d2 as usize)
-                        .then(|| (r as u32, Neighbourhood::new(*a, ws.clone())))
+                        .then(|| (r as u32, Neighbourhood::new(*a, ws.to_vec())))
                 })
             }
             GlobalView::InsertDelete { pooled, d2 } => pooled
@@ -165,15 +172,15 @@ impl GlobalView {
         match self {
             GlobalView::InsertOnly { parts, .. } => {
                 // First-longest in merged (run, partition, slot) order —
-                // [`MemoryState::certify`] on the materialized merge.
-                let mut best: Option<&Vec<u64>> = None;
+                // `MemoryState::certify` on the materialized merge.
+                let mut best: Option<&WitnessList> = None;
                 Self::scan_io_entries::<()>(&Self::io_scope(parts, scope), |_, _, (a, ws)| {
                     if *a == v {
                         keep_first_longest(&mut best, ws);
                     }
                     None
                 });
-                best.map(|ws| Neighbourhood::new(v, ws.clone()))
+                best.map(|ws| Neighbourhood::new(v, ws.to_vec()))
             }
             GlobalView::InsertDelete { pooled, .. } if scope.holds_vertex(v) => pooled
                 .binary_search_by_key(&v, |&(a, _)| a)
@@ -202,14 +209,14 @@ impl GlobalView {
         match self {
             GlobalView::InsertOnly { parts, .. } => {
                 // Longest list per vertex, first-longest kept on ties, in
-                // merged scan order — [`MemoryState::top`] on the
+                // merged scan order — `MemoryState::top` on the
                 // materialized merge. Slots are dense over the degree
                 // table; a vertex past it (no valid state holds one) is
                 // kept aside so the answer still equals the reference.
                 let table = parts.first().map_or(0, |p| p.degrees.len());
-                let mut longest: Vec<Option<&Vec<u64>>> = vec![None; table];
+                let mut longest: Vec<Option<&WitnessList>> = vec![None; table];
                 let mut seen: Vec<u32> = Vec::new();
-                let mut outside: BTreeMap<u32, Option<&Vec<u64>>> = BTreeMap::new();
+                let mut outside: BTreeMap<u32, Option<&WitnessList>> = BTreeMap::new();
                 Self::scan_io_entries::<()>(&Self::io_scope(parts, scope), |_, _, (a, ws)| {
                     let slot = match longest.get_mut(*a as usize) {
                         Some(slot) => {
@@ -257,21 +264,48 @@ impl GlobalView {
     }
 }
 
+/// A stored witness list as the queries see it: ranked by its length,
+/// decoded only when it is part of the answer.
+trait Listed {
+    fn count(&self) -> usize;
+    fn decoded(&self) -> Vec<u64>;
+}
+
+impl Listed for Vec<u64> {
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn decoded(&self) -> Vec<u64> {
+        self.clone()
+    }
+}
+
+impl Listed for WitnessList {
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn decoded(&self) -> Vec<u64> {
+        self.to_vec()
+    }
+}
+
 /// Keep `ws` in `slot` if it is the first list seen or strictly longer than
 /// the one kept: the first-longest rule every per-vertex query shares.
-fn keep_first_longest<'a>(slot: &mut Option<&'a Vec<u64>>, ws: &'a Vec<u64>) {
-    if slot.is_none_or(|kept| ws.len() > kept.len()) {
+fn keep_first_longest<'a, L: Listed>(slot: &mut Option<&'a L>, ws: &'a L) {
+    if slot.is_none_or(|kept| ws.count() > kept.count()) {
         *slot = Some(ws);
     }
 }
 
 /// The `k` best of `ranked` (one entry per vertex) by stored witness count
 /// descending, then vertex ascending, with the count each ranked by: a
-/// partial select of the `k` best, then a sort of only those.
-fn best_k(mut ranked: Vec<(u32, &Vec<u64>)>, k: usize) -> Vec<(u64, Neighbourhood)> {
-    let order = |(a1, w1): &(u32, &Vec<u64>), (a2, w2): &(u32, &Vec<u64>)| {
-        w2.len().cmp(&w1.len()).then(a1.cmp(a2))
-    };
+/// partial select of the `k` best, then a sort of only those, the only
+/// lists decoded.
+fn best_k<L: Listed>(mut ranked: Vec<(u32, &L)>, k: usize) -> Vec<(u64, Neighbourhood)> {
+    let order =
+        |(a1, w1): &(u32, &L), (a2, w2): &(u32, &L)| w2.count().cmp(&w1.count()).then(a1.cmp(a2));
     if k == 0 {
         return Vec::new();
     }
@@ -282,7 +316,7 @@ fn best_k(mut ranked: Vec<(u32, &Vec<u64>)>, k: usize) -> Vec<(u64, Neighbourhoo
     ranked.sort_unstable_by(order);
     ranked
         .into_iter()
-        .map(|(a, ws)| (ws.len() as u64, Neighbourhood::new(a, ws.clone())))
+        .map(|(a, ws)| (ws.count() as u64, Neighbourhood::new(a, ws.decoded())))
         .collect()
 }
 
@@ -290,6 +324,7 @@ fn best_k(mut ranked: Vec<(u32, &Vec<u64>)>, k: usize) -> Vec<(u64, Neighbourhoo
 mod tests {
     use super::*;
     use fews_common::rng::splitmix64;
+    use fews_core::wire::{MemoryState, RunState};
 
     /// Hand-built partition states with duplicate vertices across runs,
     /// ties, and empty runs — the cases where the segmented scan could
@@ -374,7 +409,10 @@ mod tests {
         for (case, parts) in cases.enumerate() {
             let reference = merged(&parts);
             let view = GlobalView::InsertOnly {
-                parts: parts.clone(),
+                parts: parts
+                    .iter()
+                    .map(|p| Arc::new(PackedState::from(&**p)))
+                    .collect(),
                 d2: 2,
             };
             let vertices = parts[0].degrees.len() as u32 + 3;

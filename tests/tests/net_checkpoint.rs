@@ -175,3 +175,60 @@ fn restore_rejects_garbage_and_mismatches_over_the_wire() {
         front.join();
     }
 }
+
+/// Restores whose lengths claim far more than their bytes hold: a
+/// container header naming 2⁴⁰ partitions with no body, and a real
+/// checkpoint whose partition-0 payload is the single varint 2⁴⁰ (a degree
+/// table of 2⁴⁰ entries). Each used to size an allocation from the claimed
+/// count and abort the process. Both are refused typed `checkpoint`, on a
+/// node and on a router over two workers, and the front answers on,
+/// unchanged.
+#[test]
+fn hostile_lengths_are_refused_typed_on_every_tier() {
+    let cfg = EngineConfig::insert_only(FewwConfig::new(64, 8, 2), SEED)
+        .with_partitions(4)
+        .with_shards(2);
+    let huge = 1u64 << 40;
+    let header = checkpoint::Header::for_config(&cfg);
+    let mut no_body = checkpoint::MAGIC.to_vec();
+    for v in [
+        header.model,
+        header.seed,
+        huge,
+        header.n,
+        header.m,
+        header.d,
+        header.alpha,
+    ] {
+        fews_core::wire::put_uvarint(&mut no_body, v);
+    }
+    for front in [Front::node(cfg), Front::routed(cfg)] {
+        let mut client = Client::connect(front.local_addr()).expect("connect");
+        let star: Vec<Update> = (0..8)
+            .map(|b| Update::insert(fews_stream::Edge::new(5, b)))
+            .collect();
+        client.ingest_batch(&star).expect("ingest");
+        let certified = client.certified().expect("certified");
+        let ckpt = client.checkpoint().expect("checkpoint");
+        let inner = checkpoint::unwrap_envelope(&ckpt).expect("envelope").inner;
+        let (_, mut payloads) = checkpoint::decode(inner).expect("own checkpoint decodes");
+        payloads[0].1.clear();
+        fews_core::wire::put_uvarint(&mut payloads[0].1, huge);
+        let huge_degrees = checkpoint::encode(&cfg, &payloads);
+        for (bytes, what) in [
+            (&no_body, "2^40 partitions"),
+            (&huge_degrees, "2^40 degrees"),
+        ] {
+            match client.restore(bytes) {
+                Err(ClientError::Server { code, message, .. }) => {
+                    assert_eq!(code, ErrorCode::Checkpoint, "{what}: {message}");
+                }
+                other => panic!("{what}: expected a checkpoint error, got {other:?}"),
+            }
+            assert_eq!(client.certified().expect("certified"), certified, "{what}");
+            assert_eq!(client.checkpoint().expect("checkpoint"), ckpt, "{what}");
+        }
+        client.shutdown().expect("shutdown");
+        front.join();
+    }
+}
