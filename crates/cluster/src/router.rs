@@ -62,18 +62,18 @@
 //! ## Durability
 //!
 //! With [`RouterOptions::data_dir`] set, the retained state is crash-safe
-//! through a node's durable core ([`fews_engine::wal`]): every acked batch
-//! is appended to a space-tagged, CRC-framed WAL and fsynced by its group
-//! commit *before* the ack — and a failed fsync poisons durability as on a
-//! node. Compaction (whenever every retained log is empty) is
-//! [`Wal::compact`]: a checkpoint envelope whose watermark is the WAL
-//! sequence it covers, then the metadata (the ack watermark `ingested`,
-//! paired with the WAL sequence it counts up to), then the log reset.
-//! `kill -9` of the router replays checkpoint + WAL tail back to bit-exact
-//! retained state and recounts every WAL record past the metadata's
-//! sequence, so the ack watermark never comes back lower than one already
-//! acked; restart then pushes every worker its slice wholesale, so the
-//! cluster's answers are byte-identical to an uninterrupted run.
+//! in a node's data dir holding the default space alone, written, checked
+//! and recovered by the node's durable core ([`fews_engine::wal`]): every
+//! acked batch is appended to the WAL and fsynced by its group commit
+//! *before* the ack, and a failed fsync poisons durability as on a node.
+//! Compaction (whenever every retained log is empty) is [`Wal::compact`]
+//! of one checkpoint envelope carrying the WAL sequence it covers and the
+//! ack watermark `ingested`. A restart passes the node's config guard and
+//! recovery routine: checkpoint + WAL tail replay to bit-exact retained
+//! state, `ingested` comes back as the envelope's plus every update logged
+//! past it, and every worker gets its slice wholesale, so the cluster's
+//! answers are byte-identical to an uninterrupted run. An older data dir's
+//! `router.meta` is read once, as an upgrade.
 //!
 //! The logs have one bound, [`RouterOptions::retained_budget`]. When a
 //! batch would carry them past it, the router first *refreshes*: it pulls
@@ -90,11 +90,10 @@
 use fews_common::rng::derive_seed;
 use fews_common::SpaceId;
 use fews_core::neighbourhood::Neighbourhood;
-use fews_engine::checkpoint::{self, unwrap_envelope, Header};
+use fews_engine::checkpoint::{self, Header};
 use fews_engine::diskfault::DiskFaultPlan;
-use fews_engine::wal::{wal_path, SpaceDir, Wal};
+use fews_engine::wal::{self, scan_log, wal_path, SpaceDir, Wal};
 use fews_engine::{partition_of, Engine, EngineConfig, ModelSpec};
-use fews_net::proto::body_fits;
 use fews_net::serve::{self, FrontEnd};
 use fews_net::server::validate_batch;
 use fews_net::{
@@ -114,10 +113,9 @@ use std::time::{Duration, Instant};
 /// chunk always fits one frame, large enough to amortize round-trips.
 const REPLAY_CHUNK: usize = 8192;
 
-/// The router's durable metadata file inside the data dir.
+/// Where data dirs kept the ack watermark before the v3 envelope: read
+/// beside an older envelope (or none), removed by compaction, never written.
 const META_FILE: &str = "router.meta";
-/// The metadata file's first line.
-const META_HEADER: &str = "fews-router-meta v1";
 
 /// Base unit of the `retry_after_ms` hint on router-side shedding, scaled
 /// by how far past the retained-log budget the router is.
@@ -164,7 +162,7 @@ pub struct RouterOptions {
     /// to come back. Must be at least 1; [`Router::start`] refuses 0.
     pub retained_budget: u64,
     /// Storage fault lab: a seeded plan consulted by every WAL flush and
-    /// fsync and by every compaction's checkpoint and metadata replace —
+    /// fsync and by every compaction's checkpoint replace —
     /// the type a node's `ServerOptions::disk_faults` takes. `None` (the
     /// default) runs the real disk untouched.
     pub disk_faults: Option<Arc<DiskFaultPlan>>,
@@ -214,12 +212,11 @@ impl Node {
     }
 }
 
-/// The router's durable half: WAL + checkpoint store + metadata, all under
-/// one data dir.
+/// The router's durable half: the WAL and the default space's directory
+/// of a node's data dir.
 struct Durable {
     wal: Wal,
     store: SpaceDir,
-    meta: PathBuf,
 }
 
 /// All router state, behind the one mutex.
@@ -246,22 +243,6 @@ struct Inner {
     /// Ingest batches the router itself shed with [`ErrorCode::Overloaded`]
     /// (retained-log budget exhausted) — surfaced in `stats`.
     shed_ingest: u64,
-}
-
-/// The identity card every worker must match: the checkpoint header of the
-/// router's own config. Equal cards ⇒ interchangeable partition state.
-fn expected_info(cfg: &EngineConfig) -> WireNodeInfo {
-    let h = Header::for_config(cfg);
-    WireNodeInfo {
-        model: h.model,
-        seed: h.seed,
-        partitions: h.partitions,
-        n: h.n,
-        m: h.m,
-        d: h.d,
-        alpha: h.alpha,
-        ingested: 0,
-    }
 }
 
 /// `owners[p]` for every partition: the `min(replicas, nodes)` ring
@@ -303,51 +284,60 @@ fn client_opts_for(opts: &RouterOptions, i: usize) -> ClientOptions {
     o
 }
 
-/// Read the metadata file back as `(ingested, wal_seq)`: `None` if absent
-/// (the router never finished a compaction), `InvalidData` naming the file
-/// if it does not parse — recounting from the WAL tail alone would bring
-/// the ack watermark back lower than one already acked. `wal_seq` is
-/// `None` in a file written before the pairing existed; other lines, such
-/// as an older file's `assign_epoch`, are skipped.
-fn read_meta(path: &Path) -> std::io::Result<Option<(u64, Option<u64>)>> {
+/// The ack watermark of a data dir from before the v3 envelope (or with no
+/// checkpoint yet), by the rule that wrote it: `router.meta`'s count (0
+/// without the file) plus every default-space update past the WAL sequence
+/// it covers, which may include records the checkpoint holds (`tail` is
+/// those past it). An unparsable file is `InvalidData`, naming it; other
+/// lines, such as an older file's `assign_epoch`, are skipped.
+fn legacy_ingested(dir: &Path, wal_seq: u64, tail: u64) -> std::io::Result<u64> {
+    let path = dir.join(META_FILE);
     let fail = |kind, why: &dyn std::fmt::Display| {
         std::io::Error::new(kind, format!("router meta {}: {why}", path.display()))
     };
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
+    let (count, counted) = match std::fs::read_to_string(&path) {
+        Err(e) if e.kind() == ErrorKind::NotFound => (0, 0),
         Err(e) => return Err(fail(e.kind(), &e)),
-    };
-    // `None` if the key is absent, `Some(None)` if its value is unreadable.
-    let value = |key: &str| {
-        let mut line = text.lines().skip(1).map(str::split_whitespace);
-        let mut words = line.find(|words| words.clone().next() == Some(key))?;
-        Some(words.nth(1).and_then(|v| v.parse::<u64>().ok()))
-    };
-    match (text.lines().next(), value("ingested"), value("wal_seq")) {
-        (Some(META_HEADER), Some(Some(ingested)), wal_seq) if wal_seq != Some(None) => {
-            Ok(Some((ingested, wal_seq.flatten())))
+        Ok(text) => {
+            // `None` if the key is absent, `Some(None)` if unreadable.
+            let value = |key: &str| {
+                let mut line = text.lines().skip(1).map(str::split_whitespace);
+                let mut words = line.find(|words| words.clone().next() == Some(key))?;
+                Some(words.nth(1).and_then(|v| v.parse::<u64>().ok()))
+            };
+            match (text.lines().next(), value("ingested"), value("wal_seq")) {
+                (Some("fews-router-meta v1"), Some(Some(count)), seq) if seq != Some(None) => {
+                    (count, seq.flatten().unwrap_or(wal_seq))
+                }
+                _ => return Err(fail(ErrorKind::InvalidData, &"unreadable")),
+            }
         }
-        _ => Err(fail(ErrorKind::InvalidData, &"unreadable")),
+    };
+    let mut covered = 0;
+    if counted < wal_seq {
+        let (records, _, _) = scan_log(&std::fs::read(wal_path(dir))?);
+        covered = records
+            .iter()
+            .filter(|(seq, space, _)| {
+                (counted + 1..=wal_seq).contains(seq) && space == fews_common::DEFAULT_SPACE
+            })
+            .map(|(_, _, updates)| updates.len() as u64)
+            .sum();
     }
+    Ok(count + covered + tail)
 }
 
 /// Decode a full checkpoint (an envelope or a bare container) into the
-/// dense per-partition payload store and the WAL sequence it covers —
-/// the one decoder under startup recovery and a wire `restore`. Refuses a
-/// container for another space or another config; a full container for
-/// this config carries partitions `0..P` in order.
-fn decode_store(cfg: &EngineConfig, bytes: &[u8]) -> Result<(Vec<Vec<u8>>, u64), String> {
-    let env = unwrap_envelope(bytes).map_err(|e| e.to_string())?;
-    if env.space != SpaceId::default_space().as_str() {
-        return Err(format!(
-            "checkpoint is for space '{}', a cluster router serves the default space",
-            env.space
-        ));
-    }
+/// dense per-partition payload store — the one decoder under startup
+/// recovery and a wire `restore`. Refuses a container for another space
+/// or another config; a full container for this config carries
+/// partitions `0..P` in order.
+fn decode_store(cfg: &EngineConfig, bytes: &[u8]) -> Result<Vec<Vec<u8>>, String> {
+    let env =
+        checkpoint::unwrap_for(bytes, fews_common::DEFAULT_SPACE).map_err(|e| e.to_string())?;
     let (header, listed) = checkpoint::decode(env.inner).map_err(|e| e.to_string())?;
     header.check_against(cfg).map_err(|e| e.to_string())?;
-    Ok((listed.into_iter().map(|(_, b)| b).collect(), env.wal_seq))
+    Ok(listed.into_iter().map(|(_, b)| b).collect())
 }
 
 /// Connect to a worker and verify it serves the exact model, seed, and
@@ -362,7 +352,7 @@ fn admit(
     let info = client
         .node_hello()
         .map_err(|e| format!("worker {addr}: hello: {e}"))?;
-    let want = expected_info(cfg);
+    let want = WireNodeInfo::new(&Header::for_config(cfg), 0);
     let got = WireNodeInfo {
         ingested: 0,
         ..info
@@ -404,7 +394,7 @@ fn keeps_node_live(code: ErrorCode) -> bool {
 /// Check that an answered vertex is one the read could produce: a vertex
 /// of the model (`< n`) in one of the `named` partitions.
 fn check_vertex(cfg: &EngineConfig, named: &[u32], a: u32) -> Result<(), String> {
-    let n = expected_info(cfg).n;
+    let n = Header::for_config(cfg).n;
     if u64::from(a) >= n {
         return Err(format!("answered vertex {a}, past n = {n}"));
     }
@@ -833,26 +823,23 @@ impl Inner {
         Ok(())
     }
 
-    /// Durably anchor the retained state ([`Wal::compact`]): write the
-    /// checkpoint envelope (watermarked with the last WAL sequence it
-    /// covers), then the metadata — the ack watermark `ingested`, which
-    /// counts every update in WAL records up to that same sequence — then
-    /// reset the WAL. Sound only when every retained log is empty — the
-    /// payload store then *is* the full retained state. A crash between
-    /// any two steps recovers exactly: records the checkpoint covers are
-    /// not replayed, and records past the metadata's sequence are still in
-    /// the log to count.
+    /// Durably anchor the retained state ([`Wal::compact`]): one checkpoint
+    /// envelope carrying the last WAL sequence it covers and the ack
+    /// watermark `ingested`, then the WAL reset. Sound only when every
+    /// retained log is empty — the payload store then *is* the full
+    /// retained state.
     fn compact_durable(&mut self) -> std::io::Result<()> {
         let Some(d) = &self.durable else {
             return Ok(());
         };
         debug_assert!(self.logs.iter().all(|l| l.is_empty()));
         let seq = d.wal.last_seq();
-        let meta = format!("{META_HEADER}\ningested {}\nwal_seq {seq}\n", self.ingested);
-        d.wal.compact([
-            (d.store.checkpoint_path(), self.envelope(seq)),
-            (d.meta.clone(), meta.into_bytes()),
-        ])
+        d.wal
+            .compact([(d.store.checkpoint_path(), self.envelope(seq, self.ingested))])?;
+        // The envelope carries what an older data dir's router.meta held,
+        // which is never read beside one: a failed removal is moot.
+        let _ = std::fs::remove_file(d.store.path().with_file_name(META_FILE));
+        Ok(())
     }
 
     /// Answer `query` from the designated readers: plan the read
@@ -972,12 +959,13 @@ impl Inner {
     /// space like a single server's answer.
     fn checkpoint(&mut self) -> Result<Vec<u8>, Fail> {
         self.refresh_all_strict()?;
-        Ok(self.envelope(0))
+        Ok(self.envelope(0, 0))
     }
 
     /// The payload store as a default-space checkpoint envelope stamped
-    /// with `wal_seq` — what a checkpoint answers and compaction persists.
-    fn envelope(&self, wal_seq: u64) -> Vec<u8> {
+    /// with `wal_seq` and `acked` — what a checkpoint answers (both 0, as a
+    /// memory-only node's) and compaction persists.
+    fn envelope(&self, wal_seq: u64, acked: u64) -> Vec<u8> {
         let listed: Vec<(u32, Vec<u8>)> = self
             .payloads
             .iter()
@@ -985,7 +973,7 @@ impl Inner {
             .map(|(p, b)| (p as u32, b.clone()))
             .collect();
         let inner = checkpoint::encode(&self.cfg, &listed);
-        checkpoint::wrap_envelope(SpaceId::default_space().as_str(), wal_seq, &inner)
+        checkpoint::wrap_acked(SpaceId::default_space().as_str(), wal_seq, acked, &inner)
     }
 
     /// Install a full checkpoint cluster-wide. Every payload first passes
@@ -996,7 +984,7 @@ impl Inner {
     /// that misses the push is marked down and recovers the restored state
     /// through the ordinary rejoin path — so the restore is never torn.
     fn restore(&mut self, bytes: &[u8]) -> Result<(), Fail> {
-        let (dense, _) = decode_store(&self.cfg, bytes).map_err(|m| (ErrorCode::Checkpoint, m))?;
+        let dense = decode_store(&self.cfg, bytes).map_err(|m| (ErrorCode::Checkpoint, m))?;
         let listed = dense.iter().enumerate().map(|(p, b)| (p as u32, &b[..]));
         Engine::validate_payloads(&self.cfg, listed)
             .map_err(|e| (ErrorCode::Checkpoint, e.to_string()))?;
@@ -1169,7 +1157,8 @@ impl Router {
     /// otherwise admit every worker fresh (connect, verify identity,
     /// require an empty engine) and seed the per-partition payload store
     /// from a scratch local engine. Workers keep no ownership state: every
-    /// scoped read names the partitions it wants.
+    /// scoped read names the partitions it wants. Refuses (`InvalidInput`)
+    /// a data dir written under another model config or seed, as a node.
     pub fn start(
         cfg: EngineConfig,
         addr: &str,
@@ -1206,61 +1195,48 @@ impl Router {
         let mut recovered_payloads: Option<Vec<Vec<u8>>> = None;
         let mut logs: Vec<Vec<Update>> = vec![Vec::new(); partitions];
         let mut ingested = 0u64;
-        let mut recovered = false;
         if let Some(dir) = &opts.data_dir {
             std::fs::create_dir_all(dir)?;
-            let store = SpaceDir::new(dir, &SpaceId::default_space());
-            std::fs::create_dir_all(store.path())?;
-            let prior = store
-                .read_checkpoint()?
-                .map(|bytes| decode_store(&cfg, &bytes))
+            // A node's data dir holding the default space alone, guarded
+            // against other model flags before anything in it is touched.
+            let default = SpaceId::default_space();
+            let store = SpaceDir::new(dir, &default);
+            let adopted = store.check_flags(&cfg)?.is_some();
+            let mut rec = wal::recover(dir, &[default], opts.disk_faults.clone())?;
+            let found = rec.spaces.pop().expect("one listed space");
+            recovered_payloads = found
+                .checkpoint
+                .as_deref()
+                .map(|bytes| decode_store(&cfg, bytes))
                 .transpose()
                 .map_err(|m| invalid(format!("router checkpoint: {m}")))?;
-            let floor = prior.as_ref().map_or(0, |&(_, wal_seq)| wal_seq);
-            let (wal, recovery) = Wal::open_with(&wal_path(dir), floor, opts.disk_faults.clone())?;
-            let meta = dir.join(META_FILE);
-            // `ingested` counts the records up to meta's WAL sequence. A
-            // crash between the checkpoint and meta writes leaves records
-            // the checkpoint covers (not replayed) that meta never counted
-            // (counted here), so the ack watermark comes back whole.
-            // Without meta no compaction ever finished, so the log was
-            // never reset and every record in it counts.
-            let mut counted = 0;
-            if let Some((count, wal_seq)) = read_meta(&meta)? {
-                ingested = count;
-                counted = wal_seq.unwrap_or(floor);
+            if !adopted {
+                // An older data dir, its checkpoint header just checked.
+                store.init(&cfg.to_space(0), cfg.seed)?;
             }
-            let mut replayed = 0u64;
-            for (seq, space, updates) in &recovery.replay {
-                if space != SpaceId::default_space().as_str() {
-                    continue;
-                }
-                if *seq > counted {
-                    ingested += updates.len() as u64;
-                }
-                if *seq <= floor {
-                    continue;
-                }
-                for u in updates {
-                    logs[partition_of(u.edge.a, partitions)].push(*u);
-                }
-                replayed += updates.len() as u64;
+            let tail: u64 = found.records.iter().map(|(_, u)| u.len() as u64).sum();
+            ingested = match found.acked {
+                // Every update the checkpoint covers, and every one past it.
+                Some(acked) => acked + tail,
+                None => legacy_ingested(dir, found.wal_seq, tail)?,
+            };
+            for u in found.records.into_iter().flat_map(|(_, updates)| updates) {
+                logs[partition_of(u.edge.a, partitions)].push(u);
             }
-            recovered = prior.is_some() || replayed > 0;
-            recovered_payloads = prior.map(|(dense, _)| dense);
-            durable = Some(Durable { wal, store, meta });
+            durable = Some(Durable {
+                wal: rec.wal,
+                store,
+            });
         }
 
+        let recovered = recovered_payloads.is_some() || logs.iter().any(|l| !l.is_empty());
         // Baseline payloads: empty partition state is a pure function of
         // `(seed, p)`, so build it from a scratch local engine instead of
         // trusting any worker's bytes.
         let payloads = match recovered_payloads {
             Some(p) => p,
-            None => {
-                decode_store(&cfg, &Engine::start(cfg).checkpoint())
-                    .map_err(|m| invalid(format!("baseline checkpoint: {m}")))?
-                    .0
-            }
+            None => decode_store(&cfg, &Engine::start(cfg).checkpoint())
+                .map_err(|m| invalid(format!("baseline checkpoint: {m}")))?,
         };
 
         let mut nodes = Vec::with_capacity(workers.len());
@@ -1486,18 +1462,7 @@ fn handle_request(space: SpaceId, request: Request, shared: &RouterShared) -> Re
             Err(fail) => fail_response(fail),
         },
         Request::Checkpoint => match inner.checkpoint() {
-            Ok(bytes) => {
-                if !body_fits(bytes.len()) {
-                    return Response::error(
-                        ErrorCode::Oversized,
-                        format!(
-                            "checkpoint is {} bytes, larger than one frame can carry",
-                            bytes.len()
-                        ),
-                    );
-                }
-                Response::Checkpoint(bytes)
-            }
+            Ok(bytes) => Response::Checkpoint(bytes).bounded(),
             Err(fail) => fail_response(fail),
         },
         Request::Restore(bytes) => match inner.restore(&bytes) {
@@ -1508,13 +1473,10 @@ fn handle_request(space: SpaceId, request: Request, shared: &RouterShared) -> Re
             Ok(()) => Response::SpaceOk,
             Err(fail) => fail_response(fail),
         },
-        Request::NodeHello => {
-            let info = WireNodeInfo {
-                ingested: inner.ingested,
-                ..expected_info(&inner.cfg)
-            };
-            Response::NodeInfo(info)
-        }
+        Request::NodeHello => Response::NodeInfo(WireNodeInfo::new(
+            &Header::for_config(&inner.cfg),
+            inner.ingested,
+        )),
         // Answered before the space check; unreachable here.
         Request::CreateSpace(_)
         | Request::DropSpace
@@ -1538,6 +1500,7 @@ mod tests {
     use fews_core::insertion_deletion::IdConfig;
     use fews_core::insertion_only::FewwConfig;
     use fews_core::wire::{MemoryState, PackedState, RunState};
+    use fews_engine::checkpoint::unwrap_envelope;
     use fews_engine::diskfault::{CrashPoint, DiskFaultProfile};
     use fews_engine::{GlobalView, Scope};
     use fews_net::{OverloadLimits, Server, ServerOptions};
@@ -1968,8 +1931,8 @@ mod tests {
         // before chunk 21 and compacts chunks 1–20 into the checkpoint, so
         // chunks 21–22 are retained only in the WAL tail — the restart
         // exercises checkpoint restore AND WAL replay. At 1 << 20 nothing
-        // ever compacts: the router dies before writing any checkpoint or
-        // metadata, and the restart recovers from the WAL alone.
+        // ever compacts: the router dies before writing any checkpoint,
+        // and the restart recovers from the WAL alone.
         for budget in [HEALTHY_BUDGET, 1 << 20] {
             let dir = scratch_dir(&format!("restart-{budget}"));
             let (workers, addrs, opts) = durable_pair(&dir, budget);
@@ -1990,17 +1953,88 @@ mod tests {
                 router.shutdown();
                 router.join();
             }
+            // A node's data dir: the config guard's file from the start,
+            // and the ack watermark inside the checkpoint envelope.
+            assert!(dir.join("default").join("space.cfg").is_file());
             assert_eq!(
-                dir.join(META_FILE).exists(),
-                budget == HEALTHY_BUDGET,
-                "budget {budget}: only a compaction writes the metadata"
+                dir.join("default").join("checkpoint.fck").exists(),
+                budget == HEALTHY_BUDGET
             );
+            assert!(!dir.join(META_FILE).exists(), "budget {budget}");
 
             // The workers die too; they come back empty. Everything the new
             // router pushes them comes from disk alone.
             assert_restart_exact(workers, &addrs, opts, &updates);
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    /// Every file under `dir`, with its bytes.
+    fn dir_bytes(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut files = Vec::new();
+        let mut todo = vec![dir.to_path_buf()];
+        while let Some(d) = todo.pop() {
+            for entry in std::fs::read_dir(&d).expect("read dir") {
+                let path = entry.expect("entry").path();
+                if path.is_dir() {
+                    todo.push(path);
+                } else {
+                    files.push((path.clone(), std::fs::read(&path).expect("read file")));
+                }
+            }
+        }
+        files.sort();
+        files
+    }
+
+    /// A router restarted over its data dir under other model flags is
+    /// refused `InvalidInput`, naming the config, before it opens or
+    /// writes anything there — as a node is. Before the first compaction
+    /// the data dir holds a WAL alone, and after one a checkpoint too.
+    #[test]
+    fn restart_under_other_flags_is_refused_and_leaves_the_data_dir_unchanged() {
+        let cfg = test_cfg();
+        let dir = scratch_dir("flags");
+        let (workers, addrs, opts) = durable_pair(&dir, 1 << 20);
+        let updates = stream(400);
+        let other_seed = EngineConfig { seed: 7, ..cfg };
+        let other_n = EngineConfig::insert_only(FewwConfig::new(128, 8, 2), cfg.seed)
+            .with_shards(2)
+            .with_partitions(8);
+        for checkpointed in [false, true] {
+            let router = Router::start(cfg, "127.0.0.1:0", &addrs, opts.clone()).expect("router");
+            let mut client = Client::connect(router.local_addr()).expect("connect");
+            if checkpointed {
+                client.checkpoint().expect("a compaction");
+            } else {
+                for chunk in updates.chunks(97) {
+                    client.ingest_batch(chunk).expect("ingest");
+                }
+            }
+            router.shutdown();
+            router.join();
+            assert_eq!(
+                dir.join("default").join("checkpoint.fck").exists(),
+                checkpointed
+            );
+            let before = dir_bytes(&dir);
+            for other in [other_seed, other_n] {
+                match Router::start(other, "127.0.0.1:0", &addrs, opts.clone()) {
+                    Err(e) => {
+                        assert_eq!(e.kind(), ErrorKind::InvalidInput);
+                        assert!(e.to_string().contains("different config"), "got {e}");
+                    }
+                    Ok(_) => panic!("a router started over a data dir written under other flags"),
+                }
+                assert!(
+                    dir_bytes(&dir) == before,
+                    "a refused start changed the data dir"
+                );
+            }
+        }
+        // Under its own flags it still restarts exact.
+        assert_restart_exact(workers, &addrs, opts, &updates);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// One injected fsync failure refuses a batch typed `durability`, and
@@ -2079,10 +2113,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A compaction killed after its checkpoint rename, before the first
-    /// metadata file was ever written, leaves a checkpoint, no metadata and
-    /// the WAL it never reset. Every record in that log is acked and
-    /// counts, those the checkpoint covers included.
+    /// The first compaction killed after its checkpoint rename leaves the
+    /// checkpoint beside the WAL it never reset. Every record in that log
+    /// is acked and counts once: those the checkpoint covers through its
+    /// ack watermark, any past it from the log.
     #[test]
     fn crash_inside_the_first_compaction_keeps_the_ack_watermark() {
         let cfg = test_cfg();
@@ -2105,7 +2139,6 @@ mod tests {
             .expect("the compaction's failure is not the checkpoint's");
         assert_eq!(plan.counts().crashes, 1);
         assert!(dir.join("default").join("checkpoint.fck").exists());
-        assert!(!dir.join(META_FILE).exists());
         router.shutdown();
         router.join();
 
@@ -2114,11 +2147,39 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A metadata file that exists but does not parse refuses the start,
-    /// naming the file, instead of recounting the ack watermark from the
-    /// WAL tail alone (which would bring it back lower than one already
-    /// acked). A file in the older format, with its `assign_epoch` line,
-    /// still reads.
+    /// Rewrite a data dir this router wrote into the layout routers wrote
+    /// before the v3 envelope: the checkpoint as a v2 envelope (no ack
+    /// watermark), the count in a `router.meta` of the older format (with
+    /// its `assign_epoch` line) covering WAL records up to `meta_seq`, and
+    /// no `space.cfg`.
+    fn to_parent_layout(dir: &Path, ingested: u64, meta_seq: u64) {
+        let store = SpaceDir::new(dir, &SpaceId::default_space());
+        let bytes = store
+            .read_checkpoint()
+            .expect("read")
+            .expect("a checkpoint");
+        let env = unwrap_envelope(&bytes).expect("envelope");
+        let mut v2 = b"FEWWCKP2".to_vec();
+        fews_core::wire::put_uvarint(&mut v2, env.space.len() as u64);
+        v2.extend_from_slice(env.space.as_bytes());
+        fews_core::wire::put_uvarint(&mut v2, env.wal_seq);
+        v2.extend_from_slice(env.inner);
+        assert_eq!(unwrap_envelope(&v2).expect("v2").acked, None);
+        store.write_checkpoint(&v2).expect("write v2");
+        std::fs::remove_file(store.path().join("space.cfg")).expect("no space.cfg");
+        let meta = format!(
+            "fews-router-meta v1\nassign_epoch 2\ningested {ingested}\nwal_seq {meta_seq}\n"
+        );
+        std::fs::write(dir.join(META_FILE), meta).expect("router.meta");
+    }
+
+    /// A data dir in the layout of routers before the v3 envelope — a v2
+    /// checkpoint, a `router.meta` of the older format and a WAL tail —
+    /// restarts exact, adopts the current flags, and loses `router.meta` to
+    /// its first compaction. A `router.meta` that exists there but does not
+    /// parse refuses the start, naming the file, instead of recounting the
+    /// ack watermark from the WAL tail alone (which would bring it back
+    /// lower than one already acked).
     #[test]
     fn unreadable_meta_refuses_the_start_and_an_older_meta_still_reads() {
         let cfg = test_cfg();
@@ -2132,9 +2193,15 @@ mod tests {
         }
         router.shutdown();
         router.join();
-        let meta = dir.join(META_FILE);
-        let written = std::fs::read_to_string(&meta).expect("meta");
+        // The last compaction covered chunks 1–20 (WAL records 1–20); 21–22
+        // are the WAL tail.
+        let bytes = std::fs::read(dir.join("default").join("checkpoint.fck")).expect("checkpoint");
+        let env = unwrap_envelope(&bytes).expect("envelope");
+        assert_eq!((env.wal_seq, env.acked), (20, Some(20 * 97)));
+        to_parent_layout(&dir, 20 * 97, 20);
 
+        let meta = dir.join(META_FILE);
+        let older = std::fs::read(&meta).expect("meta");
         std::fs::write(&meta, "garbage\n").expect("overwrite meta");
         match Router::start(cfg, "127.0.0.1:0", &addrs, opts.clone()) {
             Err(e) => {
@@ -2144,9 +2211,45 @@ mod tests {
             Ok(_) => panic!("a router started over an unreadable {META_FILE}"),
         }
 
-        let (header, rest) = written.split_once('\n').expect("a header line");
-        std::fs::write(&meta, format!("{header}\nassign_epoch 2\n{rest}")).expect("older meta");
+        std::fs::write(&meta, older).expect("older meta");
         assert_restart_exact(workers, &addrs, opts, &updates);
+        assert!(dir.join("default").join("space.cfg").is_file());
+        assert!(!meta.exists(), "the first compaction removes {META_FILE}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The crash window routers had before the v3 envelope, between the
+    /// checkpoint and `router.meta` writes: compaction B's v2 checkpoint,
+    /// A's `router.meta` and the WAL from before B. The records B's
+    /// checkpoint holds and A's count does not are counted from the log,
+    /// so the ack watermark comes back whole.
+    #[test]
+    fn parent_crash_between_checkpoint_and_meta_recounts_the_log() {
+        let cfg = test_cfg();
+        let dir = scratch_dir("parent-window");
+        let (workers, addrs, opts) = durable_pair(&dir, 1 << 20);
+        let updates = stream(1_000);
+        let (first, rest) = updates.split_at(400);
+        let router = Router::start(cfg, "127.0.0.1:0", &addrs, opts.clone()).expect("router");
+        let mut client = Client::connect(router.local_addr()).expect("connect");
+        for chunk in first.chunks(97) {
+            client.ingest_batch(chunk).expect("ingest");
+        }
+        client
+            .checkpoint()
+            .expect("compaction A, through WAL record 5");
+        for chunk in rest.chunks(97) {
+            client.ingest_batch(chunk).expect("ingest");
+        }
+        let wal_before_b = std::fs::read(wal_path(&dir)).expect("WAL before B");
+        client.checkpoint().expect("compaction B");
+        router.shutdown();
+        router.join();
+        to_parent_layout(&dir, first.len() as u64, 5);
+        std::fs::write(wal_path(&dir), wal_before_b).expect("restore the WAL");
+
+        let (workers, router, client) = restart_cluster(workers, &addrs, opts);
+        assert_holds_exactly(workers, router, client, &updates);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2191,10 +2294,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A crash between the checkpoint write and the meta write leaves a
-    /// checkpoint newer than meta and a WAL that was never reset. The
-    /// restarted router must still count every acked update: its ingest
-    /// count is the ack watermark read-your-writes queries carry back.
+    /// The one crash window a compaction has: after its checkpoint write,
+    /// before the WAL reset, which leaves compaction B's checkpoint beside
+    /// the WAL from before B. The restarted router must still count every
+    /// acked update, once: its ingest count is the ack watermark
+    /// read-your-writes queries carry back.
     #[test]
     fn crash_between_checkpoint_and_meta_keeps_the_ack_watermark() {
         let cfg = test_cfg();
@@ -2210,7 +2314,6 @@ mod tests {
             client.ingest_batch(chunk).expect("ingest");
         }
         client.checkpoint().expect("compaction A");
-        let meta_a = std::fs::read(dir.join(META_FILE)).expect("meta A");
         for chunk in rest.chunks(97) {
             client.ingest_batch(chunk).expect("ingest");
         }
@@ -2222,8 +2325,7 @@ mod tests {
         router.join();
 
         // Compaction B as a crash right after its checkpoint write leaves
-        // it: B's checkpoint, A's meta, and the WAL B never reset.
-        std::fs::write(dir.join(META_FILE), meta_a).expect("restore meta A");
+        // it: B's checkpoint and the WAL B never reset.
         std::fs::write(wal_path(&dir), wal_before_b).expect("restore the WAL");
 
         let router = Router::start(cfg, "127.0.0.1:0", &addrs, opts).expect("restarted router");
@@ -2438,7 +2540,7 @@ mod tests {
             .collect();
         for (cfg, updates) in [(io, stream(3_000)), (io, repeats), (id, log.updates)] {
             let view = reference_view(cfg, &updates);
-            let n = expected_info(&cfg).n as u32;
+            let n = Header::for_config(&cfg).n as u32;
             let partitions = cfg.partitions;
             assert!(view.certified().is_some(), "the stream certifies a vertex");
             for seed in 0..40u64 {
@@ -2680,7 +2782,9 @@ mod tests {
             };
             let response = match request {
                 Request::Ping => Response::Pong,
-                Request::NodeHello => Response::NodeInfo(expected_info(cfg)),
+                Request::NodeHello => {
+                    Response::NodeInfo(WireNodeInfo::new(&Header::for_config(cfg), 0))
+                }
                 Request::SliceRestore(_) => Response::Restored,
                 Request::IngestBatch(u) => match mode {
                     FakeMode::ShedIngest => Response::overloaded("shedding".into(), 100),
@@ -2714,7 +2818,7 @@ mod tests {
                             continue;
                         }
                         FakeMode::UnnamedPartition => {
-                            let unnamed = (0..expected_info(cfg).n as u32).find(|&a| {
+                            let unnamed = (0..Header::for_config(cfg).n as u32).find(|&a| {
                                 let p = partition_of(a, cfg.partitions) as u32;
                                 named.binary_search(&p).is_err()
                             });

@@ -91,7 +91,7 @@ impl<A: SpaceUsage, B: SpaceUsage, C: SpaceUsage> SpaceUsage for (A, B, C) {
 
 /// Approximate per-entry overhead of `std::collections::HashMap`
 /// (SwissTable control byte + load-factor slack, amortised).
-const HASH_ENTRY_OVERHEAD: usize = 2;
+pub const HASH_ENTRY_OVERHEAD: usize = 2;
 
 impl<K: SpaceUsage, V: SpaceUsage, S> SpaceUsage for HashMap<K, V, S> {
     fn space_bytes(&self) -> usize {

@@ -28,8 +28,8 @@ use fews_core::wire::{get_uvarint, put_uvarint};
 /// Magic bytes opening every engine checkpoint.
 pub const MAGIC: &[u8; 8] = b"FEWWCKP1";
 
-/// Magic bytes opening a space-tagged v2 checkpoint envelope.
-pub const ENVELOPE_MAGIC: &[u8; 8] = b"FEWWCKP2";
+/// Magic bytes opening a space-tagged v3 checkpoint envelope.
+pub const ENVELOPE_MAGIC: &[u8; 8] = b"FEWWCKP3";
 
 /// Per-partition payloads: `(partition id, encoded wire-format state)`.
 pub type PartitionPayloads = Vec<(u32, Vec<u8>)>;
@@ -97,6 +97,20 @@ impl Header {
         }
     }
 
+    /// Read the header's seven varints at `pos` (a container or a slice).
+    fn get(bytes: &[u8], pos: &mut usize) -> Result<Header, CheckpointError> {
+        let mut next = || get_uvarint(bytes, pos).ok_or(CheckpointError::Truncated);
+        Ok(Header {
+            model: next()?,
+            seed: next()?,
+            partitions: next()?,
+            n: next()?,
+            m: next()?,
+            d: next()?,
+            alpha: next()?,
+        })
+    }
+
     /// Check compatibility with a restoring engine's configuration.
     pub fn check_against(&self, cfg: &EngineConfig) -> Result<(), CheckpointError> {
         let expect = Header::for_config(cfg);
@@ -109,21 +123,21 @@ impl Header {
     }
 }
 
-/// A parsed space-tagged checkpoint envelope (v2), or the default-space view
-/// of a bare v1 container.
-///
-/// The envelope wraps the v1 partition container without reinterpreting it:
+/// A parsed space-tagged checkpoint envelope, or the default-space view of
+/// a bare v1 container. The envelope wraps the container untouched:
 ///
 /// ```text
-/// magic    b"FEWWCKP2"                    (8 bytes)
+/// magic    b"FEWWCKP3"                    (8 bytes)
 /// space    name length varint, name bytes (UTF-8, SpaceId charset)
 /// wal_seq  varint — highest WAL record sequence number already folded into
 ///          the inner container; recovery replays only records beyond it
+/// acked    varint — the ack watermark a restart re-seeds from: `wal_seq`
+///          on a node, the lifetime update count on a router
 /// inner    the bare v1 container (b"FEWWCKP1"…), to the end of the bytes
 /// ```
 ///
-/// Old bare containers stay restorable: [`unwrap_envelope`] maps a
-/// `FEWWCKP1` byte string to `(space = "default", wal_seq = 0, inner = all)`.
+/// Older layouts still read: the v2 envelope (`b"FEWWCKP2"`, no `acked`),
+/// and a bare `FEWWCKP1` container as `(space = "default", wal_seq = 0)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Envelope<'a> {
     /// Name of the space the checkpoint belongs to.
@@ -131,36 +145,48 @@ pub struct Envelope<'a> {
     /// WAL sequence watermark: records with `seq <= wal_seq` are already in
     /// the container and must not be replayed again.
     pub wal_seq: u64,
+    /// The ack watermark the checkpoint covers; `None` in a v1 container or
+    /// a v2 envelope, which predate it.
+    pub acked: Option<u64>,
     /// The bare v1 partition container.
     pub inner: &'a [u8],
 }
 
-/// Wrap a bare v1 container in a space-tagged v2 envelope.
+/// Wrap a bare v1 container in a v3 envelope whose ack watermark is
+/// `wal_seq` — a node's, whose acks ride the WAL sequence.
 pub fn wrap_envelope(space: &str, wal_seq: u64, inner: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(24 + space.len() + inner.len());
+    wrap_acked(space, wal_seq, wal_seq, inner)
+}
+
+/// Wrap a bare v1 container in a v3 envelope: the one envelope encoder.
+pub fn wrap_acked(space: &str, wal_seq: u64, acked: u64, inner: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(34 + space.len() + inner.len());
     buf.extend_from_slice(ENVELOPE_MAGIC);
     put_uvarint(&mut buf, space.len() as u64);
     buf.extend_from_slice(space.as_bytes());
     put_uvarint(&mut buf, wal_seq);
+    put_uvarint(&mut buf, acked);
     buf.extend_from_slice(inner);
     buf
 }
 
-/// Parse a checkpoint byte string into its envelope view. Accepts both the
-/// v2 envelope and a bare v1 container (treated as the default space at
-/// watermark 0); anything else is [`CheckpointError::BadMagic`].
+/// Parse a checkpoint byte string into its envelope view (any layout
+/// [`Envelope`] reads); anything else is [`CheckpointError::BadMagic`].
 pub fn unwrap_envelope(bytes: &[u8]) -> Result<Envelope<'_>, CheckpointError> {
-    if bytes.len() >= MAGIC.len() && &bytes[..MAGIC.len()] == MAGIC {
+    let magic = bytes.get(..MAGIC.len()).ok_or(CheckpointError::BadMagic)?;
+    if magic == MAGIC {
         return Ok(Envelope {
             space: fews_common::DEFAULT_SPACE,
             wal_seq: 0,
+            acked: None,
             inner: bytes,
         });
     }
-    if bytes.len() < ENVELOPE_MAGIC.len() || &bytes[..ENVELOPE_MAGIC.len()] != ENVELOPE_MAGIC {
+    let v3 = magic == ENVELOPE_MAGIC;
+    if !v3 && magic != b"FEWWCKP2" {
         return Err(CheckpointError::BadMagic);
     }
-    let mut pos = ENVELOPE_MAGIC.len();
+    let mut pos = MAGIC.len();
     let name_len = get_uvarint(bytes, &mut pos).ok_or(CheckpointError::Truncated)? as usize;
     if name_len > MAX_SPACE_NAME {
         return Err(CheckpointError::Corrupt(format!(
@@ -169,19 +195,33 @@ pub fn unwrap_envelope(bytes: &[u8]) -> Result<Envelope<'_>, CheckpointError> {
     }
     let name_end = pos
         .checked_add(name_len)
+        .filter(|&end| end <= bytes.len())
         .ok_or(CheckpointError::Truncated)?;
-    if name_end > bytes.len() {
-        return Err(CheckpointError::Truncated);
-    }
     let space = std::str::from_utf8(&bytes[pos..name_end])
         .map_err(|_| CheckpointError::Corrupt("envelope space name is not UTF-8".into()))?;
     pos = name_end;
-    let wal_seq = get_uvarint(bytes, &mut pos).ok_or(CheckpointError::Truncated)?;
+    let mut next = || get_uvarint(bytes, &mut pos).ok_or(CheckpointError::Truncated);
+    let wal_seq = next()?;
+    let acked = if v3 { Some(next()?) } else { None };
     Ok(Envelope {
         space,
         wal_seq,
+        acked,
         inner: &bytes[pos..],
     })
+}
+
+/// [`unwrap_envelope`] for a restore into `space`: an envelope tagged for
+/// another space is refused (a bare v1 container is the default space's).
+pub fn unwrap_for<'a>(bytes: &'a [u8], space: &str) -> Result<Envelope<'a>, CheckpointError> {
+    let env = unwrap_envelope(bytes)?;
+    if env.space != space {
+        return Err(CheckpointError::ConfigMismatch(format!(
+            "checkpoint is for space '{}', not '{space}'",
+            env.space
+        )));
+    }
+    Ok(env)
 }
 
 /// Assemble a checkpoint from per-partition payloads (must be sorted by
@@ -208,16 +248,7 @@ pub fn decode(bytes: &[u8]) -> Result<(Header, PartitionPayloads), CheckpointErr
         return Err(CheckpointError::BadMagic);
     }
     let mut pos = MAGIC.len();
-    let mut next = || get_uvarint(bytes, &mut pos).ok_or(CheckpointError::Truncated);
-    let header = Header {
-        model: next()?,
-        seed: next()?,
-        partitions: next()?,
-        n: next()?,
-        m: next()?,
-        d: next()?,
-        alpha: next()?,
-    };
+    let header = Header::get(bytes, &mut pos)?;
     // Every payload costs at least its length byte: a partition count the
     // bytes left cannot hold is refused before it sizes an allocation.
     if header.partitions > (bytes.len() - pos) as u64 {
@@ -284,16 +315,7 @@ pub fn decode_slice(bytes: &[u8]) -> Result<(Header, PartitionPayloads), Checkpo
         return Err(CheckpointError::BadMagic);
     }
     let mut pos = SLICE_MAGIC.len();
-    let mut next = || get_uvarint(bytes, &mut pos).ok_or(CheckpointError::Truncated);
-    let header = Header {
-        model: next()?,
-        seed: next()?,
-        partitions: next()?,
-        n: next()?,
-        m: next()?,
-        d: next()?,
-        alpha: next()?,
-    };
+    let header = Header::get(bytes, &mut pos)?;
     let count = get_uvarint(bytes, &mut pos).ok_or(CheckpointError::Truncated)?;
     if count > header.partitions {
         return Err(CheckpointError::Corrupt(format!(
@@ -383,20 +405,44 @@ mod tests {
         ));
     }
 
+    /// The parent's v2 layout, hand-encoded: magic, space, `wal_seq`, inner.
+    fn v2_envelope(space: &str, wal_seq: u64, inner: &[u8]) -> Vec<u8> {
+        let mut buf = b"FEWWCKP2".to_vec();
+        put_uvarint(&mut buf, space.len() as u64);
+        buf.extend_from_slice(space.as_bytes());
+        put_uvarint(&mut buf, wal_seq);
+        buf.extend_from_slice(inner);
+        buf
+    }
+
     #[test]
     fn envelope_roundtrips_and_v1_maps_to_default_space() {
         let payloads = vec![(0u32, vec![1, 2]), (1, vec![]), (2, vec![7; 40])];
         let inner = encode(&cfg(), &payloads);
+        // A node's envelope: the ack watermark is the WAL watermark.
         let wrapped = wrap_envelope("tenant-3", 917, &inner);
+        assert_eq!(&wrapped[..8], ENVELOPE_MAGIC);
         let env = unwrap_envelope(&wrapped).unwrap();
         assert_eq!(env.space, "tenant-3");
         assert_eq!(env.wal_seq, 917);
+        assert_eq!(env.acked, Some(917));
         assert_eq!(env.inner, &inner[..]);
         decode(env.inner).unwrap();
+        // A router's: the ack watermark counts updates, not records.
+        let wrapped = wrap_acked("default", 16, 16_384, &inner);
+        let env = unwrap_envelope(&wrapped).unwrap();
+        assert_eq!((env.wal_seq, env.acked), (16, Some(16_384)));
+        assert_eq!(env.inner, &inner[..]);
+        // A v2 envelope carries no ack watermark.
+        let old = v2_envelope("tenant-3", 917, &inner);
+        let env = unwrap_envelope(&old).unwrap();
+        assert_eq!(env.space, "tenant-3");
+        assert_eq!((env.wal_seq, env.acked), (917, None));
+        assert_eq!(env.inner, &inner[..]);
         // A bare v1 container is the default space at watermark 0.
         let env = unwrap_envelope(&inner).unwrap();
         assert_eq!(env.space, "default");
-        assert_eq!(env.wal_seq, 0);
+        assert_eq!((env.wal_seq, env.acked), (0, None));
         assert_eq!(env.inner, &inner[..]);
     }
 
@@ -477,18 +523,29 @@ mod tests {
             unwrap_envelope(b"NOTANENV"),
             Err(CheckpointError::BadMagic)
         ));
-        let wrapped = wrap_envelope("t", 3, b"FEWWCKP1x");
-        // Truncation inside the envelope header.
-        for cut in 8..11 {
-            assert!(unwrap_envelope(&wrapped[..cut]).is_err(), "cut at {cut}");
-        }
-        // Absurd name length.
-        let mut bad = b"FEWWCKP2".to_vec();
-        bad.push(0xFF);
-        bad.push(0x10); // varint 2063 > MAX_SPACE_NAME
         assert!(matches!(
-            unwrap_envelope(&bad),
-            Err(CheckpointError::Corrupt(_))
+            unwrap_envelope(b"FEWW"),
+            Err(CheckpointError::BadMagic)
         ));
+        // Truncation inside the envelope header: the v3 layout ends at
+        // `acked` (byte 12 here), the v2 layout at `wal_seq` (byte 11).
+        let wrapped = wrap_acked("t", 3, 5, b"FEWWCKP1x");
+        for cut in 8..12 {
+            assert!(unwrap_envelope(&wrapped[..cut]).is_err(), "v3 cut at {cut}");
+        }
+        let old = v2_envelope("t", 3, b"FEWWCKP1x");
+        for cut in 8..11 {
+            assert!(unwrap_envelope(&old[..cut]).is_err(), "v2 cut at {cut}");
+        }
+        // Absurd name length, in either layout.
+        for magic in [b"FEWWCKP3", b"FEWWCKP2"] {
+            let mut bad = magic.to_vec();
+            bad.push(0xFF);
+            bad.push(0x10); // varint 2063 > MAX_SPACE_NAME
+            assert!(matches!(
+                unwrap_envelope(&bad),
+                Err(CheckpointError::Corrupt(_))
+            ));
+        }
     }
 }

@@ -404,7 +404,7 @@ impl Engine {
     /// differ). Replaces all partition state; the stream replay can then
     /// continue from where the checkpoint was taken.
     ///
-    /// Accepts both a bare v1 container and a space-tagged v2 envelope
+    /// Accepts a bare v1 container and any space-tagged envelope
     /// ([`checkpoint::wrap_envelope`]) — the engine itself is space-agnostic
     /// and restores the inner container either way; callers that care which
     /// space the bytes belong to check the envelope before calling.

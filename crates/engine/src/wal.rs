@@ -21,9 +21,15 @@
 //! log instead of one per space is what makes multi-tenant group commit
 //! work: every concurrent batch rides the same flush+fsync no matter which
 //! space it addresses, where per-space files would pay one fsync per space
-//! per wave (`fdatasync` cannot cover two files). Recovery demultiplexes
-//! records by tag; each space skips records at or below its own checkpoint
-//! watermark.
+//! per wave (`fdatasync` cannot cover two files). Recovery ([`recover`])
+//! demultiplexes records by tag; each space skips records at or below its
+//! own checkpoint watermark.
+//!
+//! One data-dir layout serves both tiers (a router's holds the default
+//! space alone): `DATA_DIR/wal.log`; per space, `<space>/space.cfg` (seed,
+//! `SpaceConfig`; the default space's guards the flags,
+//! [`SpaceDir::check_flags`]) and `<space>/checkpoint.fck` (the v3
+//! envelope: the WAL sequence replay skips up to, and the ack watermark).
 //!
 //! ## Log format
 //!
@@ -60,10 +66,12 @@
 //! space-tagged envelope ([`crate::checkpoint::wrap_envelope`]) carrying
 //! that space's highest applied sequence number, and [`Wal::compact`]
 //! writes each envelope atomically (tmp + `fsync` + `rename` + directory
-//! `fsync`) and then resets the log. A crash between those steps is safe:
-//! replay skips every record at or below its space's envelope watermark, so
-//! nothing is applied twice.
+//! `fsync`) and then resets the log: one file per space, on both tiers. A
+//! crash between those steps is safe: replay skips every record at or
+//! below its space's envelope watermark, so nothing is applied twice.
+use crate::checkpoint::unwrap_for;
 use crate::diskfault::{CrashPoint, DiskFault, DiskFaultPlan};
+use crate::EngineConfig;
 use fews_common::{SpaceConfig, SpaceId};
 use fews_core::wire::{get_space_config, get_uvarint, put_space_config, put_uvarint};
 use fews_stream::{Edge, Update};
@@ -195,11 +203,9 @@ pub type WalRecord = (u64, String, Vec<Update>);
 /// What [`Wal::open`] found in an existing log.
 #[derive(Debug)]
 pub struct WalRecovery {
-    /// Every valid record in order. The caller demultiplexes by space tag
-    /// and filters against each space's own checkpoint watermark.
+    /// Every valid record in order ([`recover`] splits them by space tag
+    /// and filters against each space's own checkpoint watermark).
     pub replay: Vec<WalRecord>,
-    /// Highest sequence number among all valid records (0 if none).
-    pub last_seq: u64,
     /// Why the log's tail was discarded, if it was: a torn final record, a
     /// CRC mismatch, or a sequence regression. The file has already been
     /// truncated back to the last valid boundary.
@@ -426,14 +432,7 @@ impl Wal {
             commit: Mutex::new(Commit::default()),
             committed: Condvar::new(),
         };
-        Ok((
-            wal,
-            WalRecovery {
-                replay,
-                last_seq,
-                damage,
-            },
-        ))
+        Ok((wal, WalRecovery { replay, damage }))
     }
 
     /// Append one batch for `space` to the log buffer (**no file I/O**).
@@ -609,10 +608,10 @@ impl Wal {
 
     /// Compact the log: atomically replace every `(path, bytes)` file, in
     /// order and under the log's fault plan — each space's checkpoint
-    /// envelope, watermarked with the last sequence it covers, and any
-    /// metadata that must land with it — then reset the log. A crash or an
-    /// error at any step leaves the log intact (the reset comes last), and
-    /// replay skips every record at or below its space's envelope
+    /// envelope, watermarked with the last sequence it covers and the ack
+    /// watermark a restart re-seeds from — then reset the log. A crash or
+    /// an error at any step leaves the log intact (the reset comes last),
+    /// and replay skips every record at or below its space's envelope
     /// watermark, so nothing is applied twice and nothing acked is lost.
     /// The caller keeps appends out until this returns: a record appended
     /// after its space's envelope was built would vanish with the reset.
@@ -732,13 +731,7 @@ pub fn wal_path(data_dir: &Path) -> PathBuf {
     data_dir.join(WAL_FILE)
 }
 
-/// The on-disk home of one space under `--data-dir`:
-///
-/// ```text
-/// DATA_DIR/wal.log                 the shared write-ahead log (all spaces)
-/// DATA_DIR/<space>/space.cfg       magic, seed, SpaceConfig (atomic writes)
-/// DATA_DIR/<space>/checkpoint.fck  space-tagged checkpoint envelope
-/// ```
+/// The on-disk home of one space, `DATA_DIR/<space>/` (see the module docs).
 #[derive(Debug, Clone)]
 pub struct SpaceDir {
     dir: PathBuf,
@@ -785,6 +778,27 @@ impl SpaceDir {
             File::open(parent)?.sync_all()?;
         }
         Ok(())
+    }
+
+    /// The default space's config guard, on both tiers: a stored `space.cfg`
+    /// must hold `flags`' config and seed (quota aside), or the start is
+    /// refused `InvalidInput` before anything else in the data dir is
+    /// touched. `None` if absent: the caller adopts `flags` ([`Self::init`]).
+    pub fn check_flags(&self, flags: &EngineConfig) -> std::io::Result<Option<SpaceConfig>> {
+        if !self.exists() {
+            return Ok(None);
+        }
+        let (stored, seed) = self.load_config()?;
+        if seed != flags.seed || stored != flags.to_space(stored.quota_bytes) {
+            return Err(std::io::Error::new(
+                ErrorKind::InvalidInput,
+                format!(
+                    "{} was initialised with a different config or seed than the current flags",
+                    self.dir.display()
+                ),
+            ));
+        }
+        Ok(Some(stored))
     }
 
     /// Load the space's `(config, seed)` written by [`SpaceDir::init`].
@@ -856,6 +870,70 @@ impl SpaceDir {
     }
 }
 
+/// One listed space as [`recover`] found it.
+#[derive(Debug, Default)]
+pub struct SpaceRecovery {
+    /// Its checkpoint envelope, space tag checked (`None` if never written).
+    pub checkpoint: Option<Vec<u8>>,
+    /// The envelope's WAL watermark (0 without one).
+    pub wal_seq: u64,
+    /// The envelope's ack watermark (`None` without one, or before v3).
+    pub acked: Option<u64>,
+    /// `(seq, updates)` of its log records past `wal_seq`, in order.
+    pub records: Vec<(u64, Vec<Update>)>,
+}
+
+/// What [`recover`] found under a data dir.
+#[derive(Debug)]
+pub struct Recovery {
+    /// The shared log, open above every envelope's watermark.
+    pub wal: Wal,
+    /// One entry per listed space, in the order listed.
+    pub spaces: Vec<SpaceRecovery>,
+    /// [`WalRecovery::damage`].
+    pub damage: Option<String>,
+    /// Records of unlisted spaces: debris of dropped ones.
+    pub unlisted: usize,
+}
+
+/// The one recovery routine of both tiers: read each listed space's
+/// checkpoint envelope and check its space tag, open the shared log above
+/// every envelope's WAL watermark, and split its records by space past
+/// each one's watermark. The caller restores and applies them.
+pub fn recover(
+    data_dir: &Path,
+    spaces: &[SpaceId],
+    faults: Option<Arc<DiskFaultPlan>>,
+) -> std::io::Result<Recovery> {
+    let mut found = Vec::with_capacity(spaces.len());
+    for space in spaces {
+        let mut rec = SpaceRecovery::default();
+        if let Some(bytes) = SpaceDir::new(data_dir, space).read_checkpoint()? {
+            let env = unwrap_for(&bytes, space.as_str())
+                .map_err(|e| invalid(format!("space {space}: checkpoint envelope: {e}")))?;
+            (rec.wal_seq, rec.acked) = (env.wal_seq, env.acked);
+            rec.checkpoint = Some(bytes);
+        }
+        found.push(rec);
+    }
+    let floor = found.iter().map(|r| r.wal_seq).max().unwrap_or(0);
+    let (wal, log) = Wal::open_with(&wal_path(data_dir), floor, faults)?;
+    let mut unlisted = 0;
+    for (seq, name, updates) in log.replay {
+        match spaces.iter().position(|s| s.as_str() == name) {
+            None => unlisted += 1,
+            Some(i) if seq > found[i].wal_seq => found[i].records.push((seq, updates)),
+            Some(_) => {} // already inside this space's checkpoint
+        }
+    }
+    Ok(Recovery {
+        wal,
+        spaces: found,
+        damage: log.damage,
+        unlisted,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -906,7 +984,7 @@ mod tests {
 
         let (_, rec) = Wal::open(&path, 0).expect("reopen");
         assert!(rec.damage.is_none());
-        assert_eq!(rec.last_seq, 3);
+        assert_eq!(rec.replay.last().map(|r| r.0), Some(3));
         assert_eq!(rec.replay.len(), 3);
         for ((seq, space, got), (want, want_space)) in
             rec.replay.iter().zip(batches.iter().zip(spaces))
@@ -951,7 +1029,7 @@ mod tests {
             let (wal, rec) = Wal::open(&path, 0).expect("reopen torn");
             assert!(rec.damage.is_some(), "cut {cut} should report damage");
             assert_eq!(rec.replay.len(), 1, "cut {cut}: first record survives");
-            assert_eq!(rec.last_seq, 1);
+            assert_eq!(rec.replay.last().map(|r| r.0), Some(1));
             assert_eq!(wal.bytes(), first_len as u64, "cut {cut}: truncated");
             drop(wal);
             // After truncation the log is clean again.
@@ -1193,6 +1271,103 @@ mod tests {
         assert_eq!(b.seq, 2, "sequence numbers survive compaction");
         wal.wait_durable(&b).expect("fsynced in the new epoch");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn recover_splits_records_by_space_past_each_watermark() {
+        use crate::checkpoint::{wrap_acked, wrap_envelope};
+        let root = tmp_dir("recover");
+        let (alpha, beta) = (
+            SpaceId::new("alpha").unwrap(),
+            SpaceId::new("beta").unwrap(),
+        );
+        let (wal, _) = Wal::open(&wal_path(&root), 0).expect("open");
+        for (i, space) in ["alpha", "beta", "alpha", "gone", "beta", "alpha"]
+            .iter()
+            .enumerate()
+        {
+            assert_eq!(
+                wal.append(space, &batch(i as u32 * 10, 3)).seq,
+                i as u64 + 1
+            );
+        }
+        wal.sync().expect("sync");
+        drop(wal);
+        // alpha is checkpointed through seq 3; beta has no checkpoint yet.
+        let alpha_dir = SpaceDir::new(&root, &alpha);
+        std::fs::create_dir_all(alpha_dir.path()).expect("space dir");
+        alpha_dir
+            .write_checkpoint(&wrap_acked("alpha", 3, 40, b"FEWWCKP1"))
+            .expect("checkpoint");
+
+        let rec = recover(&root, &[alpha.clone(), beta.clone()], None).expect("recover");
+        let [a, b] = &rec.spaces[..] else {
+            panic!("one entry per listed space")
+        };
+        assert!(a.checkpoint.is_some());
+        assert_eq!((a.wal_seq, a.acked), (3, Some(40)));
+        let seqs = |r: &SpaceRecovery| r.records.iter().map(|(seq, _)| *seq).collect::<Vec<_>>();
+        assert_eq!(seqs(a), [6], "alpha skips the records its checkpoint holds");
+        assert_eq!(a.records[0].1, batch(50, 3));
+        assert!(b.checkpoint.is_none());
+        assert_eq!((b.wal_seq, b.acked), (0, None));
+        assert_eq!(seqs(b), [2, 5], "beta replays its whole share, in order");
+        assert_eq!(rec.unlisted, 1, "the dropped space's record");
+        assert!(rec.damage.is_none());
+        assert_eq!(rec.wal.append("beta", &batch(0, 1)).seq, 7);
+        rec.wal.reset().expect("reset");
+        drop(rec);
+
+        // After a compaction the log is empty and new records must land
+        // above every envelope's watermark, or replay would skip them.
+        alpha_dir
+            .write_checkpoint(&wrap_envelope("alpha", 9, b"FEWWCKP1"))
+            .expect("checkpoint");
+        let rec = recover(&root, std::slice::from_ref(&alpha), None).expect("recover");
+        assert!(rec.spaces[0].records.is_empty());
+        assert_eq!(
+            rec.spaces[0].acked,
+            Some(9),
+            "a node's ack watermark is its WAL's"
+        );
+        assert_eq!(rec.wal.append("alpha", &batch(0, 1)).seq, 10);
+        drop(rec);
+
+        // An envelope tagged for another space is refused.
+        alpha_dir
+            .write_checkpoint(&wrap_envelope("beta", 9, b"FEWWCKP1"))
+            .expect("checkpoint");
+        let err = recover(&root, &[alpha], None).expect_err("mis-tagged envelope");
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
+        assert!(err.to_string().contains("is for space 'beta'"), "{err}");
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn check_flags_passes_its_own_flags_and_refuses_others() {
+        use fews_core::insertion_only::FewwConfig;
+        let root = tmp_dir("flags");
+        let sd = SpaceDir::new(&root, &SpaceId::default_space());
+        let flags = EngineConfig::insert_only(FewwConfig::new(32, 8, 2), 7).with_partitions(4);
+        assert_eq!(sd.check_flags(&flags).expect("absent"), None);
+        let spec = flags.to_space(0);
+        sd.init(&spec, flags.seed).expect("adopt the flags");
+        assert_eq!(sd.check_flags(&flags).expect("same flags"), Some(spec));
+        // Shards are runtime shape, not model: they may differ.
+        assert!(sd.check_flags(&flags.with_shards(3)).is_ok());
+        let stored = std::fs::read(sd.path().join(CONFIG_FILE)).expect("space.cfg");
+        let other_seed = EngineConfig::insert_only(FewwConfig::new(32, 8, 2), 8).with_partitions(4);
+        let other_n = EngineConfig::insert_only(FewwConfig::new(64, 8, 2), 7).with_partitions(4);
+        for other in [other_seed, other_n] {
+            let err = sd.check_flags(&other).expect_err("other flags");
+            assert_eq!(err.kind(), ErrorKind::InvalidInput);
+            assert!(err.to_string().contains("different config"), "{err}");
+        }
+        assert_eq!(
+            std::fs::read(sd.path().join(CONFIG_FILE)).expect("read"),
+            stored
+        );
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

@@ -37,6 +37,7 @@ use fews_common::spaceid::MAX_SPACE_NAME;
 use fews_common::{SpaceConfig, SpaceId};
 use fews_core::neighbourhood::Neighbourhood;
 use fews_core::wire::{get_space_config, get_uvarint, put_space_config, put_uvarint};
+use fews_engine::checkpoint::Header;
 use fews_stream::{Edge, Update};
 
 /// Protocol version carried in every frame header. v1 was the single-tenant
@@ -242,7 +243,7 @@ pub struct WireStats {
 }
 
 /// A worker's identity card in a [`Response::NodeInfo`] frame: the exact
-/// fields of the checkpoint [`fews_engine::checkpoint::Header`], plus the
+/// fields of the checkpoint [`Header`], plus the
 /// ingest counter. Two nodes with equal identity cards host interchangeable
 /// partition state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -263,6 +264,23 @@ pub struct WireNodeInfo {
     pub alpha: u64,
     /// Updates the space has accepted so far.
     pub ingested: u64,
+}
+
+impl WireNodeInfo {
+    /// The identity card of a space with checkpoint header `h` that has
+    /// accepted `ingested` updates: a node's answer, a router's requirement.
+    pub fn new(h: &Header, ingested: u64) -> WireNodeInfo {
+        WireNodeInfo {
+            model: h.model,
+            seed: h.seed,
+            partitions: h.partitions,
+            n: h.n,
+            m: h.m,
+            d: h.d,
+            alpha: h.alpha,
+            ingested,
+        }
+    }
 }
 
 /// A space's query view as it travels in a [`Response::View`] frame.
@@ -1353,11 +1371,22 @@ pub fn answer_bound(witness_counts: impl IntoIterator<Item = usize>) -> usize {
 impl Response {
     /// This response, or a typed [`ErrorCode::Oversized`] error when it is
     /// an answer ([`Response::Answer`], [`Response::Top`],
-    /// [`Response::CertifiedIn`], [`Response::TopIn`]) whose body could
-    /// need more than one frame. Every answer passes through here before it is encoded, so a
-    /// large `top k` is refused, never a panic in the codec.
+    /// [`Response::CertifiedIn`], [`Response::TopIn`]) or a checkpoint
+    /// whose body could need more than one frame. Every answer and
+    /// checkpoint download passes through here before it is encoded, on a
+    /// node and on a router, so a large `top k` is refused, never a panic
+    /// in the codec.
     pub fn bounded(self) -> Response {
         let bound = match &self {
+            Response::Checkpoint(bytes) if !body_fits(bytes.len()) => {
+                return Response::error(
+                    ErrorCode::Oversized,
+                    format!(
+                        "checkpoint is {} bytes, larger than one frame can carry",
+                        bytes.len()
+                    ),
+                );
+            }
             Response::Answer(nb) => answer_bound(nb.iter().map(|nb| nb.witnesses.len())),
             Response::CertifiedIn(answer) => {
                 answer_bound(answer.iter().map(|(_, nb)| nb.witnesses.len()))

@@ -37,9 +37,9 @@
 //! logged or applied. Once the log passes [`ServerOptions::compact_bytes`],
 //! the server checkpoints every space into a space-tagged envelope and
 //! [`Wal::compact`] replaces each `checkpoint.fck` atomically, then resets
-//! the log. Startup recovers every space found
-//! under the data dir: restore the checkpoint, replay the log tail beyond
-//! its envelope watermark ([`Server::recovery_log`] reports what happened).
+//! the log. Startup recovers every space found under the data dir as a
+//! router does ([`wal::recover`]): restore the checkpoint, replay the log
+//! tail beyond its watermark ([`Server::recovery_log`] says what happened).
 //! Graceful shutdown (client `shutdown` request or [`Server::shutdown`])
 //! writes a final compacted checkpoint per space; [`Server::crash`] skips
 //! that finalization to simulate a hard kill in tests.
@@ -79,8 +79,8 @@ use crate::proto::{
 };
 use crate::serve::{self, FrontEnd};
 use fews_common::{SpaceConfig, SpaceId};
-use fews_engine::checkpoint::{unwrap_envelope, wrap_envelope, Header};
-use fews_engine::wal::{wal_path, SpaceDir, Wal};
+use fews_engine::checkpoint::{unwrap_for, wrap_envelope, Header};
+use fews_engine::wal::{self, SpaceDir, Wal};
 use fews_engine::{Engine, EngineConfig, EngineStats, GlobalView, ModelSpec, Scope};
 use std::collections::HashMap;
 use std::io::ErrorKind;
@@ -671,49 +671,10 @@ fn invalid(msg: String) -> std::io::Error {
     std::io::Error::new(ErrorKind::InvalidData, msg)
 }
 
-/// Restore one space from its durability directory: the checkpoint envelope
-/// if present, otherwise a fresh engine. Returns the state with its replay
-/// watermark in `last_seq`; the shared WAL tail is replayed by the caller.
-fn restore_space(
-    space: &SpaceId,
-    cfg: EngineConfig,
-    dir: &SpaceDir,
-) -> std::io::Result<(SpaceState, bool)> {
-    let mut engine = Engine::start(cfg);
-    let mut applied_seq = 0u64;
-    let mut restored = false;
-    if let Some(envelope) = dir.read_checkpoint()? {
-        let env = unwrap_envelope(&envelope)
-            .map_err(|e| invalid(format!("space {space}: checkpoint envelope: {e}")))?;
-        if env.space != space.as_str() {
-            return Err(invalid(format!(
-                "space {space}: checkpoint envelope is tagged for space '{}'",
-                env.space
-            )));
-        }
-        engine
-            .restore_checkpoint(&envelope)
-            .map_err(|e| invalid(format!("space {space}: checkpoint restore: {e}")))?;
-        applied_seq = env.wal_seq;
-        restored = true;
-    }
-    Ok((
-        SpaceState {
-            engine,
-            last_seq: applied_seq,
-            // Re-seed the ack watermark from the replay watermark: every
-            // batch acked before the restart carried a WAL sequence ≤ this,
-            // so surviving clients' watermarks stay satisfiable.
-            ingest_seq: applied_seq,
-        },
-        restored,
-    ))
-}
-
 /// Build the startup space registry: just the default space in memory-only
 /// mode; otherwise the default space plus every space recovered from disk
-/// (checkpoint restore, then one demultiplexed replay of the shared WAL
-/// tail, then a startup compaction so the next boot replays nothing).
+/// ([`wal::recover`]: checkpoint envelopes, then the shared WAL tail split
+/// by space), then a startup compaction so the next boot replays nothing.
 fn build_spaces(
     base: EngineConfig,
     opts: &ServerOptions,
@@ -736,36 +697,17 @@ fn build_spaces(
     std::fs::create_dir_all(data_dir)?;
     // The default space's model comes from the serve flags; the data dir
     // must agree with them or the stream would be fed into the wrong model.
-    let default_dir = SpaceDir::new(data_dir, &default).with_faults(opts.disk_faults.clone());
-    let default_spec = if default_dir.exists() {
-        let (stored, seed) = default_dir.load_config()?;
-        if seed != base.seed || stored != base.to_space(stored.quota_bytes) {
-            return Err(std::io::Error::new(
-                ErrorKind::InvalidInput,
-                format!(
-                    "data dir {} was initialised with a different default-space \
-                     config or seed than the current flags",
-                    data_dir.display()
-                ),
-            ));
+    let default_dir = SpaceDir::new(data_dir, &default);
+    let default_spec = match default_dir.check_flags(&base)? {
+        Some(stored) => stored,
+        None => {
+            default_dir.init(&base.to_space(0), base.seed)?;
+            base.to_space(0)
         }
-        stored
-    } else {
-        let spec = base.to_space(0);
-        default_dir.init(&spec, base.seed)?;
-        spec
     };
-    // Pass 1: restore every space's checkpoint (or start it fresh). The
-    // `Option<u64>` is the checkpoint's own watermark, for the log line.
-    let mut restored: Vec<(
-        SpaceId,
-        SpaceConfig,
-        EngineConfig,
-        SpaceDir,
-        SpaceState,
-        Option<u64>,
-    )> = Vec::new();
-    for space in SpaceDir::list_spaces(data_dir)? {
+    let listed = SpaceDir::list_spaces(data_dir)?;
+    let recovery = wal::recover(data_dir, &listed, opts.disk_faults.clone())?;
+    for (space, found) in listed.into_iter().zip(recovery.spaces) {
         let dir = SpaceDir::new(data_dir, &space).with_faults(opts.disk_faults.clone());
         let (spec, cfg) = if space.is_default() {
             (default_spec, base)
@@ -775,67 +717,55 @@ fn build_spaces(
                 .map_err(|e| invalid(format!("space {space}: stored config: {e}")))?;
             (spec, space_engine_cfg(&base, &spec, seed))
         };
-        let (state, from_checkpoint) = restore_space(&space, cfg, &dir)?;
-        let watermark = from_checkpoint.then_some(state.last_seq);
-        restored.push((space, spec, cfg, dir, state, watermark));
-    }
-    // Pass 2: one scan of the shared log, demultiplexed by space tag. The
-    // floor keeps new sequence numbers above every checkpoint watermark.
-    let floor = restored.iter().map(|r| r.4.last_seq).max().unwrap_or(0);
-    let (wal, recovery) = Wal::open_with(&wal_path(data_dir), floor, opts.disk_faults.clone())?;
-    let mut replayed = vec![(0usize, 0usize); restored.len()];
-    let mut skipped = 0usize;
-    for (seq, name, updates) in &recovery.replay {
-        let Some(idx) = restored
-            .iter()
-            .position(|(space, ..)| space.as_str() == *name)
-        else {
-            skipped += 1; // debris from a dropped space
-            continue;
-        };
-        let state = &mut restored[idx].4;
-        if *seq <= state.last_seq {
-            continue; // already inside this space's checkpoint
+        let mut engine = Engine::start(cfg);
+        if let Some(envelope) = &found.checkpoint {
+            engine
+                .restore_checkpoint(envelope)
+                .map_err(|e| invalid(format!("space {space}: checkpoint restore: {e}")))?;
         }
-        replayed[idx].0 += 1;
-        replayed[idx].1 += updates.len();
-        state.engine.ingest(updates.clone());
-        state.last_seq = *seq;
-        state.ingest_seq = *seq;
-    }
-    for (idx, (space, _, _, _, _, watermark)) in restored.iter().enumerate() {
-        let (batches, updates) = replayed[idx];
+        // Re-seed the ack watermark from the envelope's: every batch acked
+        // before the restart carried a WAL sequence ≤ it, so surviving
+        // clients' watermarks stay satisfiable.
+        let mut state = SpaceState {
+            engine,
+            last_seq: found.wal_seq,
+            ingest_seq: found.acked.unwrap_or(found.wal_seq),
+        };
+        let (batches, mut updates) = (found.records.len(), 0);
+        for (seq, batch) in found.records {
+            updates += batch.len();
+            state.engine.ingest(batch);
+            state.last_seq = seq;
+            state.ingest_seq = seq;
+        }
         log.push(format!(
             "space {space}: {} replayed {batches} wal batches ({updates} updates)",
-            match watermark {
-                Some(seq) => format!("restored checkpoint (seq {seq}),"),
+            match found.checkpoint {
+                Some(_) => format!("restored checkpoint (seq {}),", found.wal_seq),
                 None => "no checkpoint,".to_string(),
             }
         ));
-    }
-    if let Some(damage) = recovery.damage {
-        log.push(format!("wal: discarded damaged tail: {damage}"));
-    }
-    if skipped > 0 {
-        log.push(format!("wal: skipped {skipped} records of dropped spaces"));
-    }
-    // Pass 3: startup compaction. Replayed state becomes the checkpoints,
-    // the log restarts empty — the next recovery replays nothing, and any
-    // dropped-space debris is gone before its name can be reused.
-    if wal.bytes() > 0 {
-        wal.compact(
-            restored
-                .iter_mut()
-                .map(|(space, _, _, dir, state, _)| (dir.checkpoint_path(), state.envelope(space))),
-        )?;
-    }
-    for (space, spec, cfg, dir, state, _) in restored {
         spaces.insert(
             space.clone(),
             SpaceHandle::new(space, spec, cfg, Some(dir), state),
         );
     }
-    Ok((spaces, Some(wal)))
+    if let Some(damage) = recovery.damage {
+        log.push(format!("wal: discarded damaged tail: {damage}"));
+    }
+    if recovery.unlisted > 0 {
+        log.push(format!(
+            "wal: skipped {} records of dropped spaces",
+            recovery.unlisted
+        ));
+    }
+    // Startup compaction. Replayed state becomes the checkpoints, the log
+    // restarts empty — the next recovery replays nothing, and any
+    // dropped-space debris is gone before its name can be reused.
+    if recovery.wal.bytes() > 0 {
+        compact_spaces(&recovery.wal, &spaces)?;
+    }
+    Ok((spaces, Some(recovery.wal)))
 }
 
 /// The background snapshot refresher: sleep on the ingest doorbell, then
@@ -1211,23 +1141,10 @@ fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared)
             Response::Ingested { count, watermark }
         }
         Request::Restore(bytes) => {
-            // The envelope must be addressed to this space: a v2 envelope by
+            // The envelope must be addressed to this space: an envelope by
             // name, a bare v1 container implicitly to the default space.
-            match unwrap_envelope(&bytes) {
-                Ok(env) if env.space != handle.space.as_str() => {
-                    return Response::error(
-                        ErrorCode::Checkpoint,
-                        format!(
-                            "checkpoint space mismatch: container is for '{}', request \
-                             addressed '{}'",
-                            env.space, handle.space
-                        ),
-                    );
-                }
-                Ok(_) => {}
-                Err(e) => {
-                    return Response::error(ErrorCode::Checkpoint, e.to_string());
-                }
+            if let Err(e) = unwrap_for(&bytes, handle.space.as_str()) {
+                return Response::error(ErrorCode::Checkpoint, e.to_string());
             }
             let mut state = handle.state.lock().expect("space state");
             match state.engine.restore_checkpoint(&bytes) {
@@ -1332,31 +1249,13 @@ fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared)
                 .lock()
                 .expect("space state")
                 .envelope(&handle.space);
-            if !crate::proto::body_fits(envelope.len()) {
-                return Response::error(
-                    ErrorCode::Oversized,
-                    format!(
-                        "checkpoint is {} bytes, larger than one frame can carry",
-                        envelope.len()
-                    ),
-                );
-            }
-            Response::Checkpoint(envelope)
+            Response::Checkpoint(envelope).bounded()
         }
         // Cluster-facing requests: what a router speaks to its workers.
-        Request::NodeHello => {
-            let h = Header::for_config(&handle.cfg);
-            Response::NodeInfo(WireNodeInfo {
-                model: h.model,
-                seed: h.seed,
-                partitions: h.partitions,
-                n: h.n,
-                m: h.m,
-                d: h.d,
-                alpha: h.alpha,
-                ingested: handle.snapshot().stats.ingested,
-            })
-        }
+        Request::NodeHello => Response::NodeInfo(WireNodeInfo::new(
+            &Header::for_config(&handle.cfg),
+            handle.snapshot().stats.ingested,
+        )),
         Request::ViewPull {
             since,
             min_watermark,
@@ -1444,17 +1343,7 @@ fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared)
                 );
             }
             let mut state = handle.state.lock().expect("space state");
-            let bytes = state.engine.checkpoint_slice(&parts);
-            if !crate::proto::body_fits(bytes.len()) {
-                return Response::error(
-                    ErrorCode::Oversized,
-                    format!(
-                        "slice checkpoint is {} bytes, larger than one frame can carry",
-                        bytes.len()
-                    ),
-                );
-            }
-            Response::Checkpoint(bytes)
+            Response::Checkpoint(state.engine.checkpoint_slice(&parts)).bounded()
         }
         Request::SliceRestore(bytes) => {
             let mut state = handle.state.lock().expect("space state");

@@ -7,6 +7,7 @@
 //! never report satellite data (experiment `base` demonstrates exactly this
 //! asymmetry).
 
+use fews_common::space::HASH_ENTRY_OVERHEAD;
 use fews_common::SpaceUsage;
 use std::collections::HashMap;
 
@@ -116,15 +117,32 @@ impl MisraGries {
 }
 
 impl SpaceUsage for MisraGries {
+    /// 18 bytes a counter (pair + map overhead): not the map's seed-driven capacity.
     fn space_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() - std::mem::size_of::<HashMap<u64, u64>>()
-            + self.counters.space_bytes()
+        let entry = std::mem::size_of::<(u64, u64)>() + HASH_ENTRY_OVERHEAD;
+        std::mem::size_of::<Self>() + self.k * entry
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Instances fed the same churning stream charge equal bytes, the
+    /// documented function of `k` — whatever their maps' hashers did.
+    #[test]
+    fn space_is_a_function_of_k_alone() {
+        for k in [1usize, 64, 78, 256] {
+            let want = std::mem::size_of::<MisraGries>() + 18 * k;
+            for _ in 0..4 {
+                let mut mg = MisraGries::new(k);
+                for i in 0..20_000u64 {
+                    mg.update(i.wrapping_mul(2_654_435_761) % 4096);
+                }
+                assert_eq!(mg.space_bytes(), want, "k = {k}");
+            }
+        }
+    }
 
     #[test]
     fn exact_when_few_distinct() {

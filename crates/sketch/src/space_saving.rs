@@ -5,6 +5,7 @@
 //! Estimates *overcount* by at most `m / k`. Complements Misra–Gries in the
 //! witness-free baseline suite.
 
+use fews_common::space::HASH_ENTRY_OVERHEAD;
 use fews_common::SpaceUsage;
 use std::collections::HashMap;
 
@@ -107,19 +108,32 @@ impl SpaceSaving {
 }
 
 impl SpaceUsage for SpaceSaving {
+    /// 24 + 18 bytes a slot (slot + index entry): not the index's seed-driven capacity.
     fn space_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            - std::mem::size_of::<Vec<Slot>>()
-            - std::mem::size_of::<HashMap<u64, usize>>()
-            + self.slots.capacity() * std::mem::size_of::<Slot>()
-            + std::mem::size_of::<Vec<Slot>>()
-            + self.index.space_bytes()
+        let entry = std::mem::size_of::<(u64, usize)>() + HASH_ENTRY_OVERHEAD;
+        std::mem::size_of::<Self>() + self.slots.capacity() * (std::mem::size_of::<Slot>() + entry)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Instances fed the same churning stream charge equal bytes, the
+    /// documented function of `k` — whatever their maps' hashers did.
+    #[test]
+    fn space_is_a_function_of_k_alone() {
+        for k in [1usize, 64, 78, 256] {
+            let want = std::mem::size_of::<SpaceSaving>() + (24 + 18) * k;
+            for _ in 0..4 {
+                let mut ss = SpaceSaving::new(k);
+                for i in 0..20_000u64 {
+                    ss.update(i.wrapping_mul(2_654_435_761) % 4096);
+                }
+                assert_eq!(ss.space_bytes(), want, "k = {k}");
+            }
+        }
+    }
 
     #[test]
     fn exact_when_few_distinct() {
