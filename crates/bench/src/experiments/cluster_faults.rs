@@ -71,6 +71,7 @@ fn run_schedule(
         // the final checkpoint.
         retained_budget: 1 << 20,
         disk_faults: None,
+        max_conns: 0,
     };
     let router = Router::start(cfg, "127.0.0.1:0", &addrs, opts).expect("router starts");
     let mut client = Client::connect(router.local_addr()).expect("connect");

@@ -8,7 +8,8 @@
 //!             [--data-dir DIR] [--compact-bytes N] [--max-conns C]
 //!             [--inflight-updates U] [--lag-budget L] …
 //! fews router --addr A --workers H1:P1,H2:P2,… --n N --d D [--model io|id]
-//!             [--replicas R] [--data-dir DIR] [--timeout-ms T] [--retries R] …
+//!             [--replicas R] [--data-dir DIR] [--max-conns C] [--timeout-ms T]
+//!             [--retries R] …
 //! fews client ADDR [--space S] [--timeout-ms T] [--retries R] [--stale]
 //!                  <certified|certify V|top K|stats|ping|ingest FILE|checkpoint OUT|
 //!                   restore FILE|create-space NAME …|drop-space NAME|list-spaces|
@@ -25,12 +26,12 @@
 //! server's published snapshot covers it. `--stale` opts the connection out
 //! and answers immediately from the latest published snapshot.
 //!
-//! Overload protection: `--max-conns C` caps concurrent connections
-//! (excess dials are shed with a typed `overloaded` error and a
-//! retry-after hint), `--inflight-updates U` bounds un-acked ingest per
-//! space, and `--lag-budget L` fails fresh reads fast once the published
-//! snapshot trails acked ingest by more than `L` records (`--stale` reads
-//! keep answering). On the client,
+//! Overload protection: `--max-conns C` caps concurrent connections on
+//! `listen` and `router` alike (excess dials are shed with a typed
+//! `overloaded` error and a retry-after hint), `--inflight-updates U`
+//! bounds un-acked ingest per space, and `--lag-budget L` fails fresh
+//! reads fast once the published snapshot trails acked ingest by more
+//! than `L` records (`--stale` reads keep answering). On the client,
 //! `--overload-retries O` retries shed requests after the server's hint,
 //! and `--resend` opts ingest into resending after an *indeterminate*
 //! transport failure — safe only for idempotent streams, since the lost
@@ -115,7 +116,8 @@ fn usage(msg: &str) -> ! {
          {:13}[--inflight-updates U] [--lag-budget L]\n  \
          fews router --addr HOST:PORT --workers H1:P1,H2:P2,… --n N --d D [--alpha A] \
          [--model io|id] [--seed S]\n  \
-         {:13}[--scale X] [--m M] [--partitions P] [--replicas R] [--data-dir DIR]\n  \
+         {:13}[--scale X] [--m M] [--partitions P] [--replicas R] [--data-dir DIR] \
+         [--max-conns C]\n  \
          {:13}[--timeout-ms T] [--retries R] [--heartbeat-ms H] [--retained-budget N >= 1]\n  \
          {:13}[--forward-shutdown true|false]\n  \
          fews client ADDR [--space S] [--timeout-ms T] [--retries R] [--overload-retries O] \
@@ -470,8 +472,8 @@ fn listen(rest: &[String]) {
 fn router(rest: &[String]) {
     let o = opts(
         rest,
-        "addr workers n d alpha model seed scale m partitions replicas data-dir timeout-ms \
-         retries heartbeat-ms retained-budget forward-shutdown",
+        "addr workers n d alpha model seed scale m partitions replicas data-dir max-conns \
+         timeout-ms retries heartbeat-ms retained-budget forward-shutdown",
     );
     let addr = o.get_str("addr").unwrap_or_else(|| "127.0.0.1:7421".into());
     let workers: Vec<String> = o
@@ -508,6 +510,7 @@ fn router(rest: &[String]) {
         data_dir,
         retained_budget,
         disk_faults: None,
+        max_conns: o.get("max-conns", 0usize),
     };
     let replicas = opts.replicas;
     let router = fews_cluster::Router::start(cfg, &addr, &workers, opts)

@@ -6,8 +6,8 @@
 //! handling serializes at the router, the workers' own shard pools provide
 //! the parallelism). Its front end is the node's own connection core,
 //! [`fews_net::serve`], handed the router's request handler: accept, frame
-//! deadlines, typed errors for header damage and shutdown behave exactly
-//! as on a node, with no connection cap.
+//! deadlines, the connection cap ([`RouterOptions::max_conns`]), typed
+//! errors for header damage and shutdown behave exactly as on a node.
 //!
 //! ## Consistency argument
 //!
@@ -166,6 +166,10 @@ pub struct RouterOptions {
     /// the type a node's `ServerOptions::disk_faults` takes. `None` (the
     /// default) runs the real disk untouched.
     pub disk_faults: Option<Arc<DiskFaultPlan>>,
+    /// Cap on concurrent client connections (0 = unlimited), enforced by
+    /// the connection core a node runs: past it, a connection is shed at
+    /// accept time with a typed [`ErrorCode::Overloaded`] frame.
+    pub max_conns: usize,
 }
 
 impl Default for RouterOptions {
@@ -178,6 +182,7 @@ impl Default for RouterOptions {
             data_dir: None,
             retained_budget: 1 << 20,
             disk_faults: None,
+            max_conns: 0,
         }
     }
 }
@@ -1067,10 +1072,11 @@ impl Inner {
     }
 
     /// Cluster statistics: the router's own ingest counter, one shard row
-    /// per node (owned partitions, updates routed, measured worker state).
+    /// per node (owned partitions, updates routed, measured worker state),
+    /// and `shed_conns`, its front end's accept-time sheds.
     /// Down nodes report zero measured bytes instead of failing the call —
     /// statistics must not stall behind a recovery.
-    fn stats(&mut self) -> Result<WireStats, Fail> {
+    fn stats(&mut self, shed_conns: u64) -> Result<WireStats, Fail> {
         let mut shards = Vec::with_capacity(self.nodes.len());
         let mut space_bytes = 0u64;
         for i in 0..self.nodes.len() {
@@ -1106,7 +1112,7 @@ impl Inner {
             overload: WireOverload {
                 shed_ingest: self.shed_ingest,
                 shed_reads: 0,
-                shed_conns: 0,
+                shed_conns,
                 inflight_updates: owed,
                 inflight_bytes: owed * std::mem::size_of::<Update>() as u64,
                 lag_updates: owed,
@@ -1259,7 +1265,7 @@ impl Router {
             }
         }
         let owners = owner_map(partitions, nodes.len(), opts.replicas);
-        let heartbeat_period = opts.heartbeat;
+        let (heartbeat_period, max_conns) = (opts.heartbeat, opts.max_conns);
         let mut inner = Inner {
             cfg,
             opts,
@@ -1284,7 +1290,7 @@ impl Router {
         }
         let shared = Arc::new(RouterShared {
             inner: Mutex::new(inner),
-            front: Arc::new(FrontEnd::new(0)),
+            front: Arc::new(FrontEnd::new(max_conns)),
         });
         let acceptor = {
             let shared = Arc::clone(&shared);
@@ -1457,7 +1463,10 @@ fn handle_request(space: SpaceId, request: Request, shared: &RouterShared) -> Re
                     .map(|answers| Response::Top(merge_top(answers, k))),
             )
         }
-        Request::Stats(mode) => match inner.check_watermark(&mode).and_then(|()| inner.stats()) {
+        Request::Stats(mode) => match inner
+            .check_watermark(&mode)
+            .and_then(|()| inner.stats(shared.front.shed_conns()))
+        {
             Ok(stats) => Response::Stats(stats),
             Err(fail) => fail_response(fail),
         },
@@ -1544,6 +1553,7 @@ mod tests {
             data_dir: None,
             retained_budget: HEALTHY_BUDGET,
             disk_faults: None,
+            max_conns: 0,
         }
     }
 

@@ -14,10 +14,12 @@
 //! **Query serving never touches an engine.** State-changing requests
 //! (ingest, restore) hold the space's engine mutex just long enough to
 //! log-append and apply; a dedicated *refresher* thread publishes a fresh
-//! `Arc<GlobalView>` + statistics snapshot continuously in the background —
-//! the engine's epoch-cached incremental `refresh` makes each publish cost
+//! `Arc<GlobalView>` + statistics snapshot in the background — the
+//! engine's epoch-cached incremental `refresh` makes each publish cost
 //! O(changes since the last publish), not O(total state), and the ingest
-//! ack path never pays for it. Query requests (`certified` / `certify` /
+//! ack path never pays for it. Under sustained ingest the refresher paces
+//! its sweeps (a wait of about 3× each sweep) so that ingest keeps most of
+//! the shards' time. Query requests (`certified` / `certify` /
 //! `top` / `stats`) clone the space's published `Arc` (a pointer copy
 //! behind a micro-mutex, the std-only stand-in for an atomic `Arc` swap)
 //! and answer from it: they never take the engine lock, never block
@@ -53,7 +55,10 @@
 //! read-your-writes for everything the client has been acked, with
 //! [`ErrorCode::WatermarkTimeout`] if the refresher cannot catch up in
 //! time — while `Stale` answers immediately from the latest published
-//! snapshot, which may trail ingest by a publish interval. Every published
+//! snapshot, which may trail ingest by a publish interval. A read that has
+//! to wait makes a *demand*, which ends the refresher's pacing wait; the
+//! part of the wait it cut short is owed to the next one, so demands move
+//! sweeps earlier without making them more frequent. Every published
 //! snapshot is a consistent point-in-time prefix of the stream, never a
 //! torn one: the watermark is captured under the same lock as the apply,
 //! and the refresher's barrier covers every apply at or below it. Once
@@ -97,24 +102,17 @@ use std::time::{Duration, Instant};
 const RETRY_BASE_MS: u64 = 50;
 
 /// Upper bound on a watermarked query's wait for the refresher to catch
-/// up. Normally the refresher publishes within a millisecond of ingest, so
-/// this only fires if a client presents a watermark the server never acked
-/// (or a publish is pathologically stalled) — the reply is a typed
+/// up. A waiting query ends the refresher's pacing wait, so it normally
+/// waits for at most the sweep in progress and one more; this only fires
+/// if a client presents a watermark the server never acked (or a publish
+/// is pathologically stalled) — the reply is a typed
 /// [`ErrorCode::WatermarkTimeout`], never a hang.
 const WATERMARK_WAIT: Duration = Duration::from_secs(10);
 
-/// How long the refresher sleeps between registry sweeps when nobody has
-/// signalled new ingest. A safety net only: ingest signals the refresher
-/// directly, so the steady-state publish lag is the sweep cost, not this.
-const REFRESH_IDLE: Duration = Duration::from_millis(50);
-
-/// Sweeps cheaper than this don't trigger pacing — insert-only views and
-/// near-idle spaces republish as fast as the doorbell rings.
-const REFRESH_PACE_FLOOR: Duration = Duration::from_micros(500);
-
-/// Upper bound on the pacing sleep after an expensive sweep. Together with
-/// [`REFRESH_PACE_FLOOR`] this bounds watermarked-read latency at roughly
-/// `sweep + REFRESH_PACE_CAP` even when view rebuilds are slow.
+/// Upper bound on the pacing wait after a sweep, debt included. A waiting
+/// read ends the wait early, so this bounds the publish lag that `?stale`
+/// reads see, at roughly `sweep + REFRESH_PACE_CAP` even when view
+/// rebuilds are slow.
 const REFRESH_PACE_CAP: Duration = Duration::from_millis(100);
 
 /// Overload-protection budgets. Every limit defaults to `0` = *off* — the
@@ -439,33 +437,92 @@ fn compact_spaces(wal: &Wal, spaces: &SpaceRegistry) -> std::io::Result<()> {
 /// The server's space roster, keyed by name.
 type SpaceRegistry = HashMap<SpaceId, Arc<SpaceHandle>>;
 
-/// Ingest-to-refresher doorbell. Ingest workers ring it (a counter bump +
-/// notify) after applying a batch; the refresher sleeps on it between
-/// sweeps, so publish lag is one condvar wakeup, not a poll interval.
+/// The refresher's two bells, under one mutex.
+#[derive(Default)]
+struct Bells {
+    /// Ingest doorbell rings: a batch was applied.
+    rung: u64,
+    /// Demands: a read is about to wait for a snapshot.
+    demand: u64,
+}
+
+/// Ingest-to-refresher doorbell, plus the demand count of reads waiting on
+/// a watermark. Ingest workers ring the doorbell (a counter bump + notify)
+/// after applying a batch; the refresher sleeps on it between sweeps, so
+/// publish lag is one condvar wakeup, not a poll interval. A read that has
+/// to wait for a snapshot makes a demand, which ends the refresher's pacing
+/// wait ([`RefreshSignal::pacing_wait`]); a ring alone never does.
 #[derive(Default)]
 struct RefreshSignal {
-    rung: Mutex<u64>,
+    bells: Mutex<Bells>,
     cv: Condvar,
 }
 
 impl RefreshSignal {
     fn ring(&self) {
-        *self.rung.lock().expect("refresh signal") += 1;
+        self.bells.lock().expect("refresh signal").rung += 1;
         self.cv.notify_all();
     }
 
-    /// Wait until the bell has been rung past `seen` (or the idle timeout
-    /// elapses, as a safety net) and return the new count.
+    fn demand(&self) {
+        self.bells.lock().expect("refresh signal").demand += 1;
+        self.cv.notify_all();
+    }
+
+    /// The demand count now: a pass reads it before it sweeps, so a demand
+    /// made during the sweep ends the pacing wait after it.
+    fn demands(&self) -> u64 {
+        self.bells.lock().expect("refresh signal").demand
+    }
+
+    /// Wait until the bell has been rung past `seen` and return the new
+    /// count. Every change to a space's state rings (ingest) or publishes
+    /// inline (restore, create, recovery), and shutdown rings, so the wait
+    /// needs no timeout.
     fn wait(&self, seen: u64) -> u64 {
-        let mut rung = self.rung.lock().expect("refresh signal");
-        if *rung == seen {
-            let (r, _) = self
-                .cv
-                .wait_timeout(rung, REFRESH_IDLE)
-                .expect("refresh signal");
-            rung = r;
-        }
-        *rung
+        let bells = self.bells.lock().expect("refresh signal");
+        self.cv
+            .wait_while(bells, |b| b.rung == seen)
+            .expect("refresh signal")
+            .rung
+    }
+
+    /// Wait up to `limit`, ending early on a demand past `demanded` or once
+    /// `stop` holds (its setter rings after setting it). Returns the time
+    /// waited.
+    fn pacing_wait(&self, demanded: u64, limit: Duration, stop: impl Fn() -> bool) -> Duration {
+        let start = Instant::now();
+        let bells = self.bells.lock().expect("refresh signal");
+        let _ = self
+            .cv
+            .wait_timeout_while(bells, limit, |b| b.demand == demanded && !stop())
+            .expect("refresh signal");
+        start.elapsed()
+    }
+}
+
+/// The refresher's pacing after a sweep, and the sleep it owes.
+#[derive(Default)]
+struct Pacing {
+    /// What demands cut from earlier waits, still to be slept.
+    owed: Duration,
+}
+
+impl Pacing {
+    /// Pace after a sweep that took `took`: wait 3× the sweep plus what is
+    /// owed, at most [`REFRESH_PACE_CAP`], unless a demand past `demanded`
+    /// or `stop` ends the wait first. The part not waited is owed to the
+    /// next wait, so a demand moves a sweep earlier without making the
+    /// sweeps after it faster and smaller.
+    fn pace(
+        &mut self,
+        signal: &RefreshSignal,
+        demanded: u64,
+        took: Duration,
+        stop: impl Fn() -> bool,
+    ) {
+        let due = (took * 3 + self.owed).min(REFRESH_PACE_CAP);
+        self.owed = due.saturating_sub(signal.pacing_wait(demanded, due, stop));
     }
 }
 
@@ -596,7 +653,7 @@ impl Server {
     /// [`Request::Shutdown`], minus the response frame).
     pub fn shutdown(&self) {
         // Wake the acceptor out of its blocking accept, and the refresher
-        // out of its doorbell wait.
+        // out of its doorbell or pacing wait.
         self.shared.front.shutdown(self.addr);
         self.shared.refresh.ring();
     }
@@ -770,11 +827,13 @@ fn build_spaces(
 
 /// The background snapshot refresher: sleep on the ingest doorbell, then
 /// sweep the registry and publish every space whose applied state has
-/// moved past its published watermark. One thread serves every space — a
-/// sweep is O(spaces) lock probes plus O(changes) refresh work, and the
-/// doorbell keeps the steady-state publish lag at one condvar wakeup.
+/// moved past its published watermark, then pace ([`Pacing`]). One thread
+/// serves every space — a sweep is O(spaces) lock probes plus O(changes)
+/// refresh work, and the doorbell keeps an idle refresher's publish lag at
+/// one condvar wakeup.
 fn run_refresher(shared: Arc<Shared>) {
     let mut seen = 0u64;
+    let mut pacing = Pacing::default();
     loop {
         seen = shared.refresh.wait(seen);
         if shared.front.is_shutting_down() {
@@ -783,6 +842,7 @@ fn run_refresher(shared: Arc<Shared>) {
         if let Some(delay) = shared.refresh_debounce {
             std::thread::sleep(delay);
         }
+        let demanded = shared.refresh.demands();
         let pass = Instant::now();
         let handles: Vec<Arc<SpaceHandle>> = {
             let registry = shared.spaces.read().expect("space registry");
@@ -814,15 +874,14 @@ fn run_refresher(shared: Arc<Shared>) {
         }
         // Adaptive pacing: a sweep's cost is the shard time it steals from
         // ingest (every barrier makes the shards re-decode their dirty
-        // partitions). Sleeping ~3× the sweep duration caps snapshot
+        // partitions). Waiting ~3× the sweep duration caps snapshot
         // rebuilds at roughly a quarter of shard time, so sustained ingest
         // keeps most of the machine while cheap sweeps (insert-only views,
-        // idle spaces) still republish near-continuously. The cap bounds
-        // watermarked-read latency even when a sweep is pathologically slow.
-        let took = pass.elapsed();
-        if took > REFRESH_PACE_FLOOR && !shared.front.is_shutting_down() {
-            std::thread::sleep((took * 3).min(REFRESH_PACE_CAP));
-        }
+        // idle spaces) still republish near-continuously. A read waiting
+        // on a watermark ends the wait, and the next wait makes up for it.
+        pacing.pace(&shared.refresh, demanded, pass.elapsed(), || {
+            shared.front.is_shutting_down()
+        });
     }
 }
 
@@ -991,8 +1050,9 @@ fn list_spaces(shared: &Shared) -> Response {
 fn read_snapshot(
     handle: &SpaceHandle,
     mode: &ReadMode,
-    limits: &OverloadLimits,
+    shared: &Shared,
 ) -> Result<Arc<Published>, Box<Response>> {
+    let limits = &shared.limits;
     match mode {
         ReadMode::Stale => Ok(handle.snapshot()),
         ReadMode::AtLeast(want) => {
@@ -1016,6 +1076,8 @@ fn read_snapshot(
                     )));
                 }
             }
+            // This read will wait: end the refresher's pacing wait.
+            shared.refresh.demand();
             handle.wait_published(*want, WATERMARK_WAIT).map_err(|()| {
                 Box::new(Response::error(
                     ErrorCode::WatermarkTimeout,
@@ -1175,20 +1237,20 @@ fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared)
         // cover the client's watermark; `Stale` answers immediately.
         // Every answer is bounded before it is encoded: a large `top k`
         // is a typed `oversized`, not a panic in the codec.
-        Request::Certified(mode) => match read_snapshot(handle, &mode, &shared.limits) {
+        Request::Certified(mode) => match read_snapshot(handle, &mode, shared) {
             Ok(snap) => Response::Answer(snap.view.certified()).bounded(),
             Err(resp) => *resp,
         },
-        Request::Certify(v, mode) => match read_snapshot(handle, &mode, &shared.limits) {
+        Request::Certify(v, mode) => match read_snapshot(handle, &mode, shared) {
             Ok(snap) => Response::Answer(snap.view.certify(v)).bounded(),
             Err(resp) => *resp,
         },
-        Request::Top(k, mode) => match read_snapshot(handle, &mode, &shared.limits) {
+        Request::Top(k, mode) => match read_snapshot(handle, &mode, shared) {
             Ok(snap) => Response::Top(snap.view.top(clamp_k(k))).bounded(),
             Err(resp) => *resp,
         },
         Request::Stats(mode) => {
-            let snap = match read_snapshot(handle, &mode, &shared.limits) {
+            let snap = match read_snapshot(handle, &mode, shared) {
                 Ok(snap) => snap,
                 Err(resp) => return *resp,
             };
@@ -1260,11 +1322,10 @@ fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared)
             since,
             min_watermark,
         } => {
-            let snap =
-                match read_snapshot(handle, &ReadMode::AtLeast(min_watermark), &shared.limits) {
-                    Ok(snap) => snap,
-                    Err(resp) => return *resp,
-                };
+            let snap = match read_snapshot(handle, &ReadMode::AtLeast(min_watermark), shared) {
+                Ok(snap) => snap,
+                Err(resp) => return *resp,
+            };
             if snap.version == since {
                 // The puller's copy is current: nothing to ship.
                 return Response::View(WireView::Unchanged { epoch: since });
@@ -1317,7 +1378,7 @@ fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared)
                     format!("scoped read names partition {p}, space has {partitions}"),
                 );
             }
-            let snap = match read_snapshot(handle, &mode, &shared.limits) {
+            let snap = match read_snapshot(handle, &mode, shared) {
                 Ok(snap) => snap,
                 Err(resp) => return *resp,
             };
@@ -1373,5 +1434,120 @@ fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared)
             ErrorCode::Malformed,
             "lifecycle request routed to a space handler".into(),
         ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::mpsc;
+
+    fn never() -> bool {
+        false
+    }
+
+    #[test]
+    fn a_demand_before_the_wait_begins_ends_it_at_once() {
+        let signal = RefreshSignal::default();
+        let demanded = signal.demands();
+        // A read arrives while the sweep runs, after the pass read the count.
+        signal.demand();
+        let waited = signal.pacing_wait(demanded, Duration::from_secs(10), never);
+        assert!(waited < Duration::from_secs(1), "waited {waited:?}");
+    }
+
+    #[test]
+    fn a_demand_from_another_thread_ends_the_wait() {
+        let signal = Arc::new(RefreshSignal::default());
+        let demanded = signal.demands();
+        // The wait checks `stop` under the signal's lock just before it
+        // blocks, and the demand needs that lock: it lands during the wait.
+        // (A wait that never checks `stop` drops the sender unsent.)
+        let (waiting, wait_began) = mpsc::channel();
+        let reader = {
+            let signal = Arc::clone(&signal);
+            std::thread::spawn(move || {
+                let _ = wait_began.recv();
+                signal.demand();
+            })
+        };
+        let waited = signal.pacing_wait(demanded, Duration::from_secs(10), move || {
+            let _ = waiting.send(());
+            false
+        });
+        reader.join().expect("reader");
+        assert!(waited < Duration::from_secs(1), "waited {waited:?}");
+    }
+
+    #[test]
+    fn ingest_rings_do_not_end_the_wait() {
+        let signal = Arc::new(RefreshSignal::default());
+        let done = Arc::new(AtomicBool::new(false));
+        let ingest = {
+            let (signal, done) = (Arc::clone(&signal), Arc::clone(&done));
+            std::thread::spawn(move || {
+                while !done.load(Ordering::SeqCst) {
+                    signal.ring();
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+            })
+        };
+        let waited = signal.pacing_wait(signal.demands(), Duration::from_millis(300), never);
+        done.store(true, Ordering::SeqCst);
+        ingest.join().expect("ingest");
+        assert!(waited >= Duration::from_millis(250), "waited {waited:?}");
+    }
+
+    #[test]
+    fn shutdown_ends_the_wait() {
+        let signal = Arc::new(RefreshSignal::default());
+        let stop = Arc::new(AtomicBool::new(false));
+        let (waiting, wait_began) = mpsc::channel();
+        // What `Server::shutdown` does, once the wait has begun: set the
+        // flag, then ring.
+        let owner = {
+            let (signal, stop) = (Arc::clone(&signal), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let _ = wait_began.recv();
+                stop.store(true, Ordering::SeqCst);
+                signal.ring();
+            })
+        };
+        let waited = signal.pacing_wait(signal.demands(), Duration::from_secs(10), move || {
+            let _ = waiting.send(());
+            stop.load(Ordering::SeqCst)
+        });
+        owner.join().expect("owner");
+        assert!(waited < Duration::from_secs(1), "waited {waited:?}");
+    }
+
+    #[test]
+    fn the_unslept_wait_is_owed_to_the_next_one_up_to_the_cap() {
+        let ms = Duration::from_millis;
+        let signal = RefreshSignal::default();
+        let mut pacing = Pacing::default();
+        // Each wait below but the last is cut short by a demand already
+        // made, so nearly all of it is owed.
+        let cut = |pacing: &mut Pacing, took: Duration| {
+            let demanded = signal.demands();
+            signal.demand();
+            pacing.pace(&signal, demanded, took, never);
+            pacing.owed
+        };
+        // A 20 ms sweep earns 60 ms.
+        let owed = cut(&mut pacing, ms(20));
+        assert!(owed > ms(50) && owed <= ms(60), "owed {owed:?}");
+        // A 1 ms sweep earns 3 ms, and the debt rides on top.
+        let owed = cut(&mut pacing, ms(1));
+        assert!(owed > ms(53) && owed <= ms(63), "owed {owed:?}");
+        // A 20 ms sweep's 60 ms on top of the debt passes the cap.
+        let owed = cut(&mut pacing, ms(20));
+        assert!(owed > ms(90) && owed <= REFRESH_PACE_CAP, "owed {owed:?}");
+        // A wait nothing cuts short pays the whole debt.
+        let start = Instant::now();
+        pacing.pace(&signal, signal.demands(), Duration::ZERO, never);
+        assert!(start.elapsed() > ms(80), "waited {:?}", start.elapsed());
+        assert_eq!(pacing.owed, Duration::ZERO);
     }
 }

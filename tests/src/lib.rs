@@ -66,6 +66,25 @@ impl Front {
         Front::over_workers(cfg, opts)
     }
 
+    /// A memory-only node (`routed` false) or router over two fresh
+    /// workers serving `cfg`, shedding client connections past
+    /// `max_conns`. A router has no heartbeat.
+    pub fn capped(cfg: EngineConfig, routed: bool, max_conns: usize) -> Front {
+        if !routed {
+            let opts = ServerOptions {
+                max_conns,
+                ..ServerOptions::default()
+            };
+            return Front::Node(Server::start_with(cfg, "127.0.0.1:0", opts).expect("bind"));
+        }
+        let opts = RouterOptions {
+            heartbeat: None,
+            max_conns,
+            ..RouterOptions::default()
+        };
+        Front::over_workers(cfg, opts)
+    }
+
     /// A durable node (`routed` false) or router on `dir` serving `cfg`,
     /// with `faults` threaded under its WAL and checkpoint writer when
     /// given. `compact` is the compaction trigger the test picks: a node's
@@ -97,6 +116,7 @@ impl Front {
             data_dir: Some(dir.to_path_buf()),
             retained_budget: compact,
             disk_faults: faults,
+            max_conns: 0,
         };
         Front::over_workers(cfg, opts)
     }

@@ -116,6 +116,7 @@ fn quick_opts() -> RouterOptions {
         data_dir: None,
         retained_budget: HEALTHY_BUDGET,
         disk_faults: None,
+        max_conns: 0,
     }
 }
 

@@ -71,6 +71,7 @@ fn faulty_opts(plan: &Arc<FaultPlan>) -> RouterOptions {
         // refreshes come from rejoins and the final checkpoint.
         retained_budget: 1 << 20,
         disk_faults: None,
+        max_conns: 0,
     }
 }
 

@@ -129,6 +129,7 @@ fn watermarked_reads_match_reference_through_router() {
         // every prefix read after a refresh reads refreshed state.
         retained_budget: 1_024,
         disk_faults: None,
+        max_conns: 0,
     };
     let router = fews_cluster::Router::start(cfg, "127.0.0.1:0", &addrs, opts).expect("router");
     let mut client = Client::connect(router.local_addr()).expect("connect");

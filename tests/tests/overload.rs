@@ -12,6 +12,7 @@
 use fews_common::rng::rng_for;
 use fews_core::insertion_only::FewwConfig;
 use fews_engine::EngineConfig;
+use fews_integration_tests::Front;
 use fews_net::{
     Client, ClientError, ClientOptions, ErrorCode, FaultPlan, FaultProfile, OverloadLimits, Server,
     ServerOptions,
@@ -116,19 +117,17 @@ fn lag_budget_sheds_watermarked_reads_while_stale_answers() {
 
 /// Past `max_conns`, accepts are shed with a best-effort typed frame: the
 /// excess client reads Overloaded + retry hint instead of hanging, and the
-/// slot freed by a departing connection is reusable.
+/// slot freed by a departing connection is reusable. A node and a router
+/// run the one connection core, so both must pass.
 #[test]
 fn connection_cap_sheds_at_accept_with_a_typed_frame() {
-    let server = Server::start_with(
-        base_cfg(),
-        "127.0.0.1:0",
-        ServerOptions {
-            max_conns: 1,
-            ..ServerOptions::default()
-        },
-    )
-    .expect("bind");
-    let addr = server.local_addr();
+    for routed in [false, true] {
+        connection_cap_sheds(Front::capped(base_cfg(), routed, 1));
+    }
+}
+
+fn connection_cap_sheds(front: Front) {
+    let addr = front.local_addr();
 
     let mut holder = Client::connect(addr).expect("first connection");
     holder.ping().expect("held connection serves");
@@ -176,8 +175,7 @@ fn connection_cap_sheds_at_accept_with_a_typed_frame() {
         client.stats().expect("stats").overload.shed_conns >= 1,
         "accept-time sheds must be counted"
     );
-    client.shutdown().expect("shutdown");
-    server.join();
+    front.finish(client);
 }
 
 /// Hammer a tiny in-flight budget from many threads; every shed must be a
@@ -379,6 +377,7 @@ fn router_opts(retained_budget: u64) -> fews_cluster::RouterOptions {
         data_dir: None,
         retained_budget,
         disk_faults: None,
+        max_conns: 0,
     }
 }
 
