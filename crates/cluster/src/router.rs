@@ -27,9 +27,12 @@
 //!
 //! Each partition has [`RouterOptions::replicas`] owners (`(p + k) % N` for
 //! `k < R`, primary first). Ingest goes to every live owner through the
-//! router's one fan-out ([`Inner::fan_out`], which scoped reads and slice
-//! pulls share): all frames written, then all replies read, so R-way
-//! replication costs one round trip, not R.
+//! router's one fan-out ([`Inner::fan_out`]): all frames written, then all
+//! replies read, so R-way replication costs one round trip, not R. Every
+//! request the router sends a worker but admission's hello rides it —
+//! ingest, scoped reads, slice pulls and pushes, stats, heartbeat pings
+//! and forwarded shutdowns — so it alone checks worker replies and marks
+//! a worker down.
 //!
 //! Acknowledged ingest means *retained at the router*: a batch is acked
 //! once it is logged (and, with a data dir, fsynced) and offered to every
@@ -102,6 +105,7 @@ use fews_net::{
 };
 use fews_stream::Update;
 use std::cmp::{Ordering as Rank, Reverse};
+use std::collections::VecDeque;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
@@ -193,11 +197,12 @@ type Fail = (ErrorCode, String);
 /// One cluster member as the router sees it.
 struct Node {
     addr: String,
-    /// `None` = down. Every recovery goes through [`Inner::rejoin`].
+    /// `None` = down, as [`Inner::fan_out`] marks it (or a forwarded
+    /// shutdown). Every recovery goes through [`Inner::rejoin`].
     client: Option<Client>,
     /// The node's highest acked *ingest* watermark — what a fresh scoped
     /// read asks the node's snapshot to cover, so the answer includes
-    /// everything the router routed to it.
+    /// everything routed to it. [`Inner::fan_out`] copies the client's.
     acked: u64,
     /// Updates routed to this node (the router-side `processed` counter).
     routed: u64,
@@ -396,6 +401,22 @@ fn keeps_node_live(code: ErrorCode) -> bool {
     matches!(code, ErrorCode::Overloaded | ErrorCode::Oversized)
 }
 
+/// [`Inner::fan_out`]'s check of a reply whose kind is the whole answer
+/// (an ingest ack's watermark goes to the client): `Ingested` to an ingest
+/// batch, `Restored` to a slice restore, `Pong` to a ping, `Bye` to a
+/// shutdown.
+fn acknowledged(_: usize, request: &Request, reply: Response) -> Result<(), String> {
+    let (what, fits) = match request {
+        Request::IngestBatch(_) => ("ingest", matches!(reply, Response::Ingested { .. })),
+        Request::SliceRestore(_) => ("slice-restore", reply == Response::Restored),
+        Request::Ping => ("ping", reply == Response::Pong),
+        Request::Shutdown => ("shutdown", reply == Response::Bye),
+        _ => ("a request with an answer", false),
+    };
+    fits.then_some(())
+        .ok_or_else(|| format!("answered `{what}` with the wrong frame kind"))
+}
+
 /// Check that an answered vertex is one the read could produce: a vertex
 /// of the model (`< n`) in one of the `named` partitions.
 fn check_vertex(cfg: &EngineConfig, named: &[u32], a: u32) -> Result<(), String> {
@@ -530,55 +551,43 @@ impl Inner {
             .collect()
     }
 
-    /// Push node `i` its full slice over its (live) connection: wholesale
-    /// restore from the payload store, then retained-log replay. Failure
-    /// marks the node down with the error typed.
-    fn push_slice(&mut self, i: usize) -> Result<(), Fail> {
-        let owned = self.owned(i);
-        let slice: Vec<(u32, Vec<u8>)> = owned
-            .iter()
-            .map(|&p| (p, self.payloads[p as usize].clone()))
-            .collect();
-        let container = checkpoint::encode_slice(&self.cfg, &slice);
-        // Replay partition by partition: the engine orders per partition
-        // only, and logs[p] holds exactly p's updates in arrival order.
-        let mut replay: Vec<Update> = Vec::new();
-        for &p in &owned {
-            replay.extend_from_slice(&self.logs[p as usize]);
-        }
-        let Some(client) = self.nodes[i].client.as_mut() else {
-            let addr = &self.nodes[i].addr;
-            return Err((ErrorCode::NodeUnavailable, format!("worker {addr} is down")));
-        };
-        let mut res = client.slice_restore(&container);
-        if res.is_ok() {
+    /// Reseed the live nodes among `nodes` in one fan-out: each gets its
+    /// full slice as a wholesale `slice-restore` from the payload store,
+    /// then its retained logs in [`REPLAY_CHUNK`] batches. A node that
+    /// fails any of it is marked down and gets its slice at rejoin, as a
+    /// down node does; the first failure comes back.
+    fn reseed(&mut self, nodes: impl IntoIterator<Item = usize>) -> Result<(), Fail> {
+        let mut requests = Vec::new();
+        for i in nodes {
+            if self.nodes[i].client.is_none() {
+                continue;
+            }
+            let owned = self.owned(i);
+            let slice: Vec<(u32, Vec<u8>)> = owned
+                .iter()
+                .map(|&p| (p, self.payloads[p as usize].clone()))
+                .collect();
+            let container = checkpoint::encode_slice(&self.cfg, &slice);
+            requests.push((i, Request::SliceRestore(container)));
+            // Replay partition by partition: the engine orders per partition
+            // only, and logs[p] holds exactly p's updates in arrival order.
+            let mut replay = Vec::new();
+            for &p in &owned {
+                replay.extend_from_slice(&self.logs[p as usize]);
+            }
             for chunk in replay.chunks(REPLAY_CHUNK) {
-                if let Err(e) = client.ingest_batch(chunk) {
-                    res = Err(e);
-                    break;
-                }
+                requests.push((i, Request::IngestBatch(chunk.to_vec())));
             }
         }
-        match res {
-            Ok(()) => {
-                // The replay acks carried the worker's current watermarks;
-                // future fresh reads must cover everything just replayed.
-                let node = &mut self.nodes[i];
-                node.acked = node.client.as_ref().map_or(0, Client::watermark);
-                Ok(())
-            }
-            Err(e) => {
-                self.nodes[i].client = None;
-                Err(node_fail(&self.nodes[i].addr, &e))
-            }
-        }
+        let (_, first) = self.fan_out(requests, |_| false, acknowledged);
+        first.map_or(Ok(()), Err)
     }
 
     /// Checkpoint-handoff recovery: reconnect, verify identity, stream the
     /// node's slice back as exact engine container bytes, replay the
-    /// retained log. The revived node is bit-exact with one that never died
-    /// (restore is wholesale per partition, so it also erases any
-    /// half-applied batch a send failure left behind).
+    /// retained log ([`Inner::reseed`]). The revived node is bit-exact with
+    /// one that never died (restore is wholesale per partition, so it also
+    /// erases any half-applied batch a send failure left behind).
     ///
     /// Before the node is marked live, the retained logs are refreshed from
     /// its live co-owners (it cannot be picked as a source while down), so
@@ -589,7 +598,7 @@ impl Inner {
             .map_err(|m| (ErrorCode::NodeUnavailable, m))?;
         self.refresh_retained();
         self.nodes[i].client = Some(client);
-        self.push_slice(i)
+        self.reseed([i])
     }
 
     /// Which nodes are live, by index.
@@ -716,22 +725,13 @@ impl Inner {
         let requests = per_node
             .into_iter()
             .enumerate()
-            .filter(|(i, batch)| !batch.is_empty() && self.nodes[*i].client.is_some())
+            .filter(|(_, batch)| !batch.is_empty())
             .map(|(i, batch)| (i, Request::IngestBatch(batch)))
             .collect();
-        let (acked, _) = self.fan_out(
-            requests,
-            |_| false,
-            |_, reply| match reply {
-                Response::Ingested { .. } => Ok(()),
-                _ => Err("answered an ingest batch with the wrong frame kind".into()),
-            },
-        );
+        let (acked, _) = self.fan_out(requests, |_| false, acknowledged);
         for (i, ()) in acked {
-            let node = &mut self.nodes[i];
-            node.routed += routed[i];
-            node.batches += 1;
-            node.acked = node.client.as_ref().map_or(0, Client::watermark);
+            self.nodes[i].routed += routed[i];
+            self.nodes[i].batches += 1;
         }
         self.ingested += count;
         // The router's ack watermark is its lifetime ingest count: queries
@@ -760,7 +760,7 @@ impl Inner {
         let (pulled, first) = self.fan_out(
             requests,
             |_| false,
-            |i, reply| {
+            |i, _, reply| {
                 let Response::Checkpoint(bytes) = reply else {
                     return Err("answered a slice checkpoint with the wrong frame kind".into());
                 };
@@ -905,57 +905,71 @@ impl Inner {
             })
             .collect();
         let cfg = self.cfg;
-        let (answers, first) = self.fan_out(requests, keeps_node_live, |i, answer| {
+        let (answers, first) = self.fan_out(requests, keeps_node_live, |i, _, answer| {
             check(&cfg, &plan[i], answer)
         });
         first.map_or(Ok(answers.into_iter().map(|(_, a)| a).collect()), Err)
     }
 
-    /// The one fan-out from router to workers: write every `(node,
-    /// request)` frame, then read each reply in the same order, one read
-    /// per successful write, so every connection stays in step and the
-    /// nodes serve concurrently — R-way ingest, a read over N workers and
-    /// a slice pull each cost one round trip, not one per node. A node
-    /// whose write, read or `reply` check fails is marked down, unless
-    /// `keep_live` says its typed refusal is load (it answered in step); a
-    /// refused check is typed `malformed`, naming the worker. Returns the
-    /// checked replies with their nodes, and the first failure.
+    /// The one fan-out from router to workers, which every request but
+    /// admission's hello rides. Each live node's requests go out in order,
+    /// one per round: write every node's next frame, then read each reply
+    /// in the same order, one read per successful write, so connections
+    /// stay in step and the nodes serve concurrently. `reply` checks each
+    /// reply against its request (a refusal is typed `malformed`, naming
+    /// the worker). A node's first failure marks it down, unless
+    /// `keep_live` says its typed refusal is load, and ends its requests,
+    /// as a down node gets none. Only this marks a node down or moves its
+    /// acked watermark. Returns the checked replies with their nodes, and
+    /// the first failure.
     fn fan_out<T>(
         &mut self,
         requests: Vec<(usize, Request)>,
         keep_live: fn(ErrorCode) -> bool,
-        reply: impl Fn(usize, Response) -> Result<T, String>,
+        reply: impl Fn(usize, &Request, Response) -> Result<T, String>,
     ) -> (Vec<(usize, T)>, Option<Fail>) {
-        let mut written = Vec::with_capacity(requests.len());
-        for (i, request) in &requests {
-            let node = &mut self.nodes[*i];
-            let client = node.client.as_mut().expect("a fanned-out node is live");
-            written.push((
-                *i,
-                client.send(request).map_err(|e| node_fail(&node.addr, &e)),
-            ));
+        let mut queues: Vec<VecDeque<Request>> =
+            self.nodes.iter().map(|_| VecDeque::new()).collect();
+        for (i, request) in requests {
+            queues[i].push_back(request);
         }
         let mut first: Option<Fail> = None;
-        let mut replies = Vec::with_capacity(written.len());
-        for (i, sent) in written {
-            let node = &mut self.nodes[i];
-            let checked = sent.and_then(|()| {
-                let client = node.client.as_mut().expect("a written node is live");
-                let answer = client.recv().map_err(|e| node_fail(&node.addr, &e))?;
-                reply(i, answer)
-                    .map_err(|m| (ErrorCode::Malformed, format!("worker {}: {m}", node.addr)))
-            });
-            match checked {
-                Ok(answer) => replies.push((i, answer)),
-                Err(fail) => {
-                    if !keep_live(fail.0) {
-                        node.client = None;
+        let mut replies = Vec::new();
+        loop {
+            let mut written = Vec::new();
+            for (i, queue) in queues.iter_mut().enumerate() {
+                let node = &mut self.nodes[i];
+                let (Some(client), Some(request)) = (node.client.as_mut(), queue.pop_front())
+                else {
+                    continue;
+                };
+                let sent = client.send(&request).map_err(|e| node_fail(&node.addr, &e));
+                written.push((i, request, sent));
+            }
+            if written.is_empty() {
+                return (replies, first);
+            }
+            for (i, request, sent) in written {
+                let node = &mut self.nodes[i];
+                let checked = sent.and_then(|()| {
+                    let client = node.client.as_mut().expect("a written node is live");
+                    let answer = client.recv().map_err(|e| node_fail(&node.addr, &e))?;
+                    node.acked = client.watermark();
+                    reply(i, &request, answer)
+                        .map_err(|m| (ErrorCode::Malformed, format!("worker {}: {m}", node.addr)))
+                });
+                match checked {
+                    Ok(answer) => replies.push((i, answer)),
+                    Err(fail) => {
+                        if !keep_live(fail.0) {
+                            node.client = None;
+                        }
+                        queues[i].clear();
+                        first.get_or_insert(fail);
                     }
-                    first.get_or_insert(fail);
                 }
             }
         }
-        (replies, first)
     }
 
     /// A full cluster checkpoint: drain every log into fresh payloads, then
@@ -984,43 +998,42 @@ impl Inner {
     /// Install a full checkpoint cluster-wide. Every payload first passes
     /// the engine's own restore validation ([`Engine::validate_payloads`]),
     /// so a checkpoint a worker would refuse is refused here, typed, with
-    /// nothing committed. The payload store then commits (durably, when
-    /// the router has a data dir), then slices push to the owners; a node
-    /// that misses the push is marked down and recovers the restored state
-    /// through the ordinary rejoin path — so the restore is never torn.
+    /// nothing committed. The payload store and the emptied logs then
+    /// commit once a durable router has persisted them, and every live node
+    /// is reseeded ([`Inner::reseed`]); a node that is down or misses it
+    /// recovers the restored state through the ordinary rejoin path — so
+    /// the restore is never torn.
     fn restore(&mut self, bytes: &[u8]) -> Result<(), Fail> {
         let dense = decode_store(&self.cfg, bytes).map_err(|m| (ErrorCode::Checkpoint, m))?;
         let listed = dense.iter().enumerate().map(|(p, b)| (p as u32, &b[..]));
         Engine::validate_payloads(&self.cfg, listed)
             .map_err(|e| (ErrorCode::Checkpoint, e.to_string()))?;
-        // Commit router-side truth before any push.
-        self.payloads = dense;
-        for log in &mut self.logs {
-            log.clear();
-        }
         // An acked restore must survive a router crash, same as acked
-        // ingest: persist before pushing to any worker.
+        // ingest: persist before anything commits or reaches a worker.
+        let payloads = std::mem::replace(&mut self.payloads, dense);
+        let logs = std::mem::replace(&mut self.logs, vec![Vec::new(); self.cfg.partitions]);
         if let Err(e) = self.compact_durable() {
+            // Nothing commits. A failure past the rename may have left the
+            // restored envelope on disk, so no later batch may be acked on
+            // top of either one: poison durability, as a failed fsync does.
+            self.payloads = payloads;
+            self.logs = logs;
+            if let Some(d) = &self.durable {
+                d.wal.poison();
+            }
             return Err((
                 ErrorCode::Durability,
                 format!("persisting restored checkpoint: {e}"),
             ));
         }
-        for i in 0..self.nodes.len() {
-            if self.nodes[i].client.is_none() {
-                let _ = self.rejoin(i); // hands the restored slice
-                continue;
-            }
-            let _ = self.push_slice(i); // marks down on failure
-        }
+        let _ = self.reseed(0..self.nodes.len());
         Ok(())
     }
 
     /// Admit a new worker and rebalance: the ownership map recomputes over
-    /// `N + 1` nodes, every node receives its (possibly shrunk) slice as
-    /// container bytes. Requires a fully live
-    /// cluster — rebalancing around a hole would have to guess the hole's
-    /// state.
+    /// `N + 1` nodes, and every live node is reseeded with its (possibly
+    /// shrunk) slice as container bytes ([`Inner::reseed`]); a down one gets
+    /// its new slice at rejoin.
     fn join(&mut self, addr: &str) -> Result<(), Fail> {
         if self.nodes.iter().any(|n| n.addr == addr) {
             return Err((
@@ -1038,16 +1051,8 @@ impl Inner {
         )
         .map_err(|m| (ErrorCode::NodeUnavailable, m))?;
         self.nodes.push(Node::fresh(addr.to_string(), Some(client)));
-        let n = self.nodes.len();
-        self.owners = owner_map(self.cfg.partitions, n, self.opts.replicas);
-        // Every node gets its new slice pushed (or rejoins with it).
-        for i in 0..n {
-            if self.nodes[i].client.is_none() {
-                let _ = self.rejoin(i);
-                continue;
-            }
-            let _ = self.push_slice(i); // marks down on failure
-        }
+        self.owners = owner_map(self.cfg.partitions, self.nodes.len(), self.opts.replicas);
+        let _ = self.reseed(0..self.nodes.len());
         Ok(())
     }
 
@@ -1073,31 +1078,35 @@ impl Inner {
 
     /// Cluster statistics: the router's own ingest counter, one shard row
     /// per node (owned partitions, updates routed, measured worker state),
-    /// and `shed_conns`, its front end's accept-time sheds.
-    /// Down nodes report zero measured bytes instead of failing the call —
-    /// statistics must not stall behind a recovery.
+    /// and `shed_conns`, its front end's accept-time sheds. Each node's
+    /// `stats` at its acked watermark comes in one fan-out; down nodes, and
+    /// one that fails it (it is marked down), report zero measured bytes
+    /// instead of failing the call — statistics must not stall behind a
+    /// recovery.
     fn stats(&mut self, shed_conns: u64) -> Result<WireStats, Fail> {
-        let mut shards = Vec::with_capacity(self.nodes.len());
-        let mut space_bytes = 0u64;
-        for i in 0..self.nodes.len() {
-            let measured = match self.nodes[i].client.as_mut() {
-                Some(client) => match client.stats() {
-                    Ok(s) => Some(s.space_bytes),
-                    Err(_) => {
-                        self.nodes[i].client = None;
-                        None
-                    }
-                },
-                None => None,
-            };
-            shards.push(WireShardStats {
+        let requests = (0..self.nodes.len())
+            .map(|i| (i, Request::Stats(ReadMode::AtLeast(self.nodes[i].acked))))
+            .collect();
+        let (measured, _) = self.fan_out(
+            requests,
+            |_| false,
+            |_, _, reply| match reply {
+                Response::Stats(stats) => Ok(stats.space_bytes),
+                _ => Err("answered a stats request with the wrong frame kind".into()),
+            },
+        );
+        let mut space_bytes = vec![0; self.nodes.len()];
+        for (i, bytes) in measured {
+            space_bytes[i] = bytes;
+        }
+        let shards = (0..self.nodes.len())
+            .map(|i| WireShardStats {
                 partitions: self.owned(i).len() as u64,
                 processed: self.nodes[i].routed,
                 batches: self.nodes[i].batches,
-                space_bytes: measured.unwrap_or(0),
-            });
-            space_bytes += measured.unwrap_or(0);
-        }
+                space_bytes: space_bytes[i],
+            })
+            .collect();
         // The router's overload picture: its own sheds, and what down
         // workers still owe standing in for in-flight work. Retained
         // updates a live owner already holds are not a backlog.
@@ -1106,7 +1115,7 @@ impl Inner {
             ingested: self.ingested,
             uptime_micros: self.started.elapsed().as_micros() as u64,
             witness_target: self.cfg.witness_target() as u64,
-            space_bytes,
+            space_bytes: space_bytes.iter().sum(),
             wal_bytes: self.durable.as_ref().map_or(0, |d| d.wal.bytes()),
             quota_bytes: 0,
             overload: WireOverload {
@@ -1122,18 +1131,16 @@ impl Inner {
         })
     }
 
-    /// One heartbeat tick: ping live nodes (a miss marks them down), try to
-    /// rejoin down nodes — the background repair that restores full
-    /// replication after a loss.
+    /// One heartbeat tick: ping the live nodes in one fan-out (a miss marks
+    /// them down), then try to rejoin the nodes that were down before the
+    /// pings — the background repair that restores full replication after
+    /// a loss.
     fn heartbeat(&mut self) {
-        for i in 0..self.nodes.len() {
-            if let Some(client) = self.nodes[i].client.as_mut() {
-                if client.ping().is_err() {
-                    self.nodes[i].client = None;
-                }
-            } else {
-                let _ = self.rejoin(i);
-            }
+        let was_live = self.live();
+        let pings = (0..self.nodes.len()).map(|i| (i, Request::Ping)).collect();
+        let _ = self.fan_out(pings, |_| false, acknowledged);
+        for i in (0..was_live.len()).filter(|&i| !was_live[i]) {
+            let _ = self.rejoin(i);
         }
     }
 }
@@ -1282,11 +1289,7 @@ impl Router {
             // Whatever the workers held when the old router died, the
             // wholesale restore makes them exact; unreachable ones stay
             // down and repair through rejoin.
-            for i in 0..inner.nodes.len() {
-                if inner.nodes[i].client.is_some() {
-                    let _ = inner.push_slice(i);
-                }
-            }
+            let _ = inner.reseed(0..inner.nodes.len());
         }
         let shared = Arc::new(RouterShared {
             inner: Mutex::new(inner),
@@ -1406,10 +1409,11 @@ fn handle_request(space: SpaceId, request: Request, shared: &RouterShared) -> Re
         Request::Shutdown => {
             let mut inner = shared.inner.lock().expect("router state");
             if inner.opts.forward_shutdown {
+                let requests = (0..inner.nodes.len())
+                    .map(|i| (i, Request::Shutdown))
+                    .collect();
+                let _ = inner.fan_out(requests, |_| false, acknowledged);
                 for node in &mut inner.nodes {
-                    if let Some(client) = node.client.as_mut() {
-                        let _ = client.shutdown();
-                    }
                     node.client = None;
                 }
             }
@@ -2157,6 +2161,60 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A restore whose compaction fails (here killed before its rename) is
+    /// refused `durability` and commits nothing: the router keeps the state
+    /// it had, and poisons durability, so no later batch is acked on top of
+    /// either envelope. The next checkpoint downloads and persists the kept
+    /// state, and a restart recovers it.
+    #[test]
+    fn restore_the_router_cannot_persist_commits_nothing() {
+        let cfg = test_cfg();
+        let dir = scratch_dir("restore-persist");
+        let (workers, addrs, opts) = durable_pair(&dir, 1 << 20);
+        let plan = Arc::new(DiskFaultPlan::crash_only(3));
+        let faulty = RouterOptions {
+            disk_faults: Some(Arc::clone(&plan)),
+            ..opts.clone()
+        };
+        let router = Router::start(cfg, "127.0.0.1:0", &addrs, faulty).expect("router");
+        let mut client = Client::connect(router.local_addr()).expect("connect");
+        let updates = stream(800);
+        let (first, rest) = updates.split_at(400);
+        for chunk in first.chunks(97) {
+            client.ingest_batch(chunk).expect("ingest");
+        }
+        let older = client.checkpoint().expect("checkpoint");
+        for chunk in rest.chunks(97) {
+            client.ingest_batch(chunk).expect("ingest");
+        }
+        plan.arm_crash(CrashPoint::Rename);
+        match client.restore(&older) {
+            Err(ClientError::Server {
+                code: ErrorCode::Durability,
+                ..
+            }) => {}
+            other => panic!("an unpersisted restore should be refused typed, got {other:?}"),
+        }
+        assert_eq!(plan.counts().crashes, 1);
+        match client.ingest_batch(&updates[..97]) {
+            Err(ClientError::Server {
+                code: ErrorCode::Durability,
+                ..
+            }) => {}
+            other => panic!("a batch was acked after a failed restore compaction: {other:?}"),
+        }
+        let mut reference = Engine::start(cfg);
+        reference.ingest(updates.clone());
+        let envelope = client.checkpoint().expect("checkpoint");
+        let env = unwrap_envelope(&envelope).expect("envelope");
+        assert_eq!(env.inner, reference.checkpoint(), "the refused restore");
+        router.shutdown();
+        router.join();
+
+        assert_restart_exact(workers, &addrs, opts, &updates);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// Rewrite a data dir this router wrote into the layout routers wrote
     /// before the v3 envelope: the checkpoint as a v2 envelope (no ack
     /// watermark), the count in a `router.meta` of the older format (with
@@ -2748,6 +2806,13 @@ mod tests {
         /// Every ingest batch is refused typed `overloaded`; reads are
         /// refused as for `Oversized`.
         ShedIngest,
+        /// Every slice restore is refused typed `checkpoint`; ingest is
+        /// acked and reads are refused as for `Oversized`.
+        RefuseRestore,
+        /// Pings, stats and slice restores are answered with the wrong
+        /// frame kind (`space-ok`); ingest is acked and reads are refused
+        /// as for `Oversized`.
+        WrongKind,
     }
 
     /// A protocol-correct worker for admission that turns byzantine for
@@ -2791,6 +2856,14 @@ mod tests {
                 return;
             };
             let response = match request {
+                Request::Ping | Request::Stats(_) | Request::SliceRestore(_)
+                    if matches!(mode, FakeMode::WrongKind) =>
+                {
+                    Response::SpaceOk
+                }
+                Request::SliceRestore(_) if matches!(mode, FakeMode::RefuseRestore) => {
+                    Response::error(ErrorCode::Checkpoint, "refusing the slice".into())
+                }
                 Request::Ping => Response::Pong,
                 Request::NodeHello => {
                     Response::NodeInfo(WireNodeInfo::new(&Header::for_config(cfg), 0))
@@ -2834,7 +2907,10 @@ mod tests {
                             });
                             answer(unnamed.expect("the read names only some partitions"))
                         }
-                        FakeMode::Oversized | FakeMode::ShedIngest => Response::error(
+                        FakeMode::Oversized
+                        | FakeMode::ShedIngest
+                        | FakeMode::RefuseRestore
+                        | FakeMode::WrongKind => Response::error(
                             ErrorCode::Oversized,
                             "the answer may need more than one frame".into(),
                         ),
@@ -2846,9 +2922,11 @@ mod tests {
                         &[(7_777, vec![4, 5, 6])],
                     )),
                     FakeMode::Garbage => Response::Checkpoint(vec![0xde, 0xad, 0xbe, 0xef]),
-                    FakeMode::UnnamedPartition | FakeMode::Oversized | FakeMode::ShedIngest => {
-                        Response::Checkpoint(slice.to_vec())
-                    }
+                    FakeMode::UnnamedPartition
+                    | FakeMode::Oversized
+                    | FakeMode::ShedIngest
+                    | FakeMode::RefuseRestore
+                    | FakeMode::WrongKind => Response::Checkpoint(slice.to_vec()),
                 },
                 _ => Response::error(
                     ErrorCode::Malformed,
@@ -2982,6 +3060,129 @@ mod tests {
             client.certified().expect("certified"),
             reference_view(cfg, &updates).certified()
         );
+
+        stop.store(true, Ordering::SeqCst);
+        router.shutdown();
+        router.join();
+        let _ = TcpStream::connect(addr); // unblock the fake acceptor
+        real.shutdown();
+        real.join();
+    }
+
+    /// A restarted router reseeds both workers at once, each with its
+    /// slice and its retained updates. The fake refuses its slice typed:
+    /// it is marked down and sent nothing more, while the real worker is
+    /// reseeded exactly. At R = 1 a read then repairs the fake, and the
+    /// repair fails with the fake's own code; the fake stays down and no
+    /// reply of its replay is taken for another request's, so the router
+    /// keeps answering from the real worker exactly.
+    #[test]
+    fn refused_slice_restore_fails_the_repair_typed_and_skips_its_replay_acks() {
+        let cfg = test_cfg();
+        let dir = scratch_dir("refused-restore");
+        let (addr, stop) = fake_worker(cfg, FakeMode::RefuseRestore);
+        let real = Server::start(cfg, "127.0.0.1:0").expect("worker");
+        let workers = vec![addr.to_string(), real.local_addr().to_string()];
+        let opts = RouterOptions {
+            data_dir: Some(dir.clone()),
+            ..outage_opts(1)
+        };
+        // Nothing refreshes under this budget: every update is still
+        // retained, in the WAL, when the router restarts.
+        let updates = stream(600);
+        let router = Router::start(cfg, "127.0.0.1:0", &workers, opts.clone()).expect("router");
+        let mut client = Client::connect(router.local_addr()).expect("connect");
+        for chunk in updates.chunks(97) {
+            client.ingest_batch(chunk).expect("ingest");
+        }
+        drop(client);
+        router.shutdown();
+        router.join();
+
+        let router = Router::start(cfg, "127.0.0.1:0", &workers, opts).expect("restarted router");
+        let mut client = Client::connect(router.local_addr()).expect("connect");
+        let live = router.shared.inner.lock().expect("router state").live();
+        assert_eq!(live, [false, true], "the startup reseed kept the fake live");
+        match client.certified() {
+            Err(ClientError::Server { code, message, .. }) => {
+                assert_eq!(code, ErrorCode::Checkpoint, "{message}");
+                assert!(message.contains(&addr.to_string()), "{message}");
+            }
+            other => panic!("the fake's repair should fail typed, got {other:?}"),
+        }
+        let live = router.shared.inner.lock().expect("router state").live();
+        assert_eq!(live, [false, true], "the failed repair left the fake live");
+
+        // The real worker owns the odd partitions and holds them exactly.
+        let odd: Vec<u32> = (1..cfg.partitions as u32).step_by(2).collect();
+        let reference = {
+            let mut engine = Engine::start(cfg);
+            engine.ingest(updates.clone());
+            engine.checkpoint_slice(&odd)
+        };
+        let mut direct = Client::connect(real.local_addr()).expect("connect worker");
+        assert_eq!(direct.slice_checkpoint(&odd).expect("slice"), reference);
+        let view = reference_view(cfg, &updates);
+        for v in (0..64).filter(|&v| partition_of(v, cfg.partitions) % 2 == 1) {
+            assert_eq!(client.certify(v).expect("certify"), view.certify(v), "{v}");
+        }
+        client.ping().expect("router still alive");
+
+        stop.store(true, Ordering::SeqCst);
+        router.shutdown();
+        router.join();
+        let _ = TcpStream::connect(addr); // unblock the fake acceptor
+        real.shutdown();
+        real.join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A worker that answers a stats request, a slice restore or a ping
+    /// with the wrong frame kind is marked down, the failure typed
+    /// `malformed` and naming it; nothing panics, and the router keeps
+    /// answering exactly from the live replica.
+    #[test]
+    fn wrong_kind_replies_mark_the_worker_down_malformed() {
+        let cfg = test_cfg();
+        let (addr, stop) = fake_worker(cfg, FakeMode::WrongKind);
+        let real = Server::start(cfg, "127.0.0.1:0").expect("worker");
+        let workers = vec![addr.to_string(), real.local_addr().to_string()];
+        let router = Router::start(cfg, "127.0.0.1:0", &workers, outage_opts(2)).expect("router");
+        let mut client = Client::connect(router.local_addr()).expect("connect");
+        let updates = stream(300);
+        client.ingest_batch(&updates).expect("ingest acks");
+        let live = || router.shared.inner.lock().expect("router state").live();
+
+        let stats = client.stats().expect("stats answer with a worker down");
+        assert_eq!(live(), [false, true], "a wrong-kind stats reply");
+        assert_eq!(stats.shards[0].space_bytes, 0);
+        assert!(stats.shards[1].space_bytes > 0);
+
+        // The repair pushes the fake its slice, which it answers wrongly.
+        match router.shared.inner.lock().expect("router state").rejoin(0) {
+            Err((code, message)) => {
+                assert_eq!(code, ErrorCode::Malformed, "{message}");
+                assert!(message.contains(&addr.to_string()), "{message}");
+            }
+            Ok(()) => panic!("a wrong-kind slice restore reply rejoined the fake"),
+        }
+        assert_eq!(live(), [false, true], "a wrong-kind slice restore reply");
+
+        // Admitted again by hand, the fake fails its heartbeat ping.
+        {
+            let mut inner = router.shared.inner.lock().expect("router state");
+            let opts = client_opts_for(&inner.opts, 0);
+            let (admitted, _) = admit(&addr.to_string(), &cfg, &opts).expect("admit");
+            inner.nodes[0].client = Some(admitted);
+            inner.heartbeat();
+        }
+        assert_eq!(live(), [false, true], "a wrong-kind ping reply");
+
+        assert_eq!(
+            client.certified().expect("certified"),
+            reference_view(cfg, &updates).certified()
+        );
+        client.ping().expect("router still alive");
 
         stop.store(true, Ordering::SeqCst);
         router.shutdown();

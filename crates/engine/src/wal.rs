@@ -539,6 +539,14 @@ impl Wal {
         }
     }
 
+    /// Poison the log as a failed fsync does — every present and future
+    /// durability wait fails, every later announced append is refused —
+    /// after a write to the data dir that left what a restart recovers open.
+    pub fn poison(&self) {
+        self.commit.lock().expect("wal commit").poisoned = true;
+        self.committed.notify_all();
+    }
+
     /// Scoop the wave: every appender that announced itself is mid-apply
     /// under the caller's ordering lock, one append away. Waiting for the
     /// count to drain means a single fsync covers the whole wave — leaving

@@ -713,22 +713,6 @@ impl Client {
         }
     }
 
-    /// Install a sparse slice checkpoint into the current space.
-    pub fn slice_restore(&mut self, bytes: &[u8]) -> Result<(), ClientError> {
-        if !crate::proto::body_fits(bytes.len() + 80) {
-            return Err(ClientError::Protocol(format!(
-                "slice checkpoint is {} bytes, larger than one frame can carry",
-                bytes.len()
-            )));
-        }
-        self.send_buf.clear();
-        crate::proto::encode_slice_restore_into(&mut self.send_buf, &self.space, bytes);
-        match self.expect_staged()? {
-            Response::Restored => Ok(()),
-            other => Err(unexpected("Restored", &other)),
-        }
-    }
-
     /// Ask a router to admit the worker at `addr` into the cluster.
     pub fn join_worker(&mut self, addr: &str) -> Result<(), ClientError> {
         match self.expect(&Request::JoinWorker(addr.to_string()))? {

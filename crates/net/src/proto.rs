@@ -673,15 +673,6 @@ pub fn encode_restore_into(buf: &mut Vec<u8>, space: &SpaceId, bytes: &[u8]) {
     });
 }
 
-/// Append a slice-restore request frame straight from borrowed slice
-/// container bytes (the cluster handoff hot path — slices can be large).
-pub fn encode_slice_restore_into(buf: &mut Vec<u8>, space: &SpaceId, bytes: &[u8]) {
-    frame_into(buf, Request::TAG_SLICE_RESTORE, |body| {
-        put_space(body, space);
-        body.extend_from_slice(bytes);
-    });
-}
-
 /// Append a sorted partition-id list: count varint + one varint per id.
 fn put_partitions(buf: &mut Vec<u8>, parts: &[u32]) {
     put_uvarint(buf, parts.len() as u64);
@@ -769,7 +760,10 @@ impl Request {
                     put_partitions(body, parts);
                 })
             }
-            Request::SliceRestore(bytes) => encode_slice_restore_into(buf, space, bytes),
+            Request::SliceRestore(bytes) => frame_into(buf, Self::TAG_SLICE_RESTORE, |body| {
+                put_space(body, space);
+                body.extend_from_slice(bytes);
+            }),
             Request::JoinWorker(addr) => frame_into(buf, Self::TAG_JOIN_WORKER, |body| {
                 put_space(body, space);
                 put_uvarint(body, addr.len() as u64);
