@@ -666,7 +666,9 @@ impl Inner {
     /// replay at rejoin, which the heartbeat drives in the background. A
     /// batch that would carry the retained logs past the budget first
     /// refreshes them, and is shed only if the refresh leaves no room.
-    fn ingest(&mut self, updates: Vec<Update>) -> Response {
+    /// `section` is the frame's update section as it arrived, which decoded
+    /// to `updates`: the WAL records it verbatim.
+    fn ingest(&mut self, updates: Vec<Update>, section: &[u8]) -> Response {
         if let Err((code, message)) = validate_batch(&self.cfg, &updates) {
             return Response::error(code, message);
         }
@@ -704,7 +706,7 @@ impl Inner {
             let logged = d
                 .wal
                 .announce()
-                .append(SpaceId::default_space().as_str(), &updates)
+                .append_section(SpaceId::default_space().as_str(), section)
                 .and_then(|a| d.wal.wait_durable(&a));
             if let Err(e) = logged {
                 return Response::error(ErrorCode::Durability, e.to_string());
@@ -1019,7 +1021,8 @@ impl Inner {
             self.payloads = payloads;
             self.logs = logs;
             if let Some(d) = &self.durable {
-                d.wal.poison();
+                d.wal
+                    .poison(format!("a restored checkpoint could not be persisted: {e}"));
             }
             return Err((
                 ErrorCode::Durability,
@@ -1300,7 +1303,7 @@ impl Router {
             serve::spawn(
                 listener,
                 Arc::clone(&shared.front),
-                move |space, request| handle_request(space, request, &shared),
+                move |space, request, body| handle_request(space, request, body, &shared),
             )
         };
         let heartbeat = heartbeat_period.map(|period| {
@@ -1401,7 +1404,14 @@ fn answer(merged: Result<Response, Fail>) -> Response {
     }
 }
 
-fn handle_request(space: SpaceId, request: Request, shared: &RouterShared) -> Response {
+/// Answer one decoded request; `body` is its body past the space header as
+/// it arrived ([`fews_net::Request::decode_with_body`]).
+fn handle_request(
+    space: SpaceId,
+    request: Request,
+    body: &[u8],
+    shared: &RouterShared,
+) -> Response {
     // Requests that need no space routing, or that a router categorically
     // does not serve, are answered before the space check.
     match &request {
@@ -1444,7 +1454,7 @@ fn handle_request(space: SpaceId, request: Request, shared: &RouterShared) -> Re
     }
     let mut inner = shared.inner.lock().expect("router state");
     match request {
-        Request::IngestBatch(updates) => inner.ingest(updates),
+        Request::IngestBatch(updates) => inner.ingest(updates, body),
         Request::Certified(mode) => answer(
             inner
                 .read(ScopedQuery::Certified, &mode, check_certified)

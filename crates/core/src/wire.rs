@@ -30,6 +30,7 @@ use crate::deg_res::slot_capacity;
 use crate::insertion_only::FewwInsertOnly;
 use crate::neighbourhood::Neighbourhood;
 use crate::witness_list::WitnessList;
+use fews_stream::{Edge, Update};
 
 /// Append `v` as an unsigned LEB128 varint.
 pub fn put_uvarint(buf: &mut Vec<u8>, mut v: u64) {
@@ -60,6 +61,53 @@ pub fn get_uvarint(buf: &[u8], pos: &mut usize) -> Option<u64> {
         }
         shift += 7;
     }
+}
+
+/// Append an *update section*: the count, then per update its `a` varint,
+/// `b` varint and sign byte (0 insert, 1 delete). It is both an ingest
+/// frame's body past its space header and a write-ahead log record's tail,
+/// so a record can log the section a frame delivered byte for byte, and
+/// recovery reads it back through [`get_updates`], the decoder the frame
+/// went through.
+pub fn put_updates(buf: &mut Vec<u8>, updates: &[Update]) {
+    put_uvarint(buf, updates.len() as u64);
+    for u in updates {
+        put_uvarint(buf, u.edge.a as u64);
+        put_uvarint(buf, u.edge.b);
+        buf.push(if u.delta >= 0 { 0 } else { 1 });
+    }
+}
+
+/// Most updates [`get_updates`] reserves room for up front; a larger
+/// declared count grows the vector as its updates actually decode.
+const UPDATES_RESERVE: usize = 1 << 16;
+
+/// Read an update section ([`put_updates`]) at `pos`, advancing it. Any
+/// varint encoding of a field is accepted, overlong ones included. `Err`
+/// names the field that failed, in the words an ingest frame's
+/// `malformed` error uses.
+pub fn get_updates(buf: &[u8], pos: &mut usize) -> Result<Vec<Update>, &'static str> {
+    let count = get_uvarint(buf, pos).ok_or("ingest count")? as usize;
+    // Each update occupies ≥ 3 bytes; refuse a bogus count before reserving.
+    if count > buf.len() / 3 + 1 {
+        return Err("ingest count exceeds body");
+    }
+    let mut updates = Vec::with_capacity(count.min(UPDATES_RESERVE));
+    for _ in 0..count {
+        let a = get_uvarint(buf, pos)
+            .and_then(|v| u32::try_from(v).ok())
+            .ok_or("update vertex a")?;
+        let b = get_uvarint(buf, pos).ok_or("update b")?;
+        let sign = *buf.get(*pos).ok_or("update sign byte")?;
+        *pos += 1;
+        let edge = Edge::new(a, b);
+        updates.push(match sign {
+            0 => Update::insert(edge),
+            1 => Update::delete(edge),
+            _ => return Err("update sign byte"),
+        });
+    }
+    Ok(updates)
 }
 
 /// Serialized state of one Deg-Res-Sampling run.

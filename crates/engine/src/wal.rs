@@ -44,6 +44,14 @@
 //!          count × { a varint, b varint, sign byte (0 insert / 1 delete) }
 //! ```
 //!
+//! The count and the updates are the *update section*
+//! (`fews_core::wire::put_updates` / `get_updates`), byte for byte an
+//! ingest frame's body past its space header. A serving tier appends the
+//! section it received verbatim ([`Announced::append_section`]), so the log
+//! holds the bytes that arrived, overlong varints included, and recovery
+//! decodes them through the decoder the frame went through. The CRC is the
+//! IEEE CRC-32, computed sixteen bytes per step (slicing-by-16).
+//!
 //! A record is *valid* only if its length is sane, its CRC matches, its
 //! payload decodes exactly, and its sequence number strictly increases.
 //! Recovery stops at the first violation and truncates the file back to the
@@ -73,8 +81,10 @@ use crate::checkpoint::unwrap_for;
 use crate::diskfault::{CrashPoint, DiskFault, DiskFaultPlan};
 use crate::EngineConfig;
 use fews_common::{SpaceConfig, SpaceId};
-use fews_core::wire::{get_space_config, get_uvarint, put_space_config, put_uvarint};
-use fews_stream::{Edge, Update};
+use fews_core::wire::{
+    get_space_config, get_updates, get_uvarint, put_space_config, put_updates, put_uvarint,
+};
+use fews_stream::Update;
 use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, Read, Write};
 use std::os::unix::fs::FileExt;
@@ -85,9 +95,13 @@ use std::time::Duration;
 /// Magic bytes opening a space configuration file (`space.cfg`).
 pub const SPACE_CONFIG_MAGIC: &[u8; 8] = b"FEWWSPC1";
 
-/// Upper bound on one record's payload — matches the wire frame cap, since
-/// every logged batch arrived in one frame.
-const MAX_RECORD: usize = 64 << 20;
+/// Upper bound on one record's payload. Every logged batch arrived in one
+/// wire frame of at most 64 MiB (`fews_net::proto::MAX_FRAME`, which cannot
+/// be named here; a `fews-net` test pins the relation), and its record is
+/// that frame's body — the frame less its version and tag bytes — behind a
+/// sequence number of at most 10 bytes, with an empty (default) space name
+/// written out as `default`, 7 bytes more.
+pub const MAX_RECORD: usize = (64 << 20) - 2 + 10 + 7;
 
 /// File name of the server-wide shared log at the data-dir root.
 const WAL_FILE: &str = "wal.log";
@@ -105,10 +119,13 @@ const CONFIG_FILE: &str = "space.cfg";
 const TMP_SUFFIX: &str = ".tmp";
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), table-driven, computed at compile time.
+// CRC-32 (IEEE 802.3), slicing-by-16, its tables computed at compile time.
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the bytewise table; `CRC_TABLES[k][i]` advances byte
+/// `i`'s remainder past `k` more zero bytes, so sixteen lookups fold sixteen
+/// bytes at once.
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -121,19 +138,50 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-const CRC_TABLE: [u32; 256] = crc_table();
+const CRC_TABLES: [[u32; 256]; 16] = crc_tables();
 
 /// IEEE CRC-32 of `bytes` (the checksum guarding every WAL record).
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut blocks = bytes.chunks_exact(16);
+    for b in &mut blocks {
+        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[15][(lo & 0xFF) as usize]
+            ^ t[14][((lo >> 8) & 0xFF) as usize]
+            ^ t[13][((lo >> 16) & 0xFF) as usize]
+            ^ t[12][(lo >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -141,25 +189,34 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 // ---------------------------------------------------------------------------
 // Record codec.
 
-/// Append one complete record (header + payload) for `updates` at `seq`,
-/// tagged with the space the batch addressed.
-fn encode_record(buf: &mut Vec<u8>, seq: u64, space: &str, updates: &[Update]) {
+/// Append one complete record (header + payload) at `seq`, tagged with the
+/// space the batch addressed, whose update section `section` writes — the
+/// one framer under every append. A payload past [`MAX_RECORD`] is taken
+/// back out of `buf` and refused.
+fn frame_record(
+    buf: &mut Vec<u8>,
+    seq: u64,
+    space: &str,
+    section: impl FnOnce(&mut Vec<u8>),
+) -> std::io::Result<()> {
     let start = buf.len();
     buf.extend_from_slice(&[0u8; 8]); // length + crc slots, patched below
     put_uvarint(buf, seq);
     put_uvarint(buf, space.len() as u64);
     buf.extend_from_slice(space.as_bytes());
-    put_uvarint(buf, updates.len() as u64);
-    for u in updates {
-        put_uvarint(buf, u.edge.a as u64);
-        put_uvarint(buf, u.edge.b);
-        buf.push(if u.delta >= 0 { 0 } else { 1 });
-    }
+    section(buf);
     let payload_len = buf.len() - start - 8;
-    assert!(payload_len <= MAX_RECORD, "WAL record exceeds MAX_RECORD");
+    if payload_len > MAX_RECORD {
+        buf.truncate(start);
+        return Err(std::io::Error::new(
+            ErrorKind::InvalidInput,
+            format!("a WAL record of {payload_len} bytes exceeds {MAX_RECORD}"),
+        ));
+    }
     let crc = crc32(&buf[start + 8..]);
     buf[start..start + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
     buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
 }
 
 /// Decode one record payload into `(seq, space, updates)`; `None` on any
@@ -173,23 +230,7 @@ fn decode_payload(payload: &[u8]) -> Option<(u64, String, Vec<Update>)> {
         .ok()?
         .to_string();
     pos = space_end;
-    let count = get_uvarint(payload, &mut pos)? as usize;
-    if count > payload.len() / 3 + 1 {
-        return None; // every update needs ≥ 3 bytes
-    }
-    let mut updates = Vec::with_capacity(count);
-    for _ in 0..count {
-        let a = u32::try_from(get_uvarint(payload, &mut pos)?).ok()?;
-        let b = get_uvarint(payload, &mut pos)?;
-        let sign = *payload.get(pos)?;
-        pos += 1;
-        let edge = Edge::new(a, b);
-        updates.push(match sign {
-            0 => Update::insert(edge),
-            1 => Update::delete(edge),
-            _ => return None,
-        });
-    }
+    let updates = get_updates(payload, &mut pos).ok()?;
     if pos != payload.len() {
         return None; // trailing bytes
     }
@@ -333,10 +374,11 @@ struct Commit {
     prev_group: u64,
     /// Appends registered since the last fsync's coverage was snapshotted.
     group: u64,
-    /// An fsync failed: the log can no longer vouch for anything, so every
-    /// present and future durability wait fails, and every later
-    /// announced append is refused.
-    poisoned: bool,
+    /// Why durability is off — an fsync failed, or a write to the data dir
+    /// left what a restart recovers open ([`Wal::poison`]): the log can no
+    /// longer vouch for anything, so every present and future durability
+    /// wait fails, and every later announced append is refused, naming it.
+    poisoned: Option<String>,
 }
 
 /// How long a scooping leader waits for one announced appender.
@@ -357,15 +399,22 @@ pub struct Announced<'a> {
 
 impl Announced<'_> {
     /// Append one batch for `space` ([`Wal::append`]) — unless durability
-    /// is poisoned, in which case the batch is refused before it touches
-    /// the log, so a refused batch can never land behind a later one.
+    /// is poisoned, in which case the batch is refused, naming the cause,
+    /// before it touches the log, so a refused batch can never land behind
+    /// a later one.
     pub fn append(self, space: &str, updates: &[Update]) -> std::io::Result<WalAppend> {
-        if self.wal.commit.lock().expect("wal commit").poisoned {
-            return Err(std::io::Error::other(
-                "durability disabled: a write-ahead log fsync failed",
-            ));
-        }
-        Ok(self.wal.append(space, updates))
+        self.wal.refuse_if_poisoned()?;
+        self.wal.push(space, |buf| put_updates(buf, updates))
+    }
+
+    /// [`Announced::append`] of a batch given as its update section, logged
+    /// byte for byte: what a serving tier appends once an ingest frame has
+    /// decoded, so the log holds the bytes that arrived and never encodes
+    /// the batch again. `section` must decode exactly through
+    /// [`get_updates`], as the section of an accepted ingest frame does.
+    pub fn append_section(self, space: &str, section: &[u8]) -> std::io::Result<WalAppend> {
+        self.wal.refuse_if_poisoned()?;
+        self.wal.push(space, |buf| buf.extend_from_slice(section))
     }
 }
 
@@ -437,14 +486,27 @@ impl Wal {
 
     /// Append one batch for `space` to the log buffer (**no file I/O**).
     /// Safe to call from many spaces concurrently — the buffer lock
-    /// serializes encoding and assigns globally increasing sequence numbers.
+    /// serializes appends and assigns globally increasing sequence numbers.
     /// This raw append does not look at the poison; a serving tier appends
     /// through [`Wal::announce`] instead.
+    ///
+    /// # Panics
+    ///
+    /// If the batch's record would exceed [`MAX_RECORD`] (over 5.5 million
+    /// updates); a serving tier's append refuses it typed instead.
     pub fn append(&self, space: &str, updates: &[Update]) -> WalAppend {
+        self.push(space, |buf| put_updates(buf, updates))
+            .expect("WAL record exceeds MAX_RECORD")
+    }
+
+    /// Frame one record whose update section `section` writes into the log
+    /// buffer at the next sequence number, and register it with the group
+    /// commit.
+    fn push(&self, space: &str, section: impl FnOnce(&mut Vec<u8>)) -> std::io::Result<WalAppend> {
         let mut pending = self.pending.lock().expect("wal buffer");
         let seq = pending.next_seq;
         let before = pending.data.len();
-        encode_record(&mut pending.data, seq, space, updates);
+        frame_record(&mut pending.data, seq, space, section)?;
         let len = (pending.data.len() - before) as u64;
         pending.bytes += len;
         pending.next_seq += 1;
@@ -454,11 +516,21 @@ impl Wal {
         if c.syncing {
             self.committed.notify_all();
         }
-        WalAppend {
+        Ok(WalAppend {
             seq,
             end: pending.bytes,
             len,
             epoch: c.epoch,
+        })
+    }
+
+    /// The refusal of an append once durability is poisoned, naming why.
+    fn refuse_if_poisoned(&self) -> std::io::Result<()> {
+        match &self.commit.lock().expect("wal commit").poisoned {
+            Some(cause) => Err(std::io::Error::other(format!(
+                "durability disabled: {cause}"
+            ))),
+            None => Ok(()),
         }
     }
 
@@ -484,10 +556,10 @@ impl Wal {
     pub fn wait_durable(&self, appended: &WalAppend) -> std::io::Result<()> {
         let mut c = self.commit.lock().expect("wal commit");
         loop {
-            if c.poisoned {
-                return Err(std::io::Error::other(
-                    "write-ahead log fsync failed earlier",
-                ));
+            if let Some(cause) = &c.poisoned {
+                return Err(std::io::Error::other(format!(
+                    "durability disabled: {cause}"
+                )));
             }
             if c.epoch != appended.epoch || c.synced >= appended.end {
                 return Ok(());
@@ -529,7 +601,8 @@ impl Wal {
                 Ok(()) if c.epoch == epoch => c.synced = c.synced.max(covered),
                 Ok(()) => {}
                 Err(e) => {
-                    c.poisoned = true;
+                    c.poisoned
+                        .get_or_insert_with(|| format!("a write-ahead log fsync failed: {e}"));
                     return Err(std::io::Error::new(
                         e.kind(),
                         format!("write-ahead log fsync failed: {e}"),
@@ -540,10 +613,15 @@ impl Wal {
     }
 
     /// Poison the log as a failed fsync does — every present and future
-    /// durability wait fails, every later announced append is refused —
-    /// after a write to the data dir that left what a restart recovers open.
-    pub fn poison(&self) {
-        self.commit.lock().expect("wal commit").poisoned = true;
+    /// durability wait fails, every later announced append is refused, each
+    /// naming `cause` — after a write to the data dir that left what a
+    /// restart recovers open. The first cause stands.
+    pub fn poison(&self, cause: impl Into<String>) {
+        self.commit
+            .lock()
+            .expect("wal commit")
+            .poisoned
+            .get_or_insert_with(|| cause.into());
         self.committed.notify_all();
     }
 
@@ -945,6 +1023,7 @@ pub fn recover(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fews_stream::Edge;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("fews-wal-{}-{name}", std::process::id()));
@@ -971,6 +1050,91 @@ mod tests {
         // The canonical IEEE 802.3 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bytewise CRC-32, one bit at a time: the reference the sliced
+    /// kernel must equal.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        !c
+    }
+
+    #[test]
+    fn sliced_crc_equals_the_bytewise_reference() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let buf: Vec<u8> = (0..320).map(|_| next() as u8).collect();
+        for len in 0..=300 {
+            // Every length at a random start, so the 16-byte blocks fall at
+            // every alignment of the buffer.
+            let start = (next() % 16) as usize;
+            let bytes = &buf[start..start + len];
+            assert_eq!(crc32(bytes), crc32_bytewise(bytes), "len {len} at {start}");
+        }
+    }
+
+    #[test]
+    fn a_section_appends_the_record_its_updates_append() {
+        let dir = tmp_dir("section");
+        let (coded, _) = Wal::open(&dir.join("coded.log"), 0).expect("open");
+        let (verbatim, _) = Wal::open(&dir.join("verbatim.log"), 0).expect("open");
+        for (i, b) in [batch(0, 7), batch(9, 0), batch(40, 300)]
+            .iter()
+            .enumerate()
+        {
+            let space = ["default", "tenant-a", "default"][i];
+            let mut section = Vec::new();
+            put_updates(&mut section, b);
+            let want = coded.append(space, b);
+            let got = verbatim
+                .announce()
+                .append_section(space, &section)
+                .expect("append");
+            assert_eq!((got.seq, got.len, got.end), (want.seq, want.len, want.end));
+        }
+        coded.sync().expect("sync");
+        verbatim.sync().expect("sync");
+        let read = |name| std::fs::read(dir.join(name)).expect("read log");
+        assert_eq!(read("coded.log"), read("verbatim.log"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_oversized_record_is_refused_typed_and_leaves_the_log() {
+        let dir = tmp_dir("oversized");
+        let (wal, _) = Wal::open(&dir.join(WAL_FILE), 0).expect("open");
+        let fits = vec![0u8; MAX_RECORD - 1 - 1 - "default".len()];
+        let err = wal
+            .announce()
+            .append_section("default", &[&fits[..], &[0]].concat())
+            .expect_err("one byte past MAX_RECORD");
+        assert_eq!(err.kind(), ErrorKind::InvalidInput);
+        assert_eq!((wal.bytes(), wal.last_seq()), (0, 0), "nothing appended");
+        let a = wal
+            .announce()
+            .append_section("default", &fits)
+            .expect("exactly MAX_RECORD");
+        assert_eq!(a.len as usize, 8 + MAX_RECORD);
+        let b = wal.append("default", &batch(0, 3));
+        assert_eq!(b.seq, 2);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

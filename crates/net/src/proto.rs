@@ -36,9 +36,13 @@
 use fews_common::spaceid::MAX_SPACE_NAME;
 use fews_common::{SpaceConfig, SpaceId};
 use fews_core::neighbourhood::Neighbourhood;
-use fews_core::wire::{get_space_config, get_uvarint, put_space_config, put_uvarint};
+use fews_core::wire::{
+    get_space_config, get_updates, get_uvarint, put_space_config, put_updates, put_uvarint,
+};
 use fews_engine::checkpoint::Header;
-use fews_stream::{Edge, Update};
+#[cfg(test)]
+use fews_stream::Edge;
+use fews_stream::Update;
 
 /// Protocol version carried in every frame header. v1 was the single-tenant
 /// protocol; v3 adds the per-request space header and the space lifecycle
@@ -656,12 +660,7 @@ fn get_space(body: &[u8], pos: &mut usize) -> Result<SpaceId, FrameError> {
 pub fn encode_ingest_batch_into(buf: &mut Vec<u8>, space: &SpaceId, updates: &[Update]) {
     frame_into(buf, Request::TAG_INGEST, |body| {
         put_space(body, space);
-        put_uvarint(body, updates.len() as u64);
-        for u in updates {
-            put_uvarint(body, u.edge.a as u64);
-            put_uvarint(body, u.edge.b);
-            body.push(if u.delta >= 0 { 0 } else { 1 });
-        }
+        put_updates(body, updates);
     });
 }
 
@@ -794,40 +793,25 @@ impl Request {
     /// already stripped and validated) into the addressed space and the
     /// request proper.
     pub fn decode(payload: &[u8]) -> Result<(SpaceId, Request), FrameError> {
+        Self::decode_with_body(payload).map(|(space, request, _)| (space, request))
+    }
+
+    /// [`Request::decode`], also returning the body past its space header
+    /// as it arrived. For an ingest batch that is its update section
+    /// ([`put_updates`]), which a write-ahead log records verbatim: once
+    /// the whole frame has decoded, those bytes decode to exactly the
+    /// batch.
+    pub fn decode_with_body(payload: &[u8]) -> Result<(SpaceId, Request, &[u8]), FrameError> {
         let (tag, body) = split_payload(payload)?;
         if !Self::known_tag(tag) {
             return Err(FrameError::UnknownTag(tag));
         }
         let mut pos = 0usize;
         let space = get_space(body, &mut pos)?;
+        let rest = &body[pos..];
         let req = match tag {
             Self::TAG_INGEST => {
-                let count = get_uvarint(body, &mut pos)
-                    .ok_or(FrameError::Malformed("ingest count"))?
-                    as usize;
-                // Each update occupies ≥ 3 bytes; reject bogus counts before
-                // reserving.
-                if count > body.len() / 3 + 1 {
-                    return Err(FrameError::Malformed("ingest count exceeds body"));
-                }
-                let mut updates = Vec::with_capacity(bounded_capacity(count));
-                for _ in 0..count {
-                    let a = get_uvarint(body, &mut pos)
-                        .and_then(|v| u32::try_from(v).ok())
-                        .ok_or(FrameError::Malformed("update vertex a"))?;
-                    let b = get_uvarint(body, &mut pos).ok_or(FrameError::Malformed("update b"))?;
-                    let sign = *body
-                        .get(pos)
-                        .ok_or(FrameError::Malformed("update sign byte"))?;
-                    pos += 1;
-                    let edge = Edge::new(a, b);
-                    updates.push(match sign {
-                        0 => Update::insert(edge),
-                        1 => Update::delete(edge),
-                        _ => return Err(FrameError::Malformed("update sign byte")),
-                    });
-                }
-                Request::IngestBatch(updates)
+                Request::IngestBatch(get_updates(body, &mut pos).map_err(FrameError::Malformed)?)
             }
             Self::TAG_CERTIFIED => Request::Certified(get_read_mode(body, &mut pos)?),
             Self::TAG_CERTIFY => {
@@ -910,7 +894,7 @@ impl Request {
         if pos != body.len() {
             return Err(FrameError::Malformed("trailing bytes"));
         }
-        Ok((space, req))
+        Ok((space, req, rest))
     }
 }
 

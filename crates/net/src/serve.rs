@@ -14,8 +14,10 @@
 //!   wakes the acceptor.
 //!
 //! A front end hands [`spawn`] its request handler, a plain
-//! `Fn(SpaceId, Request) -> Response`, and shares the core's [`FrontEnd`],
-//! whose shutdown flag its own background threads poll.
+//! `Fn(SpaceId, Request, &[u8]) -> Response` that also gets the request's
+//! body past its space header as it arrived (an ingest frame's update
+//! section, which a durable tier logs verbatim), and shares the core's
+//! [`FrontEnd`], whose shutdown flag its own background threads poll.
 
 use crate::proto::{check_frame_len, ErrorCode, FrameError, Request, Response};
 use fews_common::SpaceId;
@@ -45,8 +47,10 @@ const FRAME_DEADLINE: Duration = Duration::from_secs(30);
 /// Retry hint handed to connections shed at accept time.
 const CONN_RETRY_MS: u64 = 200;
 
-/// A front end's request handler: one decoded request in, its response out.
-type Handler = dyn Fn(SpaceId, Request) -> Response + Send + Sync;
+/// A front end's request handler: one decoded request, with its body past
+/// the space header as it arrived ([`Request::decode_with_body`]), in; its
+/// response out.
+type Handler = dyn Fn(SpaceId, Request, &[u8]) -> Response + Send + Sync;
 
 /// What a front end shares with its connection core: the shutdown flag,
 /// and the connection cap with its live and shed counts.
@@ -97,7 +101,7 @@ impl FrontEnd {
 pub fn spawn(
     listener: TcpListener,
     front: Arc<FrontEnd>,
-    handler: impl Fn(SpaceId, Request) -> Response + Send + Sync + 'static,
+    handler: impl Fn(SpaceId, Request, &[u8]) -> Response + Send + Sync + 'static,
 ) -> JoinHandle<()> {
     let handler: Arc<Handler> = Arc::new(handler);
     std::thread::Builder::new()
@@ -318,14 +322,14 @@ fn serve_connection(
         }
         // The frame is complete, so any decode failure leaves the stream in
         // sync: report it and keep serving this connection.
-        let (space, request) = match Request::decode(&payload) {
+        let (space, request, body) = match Request::decode_with_body(&payload) {
             Ok(decoded) => decoded,
             Err(e) => {
                 send_error(&mut stream, error_code_for(&e), e.to_string());
                 continue;
             }
         };
-        let response = handler(space, request);
+        let response = handler(space, request, body);
         let bye = matches!(response, Response::Bye);
         if bye {
             // Commit the shutdown before answering: a peer that dies without
@@ -372,7 +376,12 @@ mod tests {
             .expect("peer timeout");
         let (stream, _) = listener.accept().expect("accept");
         let conn = std::thread::spawn(move || {
-            serve_connection(stream, &FrontEnd::new(0), &|_, _| Response::Pong, deadline)
+            serve_connection(
+                stream,
+                &FrontEnd::new(0),
+                &|_, _, _| Response::Pong,
+                deadline,
+            )
         });
         // Idle longer than the deadline between frames: still served.
         std::thread::sleep(deadline * 2);

@@ -618,7 +618,7 @@ impl Server {
             serve::spawn(
                 listener,
                 Arc::clone(&shared.front),
-                move |space, request| handle_request(space, request, &shared),
+                move |space, request, body| handle_request(space, request, body, &shared),
             )
         };
         let refresher = {
@@ -933,7 +933,9 @@ pub fn validate_batch(
     Ok(())
 }
 
-fn handle_request(space: SpaceId, request: Request, shared: &Shared) -> Response {
+/// Answer one decoded request; `body` is its body past the space header as
+/// it arrived ([`Request::decode_with_body`]).
+fn handle_request(space: SpaceId, request: Request, body: &[u8], shared: &Shared) -> Response {
     match request {
         Request::CreateSpace(spec) => create_space(shared, space, spec),
         Request::DropSpace => drop_space(shared, &space),
@@ -952,7 +954,7 @@ fn handle_request(space: SpaceId, request: Request, shared: &Shared) -> Response
                     format!("unknown space '{space}'"),
                 );
             };
-            handle_space_request(&handle, request, shared)
+            handle_space_request(&handle, request, body, shared)
         }
     }
 }
@@ -1092,12 +1094,30 @@ fn read_snapshot(
     }
 }
 
+/// Refuse a restore whose checkpoint could not be written. The engine holds
+/// the restored state while a restart would recover the old checkpoint and
+/// the log — or the new checkpoint, if the write failed past its rename — so
+/// no later batch may be acked on top of either: durability is poisoned, as
+/// a failed fsync poisons it, and every later ingest is refused naming why.
+fn refuse_unpersisted(shared: &Shared, what: &str, e: std::io::Error) -> Response {
+    let message = format!("{what} applied but could not be persisted: {e}");
+    if let Some(wal) = &shared.wal {
+        wal.poison(message.clone());
+    }
+    Response::error(ErrorCode::Durability, message)
+}
+
 /// A wire `top k` as a ranking length.
 fn clamp_k(k: u64) -> usize {
     k.min(u32::MAX as u64) as usize
 }
 
-fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared) -> Response {
+fn handle_space_request(
+    handle: &SpaceHandle,
+    request: Request,
+    body: &[u8],
+    shared: &Shared,
+) -> Response {
     match request {
         // State-changing requests: space state lock, WAL-then-apply, then
         // publish-before-ack.
@@ -1155,8 +1175,11 @@ fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared)
                 if let Some(announced) = announced {
                     // Log before applying, so the log order and the engine
                     // order of this space can never disagree. A poisoned
-                    // log refuses the batch before either sees it.
-                    let a = match announced.append(handle.space.as_str(), &updates) {
+                    // log refuses the batch before either sees it. The
+                    // record's update section is the frame's body as it
+                    // arrived: the frame decoded whole to `updates`, so
+                    // replay decodes the same bytes to the same batch.
+                    let a = match announced.append_section(handle.space.as_str(), body) {
                         Ok(a) => a,
                         Err(e) => return Response::error(ErrorCode::Durability, e.to_string()),
                     };
@@ -1216,10 +1239,7 @@ fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared)
                     // current watermark, so surviving log records older than
                     // the restore can never replay over it.
                     if let Err(e) = handle.write_checkpoint(&mut state) {
-                        return Response::error(
-                            ErrorCode::Durability,
-                            format!("restore applied but could not be persisted: {e}"),
-                        );
+                        return refuse_unpersisted(shared, "restore", e);
                     }
                     // A restore is immediately visible: publish inline (the
                     // restored state replaces the stream wholesale, so
@@ -1413,10 +1433,7 @@ fn handle_space_request(handle: &SpaceHandle, request: Request, shared: &Shared)
                     // Like a full restore, a grafted slice is a checkpoint
                     // point under durability: persist before acknowledging.
                     if let Err(e) = handle.write_checkpoint(&mut state) {
-                        return Response::error(
-                            ErrorCode::Durability,
-                            format!("slice restore applied but could not be persisted: {e}"),
-                        );
+                        return refuse_unpersisted(shared, "slice restore", e);
                     }
                     handle.publish_state(&mut state);
                     Response::Restored
@@ -1445,6 +1462,19 @@ mod tests {
 
     fn never() -> bool {
         false
+    }
+
+    /// A WAL record logs an ingest frame's body verbatim, less the frame's
+    /// version and tag bytes, behind a sequence number (at most 10 bytes)
+    /// and with the space header's empty default name written out. So the
+    /// largest frame the decoder accepts must fit the largest record the
+    /// log writes and recovery reads back.
+    #[test]
+    fn the_largest_frame_fits_one_wal_record() {
+        let header = 1; // the default space's empty name
+        let tag = 1 + SpaceId::default_space().as_str().len();
+        let record = crate::proto::MAX_FRAME - 2 - header + 10 + tag;
+        assert!(record <= fews_engine::wal::MAX_RECORD);
     }
 
     #[test]
