@@ -25,6 +25,12 @@
 //! ```
 //!
 //! every field an unsigned LEB128 varint, every witness absolute.
+//!
+//! The serving tiers' shared pieces live here too, below the crates that
+//! use them: the update-section codec ([`put_updates`] / [`get_updates`])
+//! an ingest frame and a write-ahead log record share, the frame bound
+//! [`MAX_FRAME`] that sizes both, and [`bounded_capacity`], the one cap on
+//! what a wire-declared count may reserve.
 
 use crate::deg_res::slot_capacity;
 use crate::insertion_only::FewwInsertOnly;
@@ -63,6 +69,21 @@ pub fn get_uvarint(buf: &[u8], pos: &mut usize) -> Option<u64> {
     }
 }
 
+/// Upper bound on one wire frame's `version + tag + body` length. Large
+/// enough for any realistic checkpoint or ingest batch, small enough that a
+/// hostile header cannot make a server allocate without bound. A
+/// write-ahead log record holds one frame's update section, so the log's
+/// record bound derives from it too.
+pub const MAX_FRAME: usize = 64 << 20;
+
+/// Initial `Vec` capacity for a wire-declared element count: enough to
+/// avoid reallocation on every realistic message, bounded so a hostile
+/// count in a large frame cannot pre-reserve gigabytes — decoding still
+/// fails fast on the first missing element, having grown at most this far.
+pub fn bounded_capacity(count: usize) -> usize {
+    count.min(4096)
+}
+
 /// Append an *update section*: the count, then per update its `a` varint,
 /// `b` varint and sign byte (0 insert, 1 delete). It is both an ingest
 /// frame's body past its space header and a write-ahead log record's tail,
@@ -78,10 +99,6 @@ pub fn put_updates(buf: &mut Vec<u8>, updates: &[Update]) {
     }
 }
 
-/// Most updates [`get_updates`] reserves room for up front; a larger
-/// declared count grows the vector as its updates actually decode.
-const UPDATES_RESERVE: usize = 1 << 16;
-
 /// Read an update section ([`put_updates`]) at `pos`, advancing it. Any
 /// varint encoding of a field is accepted, overlong ones included. `Err`
 /// names the field that failed, in the words an ingest frame's
@@ -92,7 +109,7 @@ pub fn get_updates(buf: &[u8], pos: &mut usize) -> Result<Vec<Update>, &'static 
     if count > buf.len() / 3 + 1 {
         return Err("ingest count exceeds body");
     }
-    let mut updates = Vec::with_capacity(count.min(UPDATES_RESERVE));
+    let mut updates = Vec::with_capacity(bounded_capacity(count));
     for _ in 0..count {
         let a = get_uvarint(buf, pos)
             .and_then(|v| u32::try_from(v).ok())

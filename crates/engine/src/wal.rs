@@ -83,6 +83,7 @@ use crate::EngineConfig;
 use fews_common::{SpaceConfig, SpaceId};
 use fews_core::wire::{
     get_space_config, get_updates, get_uvarint, put_space_config, put_updates, put_uvarint,
+    MAX_FRAME,
 };
 use fews_stream::Update;
 use std::fs::{File, OpenOptions};
@@ -96,12 +97,11 @@ use std::time::Duration;
 pub const SPACE_CONFIG_MAGIC: &[u8; 8] = b"FEWWSPC1";
 
 /// Upper bound on one record's payload. Every logged batch arrived in one
-/// wire frame of at most 64 MiB (`fews_net::proto::MAX_FRAME`, which cannot
-/// be named here; a `fews-net` test pins the relation), and its record is
-/// that frame's body — the frame less its version and tag bytes — behind a
-/// sequence number of at most 10 bytes, with an empty (default) space name
-/// written out as `default`, 7 bytes more.
-pub const MAX_RECORD: usize = (64 << 20) - 2 + 10 + 7;
+/// wire frame of at most [`MAX_FRAME`] bytes, and its record is that frame's
+/// body — the frame less its version and tag bytes — behind a sequence
+/// number of at most 10 bytes, with an empty (default) space name written
+/// out as `default`, 7 bytes more.
+pub const MAX_RECORD: usize = MAX_FRAME - 2 + 10 + 7;
 
 /// File name of the server-wide shared log at the data-dir root.
 const WAL_FILE: &str = "wal.log";

@@ -37,7 +37,8 @@ use fews_common::spaceid::MAX_SPACE_NAME;
 use fews_common::{SpaceConfig, SpaceId};
 use fews_core::neighbourhood::Neighbourhood;
 use fews_core::wire::{
-    get_space_config, get_updates, get_uvarint, put_space_config, put_updates, put_uvarint,
+    bounded_capacity, get_space_config, get_updates, get_uvarint, put_space_config, put_updates,
+    put_uvarint,
 };
 use fews_engine::checkpoint::Header;
 #[cfg(test)]
@@ -50,10 +51,8 @@ use fews_stream::Update;
 /// insertion-deletion checkpoint format in `fews_core::wire`.)
 pub const VERSION: u8 = 3;
 
-/// Upper bound on `version + tag + body` length. Large enough for any
-/// realistic checkpoint or ingest batch, small enough that a hostile header
-/// cannot make the server allocate without bound.
-pub const MAX_FRAME: usize = 64 << 20;
+/// Upper bound on `version + tag + body` length ([`fews_core::wire::MAX_FRAME`]).
+pub use fews_core::wire::MAX_FRAME;
 
 /// How fresh the snapshot answering a query must be. Snapshots are
 /// published by a background refresher, so "latest published" can trail the
@@ -548,14 +547,6 @@ fn put_neighbourhood(buf: &mut Vec<u8>, nb: &Neighbourhood) {
     for &w in &nb.witnesses {
         put_uvarint(buf, w);
     }
-}
-
-/// Initial `Vec` capacity for a wire-declared element count: enough to
-/// avoid reallocation on every realistic message, bounded so a hostile
-/// count in a large frame cannot pre-reserve gigabytes — decoding still
-/// fails fast on the first missing element, having grown at most this far.
-fn bounded_capacity(count: usize) -> usize {
-    count.min(4096)
 }
 
 fn get_neighbourhood(buf: &[u8], pos: &mut usize) -> Option<Neighbourhood> {

@@ -84,7 +84,7 @@ use crate::proto::{
 };
 use crate::serve::{self, FrontEnd};
 use fews_common::{SpaceConfig, SpaceId};
-use fews_engine::checkpoint::{unwrap_for, wrap_envelope, Header};
+use fews_engine::checkpoint::{unwrap_for, wrap_envelope, CheckpointError, Header};
 use fews_engine::wal::{self, SpaceDir, Wal};
 use fews_engine::{Engine, EngineConfig, EngineStats, GlobalView, ModelSpec, Scope};
 use std::collections::HashMap;
@@ -1094,17 +1094,46 @@ fn read_snapshot(
     }
 }
 
-/// Refuse a restore whose checkpoint could not be written. The engine holds
-/// the restored state while a restart would recover the old checkpoint and
-/// the log — or the new checkpoint, if the write failed past its rename — so
-/// no later batch may be acked on top of either: durability is poisoned, as
-/// a failed fsync poisons it, and every later ingest is refused naming why.
-fn refuse_unpersisted(shared: &Shared, what: &str, e: std::io::Error) -> Response {
-    let message = format!("{what} applied but could not be persisted: {e}");
-    if let Some(wal) = &shared.wal {
-        wal.poison(message.clone());
+/// Install a restore — `install` grafts a full checkpoint or a slice onto
+/// the engine — and publish it inline: the restored state replaces the
+/// stream wholesale, so waiting for the refresher would let a query observe
+/// the pre-restore world after a `Restored` ack.
+///
+/// Under durability a restore is a checkpoint point: the restored state
+/// goes straight to disk at this space's current watermark, so surviving
+/// log records older than the restore can never replay over it. A restore
+/// that cannot be persisted commits nothing: the engine gets back the state
+/// it replaced, which is what the old checkpoint and the log recover. A
+/// write that failed past its rename may still have left the restored
+/// envelope on disk, so no later batch may be acked on top of either one:
+/// durability is poisoned, as a failed fsync poisons it, and every later
+/// ingest is refused naming why.
+fn restore_persisted(
+    handle: &SpaceHandle,
+    shared: &Shared,
+    what: &str,
+    install: impl FnOnce(&mut Engine) -> Result<(), CheckpointError>,
+) -> Response {
+    let mut state = handle.state.lock().expect("space state");
+    let kept = handle.dir.is_some().then(|| state.engine.checkpoint());
+    if let Err(e) = install(&mut state.engine) {
+        return Response::error(ErrorCode::Checkpoint, e.to_string());
     }
-    Response::error(ErrorCode::Durability, message)
+    if let Err(e) = handle.write_checkpoint(&mut state) {
+        if let Some(kept) = kept {
+            state
+                .engine
+                .restore_checkpoint(&kept)
+                .expect("an engine restores its own checkpoint");
+        }
+        let message = format!("{what} could not be persisted: {e}");
+        if let Some(wal) = &shared.wal {
+            wal.poison(message.clone());
+        }
+        return Response::error(ErrorCode::Durability, message);
+    }
+    handle.publish_state(&mut state);
+    Response::Restored
 }
 
 /// A wire `top k` as a ranking length.
@@ -1231,25 +1260,9 @@ fn handle_space_request(
             if let Err(e) = unwrap_for(&bytes, handle.space.as_str()) {
                 return Response::error(ErrorCode::Checkpoint, e.to_string());
             }
-            let mut state = handle.state.lock().expect("space state");
-            match state.engine.restore_checkpoint(&bytes) {
-                Ok(()) => {
-                    // Under durability a restore is a checkpoint point: the
-                    // restored state goes straight to disk at this space's
-                    // current watermark, so surviving log records older than
-                    // the restore can never replay over it.
-                    if let Err(e) = handle.write_checkpoint(&mut state) {
-                        return refuse_unpersisted(shared, "restore", e);
-                    }
-                    // A restore is immediately visible: publish inline (the
-                    // restored state replaces the stream wholesale, so
-                    // waiting for the refresher would let a query observe
-                    // the pre-restore world after a Restored ack).
-                    handle.publish_state(&mut state);
-                    Response::Restored
-                }
-                Err(e) => Response::error(ErrorCode::Checkpoint, e.to_string()),
-            }
+            restore_persisted(handle, shared, "restore", |engine| {
+                engine.restore_checkpoint(&bytes)
+            })
         }
         // Query requests: answered from a published snapshot — no engine
         // lock, no shard barrier, no blocking against ingest or each other.
@@ -1427,19 +1440,9 @@ fn handle_space_request(
             Response::Checkpoint(state.engine.checkpoint_slice(&parts)).bounded()
         }
         Request::SliceRestore(bytes) => {
-            let mut state = handle.state.lock().expect("space state");
-            match state.engine.restore_slice(&bytes) {
-                Ok(()) => {
-                    // Like a full restore, a grafted slice is a checkpoint
-                    // point under durability: persist before acknowledging.
-                    if let Err(e) = handle.write_checkpoint(&mut state) {
-                        return refuse_unpersisted(shared, "slice restore", e);
-                    }
-                    handle.publish_state(&mut state);
-                    Response::Restored
-                }
-                Err(e) => Response::error(ErrorCode::Checkpoint, e.to_string()),
-            }
+            restore_persisted(handle, shared, "slice restore", |engine| {
+                engine.restore_slice(&bytes)
+            })
         }
         // Handled in `handle_request`; unreachable here.
         Request::CreateSpace(_)
@@ -1462,19 +1465,6 @@ mod tests {
 
     fn never() -> bool {
         false
-    }
-
-    /// A WAL record logs an ingest frame's body verbatim, less the frame's
-    /// version and tag bytes, behind a sequence number (at most 10 bytes)
-    /// and with the space header's empty default name written out. So the
-    /// largest frame the decoder accepts must fit the largest record the
-    /// log writes and recovery reads back.
-    #[test]
-    fn the_largest_frame_fits_one_wal_record() {
-        let header = 1; // the default space's empty name
-        let tag = 1 + SpaceId::default_space().as_str().len();
-        let record = crate::proto::MAX_FRAME - 2 - header + 10 + tag;
-        assert!(record <= fews_engine::wal::MAX_RECORD);
     }
 
     #[test]
